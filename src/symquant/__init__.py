@@ -57,11 +57,13 @@ from .operators import (
 from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
+    PRIMITIVES,
     CommutatorCheck,
     QuantizationScheme,
     commutator_table_check,
     expectation,
     ground_packet,
+    heisenberg_moments,
     heisenberg_operator,
     kernel_overlap,
     quantization_needs_symmetrization,
@@ -72,7 +74,6 @@ from .quantum import (
     uncertainty_product,
     unitary_conjugation_check,
     unitary_evolve,
-    variance,
 )
 from .lab import (
     CheckResult,

@@ -19,22 +19,21 @@ import numpy as np
 
 from ._version import __version__
 from .flow import conserved_along_flow, default_sample_times, PhaseState, pullback_deviation, flow_jacobian
-from .operators import GaussianPacket, GridSpec
+from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams, validate_form
 from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
     SCHEME_IDS,
+    _spread_product,
     commutator_table_check,
-    expectation,
     ground_packet,
-    heisenberg_operator,
+    heisenberg_moments,
     scheme,
     uncertainty_bound,
     uncertainty_product,
     unitary_conjugation_check,
-    variance,
 )
 
 CHECK_NAMES = ("pairs", "flow", "commutators", "uncertainties", "unitary")
@@ -277,28 +276,32 @@ def _pair_residuals(params: PhysParams) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
+    try:
+        return packet.sample(grid)
+    except ValueError as exc:
+        raise ScenarioError(f"grid.L: cannot sample a packet on this grid: {exc}") from None
+
+
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras."""
-    psi = config.packet.sample(config.grid)
+    psi = _sample(config.packet, config.grid)
     cells = []
     uncertainties = []
     for sid in config.schemes:
         s = scheme(sid, config.params)
+        means, variances = heisenberg_moments(s, psi, config.times)
+        if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+            raise RuntimeError(f"non-finite moments for scheme {sid}")
         for name in config.observables:
-            for t in config.times:
-                op = heisenberg_operator(s, name, t)
-                mean = expectation(op, psi)
-                var = variance(op, psi)
-                if not (math.isfinite(mean.real) and math.isfinite(mean.imag)
-                        and math.isfinite(var)):
-                    raise RuntimeError(f"non-finite report cell for scheme {sid}, "
-                                       f"{name}, t={t}")
-                cells.append(ReportCell(scheme=sid, observable=name, time=float(t),
-                                        mean=complex(mean), variance=float(var)))
+            i = OBSERVABLES.index(name)
+            cells.extend(ReportCell(scheme=sid, observable=name, time=float(t),
+                                    mean=complex(means[k, i]), variance=float(variances[k, i]))
+                         for k, t in enumerate(config.times))
         for pair in CANONICAL_PAIRS[sid]:
             bound = float(uncertainty_bound(s, pair))
-            for t in config.times:
-                product = float(uncertainty_product(s, pair, psi, t))
+            for k, t in enumerate(config.times):
+                product = _spread_product(variances[k], pair)
                 uncertainties.append(UncertaintyRow(
                     scheme=sid, pair=pair, time=float(t), product=product,
                     bound=bound, satisfied=product >= bound - 1e-9))
@@ -393,7 +396,7 @@ def _check_flow(config: Scenario) -> CheckResult:
 
 
 def _check_commutators(config: Scenario) -> CheckResult:
-    probe = ground_packet(config.params).sample(config.grid)
+    probe = _sample(ground_packet(config.params), config.grid)
     worst = 0.0
     localized = True
     for sid in config.schemes:
@@ -426,7 +429,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     for sid in config.schemes:
         s = scheme(sid, params)
         for idx, packet in enumerate(probes):
-            psi = packet.sample(grid)
+            psi = _sample(packet, grid)
             # variance quadrature error scales with the squared boundary
             # magnitude, so 1e-7 here protects the 1e-9 bound margin
             if psi.boundary_magnitude() >= 1e-7:

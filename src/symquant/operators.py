@@ -75,8 +75,8 @@ class WaveFunction:
 
     def normalize(self) -> "WaveFunction":
         n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero field")
+        if not (0 < n < math.inf):
+            raise ValueError(f"cannot normalize a field of norm {n}")
         return WaveFunction(self.grid, self.values / n)
 
     def inner(self, other: "WaveFunction") -> complex:

@@ -23,6 +23,7 @@ from .phasespace import (
     _as_matrix,
     _invert_matrix,
     _is_exact,
+    _reciprocal,
     _scalar_is_zero,
 )
 
@@ -210,18 +211,12 @@ def classify_boundedness(hamiltonian: PolynomialObservable,
 # the canned oscillator catalog
 # ---------------------------------------------------------------------------
 
-def _inv(value):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(1, 1) / Fraction(value)
-    return 1 / value
-
-
 def oscillator_field(m=1, omega=1) -> LinearVectorField:
     """2-D isotropic harmonic oscillator: xdot = p_x/m, pdot_x = -m omega^2 x, etc.
 
     `m` and `omega` may be numbers or sympy symbols; integers stay exact.
     """
-    im = _inv(m)
+    im = _reciprocal(m)
     k = -m * omega ** 2
     return LinearVectorField((
         (0, 0, im, 0),
@@ -234,7 +229,7 @@ def oscillator_field(m=1, omega=1) -> LinearVectorField:
 def standard_hamiltonians(m=1, omega=1) -> tuple[PolynomialObservable, ...]:
     """The energy S0 and the three alternative constants of motion S1, S2, S3."""
     half = Fraction(1, 2)
-    im = _inv(m)
+    im = _reciprocal(m)
     mw2 = m * omega ** 2
     x2 = (2, 0, 0, 0)
     y2 = (0, 2, 0, 0)
@@ -255,7 +250,7 @@ def standard_hamiltonians(m=1, omega=1) -> tuple[PolynomialObservable, ...]:
 
 def standard_forms(m=1, omega=1) -> tuple[SymplecticForm, ...]:
     """The four bracket matrices paired with S0..S3."""
-    imw = _inv(m * omega)
+    imw = _reciprocal(m * omega)
     mw = m * omega
     w0 = ((0, 0, 1, 0),
           (0, 0, 0, 1),

@@ -56,11 +56,10 @@ def _is_exact(c) -> bool:
 
 
 def _reciprocal(c):
+    """1/c, exact for int and Fraction; callers canonicalize sympy results."""
     if isinstance(c, (int, Fraction)):
         return Fraction(1, 1) / Fraction(c)
-    if isinstance(c, sp.Basic):
-        return sp.cancel(1 / c)
-    return 1.0 / c
+    return 1 / c
 
 
 # ---------------------------------------------------------------------------

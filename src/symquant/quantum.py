@@ -1,11 +1,12 @@
 """Four quantum theories of the 2-D oscillator from Dirac's rule.
 
 Each bracket matrix induces its own commutator algebra [A, B] = i hbar {A, B}
-and its own concrete representation of the fundamental operators on
-L^2(R^2, dx dy).  The schemes share the Heisenberg-picture combination rule
-(the classical rotation with operators substituted), which is exactly why
-their expectation values differ: the fundamental operators act differently on
-one and the same prepared state.
+and its own representation of the fundamentals on L^2(R^2, dx dy): a constant
+4x4 matrix over the primitives x, y, d/dx, d/dy.  The schemes share the
+Heisenberg rotation `flow_jacobian`, so every mean, variance, uncertainty
+product and two-time commutator follows from the primitives' Gram matrix on
+one prepared state.  The fundamentals act differently on that state, which is
+exactly why the schemes' predictions differ.
 
 Scheme assignments (signs transcribed verbatim; the commutator check is the
 arbiter):
@@ -21,16 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .flow import flow_jacobian
 from .operators import (
     GaussianPacket,
     GridSpec,
     OperatorExpr,
     Primitive,
     WaveFunction,
+    _apply_primitive,
     check_localized,
     dense_matrix,
 )
@@ -38,6 +41,7 @@ from .pairs import standard_forms, standard_hamiltonians
 from .phasespace import PhysParams, PolynomialObservable
 
 OBSERVABLES = ("x", "y", "p_x", "p_y")
+PRIMITIVES = (Primitive.X, Primitive.Y, Primitive.DX, Primitive.DY)
 
 SCHEME_IDS = (0, 1, 2, 3)
 
@@ -57,12 +61,10 @@ class QuantizationScheme:
     id: int
     params: PhysParams
     commutators: np.ndarray  # i*hbar times the classical bracket matrix
-    assignment: Mapping[str, OperatorExpr]
+    assignment: np.ndarray  # rows OBSERVABLES, columns PRIMITIVES
 
     def fundamental(self, which: str) -> OperatorExpr:
-        if which not in OBSERVABLES:
-            raise ValueError(f"unknown observable: {which!r}")
-        return self.assignment[which]
+        return heisenberg_operator(self, which, 0.0)
 
 
 def scheme(scheme_id: int, params: PhysParams) -> QuantizationScheme:
@@ -71,16 +73,14 @@ def scheme(scheme_id: int, params: PhysParams) -> QuantizationScheme:
         raise ValueError(f"unknown id: {scheme_id!r}")
     hb = params.hbar
     mw = params.m * params.omega
-    x_op = OperatorExpr.primitive(Primitive.X)
-    y_op = OperatorExpr.primitive(Primitive.Y)
-    dx = OperatorExpr.primitive(Primitive.DX)
-    dy = OperatorExpr.primitive(Primitive.DY)
-    assignment = {
-        0: {"x": x_op, "y": y_op, "p_x": -1j * hb * dx, "p_y": -1j * hb * dy},
-        1: {"x": x_op, "y": y_op, "p_x": -1j * hb * dy, "p_y": -1j * hb * dx},
-        2: {"x": x_op, "y": y_op, "p_x": 1j * hb * dx, "p_y": -1j * hb * dy},
-        3: {"x": x_op, "y": (1j * hb / mw) * dx, "p_x": mw * y_op, "p_y": 1j * hb * dy},
-    }[scheme_id]
+    d = -1j * hb  # (hbar/i) d/d(axis)
+    assignment = np.array({
+        0: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, d, 0), (0, 0, 0, d)),
+        1: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, d), (0, 0, d, 0)),
+        2: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -d, 0), (0, 0, 0, d)),
+        3: ((1, 0, 0, 0), (0, 0, -d / mw, 0), (0, mw, 0, 0), (0, 0, 0, -d)),
+    }[scheme_id], dtype=complex)
+    assignment.setflags(write=False)
     table = 1j * hb * standard_forms(params.m, params.omega)[scheme_id].upper_array()
     table.setflags(write=False)
     return QuantizationScheme(id=scheme_id, params=params,
@@ -101,17 +101,8 @@ def heisenberg_operator(s: QuantizationScheme, which: str, t: float) -> Operator
     """
     if which not in OBSERVABLES:
         raise ValueError(f"unknown observable: {which!r}")
-    mw = s.params.m * s.params.omega
-    c = math.cos(s.params.omega * t)
-    sn = math.sin(s.params.omega * t)
-    a = s.assignment
-    if which == "x":
-        return c * a["x"] + (sn / mw) * a["p_x"]
-    if which == "p_x":
-        return (-mw * sn) * a["x"] + c * a["p_x"]
-    if which == "y":
-        return c * a["y"] + (sn / mw) * a["p_y"]
-    return (-mw * sn) * a["y"] + c * a["p_y"]
+    row = flow_jacobian(t, s.params)[OBSERVABLES.index(which)] @ s.assignment
+    return OperatorExpr((c, (p,)) for c, p in zip(row, PRIMITIVES))
 
 
 def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
@@ -119,11 +110,22 @@ def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
     return psi.inner(op.apply(psi))
 
 
-def variance(op: OperatorExpr, psi: WaveFunction) -> float:
-    """<op^2> - <op>^2, real part (imaginary part vanishes for Hermitian op)."""
-    m1 = expectation(op, psi)
-    m2 = expectation(op @ op, psi)
-    return float((m2 - m1 * m1).real)
+def _fundamental_moments(s: QuantizationScheme, psi: WaveFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Means A v and second moments conj(A) G A^T of the Hermitian fundamentals F = A P."""
+    # Gram matrix of psi, P_1 psi, ..., P_4 psi: row 0 holds v, the rest is G
+    vectors = [psi.values] + [_apply_primitive(p, psi.values, psi.grid) for p in PRIMITIVES]
+    h = psi.grid.spacing
+    gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h
+    return s.assignment @ gram[0, 1:], s.assignment.conj() @ gram[1:, 1:] @ s.assignment.T
+
+
+def heisenberg_moments(s: QuantizationScheme, psi: WaveFunction,
+                       times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4)."""
+    mean0, second0 = _fundamental_moments(s, psi)
+    jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
+    means = jac @ mean0
+    return means, (np.einsum("tij,jk,tik->ti", jac, second0, jac) - means * means).real
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction,
     h = psi.grid.spacing
     for i in range(len(OBSERVABLES)):
         for j in range(i + 1, len(OBSERVABLES)):
-            a = s.assignment[OBSERVABLES[i]]
-            b = s.assignment[OBSERVABLES[j]]
+            a = s.fundamental(OBSERVABLES[i])
+            b = s.fundamental(OBSERVABLES[j])
             lhs = a.apply(b.apply(psi)).values - b.apply(a.apply(psi)).values
             diff = lhs - s.commutators[i, j] * psi.values
             dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
@@ -156,35 +158,33 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction,
 
 def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
     """Robertson bound |<[A, B]>|/2 for two fundamental observables."""
-    i = OBSERVABLES.index(pair[0])
-    j = OBSERVABLES.index(pair[1])
-    return abs(s.commutators[i, j]) / 2.0
+    return abs(s.commutators[OBSERVABLES.index(pair[0]), OBSERVABLES.index(pair[1])]) / 2.0
+
+
+def _spread_product(variances: np.ndarray, pair: tuple[str, str]) -> float:
+    """Delta A * Delta B from one row of variances ordered like OBSERVABLES."""
+    return math.prod(math.sqrt(max(float(variances[OBSERVABLES.index(n)]), 0.0)) for n in pair)
 
 
 def uncertainty_product(s: QuantizationScheme, pair: tuple[str, str],
                         psi: WaveFunction, t: float = 0.0) -> float:
     """Delta A * Delta B for the Heisenberg-evolved observables at time t."""
-    spreads = []
-    for name in pair:
-        var = variance(heisenberg_operator(s, name, t), psi)
-        spreads.append(math.sqrt(max(var, 0.0)))
-    return spreads[0] * spreads[1]
+    _, variances = heisenberg_moments(s, psi, (t,))
+    return _spread_product(variances[0], pair)
 
 
 def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
                         psi: WaveFunction,
                         boundary_threshold: float = 1e-12) -> complex:
-    """<psi| [x(t), x(t')] psi>, estimated by applying both orderings.
+    """<psi| [x(t), x(t')] psi> = a M b - b M a for x(t) = a.F, x(t') = b.F.
 
-    The scalar equals sin(omega (t'-t))/(m omega) times the scheme's
-    [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
+    With M_ij = <F_i psi|F_j psi>, it equals sin(omega (t'-t))/(m omega) times
+    the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
     """
     check_localized(psi, boundary_threshold, "two-time commutator")
-    op_t = heisenberg_operator(s, "x", t)
-    op_tp = heisenberg_operator(s, "x", t_prime)
-    forward = op_t.apply(op_tp.apply(psi))
-    backward = op_tp.apply(op_t.apply(psi))
-    return psi.inner(WaveFunction(psi.grid, forward.values - backward.values))
+    _, second = _fundamental_moments(s, psi)
+    a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
+    return complex(a @ second @ b - b @ second @ a)
 
 
 def kernel_overlap(s: QuantizationScheme, x: float, y: float,
@@ -209,7 +209,7 @@ def kernel_overlap(s: QuantizationScheme, x: float, y: float,
 def _monomial_operator(s: QuantizationScheme, expo: tuple[int, int, int, int]) -> tuple[OperatorExpr, bool]:
     factors = []
     for name, e in zip(OBSERVABLES, expo):
-        factors.extend([s.assignment[name]] * e)
+        factors.extend([s.fundamental(name)] * e)
     if not factors:
         return OperatorExpr.identity(), False
     if len(factors) == 1:

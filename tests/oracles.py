@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own code paths: brackets are
 expanded with sympy, the flow is integrated with leapfrog, the admissible-space
 dimension is counted by exact enumeration, and Gaussian moments come from
 closed forms cross-checked by direct trapezoid quadrature with analytic
-derivatives.
+derivatives.  The one exception is the applied-operator moments, which back
+the library's Gram-matrix moment engine by applying operator expressions to
+the grid field (twice, for second moments) instead.
 """
 
 from __future__ import annotations
@@ -207,3 +209,19 @@ def quadrature_mean(sid: int, which: str, t: float, packet, params,
     integrand = np.conj(psi) * acted
     inner = np.trapezoid(np.trapezoid(integrand, ys, axis=1), xs, axis=0)
     return complex(inner)
+
+
+# ---------------------------------------------------------------------------
+# applied-operator moments (oracle for the Gram-matrix moment engine)
+# ---------------------------------------------------------------------------
+
+def applied_variance(op, psi) -> float:
+    """<op^2> - <op>^2 with op^2 applied as the composition op @ op."""
+    m1 = psi.inner(op.apply(psi))
+    m2 = psi.inner((op @ op).apply(psi))
+    return float((m2 - m1 * m1).real)
+
+
+def applied_commutator(op_a, op_b, psi) -> complex:
+    """<psi| [A, B] psi> by applying both orderings."""
+    return psi.inner(op_a.apply(op_b.apply(psi))) - psi.inner(op_b.apply(op_a.apply(psi)))

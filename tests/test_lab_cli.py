@@ -238,6 +238,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("half_width", ["1e-300", "1e300"])
+def test_cli_extreme_grid_width_is_a_config_error(command, half_width, capsys):
+    assert main([command, "--grid-l", half_width]) == 2
+    assert "config error: grid.L: cannot sample a packet" in capsys.readouterr().err
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(_small_scenario().to_dict()))

@@ -50,6 +50,14 @@ def test_packet_normalization():
     assert abs(psi.norm() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("half_width", [1e-300, 1e300])
+def test_normalize_rejects_zero_and_infinite_norms(half_width):
+    # h^2 underflows to 0 or overflows to inf; psi / inf would be all zeros
+    grid = GridSpec(half_width=half_width, points=16)
+    with pytest.raises(ValueError, match="cannot normalize a field of norm"):
+        GaussianPacket(sigma=1.0).sample(grid)
+
+
 def test_inner_product_grid_mismatch():
     psi = GaussianPacket(sigma=1.0).sample(GRID)
     other = GaussianPacket(sigma=1.0).sample(GridSpec(8.0, 64))

@@ -1,11 +1,13 @@
 """Scheme construction, commutator realization, Heisenberg evolution, moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from symquant import (
+    CANONICAL_PAIRS,
     GaussianPacket,
     GridSpec,
     LocalizationWarning,
@@ -15,6 +17,7 @@ from symquant import (
     commutator_table_check,
     expectation,
     ground_packet,
+    heisenberg_moments,
     heisenberg_operator,
     kernel_overlap,
     quantization_needs_symmetrization,
@@ -25,10 +28,16 @@ from symquant import (
     two_time_commutator,
     uncertainty_bound,
     uncertainty_product,
-    variance,
     coordinates,
+    WaveFunction,
 )
-from oracles import heisenberg_mean, heisenberg_uncertainty, quadrature_mean
+from oracles import (
+    applied_commutator,
+    applied_variance,
+    heisenberg_mean,
+    heisenberg_uncertainty,
+    quadrature_mean,
+)
 
 P = PhysParams(1.0, 1.0, 1.0)
 P2 = PhysParams(m=2.5, omega=1.3, hbar=0.7)
@@ -315,6 +324,62 @@ def test_two_time_commutator_quarter_period_and_equal_times():
 
 
 # ---------------------------------------------------------------------------
+# moment engine against applied operators
+# ---------------------------------------------------------------------------
+
+def _small_gaussian() -> WaveFunction:
+    return _packet_for(P2).sample(GridSpec(half_width=10.0 * P2.sigma_ref, points=32))
+
+
+def _random_field() -> WaveFunction:
+    # complex noise up to the grid edge: the Gram identity is algebraic,
+    # not a property of localized Gaussians
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    return WaveFunction(GridSpec(half_width=4.0, points=32), values).normalize()
+
+
+@pytest.mark.parametrize("field, localized", [(_small_gaussian, True), (_random_field, False)],
+                         ids=["gaussian", "random"])
+@pytest.mark.parametrize("sid", range(4))
+def test_moment_engine_matches_applied_operators(sid, field, localized):
+    # every error is relative to the size of the terms that cancel in it
+    psi = field()
+    s = scheme(sid, P2)
+    times = (0.0, 0.45 / P2.omega, 2.1 / P2.omega, -3.7 / P2.omega)
+    means, variances = heisenberg_moments(s, psi, times)
+    assert means.shape == variances.shape == (len(times), len(OBS))
+    assert variances.dtype == np.float64
+    for k, t in enumerate(times):
+        spreads = {}
+        for i, which in enumerate(OBS):
+            op = heisenberg_operator(s, which, t)
+            scale = op.apply(psi).norm()
+            assert abs(means[k, i] - expectation(op, psi)) <= 1e-12 * scale
+            want = applied_variance(op, psi)
+            assert abs(variances[k, i] - want) <= 1e-12 * scale ** 2
+            spreads[which] = math.sqrt(want)
+        for pair in CANONICAL_PAIRS[sid]:
+            assert uncertainty_product(s, pair, psi, t) == pytest.approx(
+                spreads[pair[0]] * spreads[pair[1]], rel=1e-12, abs=0)
+        for t_prime in times:
+            a = heisenberg_operator(s, "x", t)
+            b = heisenberg_operator(s, "x", t_prime)
+            scale = a.apply(psi).norm() * b.apply(psi).norm()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = two_time_commutator(s, t, t_prime, psi)
+            assert [w.category for w in caught] == (
+                [] if localized else [LocalizationWarning])
+            assert abs(got - applied_commutator(a, b, psi)) <= 1e-12 * scale
+
+
+def test_moments_of_no_times_are_empty():
+    means, variances = heisenberg_moments(scheme(0, P), _small_gaussian(), ())
+    assert means.shape == variances.shape == (0, len(OBS))
+
+
+# ---------------------------------------------------------------------------
 # mixed-basis kernels
 # ---------------------------------------------------------------------------
 
@@ -398,8 +463,8 @@ def test_degree_three_unsupported():
 def test_variance_of_fundamentals_matches_packet_moments():
     packet = _packet_for(P)
     psi = packet.sample(GRID)
-    s = scheme(0, P)
-    assert variance(s.fundamental("x"), psi) == pytest.approx(
+    _, variances = heisenberg_moments(scheme(0, P), psi, (0.0,))
+    assert variances[0, OBS.index("x")] == pytest.approx(
         packet.sigma ** 2, abs=1e-9)
-    assert variance(s.fundamental("p_x"), psi) == pytest.approx(
+    assert variances[0, OBS.index("p_x")] == pytest.approx(
         P.hbar ** 2 / (4 * packet.sigma ** 2), abs=1e-9)
