@@ -52,7 +52,6 @@ from .operators import (
     Primitive,
     WaveFunction,
     apply,
-    dense_matrix,
 )
 from .quantum import (
     CANONICAL_PAIRS,

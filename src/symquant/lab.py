@@ -286,6 +286,10 @@ def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras."""
     psi = _sample(config.packet, config.grid)
+    # after sampling, so a grid no packet can be sampled on reports grid.L
+    if config.grid.spacing > config.packet.sigma:
+        raise ScenarioError(f"grid: spacing {config.grid.spacing:.3g} exceeds packet.sigma "
+                            f"{config.packet.sigma:.3g}; the packet is not resolved")
     cells = []
     uncertainties = []
     for sid in config.schemes:

@@ -34,8 +34,8 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, not {self.half_width!r}")
         if self.points < 16:
             raise ValueError("points must be at least 16")
         if self.points % 2:
@@ -70,8 +70,10 @@ class WaveFunction:
         object.__setattr__(self, "values", vals)
 
     def norm(self) -> float:
+        """Riemann-sum L2 norm; inf when h^2 overflows, which normalize() rejects."""
         h = self.grid.spacing
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * h * h))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * h * h))
 
     def normalize(self) -> "WaveFunction":
         n = self.norm()
@@ -100,15 +102,20 @@ class GaussianPacket:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        for name in ("center", "wavevector"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, not {self.sigma!r}")
 
     def sample(self, grid: GridSpec) -> WaveFunction:
         """Sample on the grid and normalize by the Riemann-sum norm."""
         xg, yg = grid.meshgrid()
         cx, cy = self.center
         kx, ky = self.wavevector
-        envelope = np.exp(-((xg - cx) ** 2 + (yg - cy) ** 2) / (4.0 * self.sigma ** 2))
+        # squares past the float range are far in the tail, where exp(-inf) = 0 is exact
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-((xg - cx) ** 2 + (yg - cy) ** 2) / (4.0 * self.sigma ** 2))
         phase = np.exp(1j * (kx * xg + ky * yg))
         return WaveFunction(grid, envelope * phase).normalize()
 
@@ -274,41 +281,3 @@ def check_localized(psi: WaveFunction, threshold: float = 1e-12,
         return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# dense materialization (only used by the small-grid unitary checks)
-# ---------------------------------------------------------------------------
-
-def axis_matrices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis dense actions: (multiply-by-coordinate, spectral d/dcoordinate)."""
-    n = grid.points
-    coord = np.diag(grid.axis()).astype(complex)
-    k = grid.wavenumbers()
-    fwd = np.fft.fft(np.eye(n), axis=0)
-    deriv = np.fft.ifft(1j * k[:, None] * fwd, axis=0)
-    return coord, deriv
-
-
-def dense_matrix(op: OperatorExpr, grid: GridSpec) -> np.ndarray:
-    """Materialize as an N^2 x N^2 matrix acting on row-major flattened fields.
-
-    Within a product, the x-axis primitives (X, DX) and y-axis primitives
-    (Y, DY) commute exactly, so each term factors as kron(x-part, y-part).
-    """
-    n = grid.points
-    coord, deriv = axis_matrices(grid)
-    per_axis = {
-        Primitive.X: (0, coord),
-        Primitive.DX: (0, deriv),
-        Primitive.Y: (1, coord),
-        Primitive.DY: (1, deriv),
-    }
-    total = np.zeros((n * n, n * n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for coeff, prod in op.terms:
-        factors = [eye, eye]
-        for p in prod:
-            axis, mat = per_axis[p]
-            factors[axis] = factors[axis] @ mat
-        total += coeff * np.kron(factors[0], factors[1])
-    return total

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -141,8 +141,8 @@ class PhysParams:
     def __post_init__(self):
         for name in ("m", "omega", "hbar"):
             value = float(getattr(self, name))
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < value < inf:
+                raise ValueError(f"{name} must be strictly positive and finite, not {value!r}")
             object.__setattr__(self, name, value)
 
     @property

@@ -35,7 +35,6 @@ from .operators import (
     WaveFunction,
     _apply_primitive,
     check_localized,
-    dense_matrix,
 )
 from .pairs import standard_forms, standard_hamiltonians
 from .phasespace import PhysParams, PolynomialObservable
@@ -246,39 +245,76 @@ def quantization_needs_symmetrization(s: QuantizationScheme,
 
 
 # ---------------------------------------------------------------------------
-# dense-matrix unitary evolution (the one code path that materializes matrices)
+# unitary evolution: matrix-free Chebyshev expansion of the propagator
 # ---------------------------------------------------------------------------
-
-MAX_DENSE_POINTS = 48
-
-_GENERATOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
     return standard_hamiltonians(s.params.m, s.params.omega)[s.id]
 
 
-def _generator_eigensystem(s: QuantizationScheme, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    key = (s.id, s.params.m, s.params.omega, s.params.hbar,
-           grid.half_width, grid.points)
-    if key not in _GENERATOR_CACHE:
-        if grid.points > MAX_DENSE_POINTS:
-            raise ValueError("grid too large")
-        mat = dense_matrix(quantize_observable(s, _generator_polynomial(s)), grid)
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
-        if asym > 1e-9 * (1.0 + float(np.max(np.abs(mat)))):
-            raise AssertionError("materialized generator is not Hermitian")
-        evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-        _GENERATOR_CACHE[key] = (evals, evecs)
-    return _GENERATOR_CACHE[key]
+def _spectral_bound(op: OperatorExpr, grid: GridSpec) -> float:
+    """Sum over terms of |c| times the product of the primitives' operator norms.
+
+    On the periodic grid |x|, |y| <= L and the spectral derivative has
+    eigenvalues i k with |k| <= pi / h, so the spectrum of op lies in [-R, R].
+    """
+    norms = {Primitive.X: grid.half_width, Primitive.Y: grid.half_width,
+             Primitive.DX: math.pi / grid.spacing, Primitive.DY: math.pi / grid.spacing}
+    return sum(abs(c) * math.prod(norms[p] for p in prod) for c, prod in op.terms)
+
+
+def _chebyshev_coefficients(alpha: float) -> np.ndarray:
+    """c_k with exp(-i alpha z) = sum_k c_k T_k(z) on [-1, 1], cut where |c_k| < 1e-15.
+
+    c_k = (2 - delta_k0) (-i)^k J_k(alpha).  Past k = |alpha| the Kapteyn bound
+    |J_k(a)| <= (z e^r / (1 + r))^k, z = |a| / k, r = sqrt(1 - z^2), decreases
+    with k, so the first order where it puts |c_k| below 1e-15 ends the series.
+    The kept c_k are read off an FFT of exp(-i alpha cos theta) with at least
+    twice as many samples as orders, so only dropped orders alias onto them.
+    """
+    a = abs(alpha)
+    order = math.floor(a) + 1
+    while a > 0:
+        z = a / order
+        r = math.sqrt(1.0 - z * z)
+        if order * (math.log(z) + r - math.log1p(r)) < math.log(0.5e-15):
+            break
+        order += 1
+    samples = 2 ** math.ceil(math.log2(2 * order))
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    coeffs = np.fft.fft(np.exp(-1j * alpha * np.cos(theta)))[:order] / samples
+    coeffs[1:] *= 2.0
+    return coeffs
 
 
 def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
-    """exp(-i S t / hbar) psi via dense eigendecomposition of the generator."""
-    evals, evecs = _generator_eigensystem(s, psi.grid)
-    phases = np.exp(-1j * evals * t / s.params.hbar)
-    vec = evecs @ (phases * (evecs.conj().T @ psi.values.ravel()))
-    return WaveFunction(psi.grid, vec.reshape(psi.values.shape))
+    """exp(-i S t / hbar) psi by a Chebyshev expansion of the propagator.
+
+    With the generator's spectrum bounded by R, exp(-i S t / hbar) =
+    sum_k c_k T_k(S / R) for alpha = R t / hbar (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967, 1984).  The T_k(S / R) psi follow from the three-term
+    recurrence, one FFT-based application of S per order, so no matrix is
+    formed and any grid size works.  Raises RuntimeError when the norm moves
+    by more than 1e-8 relative: a non-Hermitian generator or a spectral bound
+    that is too small.
+    """
+    generator = quantize_observable(s, _generator_polynomial(s))
+    radius = _spectral_bound(generator, psi.grid)
+    scaled = (1.0 / radius) * generator
+    coeffs = _chebyshev_coefficients(radius * t / s.params.hbar)
+    out = coeffs[0] * psi.values
+    prev = cur = psi.values  # T_{k-2} psi and T_{k-1} psi
+    for k, c in enumerate(coeffs[1:], start=1):
+        step = scaled.apply(WaveFunction(psi.grid, cur)).values
+        prev, cur = cur, step if k == 1 else 2.0 * step - prev
+        out += c * cur
+    evolved = WaveFunction(psi.grid, out)
+    norm = psi.norm()
+    drift = abs(evolved.norm() - norm)
+    if not drift <= 1e-8 * norm:
+        raise RuntimeError(f"propagator changed the norm by {drift:.3e} of {norm:.3e}: "
+                           "the generator is not Hermitian or its spectral bound is too small")
+    return evolved
 
 
 def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
@@ -286,11 +322,9 @@ def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
                               psi: WaveFunction | None = None) -> float:
     """Relative L2 gap between exp(iSt/h) O exp(-iSt/h) psi and the rotated operator.
 
-    Uses a localized Gaussian by default; the dense path is restricted to
-    small grids (N <= 48).
+    Uses a localized Gaussian by default.  Both evolutions run the matrix-free
+    propagator of `unitary_evolve`, so the grid size is not capped.
     """
-    if grid.points > MAX_DENSE_POINTS:
-        raise ValueError("grid too large")
     if psi is None:
         packet = GaussianPacket(center=(0.5, -0.3), wavevector=(0.4, 0.2),
                                 sigma=s.params.ground_sigma)

@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own code paths: brackets are
 expanded with sympy, the flow is integrated with leapfrog, the admissible-space
 dimension is counted by exact enumeration, and Gaussian moments come from
 closed forms cross-checked by direct trapezoid quadrature with analytic
-derivatives.  The one exception is the applied-operator moments, which back
-the library's Gram-matrix moment engine by applying operator expressions to
-the grid field (twice, for second moments) instead.
+derivatives.  Two oracles reuse library objects: the applied-operator moments,
+which back the library's Gram-matrix moment engine by applying operator
+expressions to the grid field (twice, for second moments), and the dense
+N^2 x N^2 materialization of an operator expression, whose eigendecomposition
+backs the library's matrix-free Chebyshev propagator.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from itertools import product as iproduct
 
 import numpy as np
 import sympy as sp
+
+from symquant import Primitive, WaveFunction, quantize_observable, standard_hamiltonians
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
 
@@ -225,3 +229,59 @@ def applied_variance(op, psi) -> float:
 def applied_commutator(op_a, op_b, psi) -> complex:
     """<psi| [A, B] psi> by applying both orderings."""
     return psi.inner(op_a.apply(op_b.apply(psi))) - psi.inner(op_b.apply(op_a.apply(psi)))
+
+
+# ---------------------------------------------------------------------------
+# dense materialization (oracle for the matrix-free propagator)
+# ---------------------------------------------------------------------------
+
+def axis_matrices(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis dense actions: (multiply-by-coordinate, spectral d/dcoordinate)."""
+    n = grid.points
+    coord = np.diag(grid.axis()).astype(complex)
+    k = grid.wavenumbers()
+    fwd = np.fft.fft(np.eye(n), axis=0)
+    deriv = np.fft.ifft(1j * k[:, None] * fwd, axis=0)
+    return coord, deriv
+
+
+def dense_matrix(op, grid) -> np.ndarray:
+    """Materialize as an N^2 x N^2 matrix acting on row-major flattened fields.
+
+    Within a product, the x-axis primitives (X, DX) and y-axis primitives
+    (Y, DY) commute exactly, so each term factors as kron(x-part, y-part).
+    """
+    n = grid.points
+    coord, deriv = axis_matrices(grid)
+    per_axis = {
+        Primitive.X: (0, coord),
+        Primitive.DX: (0, deriv),
+        Primitive.Y: (1, coord),
+        Primitive.DY: (1, deriv),
+    }
+    total = np.zeros((n * n, n * n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for coeff, prod in op.terms:
+        factors = [eye, eye]
+        for p in prod:
+            axis, mat = per_axis[p]
+            factors[axis] = factors[axis] @ mat
+        total += coeff * np.kron(factors[0], factors[1])
+    return total
+
+
+def dense_evolve(s, psi, times) -> list:
+    """exp(-i S t / hbar) psi for each t by eigendecomposing the dense generator.
+
+    S is the scheme's standard Hamiltonian quantized on the grid; its dense
+    matrix must be Hermitian to 1e-9 relative before it is diagonalized.
+    """
+    generator = quantize_observable(s, standard_hamiltonians(s.params.m, s.params.omega)[s.id])
+    mat = dense_matrix(generator, psi.grid)
+    asym = float(np.max(np.abs(mat - mat.conj().T)))
+    assert asym <= 1e-9 * (1.0 + float(np.max(np.abs(mat)))), "generator is not Hermitian"
+    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    coords = evecs.conj().T @ psi.values.ravel()
+    return [WaveFunction(psi.grid, (evecs @ (np.exp(-1j * evals * t / s.params.hbar) * coords))
+                         .reshape(psi.values.shape))
+            for t in times]

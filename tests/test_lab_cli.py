@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -241,8 +242,28 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("half_width", ["1e-300", "1e300"])
 def test_cli_extreme_grid_width_is_a_config_error(command, half_width, capsys):
-    assert main([command, "--grid-l", half_width]) == 2
-    assert "config error: grid.L: cannot sample a packet" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert main([command, "--grid-l", half_width]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: grid.L: cannot sample a packet")
+
+
+@pytest.mark.parametrize("grid_args", [["--grid-l", "1e150"],
+                                       ["--grid-l", "40", "--grid-n", "16"]])
+def test_cli_run_rejects_an_unresolved_packet(grid_args, capsys):
+    # grid spacing 1.6e148 and 5 against sigma 0.71: the run would report
+    # <x>(0) = 0 and 1.5e-6 for a packet centred at x = 1
+    assert main(["run", "--no-timestamp", *grid_args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: grid: spacing")
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_infinite_grid_width_is_a_config_error(command, capsys):
+    assert main([command, "--grid-l", "inf"]) == 2
+    assert "config error: grid: half_width must be positive and finite" in capsys.readouterr().err
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):

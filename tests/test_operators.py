@@ -10,12 +10,13 @@ from symquant import (
     GridSpec,
     LocalizationWarning,
     OperatorExpr,
+    PhysParams,
     Primitive,
     WaveFunction,
     apply,
-    dense_matrix,
 )
 from symquant.operators import check_localized
+from oracles import dense_matrix
 
 GRID = GridSpec(half_width=8.0, points=128)
 X_OP = OperatorExpr.primitive(Primitive.X)
@@ -56,6 +57,18 @@ def test_normalize_rejects_zero_and_infinite_norms(half_width):
     grid = GridSpec(half_width=half_width, points=16)
     with pytest.raises(ValueError, match="cannot normalize a field of norm"):
         GaussianPacket(sigma=1.0).sample(grid)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: PhysParams(m=math.inf, omega=1.0), "m"),
+    (lambda: GridSpec(half_width=math.inf, points=32), "half_width"),
+    (lambda: GaussianPacket(center=(math.nan, 0.0)), "center"),
+    (lambda: GaussianPacket(wavevector=(0.0, -math.inf)), "wavevector"),
+    (lambda: GaussianPacket(sigma=math.inf), "sigma"),
+])
+def test_non_finite_inputs_are_rejected(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_inner_product_grid_mismatch():
@@ -160,7 +173,7 @@ def test_composition_is_associative_on_grids():
 
 
 # ---------------------------------------------------------------------------
-# dense materialization
+# dense materialization (the test oracle in oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_dense_matrix_matches_functional_application():

@@ -1,4 +1,4 @@
-"""Dense-matrix evolution: conjugation reproduces the rotated operators."""
+"""Matrix-free unitary evolution: conjugation reproduces the rotated operators."""
 
 import math
 
@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from symquant import (
-    GaussianPacket,
     GridSpec,
     PhysParams,
+    PolynomialObservable,
     ground_packet,
+    quantize_observable,
     scheme,
     unitary_conjugation_check,
     unitary_evolve,
 )
+from symquant import quantum
+from oracles import dense_evolve, dense_matrix
 
 P = PhysParams(1.0, 1.0, 1.0)
 SMALL = GridSpec(half_width=8.0, points=32)
@@ -60,10 +63,33 @@ def test_evolution_composes():
     assert np.max(np.abs(twice.values - direct.values)) <= 1e-10
 
 
-def test_large_grid_rejected():
+def test_matches_dense_eigendecomposition():
+    psi = ground_packet(P, center=(0.4, -0.2), wavevector=(0.5, 0.3)).sample(SMALL)
+    times = (-1.1, 0.3, 1.7, 6.0)
+    for sid in range(4):
+        s = scheme(sid, P)
+        for t, dense in zip(times, dense_evolve(s, psi, times)):
+            assert np.max(np.abs(unitary_evolve(s, psi, t).values - dense.values)) <= 1e-10
+
+
+def test_large_grid_accepted():
+    # a dense generator would be 4096 x 4096 here; the propagator never forms it
     big = GridSpec(half_width=8.0, points=64)
-    with pytest.raises(ValueError, match="grid too large"):
-        unitary_conjugation_check(scheme(0, P), "x", 0.5, big)
+    assert unitary_conjugation_check(scheme(0, P), "x", 0.6, big) <= 1e-5
+    assert unitary_conjugation_check(scheme(3, P), "p_x", 1.1, big) <= 1e-5
+
+
+def test_norm_guard_rejects_a_non_hermitian_generator(monkeypatch):
+    # x p_x + i hbar / 2 quantizes to the unsymmetrized product x (hbar/i) d/dx,
+    # whose anti-Hermitian part i hbar / 2 grows the norm by exp(t / 2)
+    s = scheme(0, P)
+    unsymmetrized = PolynomialObservable({(1, 0, 1, 0): 1, (0, 0, 0, 0): 0.5j * P.hbar})
+    assert quantize_observable(s, unsymmetrized).equals(
+        s.fundamental("x") @ s.fundamental("p_x"))
+    monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: unsymmetrized)
+    psi = ground_packet(P).sample(SMALL)
+    with pytest.raises(RuntimeError, match="changed the norm"):
+        unitary_evolve(s, psi, 0.3)
 
 
 def test_grid_mismatch_rejected():
@@ -75,7 +101,7 @@ def test_grid_mismatch_rejected():
 def test_explicit_matrix_exponential_oracle():
     # independent route: scipy-free series-squaring exponential of the dense
     # generator applied to the state, for one scheme and time
-    from symquant import dense_matrix, quantize_observable, standard_hamiltonians
+    from symquant import standard_hamiltonians
     from symquant.quantum import heisenberg_operator
 
     s = scheme(2, P)
