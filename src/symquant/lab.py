@@ -40,6 +40,11 @@ CHECK_NAMES = ("pairs", "flow", "commutators", "uncertainties", "unitary")
 
 _RNG_SEED = 20240731
 
+# a sampled state at least this large on the grid boundary is delocalized:
+# variance quadrature error scales with the squared boundary magnitude, so
+# this keeps it well inside the 1e-9 uncertainty-bound margin
+_BOUNDARY_LIMIT = 1e-7
+
 
 class ScenarioError(ValueError):
     """Configuration problem; the message starts with the offending key path."""
@@ -277,19 +282,25 @@ def _pair_residuals(params: PhysParams) -> tuple[float, ...]:
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
+    """Sample a packet; a grid that cannot sample or resolve it is a config error."""
     try:
-        return packet.sample(grid)
+        psi = packet.sample(grid)
     except ValueError as exc:
         raise ScenarioError(f"grid.L: cannot sample a packet on this grid: {exc}") from None
+    # after sampling, so a grid no packet can be sampled on reports grid.L
+    if grid.spacing > packet.sigma:
+        raise ScenarioError(f"grid: spacing {grid.spacing:.3g} exceeds packet.sigma "
+                            f"{packet.sigma:.3g}; the packet is not resolved")
+    return psi
 
 
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras."""
     psi = _sample(config.packet, config.grid)
-    # after sampling, so a grid no packet can be sampled on reports grid.L
-    if config.grid.spacing > config.packet.sigma:
-        raise ScenarioError(f"grid: spacing {config.grid.spacing:.3g} exceeds packet.sigma "
-                            f"{config.packet.sigma:.3g}; the packet is not resolved")
+    boundary = psi.boundary_magnitude()
+    if boundary >= _BOUNDARY_LIMIT:
+        raise ScenarioError(f"grid: packet boundary magnitude {boundary:.3e} reaches "
+                            f"{_BOUNDARY_LIMIT:.0e}; the packet is not localized on the grid")
     cells = []
     uncertainties = []
     for sid in config.schemes:
@@ -434,9 +445,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
         s = scheme(sid, params)
         for idx, packet in enumerate(probes):
             psi = _sample(packet, grid)
-            # variance quadrature error scales with the squared boundary
-            # magnitude, so 1e-7 here protects the 1e-9 bound margin
-            if psi.boundary_magnitude() >= 1e-7:
+            if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
                 delocalized += 1
                 continue
             for pair in CANONICAL_PAIRS[sid]:

@@ -17,6 +17,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -46,14 +47,29 @@ class GridSpec:
         return 2.0 * self.half_width / self.points
 
     def axis(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.points)
+        """Grid coordinates along one axis; a read-only array computed once."""
+        return self._axis
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.points, d=self.spacing)
+        """FFT angular wavenumbers along one axis; a read-only array computed once."""
+        return self._wavenumbers
+
+    @cached_property
+    def _axis(self) -> np.ndarray:
+        return _read_only(-self.half_width + self.spacing * np.arange(self.points))
+
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.points, d=self.spacing))
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         ax = self.axis()
         return np.meshgrid(ax, ax, indexing="ij")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

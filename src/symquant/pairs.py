@@ -23,8 +23,8 @@ from .phasespace import (
     _as_matrix,
     _invert_matrix,
     _is_exact,
+    _normalize_scalar,
     _reciprocal,
-    _scalar_is_zero,
 )
 
 # index pairs (i < j) parametrizing antisymmetric 4x4 matrices
@@ -131,7 +131,7 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
     s = [[sum(theta[i][k] * a[k][j] for k in range(NVARS)) for j in range(NVARS)]
          for i in range(NVARS)]
     if exact:
-        symmetric = all(_scalar_is_zero(s[i][j] - s[j][i])
+        symmetric = all(_normalize_scalar(s[i][j] - s[j][i]) == 0
                         for i in range(NVARS) for j in range(i + 1, NVARS))
     else:
         sf = np.array([[float(v) for v in row] for row in s])
@@ -148,14 +148,10 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
     terms: dict[tuple[int, int, int, int], object] = {}
     for i in range(NVARS):
         for j in range(i, NVARS):
-            coeff = half * s[i][i] if i == j else s[i][j]
-            if _scalar_is_zero(coeff):
-                continue
             expo = [0, 0, 0, 0]
             expo[i] += 1
             expo[j] += 1
-            key = tuple(expo)
-            terms[key] = terms.get(key, 0) + coeff
+            terms[tuple(expo)] = half * s[i][i] if i == j else s[i][j]
     return PolynomialObservable(terms)
 
 

@@ -2,9 +2,13 @@
 
 Phase space is coordinatized by (x, y, p_x, p_y), in that order.  Coefficient
 arithmetic stays exact whenever the inputs are exact (int, Fraction, or sympy
-expression), so bracket identities and vector-field residuals can be asserted
-with literally zero remainder; floats are supported for numeric work and
-propagate as floats.
+expression); floats are supported for numeric work and propagate as floats.
+
+Every exact scalar has one canonical form, produced by `_normalize_scalar`:
+a sympy value becomes cancel(expand(c)) and an integer becomes an int, so an
+exact zero is literally 0 and is tested with ``== 0``.  Polynomials and
+matrices store only canonical scalars; bracket identities and vector-field
+residuals are therefore asserted with a literally zero remainder.
 """
 
 from __future__ import annotations
@@ -28,21 +32,19 @@ Exponents = tuple[int, int, int, int]
 # ---------------------------------------------------------------------------
 
 def _normalize_scalar(c):
-    """Coerce numpy scalars to Python ones and canonicalize sympy expressions."""
+    """The canonical form of a scalar; an exact zero comes out as the int 0.
+
+    numpy scalars become Python ones, a sympy value becomes cancel(expand(c)),
+    and a sympy integer or numeric zero becomes an int.
+    """
     if isinstance(c, np.generic):
         c = c.item()
     if isinstance(c, sp.Basic):
-        if c.free_symbols:
-            c = sp.cancel(sp.expand(c))
-        if c.is_number and c.is_Integer:
+        c = sp.cancel(sp.expand(c))
+        # sympy's Float(0) == 0 is False, so numeric zeros are made literal too
+        if c.is_Integer or (c.is_Number and c.is_zero):
             c = int(c)
     return c
-
-
-def _scalar_is_zero(c) -> bool:
-    if isinstance(c, sp.Basic):
-        return bool(sp.expand(sp.cancel(c)).is_zero)
-    return c == 0
 
 
 def _is_exact(c) -> bool:
@@ -91,36 +93,43 @@ def _is_antisymmetric(mat, tol: float = 1e-12) -> bool:
         scale = tol * (1.0 + _matrix_max_abs(mat))
         return all(abs(float(mat[i][j]) + float(mat[j][i])) <= scale
                    for i in range(n) for j in range(i, n))
-    return all(_scalar_is_zero(mat[i][j] + mat[j][i])
+    return all(_normalize_scalar(mat[i][j] + mat[j][i]) == 0
                for i in range(n) for j in range(i, n))
 
 
 def _invert_exact(mat) -> tuple[tuple, ...]:
-    """Gauss-Jordan inverse over exact scalars; raises ZeroDivisionError if singular."""
+    """Gauss-Jordan inverse over canonical exact scalars; raises ZeroDivisionError if singular."""
     n = len(mat)
     aug = [[Fraction(v) if isinstance(v, (int, Fraction)) else v for v in row]
            + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(mat)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not _scalar_is_zero(aug[r][col])), None)
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = _reciprocal(aug[col][col])
         aug[col] = [_normalize_scalar(v * inv_p) for v in aug[col]]
         for r in range(n):
-            if r != col and not _scalar_is_zero(aug[r][col]):
+            if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [_normalize_scalar(a - f * b) for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def _invert_matrix(mat) -> tuple[tuple, ...]:
-    """Matrix inverse; raises ZeroDivisionError when (numerically) singular."""
+    """Matrix inverse; raises ZeroDivisionError when (numerically) singular.
+
+    Floats are tested on the row-normalized matrix, so rows of very different
+    scale, such as 1/(m omega) against m omega, do not read as singular.
+    """
     if _matrix_has_float(mat):
         arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
-        svals = np.linalg.svd(arr, compute_uv=False)
-        if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
+        norms = np.linalg.norm(arr, axis=1)
+        if not norms.all():
+            raise ZeroDivisionError("singular matrix")
+        svals = np.linalg.svd(arr / norms[:, None], compute_uv=False)
+        if svals[-1] <= 1e-12 * svals[0]:
             raise ZeroDivisionError("singular matrix")
         return _as_matrix(np.linalg.inv(arr))
     return _invert_exact(mat)
@@ -172,7 +181,7 @@ class PolynomialObservable:
             if len(expo) != NVARS or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo!r}")
             coeff = _normalize_scalar(coeff)
-            if not _scalar_is_zero(coeff):
+            if coeff != 0:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
 
@@ -387,15 +396,9 @@ class LinearVectorField:
 
     def components(self) -> tuple[PolynomialObservable, ...]:
         """The four right-hand sides as degree-1 polynomials."""
-        comps = []
-        for row in self.matrix:
-            terms = {}
-            for nu, a in enumerate(row):
-                if not _scalar_is_zero(a):
-                    expo = tuple(int(i == nu) for i in range(NVARS))
-                    terms[expo] = a
-            comps.append(PolynomialObservable(terms))
-        return tuple(comps)
+        return tuple(PolynomialObservable({tuple(int(i == nu) for i in range(NVARS)): a
+                                           for nu, a in enumerate(row)})
+                     for row in self.matrix)
 
     def as_float_array(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.matrix], dtype=float)
@@ -405,21 +408,26 @@ class LinearVectorField:
 # operations
 # ---------------------------------------------------------------------------
 
+def _derivative_along(f: PolynomialObservable,
+                      components: Sequence[PolynomialObservable]) -> PolynomialObservable:
+    """sum_mu df/dx^mu * v^mu: the derivative of f along the field v."""
+    total = PolynomialObservable.zero()
+    for mu, v in enumerate(components):
+        if v.is_zero:
+            continue
+        dmu = f.partial(mu)
+        if not dmu.is_zero:
+            total = total + dmu * v
+    return total
+
+
 def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
                     form: SymplecticForm) -> PolynomialObservable:
-    """{f, g} = sum_mu,nu  df/dx^mu * upper[mu][nu] * dg/dx^nu, exactly."""
-    df = f.gradient()
-    dg = g.gradient()
-    out = PolynomialObservable.zero()
-    for mu in range(NVARS):
-        if df[mu].is_zero:
-            continue
-        for nu in range(NVARS):
-            w = form.upper[mu][nu]
-            if _scalar_is_zero(w) or dg[nu].is_zero:
-                continue
-            out = out + (df[mu] * dg[nu]) * w
-    return out
+    """{f, g} = sum_mu,nu  df/dx^mu * upper[mu][nu] * dg/dx^nu, exactly.
+
+    That is f's derivative along the Hamiltonian vector field of g.
+    """
+    return _derivative_along(f, hamiltonian_vector_field(form, g))
 
 
 @dataclass(frozen=True)
@@ -433,36 +441,24 @@ class FormValidation:
 
 
 def validate_form(candidate) -> FormValidation:
-    """Check antisymmetry, nondegeneracy, and the Jacobi identity on coordinates.
+    """Accept a candidate bracket matrix exactly when `SymplecticForm` does.
 
-    Constant matrices satisfy Jacobi automatically; the brute-force check over
-    all coordinate triples is still run and reported.
+    A rejected candidate reports "degenerate" when it has no inverse and "not
+    antisymmetric" for any other defect (not 4x4, or not antisymmetric).
+    Exact entries are compared in their canonical form, so antisymmetry is a
+    literal-zero test of each sum upper[i][j] + upper[j][i].
+
+    The Jacobi identity is not evaluated: under a constant matrix the bracket
+    of two coordinates is a constant, whose brackets all vanish, so every
+    cyclic sum over coordinate triples is identically zero.  An accepted form
+    therefore reports jacobi_residual 0.0; a rejected one reports nan.
     """
     try:
-        mat = _as_matrix(candidate)
-        if len(mat) != NVARS:
-            raise ValueError("form must be 4x4")
-    except ValueError:
-        return FormValidation(False, "not antisymmetric", None, float("nan"))
-    if not _is_antisymmetric(mat):
-        return FormValidation(False, "not antisymmetric", None, float("nan"))
-    try:
-        form = SymplecticForm(mat)
-    except ValueError:
-        return FormValidation(False, "degenerate", None, float("nan"))
-
-    coords = coordinates()
-    worst = 0.0
-    for a in range(NVARS):
-        for b in range(NVARS):
-            for c in range(NVARS):
-                cyc = (poisson_bracket(poisson_bracket(coords[a], coords[b], form), coords[c], form)
-                       + poisson_bracket(poisson_bracket(coords[b], coords[c], form), coords[a], form)
-                       + poisson_bracket(poisson_bracket(coords[c], coords[a], form), coords[b], form))
-                worst = max(worst, cyc.max_abs_coefficient())
-    if worst > 1e-12 * (1.0 + _matrix_max_abs(mat)) ** 2:
-        return FormValidation(False, "Jacobi violated", None, worst)
-    return FormValidation(True, None, form, worst)
+        form = SymplecticForm(candidate)
+    except ValueError as exc:
+        reason = "degenerate" if str(exc) == "degenerate" else "not antisymmetric"
+        return FormValidation(False, reason, None, float("nan"))
+    return FormValidation(True, None, form, 0.0)
 
 
 def hamiltonian_vector_field(form: SymplecticForm,
@@ -474,7 +470,7 @@ def hamiltonian_vector_field(form: SymplecticForm,
         acc = PolynomialObservable.zero()
         for nu in range(NVARS):
             w = form.upper[mu][nu]
-            if _scalar_is_zero(w) or grad[nu].is_zero:
+            if w == 0 or grad[nu].is_zero:
                 continue
             acc = acc + grad[nu] * w
         comps.append(acc)
@@ -486,10 +482,4 @@ def is_constant_of_motion(f: PolynomialObservable, field: LinearVectorField) -> 
 
     Needs only the equations of motion; no bracket or Hamiltonian choice enters.
     """
-    comps = field.components()
-    total = PolynomialObservable.zero()
-    for mu in range(NVARS):
-        dmu = f.partial(mu)
-        if not dmu.is_zero and not comps[mu].is_zero:
-            total = total + dmu * comps[mu]
-    return total.is_zero
+    return _derivative_along(f, field.components()).is_zero

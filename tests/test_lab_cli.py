@@ -253,11 +253,35 @@ def test_cli_extreme_grid_width_is_a_config_error(command, half_width, capsys):
                                        ["--grid-l", "40", "--grid-n", "16"]])
 def test_cli_run_rejects_an_unresolved_packet(grid_args, capsys):
     # grid spacing 1.6e148 and 5 against sigma 0.71: the run would report
-    # <x>(0) = 0 and 1.5e-6 for a packet centred at x = 1
-    assert main(["run", "--no-timestamp", *grid_args]) == 2
+    # <x>(0) = 0 and 1.5e-6 for a packet centred at x = 1, and check would
+    # fail its commutator and uncertainty groups on near-delta probes
+    for command in (["run", "--no-timestamp"], ["check"]):
+        assert main([*command, *grid_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: grid: spacing")
+
+
+def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
+    # centred at x = 7.5 on [-8, 8): the run would report <x>(0) = 7.18
+    raw = default_scenario().to_dict()
+    raw["packet"]["center"] = [7.5, 0.0]
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: grid: spacing")
+    assert captured.err.startswith("config error: grid: packet boundary magnitude")
+
+
+def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
+    # m omega = 1e-7: the rotational form's rows differ in scale by 1e14
+    raw = default_scenario().to_dict()
+    raw["m"] = 1e-7
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["params"]["m"] == 1e-7
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

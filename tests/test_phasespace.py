@@ -56,6 +56,22 @@ def test_evaluate():
     assert S3.evaluate((1, 2, 3, 4)) == 1 * 4 - 2 * 3
 
 
+_M, _W = sp.symbols("m omega", positive=True)
+
+
+@pytest.mark.parametrize("coeff", [
+    (_M + 1) ** 2 - _M ** 2 - 2 * _M - 1,          # zero after expansion
+    _M / (_M * _W) - 1 / _W,                      # zero after cancellation
+    (_M ** 2 - 1) / (_M - 1) - _M - 1,            # zero only after cancellation
+    (1 + sp.sqrt(2)) ** 2 - 3 - 2 * sp.sqrt(2),   # a number, zero after expansion
+    sp.Float(0.0),                                # sympy's Float(0) != 0
+])
+def test_coefficients_that_vanish_after_canonicalization_are_dropped(coeff):
+    p = PolynomialObservable({(1, 0, 0, 0): coeff, (0, 1, 0, 0): 1})
+    assert p.terms == {(0, 1, 0, 0): 1}
+    assert (X * coeff).is_zero
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         PolynomialObservable({(-1, 0, 0, 0): 1.0})
@@ -113,9 +129,32 @@ def test_bracket_symbolic_m_omega_tables():
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_all_standard_forms():
-    for form in FORMS:
-        report = validate_form(form.upper)
-        assert report.ok and report.reason is None
+    for forms in (FORMS, standard_forms(Fraction(2, 3), Fraction(5, 7)),
+                  standard_forms(0.3, 1.7), standard_forms(_M, _W)):
+        for form in forms:
+            report = validate_form(form.upper)
+            assert report.ok and report.reason is None
+            assert report.jacobi_residual == 0
+
+
+def test_validate_accepts_symbolic_form_antisymmetric_after_cancellation():
+    candidate = [[0, _M / (_M * _W), 0, 0],
+                 [-1 / _W, 0, 0, 0],
+                 [0, 0, 0, (_M ** 2 - 1) / (_M - 1)],
+                 [0, 0, -_M - 1, 0]]
+    report = validate_form(candidate)
+    assert report.ok and report.reason is None and report.jacobi_residual == 0
+    assert poisson_bracket(X, Y, report.form) == 1 / _W
+    assert poisson_bracket(PX, PY, report.form) == _M + 1
+
+
+@pytest.mark.parametrize("m_omega", [1e-7, 1e7])
+def test_rotational_form_accepted_at_extreme_m_omega(m_omega):
+    # W3 mixes entries 1/(m omega) and m omega; its rows differ in scale by
+    # (m omega)^2, which must not read as degenerate
+    form = standard_forms(m_omega, 1.0)[3]
+    assert np.allclose(form.upper_array() @ form.lower_array(), np.eye(4), atol=1e-12)
+    assert validate_form(form.upper).ok
 
 
 def test_validate_zero_matrix_degenerate():
@@ -141,6 +180,10 @@ def test_validate_rejects_random_singular_antisymmetric():
         w = rng.normal(size=4)
         mat = np.outer(v, w) - np.outer(w, v)  # rank <= 2, antisymmetric
         assert validate_form(mat).reason == "degenerate"
+        for m_omega in (1e-7, 1e7):
+            # rescaled like W3 at extreme m omega: still rank <= 2
+            d = np.array([1 / m_omega, 1 / m_omega, m_omega, m_omega])
+            assert validate_form(np.outer(d, d) * mat).reason == "degenerate"
 
 
 def test_symplectic_form_constructor_enforces_invariants():
