@@ -26,13 +26,13 @@ from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
     SCHEME_IDS,
+    _primitive_gram,
+    _rotated_moments,
     _spread_product,
     commutator_table_check,
     ground_packet,
-    heisenberg_moments,
     scheme,
     uncertainty_bound,
-    uncertainty_product,
     unitary_conjugation_check,
 )
 
@@ -303,9 +303,10 @@ def run_scenario(config: Scenario) -> Report:
                             f"{_BOUNDARY_LIMIT:.0e}; the packet is not localized on the grid")
     cells = []
     uncertainties = []
+    gram = _primitive_gram(psi)
     for sid in config.schemes:
         s = scheme(sid, config.params)
-        means, variances = heisenberg_moments(s, psi, config.times)
+        means, variances = _rotated_moments(s, gram, config.times)
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
             raise RuntimeError(f"non-finite moments for scheme {sid}")
         for name in config.observables:
@@ -441,15 +442,19 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
             sigma=float(rng.uniform(0.6, 1.2)) * params.ground_sigma,
         ))
     t_probe = 0.3 / params.omega
-    for sid in config.schemes:
-        s = scheme(sid, params)
-        for idx, packet in enumerate(probes):
-            psi = _sample(packet, grid)
-            if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
-                delocalized += 1
-                continue
-            for pair in CANONICAL_PAIRS[sid]:
-                product = uncertainty_product(s, pair, psi, t_probe)
+    schemes = [scheme(sid, params) for sid in config.schemes]
+    # probes outer: each is sampled once and its primitive Gram matrix serves
+    # every scheme, and one field is held at a time
+    for idx, packet in enumerate(probes):
+        psi = _sample(packet, grid)
+        if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
+            delocalized += len(schemes)
+            continue
+        gram = _primitive_gram(psi)
+        for s in schemes:
+            _, variances = _rotated_moments(s, gram, (t_probe,))
+            for pair in CANONICAL_PAIRS[s.id]:
+                product = _spread_product(variances[0], pair)
                 bound = uncertainty_bound(s, pair)
                 worst_margin = min(worst_margin, product - bound)
                 if idx == 0:

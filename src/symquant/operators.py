@@ -23,6 +23,12 @@ from typing import Iterable
 import numpy as np
 
 
+# `run` and `check` peak at about 144 bytes per grid point (nine complex N x N
+# fields; measured at N = 512 and 1024), so this cap keeps a grid's peak
+# memory near a 2 GiB budget: 144 * 3840**2 bytes = 1.98 GiB
+MAX_POINTS = 3840
+
+
 class LocalizationWarning(UserWarning):
     """A state is not negligible at the grid boundary; periodic artifacts may leak in."""
 
@@ -39,6 +45,9 @@ class GridSpec:
             raise ValueError(f"half_width must be positive and finite, not {self.half_width!r}")
         if self.points < 16:
             raise ValueError("points must be at least 16")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"points must be at most {MAX_POINTS}, "
+                             "a memory budget of about 2 GiB")
         if self.points % 2:
             raise ValueError("points must be even")
 

@@ -124,6 +124,17 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
     ValueError("degenerate form") when theta has no inverse, since then no
     bracket matrix completes the pair.
     """
+    return _hamiltonian_and_inverse(theta, field, tol)[0]
+
+
+def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
+    """Build the full pair (theta^{-1} as bracket matrix, Hamiltonian) from theta."""
+    hamiltonian, upper = _hamiltonian_and_inverse(theta, field)
+    return HamiltonianPair(form=SymplecticForm(upper), hamiltonian=hamiltonian)
+
+
+def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12):
+    """The Hamiltonian of `hamiltonian_from_form` and theta^{-1}, inverting theta once."""
     theta = _as_matrix(theta)
     a = field.matrix
     exact = all(_is_exact(v) for row in theta for v in row) and \
@@ -140,7 +151,7 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
     if not symmetric:
         raise ValueError("asymmetric product")
     try:
-        _invert_matrix(theta)
+        inverse = _invert_matrix(theta)
     except ZeroDivisionError:
         raise ValueError("degenerate form") from None
 
@@ -152,14 +163,7 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
             expo[i] += 1
             expo[j] += 1
             terms[tuple(expo)] = half * s[i][i] if i == j else s[i][j]
-    return PolynomialObservable(terms)
-
-
-def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
-    """Build the full pair (theta^{-1} as bracket matrix, Hamiltonian) from theta."""
-    hamiltonian = hamiltonian_from_form(theta, field)
-    upper = _invert_matrix(_as_matrix(theta))
-    return HamiltonianPair(form=SymplecticForm(upper), hamiltonian=hamiltonian)
+    return PolynomialObservable(terms), inverse
 
 
 def verify_pair(pair: HamiltonianPair,

@@ -9,17 +9,21 @@ a sympy value becomes cancel(expand(c)) and an integer becomes an int, so an
 exact zero is literally 0 and is tested with ``== 0``.  Polynomials and
 matrices store only canonical scalars; bracket identities and vector-field
 residuals are therefore asserted with a literally zero remainder.
+
+sympy is never imported here: no sympy value can exist before its caller has
+imported sympy, so `_sympy_of` reads the module from ``sys.modules`` and float
+work never loads it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
-import sympy as sp
 
 NVARS = 4
 COORD_NAMES = ("x", "y", "p_x", "p_y")
@@ -31,6 +35,17 @@ Exponents = tuple[int, int, int, int]
 # scalar helpers (shared by the polynomial and matrix code)
 # ---------------------------------------------------------------------------
 
+_PLAIN_SCALARS = (int, float, Fraction, complex)
+
+
+def _sympy_of(c):
+    """The sympy module when c is a sympy value, else None; never imports sympy."""
+    if isinstance(c, _PLAIN_SCALARS):
+        return None
+    sp = sys.modules.get("sympy")
+    return sp if sp is not None and isinstance(c, sp.Basic) else None
+
+
 def _normalize_scalar(c):
     """The canonical form of a scalar; an exact zero comes out as the int 0.
 
@@ -39,7 +54,8 @@ def _normalize_scalar(c):
     """
     if isinstance(c, np.generic):
         c = c.item()
-    if isinstance(c, sp.Basic):
+    sp = _sympy_of(c)
+    if sp is not None:
         c = sp.cancel(sp.expand(c))
         # sympy's Float(0) == 0 is False, so numeric zeros are made literal too
         if c.is_Integer or (c.is_Number and c.is_zero):
@@ -52,9 +68,8 @@ def _is_exact(c) -> bool:
         return False
     if isinstance(c, (int, Fraction)):
         return True
-    if isinstance(c, sp.Basic):
-        return not c.has(sp.Float)
-    return False
+    sp = _sympy_of(c)
+    return sp is not None and not c.has(sp.Float)
 
 
 def _reciprocal(c):
@@ -83,7 +98,7 @@ def _matrix_has_float(mat) -> bool:
 
 
 def _matrix_max_abs(mat) -> float:
-    vals = [abs(float(v)) for row in mat for v in row if not isinstance(v, sp.Basic) or v.is_number]
+    vals = [abs(float(v)) for row in mat for v in row if _sympy_of(v) is None or v.is_number]
     return max(vals, default=0.0)
 
 
@@ -320,7 +335,7 @@ class PolynomialObservable:
                        for name, e in zip(COORD_NAMES, expo) if e]
             body = "*".join(factors)
             cs = str(coeff)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or ("/" in cs and isinstance(coeff, sp.Basic)):
+            if ("+" in cs[1:]) or ("-" in cs[1:]) or ("/" in cs and _sympy_of(coeff) is not None):
                 cs = f"({cs})"
             if body and cs == "1":
                 pieces.append(body)
@@ -337,7 +352,7 @@ class PolynomialObservable:
 def _coerce_poly(value):
     if isinstance(value, PolynomialObservable):
         return value
-    if isinstance(value, (int, float, Fraction, sp.Basic, np.generic)):
+    if isinstance(value, (int, float, Fraction, np.generic)) or _sympy_of(value) is not None:
         return PolynomialObservable.constant(value)
     return NotImplemented
 

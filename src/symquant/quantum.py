@@ -109,22 +109,34 @@ def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
     return psi.inner(op.apply(psi))
 
 
-def _fundamental_moments(s: QuantizationScheme, psi: WaveFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Means A v and second moments conj(A) G A^T of the Hermitian fundamentals F = A P."""
-    # Gram matrix of psi, P_1 psi, ..., P_4 psi: row 0 holds v, the rest is G
+def _primitive_gram(psi: WaveFunction) -> np.ndarray:
+    """Gram matrix of psi, P_1 psi, ..., P_4 psi; it does not depend on the scheme."""
     vectors = [psi.values] + [_apply_primitive(p, psi.values, psi.grid) for p in PRIMITIVES]
     h = psi.grid.spacing
-    gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h
+    return np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h
+
+
+def _fundamental_moments(s: QuantizationScheme, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means A v and second moments conj(A) G A^T of the Hermitian fundamentals F = A P.
+
+    Row 0 of the primitive Gram matrix holds v, the rest is G.
+    """
     return s.assignment @ gram[0, 1:], s.assignment.conj() @ gram[1:, 1:] @ s.assignment.T
+
+
+def _rotated_moments(s: QuantizationScheme, gram: np.ndarray,
+                     times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """`heisenberg_moments` from a state's primitive Gram matrix."""
+    mean0, second0 = _fundamental_moments(s, gram)
+    jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
+    means = jac @ mean0
+    return means, (np.einsum("tij,jk,tik->ti", jac, second0, jac) - means * means).real
 
 
 def heisenberg_moments(s: QuantizationScheme, psi: WaveFunction,
                        times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4)."""
-    mean0, second0 = _fundamental_moments(s, psi)
-    jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
-    means = jac @ mean0
-    return means, (np.einsum("tij,jk,tik->ti", jac, second0, jac) - means * means).real
+    return _rotated_moments(s, _primitive_gram(psi), times)
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,7 @@ def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
     the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
     """
     check_localized(psi, boundary_threshold, "two-time commutator")
-    _, second = _fundamental_moments(s, psi)
+    _, second = _fundamental_moments(s, _primitive_gram(psi))
     a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
     return complex(a @ second @ b - b @ second @ a)
 
@@ -252,15 +264,52 @@ def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
     return standard_hamiltonians(s.params.m, s.params.omega)[s.id]
 
 
-def _spectral_bound(op: OperatorExpr, grid: GridSpec) -> float:
-    """Sum over terms of |c| times the product of the primitives' operator norms.
+@dataclass(frozen=True)
+class _Stencil:
+    """S psi = V psi + sum_g P_g ifft2(M_g fft2(psi)) on one grid.
 
-    On the periodic grid |x|, |y| <= L and the spectral derivative has
-    eigenvalues i k with |k| <= pi / h, so the spectrum of op lies in [-R, R].
+    Built from S's normal form, terms grouped by their coordinate monomial
+    x^a y^b: the derivative-free groups merge into the potential V, and each
+    other group keeps its field P_g = x^a y^b and its multiplier M_g =
+    sum c (i k_x)^c (i k_y)^d.  This is S's action as written whenever S
+    multiplies only primitives that commute on the grid (different axes, or the
+    same primitive), as every quantized S0-S3 does under its own scheme.
     """
-    norms = {Primitive.X: grid.half_width, Primitive.Y: grid.half_width,
-             Primitive.DX: math.pi / grid.spacing, Primitive.DY: math.pi / grid.spacing}
-    return sum(abs(c) * math.prod(norms[p] for p in prod) for c, prod in op.terms)
+
+    potential: np.ndarray  # V, (N, N)
+    fields: np.ndarray  # P_g, (G, N, N)
+    multipliers: np.ndarray  # M_g, (G, N, N)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """One fft2 and one batched ifft2, whatever the number of groups."""
+        spectrum = np.fft.fft2(values)
+        derived = np.fft.ifft2(self.multipliers * spectrum)
+        return self.potential * values + np.sum(self.fields * derived, axis=0)
+
+    def radius(self) -> float:
+        """max|V| + sum_g max|P_g| max|M_g|, a rigorous bound on S's spectrum."""
+        return float(np.abs(self.potential).max()
+                     + sum(np.abs(p).max() * np.abs(m).max()
+                           for p, m in zip(self.fields, self.multipliers)))
+
+
+def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
+    """The stencil of S = quantize_observable(s, _generator_polynomial(s))."""
+    xg, yg = grid.meshgrid()
+    kx, ky = np.meshgrid(1j * grid.wavenumbers(), 1j * grid.wavenumbers(), indexing="ij")
+    potential = np.zeros((grid.points, grid.points), dtype=complex)
+    groups: dict[tuple[int, int], np.ndarray] = {}
+    nf = quantize_observable(s, _generator_polynomial(s)).normal_form()
+    for (a, b, c, d), coeff in sorted(nf.items()):
+        if c == d == 0:
+            potential += coeff * xg ** a * yg ** b
+        else:
+            mult = groups.setdefault((a, b), np.zeros_like(potential))
+            mult += coeff * kx ** c * ky ** d
+    shape = (len(groups), grid.points, grid.points)
+    fields = np.array([xg ** a * yg ** b for a, b in groups]).reshape(shape)
+    multipliers = np.array(list(groups.values())).reshape(shape)
+    return _Stencil(potential, fields, multipliers)
 
 
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
@@ -293,19 +342,18 @@ def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFu
     With the generator's spectrum bounded by R, exp(-i S t / hbar) =
     sum_k c_k T_k(S / R) for alpha = R t / hbar (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967, 1984).  The T_k(S / R) psi follow from the three-term
-    recurrence, one FFT-based application of S per order, so no matrix is
-    formed and any grid size works.  Raises RuntimeError when the norm moves
-    by more than 1e-8 relative: a non-Hermitian generator or a spectral bound
-    that is too small.
+    recurrence, one application of S's grid stencil per order (one fft2 and one
+    batched ifft2), so no matrix is formed and any grid size works.  Raises
+    RuntimeError when the norm moves by more than 1e-8 relative: a
+    non-Hermitian generator or a spectral bound that is too small.
     """
-    generator = quantize_observable(s, _generator_polynomial(s))
-    radius = _spectral_bound(generator, psi.grid)
-    scaled = (1.0 / radius) * generator
+    stencil = _generator_stencil(s, psi.grid)
+    radius = stencil.radius()
     coeffs = _chebyshev_coefficients(radius * t / s.params.hbar)
     out = coeffs[0] * psi.values
     prev = cur = psi.values  # T_{k-2} psi and T_{k-1} psi
     for k, c in enumerate(coeffs[1:], start=1):
-        step = scaled.apply(WaveFunction(psi.grid, cur)).values
+        step = stencil.apply(cur) / radius
         prev, cur = cur, step if k == 1 else 2.0 * step - prev
         out += c * cur
     evolved = WaveFunction(psi.grid, out)

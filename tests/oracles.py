@@ -8,7 +8,9 @@ derivatives.  Two oracles reuse library objects: the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying operator
 expressions to the grid field (twice, for second moments), and the dense
 N^2 x N^2 materialization of an operator expression, whose eigendecomposition
-backs the library's matrix-free Chebyshev propagator.
+backs the library's matrix-free Chebyshev propagator, and the term-by-term
+operator-norm bound on a generator's spectrum, which backs the bound the
+propagator reads off its grid stencil.
 """
 
 from __future__ import annotations
@@ -268,6 +270,17 @@ def dense_matrix(op, grid) -> np.ndarray:
             factors[axis] = factors[axis] @ mat
         total += coeff * np.kron(factors[0], factors[1])
     return total
+
+
+def spectral_bound(op, grid) -> float:
+    """Sum over terms of |c| times the product of the primitives' operator norms.
+
+    On the periodic grid |x|, |y| <= L and the spectral derivative has
+    eigenvalues i k with |k| <= pi / h, so the spectrum of op lies in [-R, R].
+    """
+    norms = {Primitive.X: grid.half_width, Primitive.Y: grid.half_width,
+             Primitive.DX: math.pi / grid.spacing, Primitive.DY: math.pi / grid.spacing}
+    return sum(abs(c) * math.prod(norms[p] for p in prod) for c, prod in op.terms)
 
 
 def dense_evolve(s, psi, times) -> list:

@@ -290,6 +290,44 @@ def test_cli_infinite_grid_width_is_a_config_error(command, capsys):
     assert "config error: grid: half_width must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_oversized_grid_is_a_config_error(command, capsys):
+    assert main([command, "--grid-n", "1000000"]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid: points must be at most")
+
+
+def test_scenario_with_an_oversized_grid_is_a_config_error(tmp_path, capsys):
+    raw = default_scenario().to_dict()
+    raw["grid"]["N"] = 1_000_000
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(scn_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid.N: points must be at most")
+
+
+def test_run_scenario_applies_each_primitive_once(monkeypatch):
+    # the primitives' Gram matrix of the packet serves all four schemes
+    from symquant import quantum
+
+    calls = []
+    apply_primitive = quantum._apply_primitive
+    monkeypatch.setattr(quantum, "_apply_primitive",
+                        lambda *args: calls.append(args[0]) or apply_primitive(*args))
+    run_scenario(default_scenario())
+    assert sorted(p.name for p in calls) == ["DX", "DY", "X", "Y"]
+
+
+def test_float_scenarios_never_import_sympy():
+    script = ("import sys\n"
+              "from symquant import lab\n"
+              "scenario = lab.default_scenario()\n"
+              "lab.run_scenario(scenario)\n"
+              "assert lab.run_checks(scenario).exit_code == 0\n"
+              "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(_small_scenario().to_dict()))

@@ -15,7 +15,7 @@ from symquant import (
     WaveFunction,
     apply,
 )
-from symquant.operators import check_localized
+from symquant.operators import MAX_POINTS, check_localized
 from oracles import dense_matrix
 
 GRID = GridSpec(half_width=8.0, points=128)
@@ -43,6 +43,14 @@ def test_grid_invariants():
     assert GRID.spacing == pytest.approx(0.125)
     assert GRID.axis()[0] == -8.0
     assert GRID.axis()[-1] == pytest.approx(8.0 - GRID.spacing)
+
+
+def test_grid_points_are_capped_by_the_memory_budget():
+    # decided in the constructor, before any grid array exists
+    assert GridSpec(half_width=8.0, points=MAX_POINTS).points == MAX_POINTS
+    for points in (MAX_POINTS + 2, 1_000_000):
+        with pytest.raises(ValueError, match=f"points must be at most {MAX_POINTS}"):
+            GridSpec(half_width=8.0, points=points)
 
 
 def test_packet_normalization():

@@ -1,5 +1,8 @@
 """Admissible-form enumeration, Hamiltonian reconstruction, pair verification."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -18,6 +21,7 @@ from symquant import (
     standard_pairs,
     verify_pair,
 )
+from symquant import pairs
 from oracles import bruteforce_admissible_dimension, poly_to_sympy, sympy_bracket
 
 THO = oscillator_field(1, 1)
@@ -114,6 +118,15 @@ def test_complete_pair_roundtrip():
     assert pair.hamiltonian == HAMS[2]
 
 
+def test_complete_pair_inverts_theta_once(monkeypatch):
+    calls = []
+    invert = pairs._invert_matrix
+    monkeypatch.setattr(pairs, "_invert_matrix", lambda mat: calls.append(mat) or invert(mat))
+    pair = complete_pair(FORMS[2].lower, THO)
+    assert len(calls) == 1
+    assert pair.form.upper == FORMS[2].upper
+
+
 # ---------------------------------------------------------------------------
 # verify_pair
 # ---------------------------------------------------------------------------
@@ -128,6 +141,23 @@ def test_standard_pairs_symbolic_parameters():
     field = oscillator_field(m, w)
     for pair in standard_pairs(m, w):
         assert all(r.is_zero for r in verify_pair(pair, field))
+
+
+def test_symbolic_api_works_when_sympy_is_imported_after_symquant():
+    script = ("import sys\n"
+              "import symquant\n"
+              "assert 'sympy' not in sys.modules, 'symquant imported sympy'\n"
+              "import sympy as sp\n"
+              "from symquant import PolynomialObservable, oscillator_field, standard_pairs, verify_pair\n"
+              "m, w = sp.symbols('m omega', positive=True)\n"
+              "field = oscillator_field(m, w)\n"
+              "for pair in standard_pairs(m, w):\n"
+              "    assert all(r.terms == {} for r in verify_pair(pair, field))\n"
+              "p = PolynomialObservable({(1, 0, 0, 0): (m + 1) ** 2 - m ** 2 - 2 * m - 1,\n"
+              "                          (0, 1, 0, 0): m})\n"
+              "assert p.terms == {(0, 1, 0, 0): m}, p.terms\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mismatched_pair_has_nonzero_residual():

@@ -7,7 +7,9 @@ import pytest
 
 from symquant import (
     GridSpec,
+    OperatorExpr,
     PhysParams,
+    Primitive,
     PolynomialObservable,
     ground_packet,
     quantize_observable,
@@ -16,7 +18,7 @@ from symquant import (
     unitary_evolve,
 )
 from symquant import quantum
-from oracles import dense_evolve, dense_matrix
+from oracles import dense_evolve, dense_matrix, spectral_bound
 
 P = PhysParams(1.0, 1.0, 1.0)
 SMALL = GridSpec(half_width=8.0, points=32)
@@ -70,6 +72,52 @@ def test_matches_dense_eigendecomposition():
         s = scheme(sid, P)
         for t, dense in zip(times, dense_evolve(s, psi, times)):
             assert np.max(np.abs(unitary_evolve(s, psi, t).values - dense.values)) <= 1e-10
+
+
+def _generator(s):
+    return quantize_observable(s, quantum._generator_polynomial(s))
+
+
+def test_generators_multiply_only_grid_commuting_primitives():
+    # the stencil acts with S's normal form; that equals S's written products
+    # only if no product pairs a coordinate with the derivative along its axis
+    same_axis = ({Primitive.X, Primitive.DX}, {Primitive.Y, Primitive.DY})
+    for sid in range(4):
+        for _, prod in _generator(scheme(sid, P)).terms:
+            assert not any(pair <= set(prod) for pair in same_axis), (sid, prod)
+
+
+@pytest.mark.parametrize("sid", range(4))
+def test_stencil_acts_like_the_quantized_generator(sid):
+    s = scheme(sid, P)
+    psi = ground_packet(P, center=(0.4, -0.2), wavevector=(0.5, 0.3)).sample(SMALL)
+    expected = _generator(s).apply(psi).values
+    acted = quantum._generator_stencil(s, SMALL).apply(psi.values)
+    assert np.max(np.abs(acted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("sid", range(4))
+def test_stencil_radius_matches_the_term_by_term_bound(sid):
+    s = scheme(sid, P)
+    radius = quantum._generator_stencil(s, SMALL).radius()
+    bound = spectral_bound(_generator(s), SMALL)
+    # S2 = (p_y^2 - p_x^2) / 2m + m omega^2 (y^2 - x^2) / 2: the merged potential
+    # and multiplier reach half of the terms' summed norms
+    assert radius == pytest.approx(bound / 2 if sid == 2 else bound, rel=1e-14)
+    tiny = GridSpec(half_width=8.0, points=16)
+    dense = dense_matrix(_generator(s), tiny)
+    spectrum = np.linalg.eigvalsh((dense + dense.conj().T) / 2.0)
+    assert np.max(np.abs(spectrum)) <= quantum._generator_stencil(s, tiny).radius()
+
+
+def test_propagator_applies_no_operator_expression(monkeypatch):
+    def refuse(self, psi):
+        raise AssertionError("OperatorExpr.apply called")
+
+    monkeypatch.setattr(OperatorExpr, "apply", refuse)
+    psi = ground_packet(P, center=(0.3, 0.1)).sample(SMALL)
+    for sid in range(4):
+        assert abs(unitary_evolve(scheme(sid, P), psi, 0.7).norm() - 1.0) <= 1e-8
 
 
 def test_large_grid_accepted():
