@@ -21,7 +21,7 @@ from ._version import __version__
 from .flow import conserved_along_flow, default_sample_times, PhaseState, pullback_deviation, flow_jacobian
 from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
-from .phasespace import PhysParams, validate_form
+from .phasespace import PhysParams, PolynomialObservable, validate_form
 from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
@@ -389,23 +389,42 @@ def _check_pairs(config: Scenario, corrupt_form: bool) -> CheckResult:
 
 
 def _check_flow(config: Scenario) -> CheckResult:
+    """Flow checks with each bound relative to the size of what it compares.
+
+    The entries of W3 scale as m omega and 1/(m omega), and the flow map and
+    the values of S0..S2 along it scale alike, so absolute bounds fail on
+    roundoff at small m omega.  A pullback deviation of J^T L J from L is
+    bounded by 1e-12 max(1, max(|J|^T |L| |J|)), the size of the products it
+    sums; a drift of f by 1e-10 max(1, sum_k |c_k| |x|^e_k) over the sampled
+    states, the size of the terms of f(x).  At m omega = 1 both sizes are of
+    order one (1 and 1.135 on the default scenario); the printed maxima stay
+    absolute.
+    """
     params = config.params
+    pairs = standard_pairs(params.m, params.omega)
     rng = np.random.default_rng(_RNG_SEED)
     times = rng.uniform(0.0, 4.0 * math.pi / params.omega, size=20)
     worst_pullback = 0.0
-    for pair in standard_pairs(params.m, params.omega):
+    ok = True
+    for pair in pairs:
+        lower = np.abs(pair.form.lower_array())
         for t in times:
-            worst_pullback = max(worst_pullback,
-                                 pullback_deviation(flow_jacobian(float(t), params),
-                                                    pair.form))
+            jac = flow_jacobian(float(t), params)
+            dev = pullback_deviation(jac, pair.form)
+            worst_pullback = max(worst_pullback, dev)
+            size = np.abs(jac).T @ lower @ np.abs(jac)
+            ok = ok and dev <= 1e-12 * max(1.0, float(np.max(size)))
     state = PhaseState(0.9, -0.4, 0.3, 1.1)
     sample_times = default_sample_times(params)
+    magnitudes = np.abs(np.stack([flow_jacobian(float(t), params) @ state.as_array()
+                                  for t in sample_times], axis=1))
     worst_drift = 0.0
-    for pair in standard_pairs(params.m, params.omega):
-        worst_drift = max(worst_drift,
-                          conserved_along_flow(pair.hamiltonian, state,
-                                               sample_times, params))
-    ok = worst_pullback <= 1e-12 and worst_drift <= 1e-10
+    for pair in pairs:
+        drift = conserved_along_flow(pair.hamiltonian, state, sample_times, params)
+        worst_drift = max(worst_drift, drift)
+        term_size = PolynomialObservable(
+            {e: abs(c) for e, c in pair.hamiltonian.terms.items()}).evaluate(magnitudes)
+        ok = ok and drift <= 1e-10 * max(1.0, float(np.max(term_size)))
     return CheckResult("flow", "pass" if ok else "fail",
                        f"max pullback deviation {worst_pullback:.3e}, "
                        f"max conserved-quantity drift {worst_drift:.3e}")

@@ -20,10 +20,14 @@ from .phasespace import (
     LinearVectorField,
     PolynomialObservable,
     SymplecticForm,
+    _COORDINATE_GRADIENT,
+    _ONE,
     _as_matrix,
+    _contract,
     _invert_matrix,
     _is_exact,
     _normalize_scalar,
+    _raw_gradient,
     _reciprocal,
 )
 
@@ -168,12 +172,18 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12
 
 def verify_pair(pair: HamiltonianPair,
                 field: LinearVectorField) -> tuple[PolynomialObservable, ...]:
-    """Residual of the induced dynamics minus the target field, componentwise."""
-    from .phasespace import hamiltonian_vector_field
+    """Residual of the induced dynamics minus the target field, componentwise.
 
-    induced = hamiltonian_vector_field(pair.form, pair.hamiltonian)
-    target = field.components()
-    return tuple(h - t for h, t in zip(induced, target))
+    Component mu, sum_nu upper[mu][nu] dH/dx^nu - (A x)^mu, is summed raw and
+    canonicalized once per exponent.
+    """
+    grad = _raw_gradient(pair.hamiltonian)
+    residuals = []
+    for upper_row, field_row in zip(pair.form.upper, field.matrix):
+        raw = _contract((_ONE,), (upper_row,), grad)
+        _contract((_ONE,), (tuple(-a for a in field_row),), _COORDINATE_GRADIENT, raw)
+        residuals.append(PolynomialObservable(raw))
+    return tuple(residuals)
 
 
 def classify_boundedness(hamiltonian: PolynomialObservable,

@@ -10,6 +10,11 @@ exact zero is literally 0 and is tested with ``== 0``.  Polynomials and
 matrices store only canonical scalars; bracket identities and vector-field
 residuals are therefore asserted with a literally zero remainder.
 
+A contraction (a bracket, a Hamiltonian vector field, a derivative along a
+linear flow, a pair residual) sums the products of raw partial-derivative
+terms into one {exponent: coefficient} dict and builds one polynomial from
+it, so each output exponent is canonicalized once and no intermediate is.
+
 sympy is never imported here: no sympy value can exist before its caller has
 imported sympy, so `_sympy_of` reads the module from ``sys.modules`` and float
 work never loads it.
@@ -124,11 +129,13 @@ def _invert_exact(mat) -> tuple[tuple, ...]:
             raise ZeroDivisionError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = _reciprocal(aug[col][col])
-        aug[col] = [_normalize_scalar(v * inv_p) for v in aug[col]]
+        # only the entries a step changes are canonicalized again
+        aug[col] = [v if v == 0 else _normalize_scalar(v * inv_p) for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [_normalize_scalar(a - f * b) for a, b in zip(aug[r], aug[col])]
+                aug[r] = [a if b == 0 else _normalize_scalar(a - f * b)
+                          for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -257,7 +264,10 @@ class PolynomialObservable:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            out[expo] = out.get(expo, 0) - coeff
+        return PolynomialObservable(out)
 
     def __rsub__(self, other):
         return _coerce_poly(other) - self
@@ -296,15 +306,7 @@ class PolynomialObservable:
         """Partial derivative with respect to coordinate `index`."""
         if not 0 <= index < NVARS:
             raise ValueError(f"coordinate index out of range: {index}")
-        out: dict[Exponents, object] = {}
-        for expo, coeff in self.terms.items():
-            e = expo[index]
-            if e:
-                lowered = list(expo)
-                lowered[index] = e - 1
-                key = tuple(lowered)
-                out[key] = out.get(key, 0) + e * coeff
-        return PolynomialObservable(out)
+        return PolynomialObservable(_raw_partial(self.terms, index))
 
     def gradient(self) -> tuple["PolynomialObservable", ...]:
         return tuple(self.partial(i) for i in range(NVARS))
@@ -423,26 +425,42 @@ class LinearVectorField:
 # operations
 # ---------------------------------------------------------------------------
 
-def _derivative_along(f: PolynomialObservable,
-                      components: Sequence[PolynomialObservable]) -> PolynomialObservable:
-    """sum_mu df/dx^mu * v^mu: the derivative of f along the field v."""
-    total = PolynomialObservable.zero()
-    for mu, v in enumerate(components):
-        if v.is_zero:
-            continue
-        dmu = f.partial(mu)
-        if not dmu.is_zero:
-            total = total + dmu * v
-    return total
+_ONE = {(0,) * NVARS: 1}
+# the gradient of (1/2) x.x: component nu is the coordinate x^nu
+_COORDINATE_GRADIENT = tuple({tuple(int(i == nu) for i in range(NVARS)): 1}
+                             for nu in range(NVARS))
+
+
+def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
+    """d/dx^mu of a term dict, uncanonicalized; lowered exponents stay distinct."""
+    return {expo[:mu] + (expo[mu] - 1,) + expo[mu + 1:]: expo[mu] * coeff
+            for expo, coeff in terms.items() if expo[mu]}
+
+
+def _raw_gradient(f: PolynomialObservable) -> tuple[dict, ...]:
+    return tuple(_raw_partial(f.terms, mu) for mu in range(NVARS))
+
+
+def _contract(left: Sequence[dict], matrix, right: Sequence[dict],
+              out: dict | None = None) -> dict:
+    """Raw sum_mu,nu left[mu] * matrix[mu][nu] * right[nu], accumulated into `out`."""
+    out = {} if out is None else out
+    for lterms, row in zip(left, matrix):
+        for w, rterms in zip(row, right):
+            if w == 0:
+                continue
+            for e1, c1 in lterms.items():
+                c1w = c1 * w
+                for e2, c2 in rterms.items():
+                    expo = tuple(a + b for a, b in zip(e1, e2))
+                    out[expo] = out.get(expo, 0) + c1w * c2
+    return out
 
 
 def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
                     form: SymplecticForm) -> PolynomialObservable:
-    """{f, g} = sum_mu,nu  df/dx^mu * upper[mu][nu] * dg/dx^nu, exactly.
-
-    That is f's derivative along the Hamiltonian vector field of g.
-    """
-    return _derivative_along(f, hamiltonian_vector_field(form, g))
+    """{f, g} = sum_mu,nu  df/dx^mu * upper[mu][nu] * dg/dx^nu, exactly."""
+    return PolynomialObservable(_contract(_raw_gradient(f), form.upper, _raw_gradient(g)))
 
 
 @dataclass(frozen=True)
@@ -479,17 +497,8 @@ def validate_form(candidate) -> FormValidation:
 def hamiltonian_vector_field(form: SymplecticForm,
                              hamiltonian: PolynomialObservable) -> tuple[PolynomialObservable, ...]:
     """Component mu of the induced dynamics: sum_nu upper[mu][nu] * dH/dx^nu."""
-    grad = hamiltonian.gradient()
-    comps = []
-    for mu in range(NVARS):
-        acc = PolynomialObservable.zero()
-        for nu in range(NVARS):
-            w = form.upper[mu][nu]
-            if w == 0 or grad[nu].is_zero:
-                continue
-            acc = acc + grad[nu] * w
-        comps.append(acc)
-    return tuple(comps)
+    grad = _raw_gradient(hamiltonian)
+    return tuple(PolynomialObservable(_contract((_ONE,), (row,), grad)) for row in form.upper)
 
 
 def is_constant_of_motion(f: PolynomialObservable, field: LinearVectorField) -> bool:
@@ -497,4 +506,5 @@ def is_constant_of_motion(f: PolynomialObservable, field: LinearVectorField) -> 
 
     Needs only the equations of motion; no bracket or Hamiltonian choice enters.
     """
-    return _derivative_along(f, field.components()).is_zero
+    grad = _raw_gradient(f)
+    return PolynomialObservable(_contract(grad, field.matrix, _COORDINATE_GRADIENT)).is_zero

@@ -1,7 +1,7 @@
 """Independent reference computations backing the test suite.
 
-Everything here deliberately avoids the library's own code paths: brackets are
-expanded with sympy, the flow is integrated with leapfrog, the admissible-space
+Everything here deliberately avoids the library's own code paths: brackets and
+derivatives along a linear flow are expanded with sympy, the flow is integrated with leapfrog, the admissible-space
 dimension is counted by exact enumeration, and Gaussian moments come from
 closed forms cross-checked by direct trapezoid quadrature with analytic
 derivatives.  Two oracles reuse library objects: the applied-operator moments,
@@ -40,6 +40,15 @@ def sympy_bracket(f_expr, g_expr, upper_rows):
             if w == 0:
                 continue
             total += sp.diff(f_expr, PHASE_SYMBOLS[mu]) * w * sp.diff(g_expr, PHASE_SYMBOLS[nu])
+    return sp.expand(total)
+
+
+def sympy_lie_derivative(f_expr, field_rows):
+    """df/dt = sum_mu df/dx^mu * (A x)^mu fully expanded with sympy, for xdot = A x."""
+    total = sp.Integer(0)
+    for mu in range(4):
+        velocity = sum(a * s for a, s in zip(field_rows[mu], PHASE_SYMBOLS))
+        total += sp.diff(f_expr, PHASE_SYMBOLS[mu]) * velocity
     return sp.expand(total)
 
 

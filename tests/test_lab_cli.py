@@ -1,5 +1,6 @@
 """Scenario parsing, report emission, verification summaries, CLI contract."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,16 +10,21 @@ import warnings
 import pytest
 
 from symquant import (
+    HamiltonianPair,
     LocalizationWarning,
+    PolynomialObservable,
     Scenario,
     ScenarioError,
+    SymplecticForm,
     default_scenario,
     report_to_csv,
     report_to_json,
     run_checks,
     run_scenario,
     scenario_from_dict,
+    standard_pairs,
 )
+from symquant import lab
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
 
@@ -170,6 +176,44 @@ def test_checks_pass_on_small_scenario():
     assert by_name["uncertainties"].status == "skipped"
     assert by_name["unitary"].status == "skipped"
     assert summary.exit_code == 0
+
+
+def _flow_status(m: float) -> str:
+    scn = _small_scenario(m=m, checks={"pairs": False, "flow": True, "commutators": False,
+                                       "uncertainties": False, "unitary": False})
+    return next(r for r in run_checks(scn).results if r.name == "flow").status
+
+
+def test_flow_check_passes_at_small_m_omega():
+    # m omega = 1e-7: W3 and the flow map carry entries of order 1e7, and the
+    # roundoff of J^T L J and of S0..S2 along the flow reaches 1e-9
+    assert _flow_status(1e-7) == "pass"
+
+
+def _reversed_momentum_block(pairs):
+    # W3 with its p_x-p_y block negated: antisymmetric and invertible, but the
+    # pullback of its 2-form differs by 2 cos(wt) sin(wt) at every m omega
+    upper = [list(row) for row in pairs[3].form.upper]
+    upper[2][3], upper[3][2] = upper[3][2], upper[2][3]
+    return HamiltonianPair(SymplecticForm(upper), pairs[3].hamiltonian)
+
+
+def _doubled_potential(pairs):
+    # S0 with its x^2 coefficient doubled is no constant of motion
+    terms = dict(pairs[0].hamiltonian.terms)
+    terms[(2, 0, 0, 0)] *= 2
+    return HamiltonianPair(pairs[0].form, PolynomialObservable(terms))
+
+
+@pytest.mark.parametrize("m", [1.0, 1e-7])
+@pytest.mark.parametrize("mutant", [_reversed_momentum_block, _doubled_potential])
+def test_flow_check_fails_on_a_broken_pair(mutant, m, monkeypatch):
+    def with_mutant(m, omega):
+        pairs = standard_pairs(m, omega)
+        return (*pairs, mutant(pairs))
+
+    monkeypatch.setattr(lab, "standard_pairs", with_mutant)
+    assert _flow_status(m) == "fail"
 
 
 def test_corrupted_form_fails_the_pair_check():
@@ -359,3 +403,26 @@ def test_module_invocation_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# golden output: the default scenario's stdout is byte-identical across changes
+# ---------------------------------------------------------------------------
+
+# SHA-256 of stdout on the default scenario, recorded with numpy 2.4 and
+# sympy 1.14 on x86-64; a refactor that moves any printed digit changes these
+GOLDEN_STDOUT_SHA256 = {
+    ("pairs",): "ced8c33f88d66a8a968f0d4a17d57ae108051f9de60a5611ca69d501e9067445",
+    ("run", "--no-timestamp"):
+        "734164fb87e0ebb84d1bbd53d4cbbdf090abad14f846ad38f3ad5ff955e7907f",
+    ("run", "--format", "csv", "--no-timestamp"):
+        "e0ce2af34f517cc2fe9b2af67543eb170527451786f756ebd4e09a33991ef03f",
+    ("check",): "ca080e30923e987ffebaef341a22d838584c38f905ccc2253a46180884920b70",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_default_scenario_stdout_is_byte_identical(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

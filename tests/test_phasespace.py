@@ -19,9 +19,12 @@ from symquant import (
     poisson_bracket,
     standard_forms,
     standard_hamiltonians,
+    standard_pairs,
     validate_form,
+    verify_pair,
 )
-from oracles import PHASE_SYMBOLS, poly_to_sympy, sympy_bracket
+from symquant.phasespace import _normalize_scalar
+from oracles import PHASE_SYMBOLS, poly_to_sympy, sympy_bracket, sympy_lie_derivative
 
 X, Y, PX, PY = coordinates()
 FORMS = standard_forms(1, 1)
@@ -298,3 +301,114 @@ def test_bracket_matches_sympy_expansion(f, g, form):
     ours = poly_to_sympy(poisson_bracket(f, g, form))
     upper = [[sp.Rational(v) for v in row] for row in form.upper]
     assert sp.expand(ours - sympy_bracket(poly_to_sympy(f), poly_to_sympy(g), upper)) == 0
+
+
+# ---------------------------------------------------------------------------
+# symbolic m and omega: brackets, vector fields and conservation against sympy
+# ---------------------------------------------------------------------------
+
+_SYM_FORMS = standard_forms(_M, _W)  # W3 carries 1/(m omega) and m omega
+_SYM_FIELD = oscillator_field(_M, _W)
+
+# polynomials in m and omega with small rational coefficients
+_sym_coeffs = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=3,
+).map(lambda terms: sum(sp.Rational(n, d) * _M ** i * _W ** j for n, d, i, j in terms))
+_sym_polys = st.dictionaries(st.sampled_from(_EXPONENTS), _sym_coeffs, max_size=3).map(
+    PolynomialObservable)
+_SYM_HAMS = standard_hamiltonians(_M, _W)
+
+
+def _with_constants_of_motion(coeffs, extra):
+    """extra + sum_i coeffs[i] S_i, summed raw and built once."""
+    raw = dict(extra.terms)
+    for c, ham in zip(coeffs, _SYM_HAMS):
+        for expo, v in ham.terms.items():
+            raw[expo] = raw.get(expo, 0) + c * v
+    return PolynomialObservable(raw)
+
+
+# a combination of S0..S3 is conserved; adding a random polynomial usually breaks that
+_sym_candidates = st.builds(
+    _with_constants_of_motion,
+    st.lists(_sym_coeffs, min_size=4, max_size=4),
+    st.one_of(st.just(PolynomialObservable.zero()), _sym_polys))
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert c != 0
+        canonical = _normalize_scalar(c)
+        assert c == canonical and type(c) is type(canonical)
+
+
+def _sympy_rows(mat):
+    return [[sp.sympify(v) for v in row] for row in mat]
+
+
+@given(f=_sym_polys, g=_sym_polys, form=st.sampled_from(_SYM_FORMS))
+@settings(max_examples=25, deadline=None)
+def test_symbolic_bracket_matches_sympy_and_is_canonical(f, g, form):
+    ours = poisson_bracket(f, g, form)
+    _assert_canonical(ours)
+    oracle = sympy_bracket(poly_to_sympy(f), poly_to_sympy(g), _sympy_rows(form.upper))
+    assert sp.cancel(poly_to_sympy(ours) - oracle) == 0
+
+
+@given(h=_sym_polys, form=st.sampled_from(_SYM_FORMS))
+@settings(max_examples=25, deadline=None)
+def test_symbolic_vector_field_matches_sympy_and_is_canonical(h, form):
+    rows = _sympy_rows(form.upper)
+    for mu, comp in enumerate(hamiltonian_vector_field(form, h)):
+        _assert_canonical(comp)
+        oracle = sympy_bracket(PHASE_SYMBOLS[mu], poly_to_sympy(h), rows)
+        assert sp.cancel(poly_to_sympy(comp) - oracle) == 0
+
+
+@given(f=_sym_candidates)
+@settings(max_examples=25, deadline=None)
+def test_symbolic_conservation_matches_sympy(f):
+    _assert_canonical(f)
+    oracle = sympy_lie_derivative(poly_to_sympy(f), _sympy_rows(_SYM_FIELD.matrix))
+    assert is_constant_of_motion(f, _SYM_FIELD) == (sp.cancel(oracle) == 0)
+
+
+# ---------------------------------------------------------------------------
+# a contraction canonicalizes each output exponent once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cancel_calls(monkeypatch):
+    calls = []
+    cancel = sp.cancel
+    monkeypatch.setattr(sp, "cancel", lambda *args, **kw: calls.append(1) or cancel(*args, **kw))
+    return calls
+
+
+def test_symbolic_bracket_table_cancels_once_per_raw_exponent(cancel_calls):
+    m, w = sp.symbols("m_table omega_table", positive=True)
+    pairs = standard_pairs(m, w)
+    hams = [p.hamiltonian for p in pairs]
+    del cancel_calls[:]
+    table = [[poisson_bracket(hi, hj, pairs[0].form) for hj in hams] for hi in hams]
+    # the 16 raw sums have 36 distinct exponents between them; canonicalizing
+    # every intermediate polynomial took 422 calls
+    assert len(cancel_calls) <= 36
+    assert sum(len(b.terms) for row in table for b in row) == 16
+    assert all(table[i][i].is_zero and table[0][i].is_zero for i in range(4))
+
+
+def test_symbolic_pairs_cancel_once_per_entry_and_component(cancel_calls):
+    m, w = sp.symbols("m_pairs omega_pairs", positive=True)
+    pairs = standard_pairs(m, w)
+    # 12 Hamiltonian coefficients, W3's 4 entries and 10 entries of its exact
+    # inverse; canonicalizing every entry of every Gauss-Jordan step took 50
+    assert len(cancel_calls) <= 26
+    field = oscillator_field(m, w)
+    del cancel_calls[:]
+    residuals = [verify_pair(p, field) for p in pairs]
+    # one output exponent per component of each of the four pairs; forming
+    # the induced field and the difference separately took 96 calls
+    assert len(cancel_calls) <= 16
+    assert all(comp.terms == {} for res in residuals for comp in res)
