@@ -25,6 +25,7 @@ from .pairs import (
     HamiltonianPair,
     InverseFormBasis,
     admissible_inverse_forms,
+    bracket_matrices,
     classify_boundedness,
     complete_pair,
     hamiltonian_from_form,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
@@ -248,12 +250,18 @@ class Report:
     pair_residuals: tuple[float, ...]
     metadata: dict
 
-    def to_dict(self, include_timestamp: bool = True) -> dict:
+    def _metadata(self, include_timestamp: bool = True) -> dict:
         meta = dict(self.metadata)
         if include_timestamp:
             meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        return meta
+
+    def _residual_rows(self) -> list[dict]:
+        return [{"scheme": i, "max_abs_residual": r} for i, r in enumerate(self.pair_residuals)]
+
+    def to_dict(self, include_timestamp: bool = True) -> dict:
         return {
-            "metadata": meta,
+            "metadata": self._metadata(include_timestamp),
             "cells": [
                 {"scheme": c.scheme, "observable": c.observable, "time": c.time,
                  "mean_re": c.mean.real, "mean_im": c.mean.imag,
@@ -265,10 +273,7 @@ class Report:
                  "product": u.product, "bound": u.bound, "satisfied": u.satisfied}
                 for u in self.uncertainties
             ],
-            "pair_residuals": [
-                {"scheme": i, "max_abs_residual": r}
-                for i, r in enumerate(self.pair_residuals)
-            ],
+            "pair_residuals": self._residual_rows(),
         }
 
 
@@ -537,9 +542,48 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one cell and one uncertainty row of the report, laid out as
+# json.dumps(indent=2, sort_keys=True) lays them out; str.format writes an int
+# as int.__repr__ and a float as float.__repr__, exactly as json.dumps does
+_CELL_JSON = ('    {{\n      "mean_im": {},\n      "mean_re": {},\n      "observable": {},\n'
+              '      "scheme": {},\n      "time": {},\n      "variance": {}\n    }}')
+_ROW_JSON = ('    {{\n      "bound": {},\n      "pair": [\n        {},\n        {}\n      ],\n'
+             '      "product": {},\n      "satisfied": {},\n      "scheme": {},\n'
+             '      "time": {}\n    }}')
+# a templated number that is nan or inf; a quoted string cannot end a line bare
+_NON_FINITE = re.compile(r": -?(?:nan|inf),?$", re.MULTILINE)
+
+
+def _json_block(value) -> str:
+    """json.dumps of a top-level member, indented to sit inside the report object."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
-    return json.dumps(report.to_dict(include_timestamp=include_timestamp),
-                      indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n".
+
+    Cells and uncertainty rows are written through one fixed template each,
+    so neither they nor an intermediate dict pass through the standard
+    library's pure-Python indenting encoder; only the small metadata and
+    pair-residual blocks do.  Raises ValueError on nan or inf instead of
+    writing NaN or Infinity, which are not JSON.
+    """
+    cells = _json_list([_CELL_JSON.format(c.mean.imag, c.mean.real, _quote(c.observable),
+                                          c.scheme, c.time, c.variance)
+                        for c in report.cells])
+    rows = _json_list([_ROW_JSON.format(u.bound, _quote(u.pair[0]), _quote(u.pair[1]), u.product,
+                                        "true" if u.satisfied else "false", u.scheme, u.time)
+                       for u in report.uncertainties])
+    if _NON_FINITE.search(cells) or _NON_FINITE.search(rows):
+        raise ValueError("report holds nan or inf, which JSON cannot represent")
+    return (f'{{\n  "cells": {cells},\n'
+            f'  "metadata": {_json_block(report._metadata(include_timestamp))},\n'
+            f'  "pair_residuals": {_json_block(report._residual_rows())},\n'
+            f'  "uncertainties": {rows}\n}}\n')
 
 
 def emit_report(report: Report, fmt: str, path: str,

@@ -258,8 +258,14 @@ def standard_hamiltonians(m=1, omega=1) -> tuple[PolynomialObservable, ...]:
     return (s0, s1, s2, s3)
 
 
-def standard_forms(m=1, omega=1) -> tuple[SymplecticForm, ...]:
-    """The four bracket matrices paired with S0..S3."""
+def bracket_matrices(m=1, omega=1) -> tuple[tuple[tuple, ...], ...]:
+    """The raw bracket matrices W0..W3 paired with S0..S3, as nested tuples.
+
+    Entries are the ints 0 and +/-1, and 1/(m omega) and m omega in W3, in
+    whatever arithmetic m and omega carry; nothing is validated or inverted.
+    `standard_forms` wraps them in `SymplecticForm`, and `quantum.scheme`
+    reads them as floats.
+    """
     imw = _reciprocal(m * omega)
     mw = m * omega
     w0 = ((0, 0, 1, 0),
@@ -278,7 +284,12 @@ def standard_forms(m=1, omega=1) -> tuple[SymplecticForm, ...]:
           (imw, 0, 0, 0),
           (0, 0, 0, -mw),
           (0, 0, mw, 0))
-    return tuple(SymplecticForm(w) for w in (w0, w1, w2, w3))
+    return (w0, w1, w2, w3)
+
+
+def standard_forms(m=1, omega=1) -> tuple[SymplecticForm, ...]:
+    """The four bracket matrices paired with S0..S3, each validated and inverted."""
+    return tuple(SymplecticForm(w) for w in bracket_matrices(m, omega))
 
 
 def standard_pairs(m=1, omega=1) -> tuple[HamiltonianPair, ...]:

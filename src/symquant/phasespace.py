@@ -22,6 +22,7 @@ work never loads it.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,15 +143,18 @@ def _invert_exact(mat) -> tuple[tuple, ...]:
 def _invert_matrix(mat) -> tuple[tuple, ...]:
     """Matrix inverse; raises ZeroDivisionError when (numerically) singular.
 
-    Floats are tested on the row-normalized matrix, so rows of very different
-    scale, such as 1/(m omega) against m omega, do not read as singular.
+    Floats are tested after dividing each row by its largest absolute entry,
+    so rows of very different scale, such as 1/(m omega) against m omega, do
+    not read as singular.  The largest entry, unlike the Euclidean norm, is
+    not squared on the way, so it neither overflows nor underflows at
+    m omega = 1e+/-200.
     """
     if _matrix_has_float(mat):
         arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
-        norms = np.linalg.norm(arr, axis=1)
-        if not norms.all():
+        scales = np.abs(arr).max(axis=1)
+        if not scales.all():
             raise ZeroDivisionError("singular matrix")
-        svals = np.linalg.svd(arr / norms[:, None], compute_uv=False)
+        svals = np.linalg.svd(arr / scales[:, None], compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
             raise ZeroDivisionError("singular matrix")
         return _as_matrix(np.linalg.inv(arr))
@@ -246,28 +250,34 @@ class PolynomialObservable:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _merged(self, other, combine) -> "PolynomialObservable":
+        """combine(self, other) termwise; only the exponents `other` touches are
+        canonicalized again, the others are copied as the canonical values they are."""
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, 0) + coeff
-        return PolynomialObservable(out)
+            c = _normalize_scalar(combine(out.get(expo, 0), coeff))
+            if c != 0:
+                out[expo] = c
+            else:
+                out.pop(expo, None)
+        merged = object.__new__(PolynomialObservable)
+        object.__setattr__(merged, "terms", out)
+        return merged
+
+    def __add__(self, other):
+        return self._merged(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
+        # a negated sympy value is not always canonical, so every term is
         return PolynomialObservable({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, 0) - coeff
-        return PolynomialObservable(out)
+        return self._merged(other, operator.sub)
 
     def __rsub__(self, other):
         return _coerce_poly(other) - self

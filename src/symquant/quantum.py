@@ -36,7 +36,7 @@ from .operators import (
     _apply_primitive,
     check_localized,
 )
-from .pairs import standard_forms, standard_hamiltonians
+from .pairs import bracket_matrices, standard_hamiltonians
 from .phasespace import PhysParams, PolynomialObservable
 
 OBSERVABLES = ("x", "y", "p_x", "p_y")
@@ -67,7 +67,13 @@ class QuantizationScheme:
 
 
 def scheme(scheme_id: int, params: PhysParams) -> QuantizationScheme:
-    """Build one of the four quantization schemes."""
+    """Build one of the four quantization schemes.
+
+    The commutator table is i hbar times the raw bracket matrix of
+    `pairs.bracket_matrices`, read as floats.  A scheme needs that one matrix,
+    so no `SymplecticForm` is built: validating a form inverts it, exactly
+    over `Fraction`s for W0..W2.
+    """
     if scheme_id not in SCHEME_IDS:
         raise ValueError(f"unknown id: {scheme_id!r}")
     hb = params.hbar
@@ -80,7 +86,7 @@ def scheme(scheme_id: int, params: PhysParams) -> QuantizationScheme:
         3: ((1, 0, 0, 0), (0, 0, -d / mw, 0), (0, mw, 0, 0), (0, 0, 0, -d)),
     }[scheme_id], dtype=complex)
     assignment.setflags(write=False)
-    table = 1j * hb * standard_forms(params.m, params.omega)[scheme_id].upper_array()
+    table = 1j * hb * np.array(bracket_matrices(params.m, params.omega)[scheme_id], dtype=float)
     table.setflags(write=False)
     return QuantizationScheme(id=scheme_id, params=params,
                               commutators=table, assignment=assignment)
@@ -347,9 +353,13 @@ def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFu
     RuntimeError when the norm moves by more than 1e-8 relative: a
     non-Hermitian generator or a spectral bound that is too small.
     """
-    stencil = _generator_stencil(s, psi.grid)
+    return _evolve(_generator_stencil(s, psi.grid), psi, t, s.params.hbar)
+
+
+def _evolve(stencil: _Stencil, psi: WaveFunction, t: float, hbar: float) -> WaveFunction:
+    """`unitary_evolve` with S's stencil already compiled, so evolutions share it."""
     radius = stencil.radius()
-    coeffs = _chebyshev_coefficients(radius * t / s.params.hbar)
+    coeffs = _chebyshev_coefficients(radius * t / hbar)
     out = coeffs[0] * psi.values
     prev = cur = psi.values  # T_{k-2} psi and T_{k-1} psi
     for k, c in enumerate(coeffs[1:], start=1):
@@ -371,7 +381,8 @@ def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
     """Relative L2 gap between exp(iSt/h) O exp(-iSt/h) psi and the rotated operator.
 
     Uses a localized Gaussian by default.  Both evolutions run the matrix-free
-    propagator of `unitary_evolve`, so the grid size is not capped.
+    propagator of `unitary_evolve` on one stencil of S, so the grid size is
+    not capped.
     """
     if psi is None:
         packet = GaussianPacket(center=(0.5, -0.3), wavevector=(0.4, 0.2),
@@ -379,9 +390,10 @@ def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
         psi = packet.sample(grid)
     elif psi.grid != grid:
         raise ValueError("grid mismatch")
-    evolved = unitary_evolve(s, psi, t)
+    stencil = _generator_stencil(s, grid)  # one build serves both directions
+    evolved = _evolve(stencil, psi, t, s.params.hbar)
     acted = s.fundamental(which).apply(evolved)
-    conjugated = unitary_evolve(s, acted, -t)
+    conjugated = _evolve(stencil, acted, -t, s.params.hbar)
     target = heisenberg_operator(s, which, t).apply(psi)
     num = np.sqrt(np.sum(np.abs(conjugated.values - target.values) ** 2))
     den = np.sqrt(np.sum(np.abs(target.values) ** 2))

@@ -6,8 +6,11 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symquant import (
     HamiltonianPair,
@@ -27,6 +30,7 @@ from symquant import (
 from symquant import lab
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
+from symquant.quantum import CANONICAL_PAIRS, OBSERVABLES, SCHEME_IDS
 
 
 def _small_scenario(**overrides) -> Scenario:
@@ -154,6 +158,68 @@ def test_timestamp_is_present_unless_suppressed():
     without = json.loads(report_to_json(report, include_timestamp=False))
     assert "timestamp" in with_ts["metadata"]
     assert "timestamp" not in without["metadata"]
+
+
+class _FrozenClock:
+    """Stands in for lab.datetime so that two timestamped emissions agree."""
+
+    @staticmethod
+    def now(tz):
+        return datetime(2024, 7, 31, 12, 0, 0, 123456, tzinfo=tz)
+
+
+# finite floats, with the edge cases of float.__repr__ drawn often
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1])
+_floats = st.one_of(_edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+_times = st.one_of(_floats, st.integers(-10**6, 10**6).map(float), st.integers(-10**6, 10**6))
+_cells = st.builds(lab.ReportCell, scheme=st.sampled_from(SCHEME_IDS),
+                   observable=st.sampled_from(OBSERVABLES), time=_times,
+                   mean=st.builds(complex, _floats, _floats), variance=_floats)
+_rows = st.builds(lab.UncertaintyRow, scheme=st.sampled_from(SCHEME_IDS),
+                  pair=st.sampled_from([p for pairs in CANONICAL_PAIRS.values() for p in pairs]),
+                  time=_times, product=_floats, bound=_floats, satisfied=st.booleans())
+_reports = st.builds(
+    lab.Report, cells=st.lists(_cells, max_size=6).map(tuple),
+    uncertainties=st.lists(_rows, max_size=6).map(tuple),
+    pair_residuals=st.lists(_floats, max_size=4).map(tuple),
+    metadata=st.fixed_dictionaries({"version": st.just("0.1.0"),
+                                    "times": st.lists(_times, max_size=3),
+                                    "params": st.fixed_dictionaries({"m": _floats})}))
+
+
+@given(report=_reports, include_timestamp=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(report, include_timestamp):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "datetime", _FrozenClock)
+        ours = report_to_json(report, include_timestamp=include_timestamp)
+        reference = json.dumps(report.to_dict(include_timestamp=include_timestamp),
+                               indent=2, sort_keys=True) + "\n"
+    assert ours == reference
+
+
+def _set_first(report, value, where):
+    cell, row = report.cells[0], report.uncertainties[0]
+    return {
+        "mean_re": lambda: replace(report, cells=(replace(cell, mean=complex(value, 0.0)),)),
+        "mean_im": lambda: replace(report, cells=(replace(cell, mean=complex(0.0, value)),)),
+        "variance": lambda: replace(report, cells=(replace(cell, variance=value),)),
+        "time": lambda: replace(report, cells=(replace(cell, time=value),)),
+        "product": lambda: replace(report, uncertainties=(replace(row, product=value),)),
+        "bound": lambda: replace(report, uncertainties=(replace(row, bound=value),)),
+        "pair_residuals": lambda: replace(report, pair_residuals=(value,)),
+        "metadata": lambda: replace(report, metadata={"times": [value]}),
+    }[where]()
+
+
+@pytest.mark.parametrize("where", ["mean_re", "mean_im", "variance", "time", "product",
+                                   "bound", "pair_residuals", "metadata"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_json_writer_refuses_non_finite_numbers(value, where):
+    report = _set_first(run_scenario(_small_scenario()), value, where)
+    with pytest.raises(ValueError):
+        report_to_json(report, include_timestamp=False)
 
 
 def test_emit_report_failure_names_the_path(tmp_path):

@@ -12,6 +12,7 @@ from symquant import (
     LinearVectorField,
     PolynomialObservable,
     SymplecticForm,
+    bracket_matrices,
     coordinates,
     hamiltonian_vector_field,
     is_constant_of_motion,
@@ -149,6 +150,18 @@ def test_validate_accepts_symbolic_form_antisymmetric_after_cancellation():
     assert report.ok and report.reason is None and report.jacobi_residual == 0
     assert poisson_bracket(X, Y, report.form) == 1 / _W
     assert poisson_bracket(PX, PY, report.form) == _M + 1
+
+
+@pytest.mark.parametrize("m_omega", [1e-200, 1e-155, 1e155, 1e200])
+def test_rotational_form_accepted_where_a_squared_row_overflows(m_omega):
+    # scaling W3's rows to unit Euclidean norm squares 1/(m omega) or m omega,
+    # which overflows past 1e154 and rejected the form as "degenerate"
+    w3 = bracket_matrices(m_omega, 1.0)[3]
+    form = SymplecticForm(w3)  # a RuntimeWarning is an error in this suite
+    report = validate_form(w3)
+    assert report.ok and report.reason is None
+    assert form.lower[0][1] == pytest.approx(m_omega, rel=1e-15)
+    assert form.lower[2][3] == pytest.approx(1.0 / m_omega, rel=1e-15)
 
 
 @pytest.mark.parametrize("m_omega", [1e-7, 1e7])
@@ -412,3 +425,27 @@ def test_symbolic_pairs_cancel_once_per_entry_and_component(cancel_calls):
     # the induced field and the difference separately took 96 calls
     assert len(cancel_calls) <= 16
     assert all(comp.terms == {} for res in residuals for comp in res)
+
+
+def test_sums_cancel_once_per_touched_exponent(cancel_calls):
+    m, w = sp.symbols("m_sum omega_sum", positive=True)
+    # k polynomials over mostly distinct exponents, so the running sum holds
+    # many terms that a later summand does not touch
+    polys = [PolynomialObservable({_EXPONENTS[(3 * i + j) % len(_EXPONENTS)]:
+                                   (i + j + 1) * m / w + j * w ** i for j in range(3)})
+             for i in range(8)]
+    del cancel_calls[:]
+    total = polys[0]
+    for p in polys[1:]:
+        total = total + p
+    touched = sum(len(p.terms) for p in polys[1:])
+    assert len(cancel_calls) == touched
+    del cancel_calls[:]
+    difference = total - polys[-1]
+    assert len(cancel_calls) == len(polys[-1].terms)
+    assert len(total.terms) > max(len(p.terms) for p in polys)
+    for poly in (total, difference):
+        _assert_canonical(poly)
+    oracle = sum(poly_to_sympy(p) for p in polys)
+    assert sp.cancel(poly_to_sympy(total) - oracle) == 0
+    assert sp.cancel(poly_to_sympy(difference) - oracle + poly_to_sympy(polys[-1])) == 0

@@ -14,7 +14,9 @@ from symquant import (
     OperatorExpr,
     Primitive,
     PhysParams,
+    SymplecticForm,
     commutator_table_check,
+    default_scenario,
     expectation,
     ground_packet,
     heisenberg_moments,
@@ -22,15 +24,18 @@ from symquant import (
     kernel_overlap,
     quantization_needs_symmetrization,
     quantize_observable,
+    run_scenario,
     scheme,
     standard_forms,
     standard_hamiltonians,
+    standard_pairs,
     two_time_commutator,
     uncertainty_bound,
     uncertainty_product,
     coordinates,
     WaveFunction,
 )
+from symquant import phasespace
 from oracles import (
     applied_commutator,
     applied_variance,
@@ -90,11 +95,48 @@ def test_unknown_scheme_id():
 
 
 def test_commutator_table_is_dirac_rule():
-    for params in (P, P2):
+    # scheme() reads the raw bracket matrix, which must equal the validated form
+    for params in (P, P2, PhysParams(m=1e-7, omega=1.0, hbar=1.0)):
         for sid in range(4):
             s = scheme(sid, params)
             upper = standard_forms(params.m, params.omega)[sid].upper_array()
-            assert np.allclose(s.commutators, 1j * params.hbar * upper, atol=0)
+            assert np.array_equal(s.commutators, 1j * params.hbar * upper)
+
+
+@pytest.fixture
+def form_work(monkeypatch):
+    """Counts of exact inverses and SymplecticForm constructions during a test."""
+    counts = {"invert_exact": 0, "form_init": 0}
+    invert, init = phasespace._invert_exact, SymplecticForm.__init__
+
+    def counting_invert(mat):
+        counts["invert_exact"] += 1
+        return invert(mat)
+
+    def counting_init(self, upper):
+        counts["form_init"] += 1
+        init(self, upper)
+
+    monkeypatch.setattr(phasespace, "_invert_exact", counting_invert)
+    monkeypatch.setattr(SymplecticForm, "__init__", counting_init)
+    return counts
+
+
+def test_scheme_validates_and_inverts_no_form(form_work):
+    for params in (P, P2):
+        for sid in range(4):
+            scheme(sid, params)
+    assert form_work == {"invert_exact": 0, "form_init": 0}
+
+
+def test_run_scenario_builds_forms_only_for_its_pair_residuals(form_work):
+    # one standard_pairs call: four forms, three of them (W0..W2) inverted exactly
+    standard_pairs(1.0, 1.0)
+    expected = dict(form_work)
+    assert expected == {"invert_exact": 3, "form_init": 4}
+    form_work.update(invert_exact=0, form_init=0)
+    run_scenario(default_scenario())
+    assert form_work == expected
 
 
 def test_specific_table_entries():

@@ -17,7 +17,7 @@ from symquant import (
     unitary_conjugation_check,
     unitary_evolve,
 )
-from symquant import quantum
+from symquant import lab, quantum
 from oracles import dense_evolve, dense_matrix, spectral_bound
 
 P = PhysParams(1.0, 1.0, 1.0)
@@ -118,6 +118,20 @@ def test_propagator_applies_no_operator_expression(monkeypatch):
     psi = ground_packet(P, center=(0.3, 0.1)).sample(SMALL)
     for sid in range(4):
         assert abs(unitary_evolve(scheme(sid, P), psi, 0.7).norm() - 1.0) <= 1e-8
+
+
+def test_conjugation_check_builds_one_stencil(monkeypatch):
+    # the forward and the backward evolution share the compiled generator
+    builds = []
+    build = quantum._generator_stencil
+    monkeypatch.setattr(quantum, "_generator_stencil",
+                        lambda s, grid: builds.append(s.id) or build(s, grid))
+    assert unitary_conjugation_check(scheme(3, P), "p_x", 1.1, SMALL) <= 1e-5
+    assert builds == [3]
+    del builds[:]
+    result = lab._check_unitary(lab.default_scenario())
+    assert builds == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert result.detail == "max conjugation deviation 7.266e-07"
 
 
 def test_large_grid_accepted():
