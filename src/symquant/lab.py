@@ -44,8 +44,10 @@ _RNG_SEED = 20240731
 
 # a sampled state at least this large on the grid boundary is delocalized:
 # variance quadrature error scales with the squared boundary magnitude, so
-# this keeps it well inside the 1e-9 uncertainty-bound margin
+# this keeps it well inside the uncertainty-bound margin _ROBERTSON_SLACK
 _BOUNDARY_LIMIT = 1e-7
+# an uncertainty product this far below its Robertson bound still satisfies it
+_ROBERTSON_SLACK = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -63,6 +65,7 @@ class Scenario:
     checks: Mapping[str, bool]
 
     def to_dict(self) -> dict:
+        """The scenario document; `times` are written as floats, whatever built them."""
         return {
             "m": self.params.m,
             "omega": self.params.omega,
@@ -74,7 +77,7 @@ class Scenario:
             },
             "schemes": list(self.schemes),
             "observables": list(self.observables),
-            "times": list(self.times),
+            "times": [float(t) for t in self.times],
             "grid": {"L": self.grid.half_width, "N": self.grid.points},
             "checks": dict(self.checks),
         }
@@ -95,7 +98,10 @@ class Scenario:
 def _ensure_number(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{path}: must be finite")
     if positive and value <= 0:
@@ -213,9 +219,9 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario: cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"scenario: invalid JSON in {path}: {exc}") from None
     return scenario_from_dict(raw)
 
@@ -278,12 +284,10 @@ class Report:
 
 
 def _pair_residuals(params: PhysParams) -> tuple[float, ...]:
+    """The pair certificate: max |coefficient| of each standard pair's `verify_pair` residual."""
     field = oscillator_field(params.m, params.omega)
-    out = []
-    for pair in standard_pairs(params.m, params.omega):
-        residual = verify_pair(pair, field)
-        out.append(max(comp.max_abs_coefficient() for comp in residual))
-    return tuple(out)
+    return tuple(max(c.max_abs_coefficient() for c in verify_pair(pair, field))
+                 for pair in standard_pairs(params.m, params.omega))
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
@@ -325,19 +329,11 @@ def run_scenario(config: Scenario) -> Report:
                 product = _spread_product(variances[k], pair)
                 uncertainties.append(UncertaintyRow(
                     scheme=sid, pair=pair, time=float(t), product=product,
-                    bound=bound, satisfied=product >= bound - 1e-9))
-    metadata = {
-        "version": __version__,
-        "params": {"m": config.params.m, "omega": config.params.omega,
-                   "hbar": config.params.hbar},
-        "grid": {"L": config.grid.half_width, "N": config.grid.points},
-        "packet": {"center": list(config.packet.center),
-                   "wavevector": list(config.packet.wavevector),
-                   "sigma": config.packet.sigma},
-        "schemes": list(config.schemes),
-        "observables": list(config.observables),
-        "times": [float(t) for t in config.times],
-    }
+                    bound=bound, satisfied=product >= bound - _ROBERTSON_SLACK))
+    metadata = config.to_dict()
+    del metadata["checks"]
+    metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
+    metadata["version"] = __version__
     return Report(cells=tuple(cells), uncertainties=tuple(uncertainties),
                   pair_residuals=_pair_residuals(config.params), metadata=metadata)
 
@@ -374,20 +370,16 @@ _CORRUPT_FORM = ((0, 0, 1, 0),
 
 
 def _check_pairs(config: Scenario, corrupt_form: bool) -> CheckResult:
-    params = config.params
-    field = oscillator_field(params.m, params.omega)
-    pairs = standard_pairs(params.m, params.omega)
-    candidates = [pair.form.upper for pair in pairs]
+    """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2).
+
+    `standard_pairs` has validated the four forms; the --corrupt-form fixture
+    hands `validate_form` a symmetric matrix as form 0 instead.
+    """
     if corrupt_form:
-        candidates[0] = _CORRUPT_FORM
-    worst = 0.0
-    for mu, candidate in enumerate(candidates):
-        report = validate_form(candidate)
-        if not report.ok:
-            return CheckResult("pairs", "fail",
-                               f"form {mu} rejected: {report.reason}")
-        residual = verify_pair(pairs[mu], field)
-        worst = max(worst, max(c.max_abs_coefficient() for c in residual))
+        return CheckResult("pairs", "fail",
+                           f"form 0 rejected: {validate_form(_CORRUPT_FORM).reason}")
+    params = config.params
+    worst = max(_pair_residuals(params))
     tol = 1e-12 * max(1.0, params.m * params.omega ** 2)
     status = "pass" if worst <= tol else "fail"
     return CheckResult("pairs", status, f"max residual {worst:.3e}")
@@ -486,7 +478,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     if worst_margin is math.inf:
         return CheckResult("uncertainties", "warn",
                            "no probe packet is localized on this grid")
-    ok = worst_margin >= -1e-9 and worst_saturation <= 1e-6
+    ok = worst_margin >= -_ROBERTSON_SLACK and worst_saturation <= 1e-6
     detail = (f"ground saturation gap {worst_saturation:.3e}, "
               f"worst bound margin {worst_margin:+.3e}")
     if delocalized:

@@ -22,11 +22,10 @@ from .phasespace import (
     SymplecticForm,
     _COORDINATE_GRADIENT,
     _ONE,
+    _all_zero,
     _as_matrix,
     _contract,
     _invert_matrix,
-    _is_exact,
-    _normalize_scalar,
     _raw_gradient,
     _reciprocal,
 )
@@ -141,18 +140,9 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12
     """The Hamiltonian of `hamiltonian_from_form` and theta^{-1}, inverting theta once."""
     theta = _as_matrix(theta)
     a = field.matrix
-    exact = all(_is_exact(v) for row in theta for v in row) and \
-        all(_is_exact(v) for row in a for v in row)
     s = [[sum(theta[i][k] * a[k][j] for k in range(NVARS)) for j in range(NVARS)]
          for i in range(NVARS)]
-    if exact:
-        symmetric = all(_normalize_scalar(s[i][j] - s[j][i]) == 0
-                        for i in range(NVARS) for j in range(i + 1, NVARS))
-    else:
-        sf = np.array([[float(v) for v in row] for row in s])
-        scale = tol * (1.0 + float(np.max(np.abs(sf))))
-        symmetric = bool(np.max(np.abs(sf - sf.T)) <= scale)
-    if not symmetric:
+    if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s, tol):
         raise ValueError("asymmetric product")
     try:
         inverse = _invert_matrix(theta)

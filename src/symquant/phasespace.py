@@ -108,14 +108,18 @@ def _matrix_max_abs(mat) -> float:
     return max(vals, default=0.0)
 
 
-def _is_antisymmetric(mat, tol: float = 1e-12) -> bool:
-    n = len(mat)
+def _all_zero(values, mat, tol: float = 1e-12) -> bool:
+    """Each value read off `mat` is zero: literally 0 once canonical, or, when
+    `mat` holds a float, at most tol (1 + max|mat|), a scale taken once."""
     if _matrix_has_float(mat):
         scale = tol * (1.0 + _matrix_max_abs(mat))
-        return all(abs(float(mat[i][j]) + float(mat[j][i])) <= scale
-                   for i in range(n) for j in range(i, n))
-    return all(_normalize_scalar(mat[i][j] + mat[j][i]) == 0
-               for i in range(n) for j in range(i, n))
+        return all(abs(float(v)) <= scale for v in values)
+    return all(_normalize_scalar(v) == 0 for v in values)
+
+
+def _is_antisymmetric(mat) -> bool:
+    n = len(mat)
+    return _all_zero((mat[i][j] + mat[j][i] for i in range(n) for j in range(i, n)), mat)
 
 
 def _invert_exact(mat) -> tuple[tuple, ...]:

@@ -36,20 +36,20 @@ from .operators import (
     _apply_primitive,
     check_localized,
 )
-from .pairs import bracket_matrices, standard_hamiltonians
-from .phasespace import PhysParams, PolynomialObservable
+from .pairs import PAIR_INDEX, bracket_matrices, standard_hamiltonians
+from .phasespace import COORD_NAMES, PhysParams, PolynomialObservable
 
-OBSERVABLES = ("x", "y", "p_x", "p_y")
+OBSERVABLES = COORD_NAMES
 PRIMITIVES = (Primitive.X, Primitive.Y, Primitive.DX, Primitive.DY)
 
 SCHEME_IDS = (0, 1, 2, 3)
 
-# uncertainty pairs with a nonzero algebra bound, per scheme
+# uncertainty pairs with a nonzero Robertson bound, per scheme: the (i, j),
+# i < j, entries of W0..W3 that are nonzero, in row-major order; which entries
+# are nonzero is the same at every valid m and omega
 CANONICAL_PAIRS = {
-    0: (("x", "p_x"), ("y", "p_y")),
-    1: (("x", "p_y"), ("y", "p_x")),
-    2: (("x", "p_x"), ("y", "p_y")),
-    3: (("x", "y"), ("p_x", "p_y")),
+    sid: tuple((OBSERVABLES[i], OBSERVABLES[j]) for i, j in PAIR_INDEX if w[i][j] != 0)
+    for sid, w in zip(SCHEME_IDS, bracket_matrices())
 }
 
 
@@ -154,10 +154,13 @@ class CommutatorCheck:
     localized: bool
 
 
-def commutator_table_check(s: QuantizationScheme, psi: WaveFunction,
-                           boundary_threshold: float = 1e-12) -> CommutatorCheck:
-    """Apply every fundamental pair both ways and compare against the table."""
-    localized = check_localized(psi, boundary_threshold, "commutator table check")
+def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> CommutatorCheck:
+    """Apply every fundamental pair both ways and compare against the table.
+
+    `localized` is False, with a `LocalizationWarning`, when psi reaches
+    `check_localized`'s default threshold at the grid boundary.
+    """
+    localized = check_localized(psi, action="commutator table check")
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
     h = psi.grid.spacing
@@ -191,14 +194,15 @@ def uncertainty_product(s: QuantizationScheme, pair: tuple[str, str],
 
 
 def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
-                        psi: WaveFunction,
-                        boundary_threshold: float = 1e-12) -> complex:
+                        psi: WaveFunction) -> complex:
     """<psi| [x(t), x(t')] psi> = a M b - b M a for x(t) = a.F, x(t') = b.F.
 
     With M_ij = <F_i psi|F_j psi>, it equals sin(omega (t'-t))/(m omega) times
     the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
+    A psi that reaches `check_localized`'s default threshold at the grid
+    boundary draws a `LocalizationWarning`.
     """
-    check_localized(psi, boundary_threshold, "two-time commutator")
+    check_localized(psi, action="two-time commutator")
     _, second = _fundamental_moments(s, _primitive_gram(psi))
     a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
     return complex(a @ second @ b - b @ second @ a)

@@ -53,6 +53,9 @@ def test_default_scenario_roundtrip():
     assert scenario_from_dict(scn.to_dict()) == scn
 
 
+_HUGE = 10 ** 400  # a JSON integer past the float range
+
+
 @pytest.mark.parametrize("mutate, path", [
     (lambda d: d.pop("m"), "m"),
     (lambda d: d.update(m=-1.0), "m"),
@@ -66,6 +69,15 @@ def test_default_scenario_roundtrip():
     (lambda d: d["grid"].update(L=-2.0), "grid.L"),
     (lambda d: d.update(typo=True), "typo"),
     (lambda d: d["checks"].update(pairs="yes"), "checks.pairs"),
+    (lambda d: d.update(m=_HUGE), "m: must be finite"),
+    (lambda d: d.update(omega=_HUGE), "omega: must be finite"),
+    (lambda d: d.update(hbar=-_HUGE), "hbar: must be finite"),
+    (lambda d: d["packet"].update(center=[_HUGE, 0.0]), "packet.center[0]: must be finite"),
+    (lambda d: d["packet"].update(wavevector=[1.0, -_HUGE]),
+     "packet.wavevector[1]: must be finite"),
+    (lambda d: d["packet"].update(sigma=_HUGE), "packet.sigma: must be finite"),
+    (lambda d: d.update(times=[0.0, _HUGE]), "times[1]: must be finite"),
+    (lambda d: d["grid"].update(L=_HUGE), "grid.L: must be finite"),
 ])
 def test_config_errors_name_the_offending_key(mutate, path):
     raw = default_scenario().to_dict()
@@ -73,6 +85,34 @@ def test_config_errors_name_the_offending_key(mutate, path):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
     assert str(err.value).startswith(path)
+
+
+# any JSON value: nested lists and objects, integers past the float range,
+# nan and infinities, strings, booleans and null
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_scenario_keys = st.sampled_from([(key,) for key in default_scenario().to_dict()]
+                                 + [("packet", key) for key in ("center", "wavevector", "sigma")]
+                                 + [("grid", key) for key in ("L", "N")])
+
+
+@given(key=_scenario_keys, value=_json_values)
+@settings(max_examples=300, deadline=None)
+def test_parser_returns_a_scenario_or_raises_a_scenario_error(key, value):
+    raw = default_scenario().to_dict()
+    *parents, leaf = key
+    target = raw
+    for parent in parents:
+        target = target[parent]
+    target[leaf] = value
+    try:
+        assert isinstance(scenario_from_dict(raw), Scenario)
+    except ScenarioError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +164,17 @@ def test_csv_header_and_cardinality():
     lines = csv_text.strip().split("\n")
     assert lines[0] == CSV_HEADER == "scheme,observable,time,mean_re,mean_im,variance"
     assert len(lines) - 1 == 2 * 1 * 3
+
+
+def test_integer_times_are_written_as_floats():
+    # a Scenario built in Python may carry int times; the report writes floats
+    scn = replace(_small_scenario(), times=(0, 1))
+    assert [type(t) for t in scn.to_dict()["times"]] == [float, float]
+    text = report_to_json(run_scenario(scn), include_timestamp=False)
+    assert [type(t) for t in json.loads(text)["metadata"]["times"]] == [float, float]
+    assert '"time": 0.0' in text and '"time": 1.0' in text
+    assert text == report_to_json(run_scenario(replace(scn, times=(0.0, 1.0))),
+                                  include_timestamp=False)
 
 
 def test_json_roundtrip_is_structural_identity():
@@ -282,6 +333,15 @@ def test_flow_check_fails_on_a_broken_pair(mutant, m, monkeypatch):
     assert _flow_status(m) == "fail"
 
 
+def test_pair_check_builds_the_standard_pairs_once(form_work):
+    # the pair check computes run's pair residuals from one standard_pairs
+    # call: four forms, three of them (W0..W2) inverted exactly
+    scn = _small_scenario(checks={name: name == "pairs" for name in lab.CHECK_NAMES})
+    summary = run_checks(scn)
+    assert [r.status for r in summary.results] == ["pass"] + ["skipped"] * 4
+    assert form_work == {"invert_exact": 3, "form_init": 4}
+
+
 def test_corrupted_form_fails_the_pair_check():
     summary = run_checks(_small_scenario(), corrupt_form=True)
     pairs = next(r for r in summary.results if r.name == "pairs")
@@ -347,6 +407,28 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["run", "--grid-n", "17"]) == 2
     assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
+
+
+def test_cli_huge_integer_is_a_config_error(tmp_path, capsys):
+    raw = default_scenario().to_dict()
+    raw["m"] = _HUGE
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: m: must be finite\n"
+
+
+@pytest.mark.parametrize("payload", [b'{"m": 1.0, "\xff": 2}', b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_cli_unreadable_scenario_is_a_config_error(payload, tmp_path, capsys):
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_bytes(payload)
+    assert main(["run", "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: scenario: ")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -19,6 +19,7 @@ from symquant import (
     standard_forms,
     standard_hamiltonians,
     standard_pairs,
+    validate_form,
     verify_pair,
 )
 from symquant import pairs
@@ -102,6 +103,26 @@ def test_asymmetric_product_rejected():
                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetric product"):
         hamiltonian_from_form(theta, THO)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("rel, accepted", [(1e-14, True), (1e-9, False)])
+def test_float_zero_test_is_relative_to_the_matrix(scale, rel, accepted):
+    # one rule decides a form's antisymmetry and the symmetry of theta A: a
+    # float entry is zero within 1e-12 (1 + max|matrix|)
+    upper = scale * FORMS[0].upper_array()
+    upper[0, 2] += rel * scale
+    report = validate_form(upper)
+    assert report.ok is accepted
+    assert report.reason == (None if accepted else "not antisymmetric")
+    theta = scale * FORMS[0].lower_array()
+    theta[0, 1] += rel * scale
+    theta[1, 0] -= rel * scale  # theta A is now asymmetric by rel * scale
+    if accepted:
+        hamiltonian_from_form(theta, THO)
+    else:
+        with pytest.raises(ValueError, match="asymmetric product"):
+            hamiltonian_from_form(theta, THO)
 
 
 def test_degenerate_theta_rejected():

@@ -14,7 +14,6 @@ from symquant import (
     OperatorExpr,
     Primitive,
     PhysParams,
-    SymplecticForm,
     commutator_table_check,
     default_scenario,
     expectation,
@@ -35,7 +34,6 @@ from symquant import (
     coordinates,
     WaveFunction,
 )
-from symquant import phasespace
 from oracles import (
     applied_commutator,
     applied_variance,
@@ -103,25 +101,6 @@ def test_commutator_table_is_dirac_rule():
             assert np.array_equal(s.commutators, 1j * params.hbar * upper)
 
 
-@pytest.fixture
-def form_work(monkeypatch):
-    """Counts of exact inverses and SymplecticForm constructions during a test."""
-    counts = {"invert_exact": 0, "form_init": 0}
-    invert, init = phasespace._invert_exact, SymplecticForm.__init__
-
-    def counting_invert(mat):
-        counts["invert_exact"] += 1
-        return invert(mat)
-
-    def counting_init(self, upper):
-        counts["form_init"] += 1
-        init(self, upper)
-
-    monkeypatch.setattr(phasespace, "_invert_exact", counting_invert)
-    monkeypatch.setattr(SymplecticForm, "__init__", counting_init)
-    return counts
-
-
 def test_scheme_validates_and_inverts_no_form(form_work):
     for params in (P, P2):
         for sid in range(4):
@@ -146,6 +125,18 @@ def test_specific_table_entries():
     s3 = scheme(3, P2).commutators
     assert s3[0, 1] == pytest.approx(-1j * hb / mw)
     assert s3[2, 3] == pytest.approx(-1j * hb * mw)
+
+
+@pytest.mark.parametrize("mw", [1.0, 1e-7, 1e7])
+def test_canonical_pairs_are_the_nonzero_upper_table_entries(mw):
+    # CANONICAL_PAIRS is derived once from the bracket matrices at m = omega = 1;
+    # the nonzero pattern of each table must not move with m omega
+    params = PhysParams(m=mw, omega=1.0, hbar=0.7)
+    for sid in range(4):
+        table = scheme(sid, params).commutators
+        nonzero = tuple((OBS[i], OBS[j]) for i in range(4) for j in range(i + 1, 4)
+                        if table[i, j] != 0)
+        assert CANONICAL_PAIRS[sid] == nonzero
 
 
 # ---------------------------------------------------------------------------
