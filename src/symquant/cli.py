@@ -128,8 +128,8 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
             print(f"  completes to H = {pair.hamiltonian}")
     print()
     print("standard pairs:")
-    residuals = _pair_residuals(scenario.params)
-    for mu, (pair, worst) in enumerate(zip(standard_pairs(m, omega), residuals)):
+    pairs = standard_pairs(m, omega)
+    for mu, (pair, worst) in enumerate(zip(pairs, _pair_residuals(scenario.params, pairs))):
         label = classify_boundedness(pair.hamiltonian)
         contained = basis.contains(pair.form.lower_array(), tol=1e-10)
         print(f"  scheme {mu}: H = {pair.hamiltonian}")

@@ -28,6 +28,8 @@ from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
     SCHEME_IDS,
+    _conjugation_deviations,
+    _conjugation_probe,
     _primitive_gram,
     _rotated_moments,
     _spread_product,
@@ -35,7 +37,6 @@ from .quantum import (
     ground_packet,
     scheme,
     uncertainty_bound,
-    unitary_conjugation_check,
 )
 
 CHECK_NAMES = ("pairs", "flow", "commutators", "uncertainties", "unitary")
@@ -283,11 +284,15 @@ class Report:
         }
 
 
-def _pair_residuals(params: PhysParams) -> tuple[float, ...]:
-    """The pair certificate: max |coefficient| of each standard pair's `verify_pair` residual."""
+def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
+    """The pair certificate: max |coefficient| of each pair's `verify_pair` residual.
+
+    `pairs` are `standard_pairs(params.m, params.omega)`, which the caller
+    builds once and may use for more than the certificate.
+    """
     field = oscillator_field(params.m, params.omega)
     return tuple(max(c.max_abs_coefficient() for c in verify_pair(pair, field))
-                 for pair in standard_pairs(params.m, params.omega))
+                 for pair in pairs)
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
@@ -335,7 +340,8 @@ def run_scenario(config: Scenario) -> Report:
     metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
     metadata["version"] = __version__
     return Report(cells=tuple(cells), uncertainties=tuple(uncertainties),
-                  pair_residuals=_pair_residuals(config.params), metadata=metadata)
+                  pair_residuals=_pair_residuals(config.params, standard_pairs(
+                      config.params.m, config.params.omega)), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,7 @@ _CORRUPT_FORM = ((0, 0, 1, 0),
                  (0, 1, 0, 0))
 
 
-def _check_pairs(config: Scenario, corrupt_form: bool) -> CheckResult:
+def _check_pairs(config: Scenario, corrupt_form: bool, pairs) -> CheckResult:
     """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2).
 
     `standard_pairs` has validated the four forms; the --corrupt-form fixture
@@ -379,13 +385,13 @@ def _check_pairs(config: Scenario, corrupt_form: bool) -> CheckResult:
         return CheckResult("pairs", "fail",
                            f"form 0 rejected: {validate_form(_CORRUPT_FORM).reason}")
     params = config.params
-    worst = max(_pair_residuals(params))
+    worst = max(_pair_residuals(params, pairs))
     tol = 1e-12 * max(1.0, params.m * params.omega ** 2)
     status = "pass" if worst <= tol else "fail"
     return CheckResult("pairs", status, f"max residual {worst:.3e}")
 
 
-def _check_flow(config: Scenario) -> CheckResult:
+def _check_flow(config: Scenario, pairs) -> CheckResult:
     """Flow checks with each bound relative to the size of what it compares.
 
     The entries of W3 scale as m omega and 1/(m omega), and the flow map and
@@ -398,7 +404,6 @@ def _check_flow(config: Scenario) -> CheckResult:
     absolute.
     """
     params = config.params
-    pairs = standard_pairs(params.m, params.omega)
     rng = np.random.default_rng(_RNG_SEED)
     times = rng.uniform(0.0, 4.0 * math.pi / params.omega, size=20)
     worst_pullback = 0.0
@@ -487,29 +492,43 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
 
 
 def _check_unitary(config: Scenario) -> CheckResult:
+    """Both conjugation probes of each scheme from one stencil and one recurrence.
+
+    The probe packet is sampled once; a generator whose spectral interval is
+    not finite at these parameters (hbar = 1e300) is a config error.
+    """
     params = config.params
-    grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
+    probes = (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega))
     worst = 0.0
-    for sid in config.schemes:
-        s = scheme(sid, params)
-        for which, t in (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega)):
-            worst = max(worst, unitary_conjugation_check(s, which, t, grid))
+    try:
+        grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
+        psi = _conjugation_probe(params, grid)
+        for sid in config.schemes:
+            worst = max(worst, *_conjugation_deviations(scheme(sid, params), psi, probes))
+    except ValueError as exc:
+        raise ScenarioError(f"m, omega, hbar: {exc}") from None
     status = "pass" if worst <= 1e-5 else "fail"
     return CheckResult("unitary", status, f"max conjugation deviation {worst:.3e}")
 
 
 def run_checks(config: Scenario, corrupt_form: bool = False) -> CheckSummary:
-    """Run the enabled verification groups; exit code is nonzero iff one fails."""
+    """Run the enabled verification groups; exit code is nonzero iff one fails.
+
+    The pairs and flow groups share one `standard_pairs` call.
+    """
+    enabled = {name: config.checks.get(name, True) for name in CHECK_NAMES}
+    pairs = (standard_pairs(config.params.m, config.params.omega)
+             if enabled["flow"] or (enabled["pairs"] and not corrupt_form) else ())
     runners = {
-        "pairs": lambda: _check_pairs(config, corrupt_form),
-        "flow": lambda: _check_flow(config),
+        "pairs": lambda: _check_pairs(config, corrupt_form, pairs),
+        "flow": lambda: _check_flow(config, pairs),
         "commutators": lambda: _check_commutators(config),
         "uncertainties": lambda: _check_uncertainties(config),
         "unitary": lambda: _check_unitary(config),
     }
     results = []
     for name in CHECK_NAMES:
-        if config.checks.get(name, True):
+        if enabled[name]:
             results.append(runners[name]())
         else:
             results.append(CheckResult(name, "skipped", "disabled in scenario"))

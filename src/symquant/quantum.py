@@ -284,27 +284,35 @@ class _Stencil:
     sum c (i k_x)^c (i k_y)^d.  This is S's action as written whenever S
     multiplies only primitives that commute on the grid (different axes, or the
     same primitive), as every quantized S0-S3 does under its own scheme.
+    `center` and `half_width` bound S's spectrum; see `_generator_stencil`.
     """
 
     potential: np.ndarray  # V, (N, N)
     fields: np.ndarray  # P_g, (G, N, N)
     multipliers: np.ndarray  # M_g, (G, N, N)
+    center: float
+    half_width: float
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """One fft2 and one batched ifft2, whatever the number of groups."""
-        spectrum = np.fft.fft2(values)
-        derived = np.fft.ifft2(self.multipliers * spectrum)
-        return self.potential * values + np.sum(self.fields * derived, axis=0)
-
-    def radius(self) -> float:
-        """max|V| + sum_g max|P_g| max|M_g|, a rigorous bound on S's spectrum."""
-        return float(np.abs(self.potential).max()
-                     + sum(np.abs(p).max() * np.abs(m).max()
-                           for p, m in zip(self.fields, self.multipliers)))
+        """S on a field (N, N) or a stack of them (B, N, N): one fft2 and one batched ifft2."""
+        shape = (len(self.fields),) + (1,) * (values.ndim - 2) + values.shape[-2:]
+        derived = np.fft.ifft2(self.multipliers.reshape(shape) * np.fft.fft2(values))
+        return self.potential * values + np.sum(self.fields.reshape(shape) * derived, axis=0)
 
 
 def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
-    """The stencil of S = quantize_observable(s, _generator_polynomial(s))."""
+    """The stencil of S = quantize_observable(s, _generator_polynomial(s)).
+
+    Its spectral interval follows from Weyl's inequality.  Write S = V + K0 +
+    rest, with K0 the multiplier of the group whose field is 1 (zero if there
+    is none).  Re V and Re K0 are Hermitian, with spectra [min, max] of their
+    arrays; rest = S - Re V - Re K0 is Hermitian whenever S is, and
+    ||rest|| <= max|Im V| + max|Im K0| + sum over the other groups of
+    max|P_g| max|M_g|.  So spec S lies in [min Re V + min Re K0 - ||rest||,
+    max Re V + max Re K0 + ||rest||].  For S0, V and K0 are both >= 0 and the
+    interval is [0, max V + max K0], half as wide as the symmetric bound
+    max|V| + sum_g max|P_g| max|M_g|.
+    """
     xg, yg = grid.meshgrid()
     kx, ky = np.meshgrid(1j * grid.wavenumbers(), 1j * grid.wavenumbers(), indexing="ij")
     potential = np.zeros((grid.points, grid.points), dtype=complex)
@@ -319,7 +327,14 @@ def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
     shape = (len(groups), grid.points, grid.points)
     fields = np.array([xg ** a * yg ** b for a, b in groups]).reshape(shape)
     multipliers = np.array(list(groups.values())).reshape(shape)
-    return _Stencil(potential, fields, multipliers)
+    kinetic = groups.get((0, 0), np.zeros_like(potential))
+    low = float(potential.real.min() + kinetic.real.min())
+    high = float(potential.real.max() + kinetic.real.max())
+    rest = float(np.abs(potential.imag).max() + np.abs(kinetic.imag).max()
+                 + sum(np.abs(p).max() * np.abs(m).max()
+                       for key, p, m in zip(groups, fields, multipliers) if key != (0, 0)))
+    return _Stencil(potential, fields, multipliers,
+                    center=(low + high) / 2.0, half_width=(high - low) / 2.0 + rest)
 
 
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
@@ -346,37 +361,86 @@ def _chebyshev_coefficients(alpha: float) -> np.ndarray:
     return coeffs
 
 
+def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
+               jobs: Sequence[tuple[int, float]]) -> np.ndarray:
+    """exp(-i S t / hbar) states[row] for each (row, t) of jobs, from one recurrence.
+
+    With spec S in [c - r, c + r], exp(-i S t / hbar) = exp(-i c t / hbar)
+    sum_k c_k T_k((S - c) / r) for alpha = r t / hbar (Tal-Ezer & Kosloff, J.
+    Chem. Phys. 81, 3967, 1984).  T_k((S - c) / r) does not depend on t, so
+    the stack of states runs one three-term recurrence, to the highest order
+    any job needs, and each job sums its own row's T_k with its own time's
+    c_k.  Raises ValueError when the interval or a job's alpha is not finite,
+    and RuntimeError when an evolved state's norm moves by more than 1e-8
+    relative: a non-Hermitian generator or an interval that is too narrow.
+    """
+    center, half_width = stencil.center, stencil.half_width
+    times = np.array([t for _, t in jobs], dtype=float)
+    alphas, phases = half_width * times / hbar, center * times / hbar
+    if not (np.isfinite(alphas).all() and np.isfinite(phases).all()):
+        raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
+                         "does not give a finite propagator")
+    series = [_chebyshev_coefficients(alpha) for alpha in alphas]
+    table = np.zeros((max(map(len, series)), len(jobs)), dtype=complex)
+    for j, coeffs in enumerate(series):
+        table[:len(coeffs), j] = coeffs
+    rows = [row for row, _ in jobs]
+    out = table[0, :, None, None] * states[rows]
+    prev = cur = states  # T_{k-2} and T_{k-1} of every state
+    for k in range(1, len(table)):
+        step = (stencil.apply(cur) - center * cur) / half_width
+        prev, cur = cur, step if k == 1 else 2.0 * step - prev
+        out += table[k, :, None, None] * cur[rows]
+    out *= np.exp(-1j * phases)[:, None, None]
+    before = np.sqrt(np.sum(np.abs(states[rows]) ** 2, axis=(1, 2)))
+    drift = np.abs(np.sqrt(np.sum(np.abs(out) ** 2, axis=(1, 2))) - before)
+    failed = np.flatnonzero(~(drift <= 1e-8 * before))
+    if failed.size:
+        j = failed[0]
+        raise RuntimeError(f"propagator changed the norm by {drift[j] / before[j]:.3e} relative: "
+                           "the generator is not Hermitian or its spectral interval is too narrow")
+    return out
+
+
 def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
     """exp(-i S t / hbar) psi by a Chebyshev expansion of the propagator.
 
-    With the generator's spectrum bounded by R, exp(-i S t / hbar) =
-    sum_k c_k T_k(S / R) for alpha = R t / hbar (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967, 1984).  The T_k(S / R) psi follow from the three-term
-    recurrence, one application of S's grid stencil per order (one fft2 and one
-    batched ifft2), so no matrix is formed and any grid size works.  Raises
-    RuntimeError when the norm moves by more than 1e-8 relative: a
-    non-Hermitian generator or a spectral bound that is too small.
+    The T_k follow from the three-term recurrence, one application of S's
+    grid stencil per order (one fft2 and one batched ifft2), so no matrix is
+    formed and any grid size works.  Raises RuntimeError when the norm moves
+    by more than 1e-8 relative; see `_propagate`.
     """
-    return _evolve(_generator_stencil(s, psi.grid), psi, t, s.params.hbar)
+    stencil = _generator_stencil(s, psi.grid)
+    return WaveFunction(psi.grid, _propagate(stencil, psi.values[None], s.params.hbar,
+                                             ((0, t),))[0])
 
 
-def _evolve(stencil: _Stencil, psi: WaveFunction, t: float, hbar: float) -> WaveFunction:
-    """`unitary_evolve` with S's stencil already compiled, so evolutions share it."""
-    radius = stencil.radius()
-    coeffs = _chebyshev_coefficients(radius * t / hbar)
-    out = coeffs[0] * psi.values
-    prev = cur = psi.values  # T_{k-2} psi and T_{k-1} psi
-    for k, c in enumerate(coeffs[1:], start=1):
-        step = stencil.apply(cur) / radius
-        prev, cur = cur, step if k == 1 else 2.0 * step - prev
-        out += c * cur
-    evolved = WaveFunction(psi.grid, out)
-    norm = psi.norm()
-    drift = abs(evolved.norm() - norm)
-    if not drift <= 1e-8 * norm:
-        raise RuntimeError(f"propagator changed the norm by {drift:.3e} of {norm:.3e}: "
-                           "the generator is not Hermitian or its spectral bound is too small")
-    return evolved
+def _conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
+    """The localized Gaussian the conjugation check uses by default."""
+    return GaussianPacket(center=(0.5, -0.3), wavevector=(0.4, 0.2),
+                          sigma=params.ground_sigma).sample(grid)
+
+
+def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
+                            probes: Sequence[tuple[str, float]]) -> list[float]:
+    """|O U psi - U O(t) psi| / |O(t) psi| for each (O, t) of probes, U = exp(-i S t / hbar).
+
+    U is unitary, so the numerator is the gap between U^dagger O U psi and
+    O(t) psi, and no state is evolved backward.  One stencil of S and one
+    recurrence over the stack [psi, O_1(t_1) psi, ...] serve every probe: psi
+    is evolved to each probe's time, each target to its own.
+    """
+    stencil = _generator_stencil(s, psi.grid)
+    targets = [heisenberg_operator(s, which, t).apply(psi).values for which, t in probes]
+    jobs = [(0, t) for _, t in probes] + [(i + 1, t) for i, (_, t) in enumerate(probes)]
+    evolved = _propagate(stencil, np.stack([psi.values, *targets]), s.params.hbar, jobs)
+    deviations = []
+    for i, (which, _) in enumerate(probes):
+        acted = s.fundamental(which).apply(WaveFunction(psi.grid, evolved[i])).values
+        num = np.sqrt(np.sum(np.abs(acted - evolved[len(probes) + i]) ** 2))
+        den = np.sqrt(np.sum(np.abs(targets[i]) ** 2))
+        deviations.append(float(num / den))
+    return deviations
 
 
 def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
@@ -384,21 +448,12 @@ def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
                               psi: WaveFunction | None = None) -> float:
     """Relative L2 gap between exp(iSt/h) O exp(-iSt/h) psi and the rotated operator.
 
-    Uses a localized Gaussian by default.  Both evolutions run the matrix-free
-    propagator of `unitary_evolve` on one stencil of S, so the grid size is
-    not capped.
+    Uses a localized Gaussian by default.  The gap is measured forward, as
+    |O U psi - U O(t) psi| / |O(t) psi| (`_conjugation_deviations`), with the
+    matrix-free propagator of `unitary_evolve`, so the grid size is not capped.
     """
     if psi is None:
-        packet = GaussianPacket(center=(0.5, -0.3), wavevector=(0.4, 0.2),
-                                sigma=s.params.ground_sigma)
-        psi = packet.sample(grid)
+        psi = _conjugation_probe(s.params, grid)
     elif psi.grid != grid:
         raise ValueError("grid mismatch")
-    stencil = _generator_stencil(s, grid)  # one build serves both directions
-    evolved = _evolve(stencil, psi, t, s.params.hbar)
-    acted = s.fundamental(which).apply(evolved)
-    conjugated = _evolve(stencil, acted, -t, s.params.hbar)
-    target = heisenberg_operator(s, which, t).apply(psi)
-    num = np.sqrt(np.sum(np.abs(conjugated.values - target.values) ** 2))
-    den = np.sqrt(np.sum(np.abs(target.values) ** 2))
-    return float(num / den)
+    return _conjugation_deviations(s, psi, ((which, t),))[0]

@@ -8,9 +8,10 @@ derivatives.  Two oracles reuse library objects: the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying operator
 expressions to the grid field (twice, for second moments), and the dense
 N^2 x N^2 materialization of an operator expression, whose eigendecomposition
-backs the library's matrix-free Chebyshev propagator, and the term-by-term
-operator-norm bound on a generator's spectrum, which backs the bound the
-propagator reads off its grid stencil.
+backs the library's matrix-free Chebyshev propagator, the term-by-term
+operator-norm bound on a generator's spectrum, which backs the interval the
+propagator reads off its grid stencil, and the literal forward-then-backward
+conjugation, which backs the forward-only conjugation gap of `check`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from itertools import product as iproduct
 import numpy as np
 import sympy as sp
 
-from symquant import Primitive, WaveFunction, quantize_observable, standard_hamiltonians
+from symquant import (Primitive, WaveFunction, heisenberg_operator, quantize_observable,
+                      standard_hamiltonians, unitary_evolve)
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
 
@@ -307,3 +309,17 @@ def dense_evolve(s, psi, times) -> list:
     return [WaveFunction(psi.grid, (evecs @ (np.exp(-1j * evals * t / s.params.hbar) * coords))
                          .reshape(psi.values.shape))
             for t in times]
+
+
+def forward_backward_conjugation(s, which, t, psi) -> float:
+    """|exp(iSt/h) O exp(-iSt/h) psi - O(t) psi| / |O(t) psi|, conjugating literally.
+
+    Evolve psi forward, apply the fundamental O, evolve back by -t: the formula
+    the library replaced by the forward-only intertwining gap
+    |O U psi - U O(t) psi|.  Each evolution is the library's `unitary_evolve`
+    of one state, which `dense_evolve` backs on its own.
+    """
+    acted = s.fundamental(which).apply(unitary_evolve(s, psi, t))
+    conjugated = unitary_evolve(s, acted, -t).values
+    target = heisenberg_operator(s, which, t).apply(psi).values
+    return float(np.linalg.norm(conjugated - target) / np.linalg.norm(target))

@@ -342,6 +342,12 @@ def test_pair_check_builds_the_standard_pairs_once(form_work):
     assert form_work == {"invert_exact": 3, "form_init": 4}
 
 
+def test_check_builds_the_standard_pairs_once(form_work):
+    # the pairs and flow groups of a whole check share one standard_pairs call
+    assert run_checks(default_scenario()).exit_code == 0
+    assert form_work == {"invert_exact": 3, "form_init": 4}
+
+
 def test_corrupted_form_fails_the_pair_check():
     summary = run_checks(_small_scenario(), corrupt_form=True)
     pairs = next(r for r in summary.results if r.name == "pairs")
@@ -476,6 +482,21 @@ def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["metadata"]["params"]["m"] == 1e-7
 
 
+def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
+    # hbar^2 overflows, so the unitary group's generator has no finite
+    # spectral interval; the other groups are off, they overflow on their own
+    raw = default_scenario().to_dict()
+    raw["hbar"] = 1e300
+    raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["check", "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: m, omega, hbar: ")
+    assert "spectral interval" in captured.err
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_cli_infinite_grid_width_is_a_config_error(command, capsys):
     assert main([command, "--grid-l", "inf"]) == 2
@@ -538,6 +559,13 @@ def test_cli_pairs_output(capsys):
     assert "bounded-below" in out
 
 
+def test_cli_pairs_builds_the_standard_pairs_once(form_work, capsys):
+    # one standard_pairs call (4 forms, 3 exact inverses) serves the residuals
+    # and the listing; the admissible basis completes to 2 more forms
+    assert main(["pairs"]) == 0
+    assert form_work == {"invert_exact": 3, "form_init": 6}
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "no" / "dir.json")]) == 1
     assert "cannot write report" in capsys.readouterr().err
@@ -574,3 +602,24 @@ def test_default_scenario_stdout_is_byte_identical(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# the same on a scenario off the default parameters, shaped like the
+# benchmark's verify scenario
+BENCHMARK_LIKE_STDOUT_SHA256 = {
+    ("check",): "2d7a68d739a7042ce96312b18c38cd0298041971c87a3e26dcb3abe536d93ec8",
+    ("run", "--no-timestamp"):
+        "47f294b665302653fcb73ef351453bed1c57ce98f0644a7f5e625cdb957c2813",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BENCHMARK_LIKE_STDOUT_SHA256), ids=" ".join)
+def test_benchmark_like_scenario_stdout_is_byte_identical(argv, tmp_path, capsys):
+    raw = default_scenario().to_dict()
+    raw.update(m=1.3, omega=1.5)
+    raw["packet"] = {"center": [0.3, -0.2], "wavevector": [0.5, -0.4], "sigma": 0.6}
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main([*argv, "--scenario", str(scn_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_LIKE_STDOUT_SHA256[argv]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symquant import (
+    GaussianPacket,
     GridSpec,
     OperatorExpr,
     PhysParams,
@@ -18,7 +19,7 @@ from symquant import (
     unitary_evolve,
 )
 from symquant import lab, quantum
-from oracles import dense_evolve, dense_matrix, spectral_bound
+from oracles import dense_evolve, dense_matrix, forward_backward_conjugation, spectral_bound
 
 P = PhysParams(1.0, 1.0, 1.0)
 SMALL = GridSpec(half_width=8.0, points=32)
@@ -99,15 +100,23 @@ def test_stencil_acts_like_the_quantized_generator(sid):
 @pytest.mark.parametrize("sid", range(4))
 def test_stencil_radius_matches_the_term_by_term_bound(sid):
     s = scheme(sid, P)
-    radius = quantum._generator_stencil(s, SMALL).radius()
+    stencil = quantum._generator_stencil(s, SMALL)
     bound = spectral_bound(_generator(s), SMALL)
-    # S2 = (p_y^2 - p_x^2) / 2m + m omega^2 (y^2 - x^2) / 2: the merged potential
-    # and multiplier reach half of the terms' summed norms
-    assert radius == pytest.approx(bound / 2 if sid == 2 else bound, rel=1e-14)
+    # the symmetric radius the propagator used before the centre shift: S2 =
+    # (p_y^2 - p_x^2) / 2m + m omega^2 (y^2 - x^2) / 2 merges its terms to half
+    # of their summed norms
+    symmetric = bound / 2 if sid == 2 else bound
+    assert stencil.half_width <= symmetric * (1 + 1e-14)
+    if sid == 0:
+        # V and K0 are both >= 0, so the interval [0, max V + max K0] is half as wide
+        assert stencil.half_width == pytest.approx(bound / 2, rel=1e-14)
+        assert stencil.center == pytest.approx(bound / 2, rel=1e-14)
     tiny = GridSpec(half_width=8.0, points=16)
+    small = quantum._generator_stencil(s, tiny)
     dense = dense_matrix(_generator(s), tiny)
     spectrum = np.linalg.eigvalsh((dense + dense.conj().T) / 2.0)
-    assert np.max(np.abs(spectrum)) <= quantum._generator_stencil(s, tiny).radius()
+    assert small.center - small.half_width <= spectrum.min()
+    assert spectrum.max() <= small.center + small.half_width
 
 
 def test_propagator_applies_no_operator_expression(monkeypatch):
@@ -121,7 +130,7 @@ def test_propagator_applies_no_operator_expression(monkeypatch):
 
 
 def test_conjugation_check_builds_one_stencil(monkeypatch):
-    # the forward and the backward evolution share the compiled generator
+    # a scheme's generator is compiled once for all of its conjugation probes
     builds = []
     build = quantum._generator_stencil
     monkeypatch.setattr(quantum, "_generator_stencil",
@@ -130,8 +139,38 @@ def test_conjugation_check_builds_one_stencil(monkeypatch):
     assert builds == [3]
     del builds[:]
     result = lab._check_unitary(lab.default_scenario())
-    assert builds == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert builds == [0, 1, 2, 3]
     assert result.detail == "max conjugation deviation 7.266e-07"
+
+
+def test_conjugation_check_evolves_forward_only(monkeypatch):
+    # each scheme runs one recurrence, over the stack [psi, x(t1) psi, p_x(t2) psi]
+    runs = []
+    propagate = quantum._propagate
+    monkeypatch.setattr(quantum, "_propagate", lambda stencil, states, hbar, jobs:
+                        runs.append((states.shape[0], jobs)) or propagate(stencil, states, hbar, jobs))
+    lab._check_unitary(lab.default_scenario())
+    assert runs == [(3, [(0, 0.6), (0, 1.1), (1, 0.6), (2, 1.1)])] * 4
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+@pytest.mark.parametrize("m_omega", [1e-3, 1.0, 1e3])
+def test_conjugation_matches_the_forward_backward_oracle(m_omega, hbar):
+    omega = 1.3
+    params = PhysParams(m=m_omega / omega, omega=omega, hbar=hbar)
+    grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
+    # the probe in oscillator units, so it is localized at every m omega and hbar
+    psi = GaussianPacket(center=(0.5 * params.sigma_ref, -0.3 * params.sigma_ref),
+                         wavevector=(0.4 / params.sigma_ref, 0.2 / params.sigma_ref),
+                         sigma=params.ground_sigma).sample(grid)
+    probes = (("x", 0.6 / omega), ("p_x", 1.1 / omega))
+    for sid in range(4):
+        s = scheme(sid, params)
+        stacked = quantum._conjugation_deviations(s, psi, probes)
+        for (which, t), dev in zip(probes, stacked):
+            expected = forward_backward_conjugation(s, which, t, psi)
+            assert abs(dev - expected) <= 1e-12, (sid, which)
+            assert dev <= 1e-5
 
 
 def test_large_grid_accepted():
@@ -152,6 +191,14 @@ def test_norm_guard_rejects_a_non_hermitian_generator(monkeypatch):
     psi = ground_packet(P).sample(SMALL)
     with pytest.raises(RuntimeError, match="changed the norm"):
         unitary_evolve(s, psi, 0.3)
+
+
+def test_norm_guard_holds_on_the_stacked_check(monkeypatch):
+    # the same non-Hermitian generator, through the per-scheme recurrence
+    unsymmetrized = PolynomialObservable({(1, 0, 1, 0): 1, (0, 0, 0, 0): 0.5j * P.hbar})
+    monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: unsymmetrized)
+    with pytest.raises(RuntimeError, match="changed the norm"):
+        lab._check_unitary(lab.default_scenario())
 
 
 def test_grid_mismatch_rejected():
