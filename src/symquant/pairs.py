@@ -131,13 +131,19 @@ def hamiltonian_from_form(theta, field: LinearVectorField,
 
 
 def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
-    """Build the full pair (theta^{-1} as bracket matrix, Hamiltonian) from theta."""
-    hamiltonian, upper = _hamiltonian_and_inverse(theta, field)
-    return HamiltonianPair(form=SymplecticForm(upper), hamiltonian=hamiltonian)
+    """Build the full pair (theta^{-1} as bracket matrix, Hamiltonian) from theta.
+
+    theta is inverted once: the form stores theta^{-1} as its bracket matrix
+    and theta itself as its inverse.
+    """
+    hamiltonian, theta, upper = _hamiltonian_and_inverse(theta, field)
+    return HamiltonianPair(form=SymplecticForm._from_inverse_pair(upper, theta),
+                           hamiltonian=hamiltonian)
 
 
 def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12):
-    """The Hamiltonian of `hamiltonian_from_form` and theta^{-1}, inverting theta once."""
+    """The Hamiltonian of `hamiltonian_from_form`, theta in canonical form, and
+    theta^{-1}, inverting theta once."""
     theta = _as_matrix(theta)
     a = field.matrix
     s = [[sum(theta[i][k] * a[k][j] for k in range(NVARS)) for j in range(NVARS)]
@@ -157,7 +163,7 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12
             expo[i] += 1
             expo[j] += 1
             terms[tuple(expo)] = half * s[i][i] if i == j else s[i][j]
-    return PolynomialObservable(terms), inverse
+    return PolynomialObservable(terms), theta, inverse
 
 
 def verify_pair(pair: HamiltonianPair,

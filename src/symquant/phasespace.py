@@ -8,7 +8,10 @@ Every exact scalar has one canonical form, produced by `_normalize_scalar`:
 a sympy value becomes cancel(expand(c)) and an integer becomes an int, so an
 exact zero is literally 0 and is tested with ``== 0``.  Polynomials and
 matrices store only canonical scalars; bracket identities and vector-field
-residuals are therefore asserted with a literally zero remainder.
+residuals are therefore asserted with a literally zero remainder.  A monomial
+(a Rational times integer powers of symbols) is already in that form as
+sympy's automatic evaluation builds it, so it is recognized and kept; every
+other sympy value (a sum, a product or power of one, a Float, I) is cancelled.
 
 A contraction (a bracket, a Hamiltonian vector field, a derivative along a
 linear flow, a pair residual) sums the products of raw partial-derivative
@@ -52,17 +55,42 @@ def _sympy_of(c):
     return sp if sp is not None and isinstance(c, sp.Basic) else None
 
 
+def _is_monomial_factor(f) -> bool:
+    """f is a commutative Symbol, or one raised to an Integer power."""
+    if f.is_Pow:
+        f, e = f.args
+        if not e.is_Integer:
+            return False
+    return f.is_Symbol and f.is_commutative
+
+
+def _is_canonical_monomial(c) -> bool:
+    """c is a Rational, or a product of a Rational and factors accepted by
+    `_is_monomial_factor`, as sympy's automatic evaluation writes one; such a
+    value is its own cancel(expand(c))."""
+    if c.is_Rational:
+        return True
+    factors = c.args if c.is_Mul else (c,)
+    if factors[0].is_Rational:
+        factors = factors[1:]
+    return all(map(_is_monomial_factor, factors))
+
+
 def _normalize_scalar(c):
     """The canonical form of a scalar; an exact zero comes out as the int 0.
 
     numpy scalars become Python ones, a sympy value becomes cancel(expand(c)),
-    and a sympy integer or numeric zero becomes an int.
+    and a sympy integer or numeric zero becomes an int.  A canonical monomial
+    (see `_is_canonical_monomial`) is already that form and is returned as it
+    is; any other sympy value (a sum, a sum inside a product or power, a
+    non-integer power, a Float, I) goes through cancel(expand(c)).
     """
     if isinstance(c, np.generic):
         c = c.item()
     sp = _sympy_of(c)
     if sp is not None:
-        c = sp.cancel(sp.expand(c))
+        if not _is_canonical_monomial(c):
+            c = sp.cancel(sp.expand(c))
         # sympy's Float(0) == 0 is False, so numeric zeros are made literal too
         if c.is_Integer or (c.is_Number and c.is_zero):
             c = int(c)
@@ -96,22 +124,34 @@ def _as_matrix(rows) -> tuple[tuple, ...]:
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
+    if any(_is_complex(v) for row in mat for v in row):
+        raise ValueError("matrix entries must be real")
     return mat
 
 
-def _matrix_has_float(mat) -> bool:
-    return any(not _is_exact(v) for row in mat for v in row)
+def _is_complex(c) -> bool:
+    """c is a complex number: a Python complex, or a sympy number that is not real."""
+    if isinstance(c, complex):
+        return True
+    return _sympy_of(c) is not None and c.is_number and c.is_real is False
+
+
+def _is_float_matrix(mat) -> bool:
+    """mat is zero-tested and inverted in floating point: it holds a float and
+    no free symbol.  A symbolic entry, even a Float multiple of a symbol, has
+    no float value, so its matrix stays on the exact path."""
+    return (any(not _is_exact(v) for row in mat for v in row)
+            and not any(_sympy_of(v) is not None and v.free_symbols for row in mat for v in row))
 
 
 def _matrix_max_abs(mat) -> float:
-    vals = [abs(float(v)) for row in mat for v in row if _sympy_of(v) is None or v.is_number]
-    return max(vals, default=0.0)
+    return max((abs(float(v)) for row in mat for v in row), default=0.0)
 
 
 def _all_zero(values, mat, tol: float = 1e-12) -> bool:
     """Each value read off `mat` is zero: literally 0 once canonical, or, when
-    `mat` holds a float, at most tol (1 + max|mat|), a scale taken once."""
-    if _matrix_has_float(mat):
+    `mat` is a float matrix, at most tol (1 + max|mat|), a scale taken once."""
+    if _is_float_matrix(mat):
         scale = tol * (1.0 + _matrix_max_abs(mat))
         return all(abs(float(v)) <= scale for v in values)
     return all(_normalize_scalar(v) == 0 for v in values)
@@ -153,7 +193,7 @@ def _invert_matrix(mat) -> tuple[tuple, ...]:
     not squared on the way, so it neither overflows nor underflows at
     m omega = 1e+/-200.
     """
-    if _matrix_has_float(mat):
+    if _is_float_matrix(mat):
         arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
         scales = np.abs(arr).max(axis=1)
         if not scales.all():
@@ -378,6 +418,13 @@ def coordinates() -> tuple[PolynomialObservable, ...]:
     return tuple(PolynomialObservable.coordinate(i) for i in range(NVARS))
 
 
+def _check_shape_and_antisymmetry(mat) -> None:
+    if len(mat) != NVARS:
+        raise ValueError("form must be 4x4")
+    if not _is_antisymmetric(mat):
+        raise ValueError("not antisymmetric")
+
+
 class SymplecticForm:
     """Constant antisymmetric invertible bracket matrix and its cached inverse.
 
@@ -389,16 +436,25 @@ class SymplecticForm:
 
     def __init__(self, upper):
         mat = _as_matrix(upper)
-        if len(mat) != NVARS:
-            raise ValueError("form must be 4x4")
-        if not _is_antisymmetric(mat):
-            raise ValueError("not antisymmetric")
+        _check_shape_and_antisymmetry(mat)
         try:
             inverse = _invert_matrix(mat)
         except ZeroDivisionError:
             raise ValueError("degenerate") from None
-        object.__setattr__(self, "upper", mat)
-        object.__setattr__(self, "lower", inverse)
+        self._store(mat, inverse)
+
+    @classmethod
+    def _from_inverse_pair(cls, upper, lower) -> "SymplecticForm":
+        """The form of `upper`, a canonical matrix whose inverse `lower` the
+        caller has already computed; `upper` is checked as in __init__."""
+        _check_shape_and_antisymmetry(upper)
+        form = object.__new__(cls)
+        form._store(upper, lower)
+        return form
+
+    def _store(self, upper, lower) -> None:
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("SymplecticForm is immutable")
@@ -491,7 +547,8 @@ def validate_form(candidate) -> FormValidation:
     """Accept a candidate bracket matrix exactly when `SymplecticForm` does.
 
     A rejected candidate reports "degenerate" when it has no inverse and "not
-    antisymmetric" for any other defect (not 4x4, or not antisymmetric).
+    antisymmetric" for any other defect (not 4x4, a complex entry, or not
+    antisymmetric).
     Exact entries are compared in their canonical form, so antisymmetry is a
     literal-zero test of each sum upper[i][j] + upper[j][i].
 

@@ -1,7 +1,8 @@
 """Independent reference computations backing the test suite.
 
 Everything here deliberately avoids the library's own code paths: brackets and
-derivatives along a linear flow are expanded with sympy, the flow is integrated with leapfrog, the admissible-space
+derivatives along a linear flow are expanded with sympy, an exact scalar's
+canonical form is sympy's cancel(expand(c)), the flow is integrated with leapfrog, the admissible-space
 dimension is counted by exact enumeration, and Gaussian moments come from
 closed forms cross-checked by direct trapezoid quadrature with analytic
 derivatives.  Two oracles reuse library objects: the applied-operator moments,
@@ -52,6 +53,15 @@ def sympy_lie_derivative(f_expr, field_rows):
         velocity = sum(a * s for a, s in zip(field_rows[mu], PHASE_SYMBOLS))
         total += sp.diff(f_expr, PHASE_SYMBOLS[mu]) * velocity
     return sp.expand(total)
+
+
+def canonical_scalar(c):
+    """cancel(expand(c)) of a sympy value, computed by sympy alone; an integer
+    or a numeric zero comes out as a Python int, and any other value as it is."""
+    if not isinstance(c, sp.Basic):
+        return c
+    c = sp.cancel(sp.expand(c))
+    return int(c) if c.is_Integer or (c.is_Number and c.is_zero) else c
 
 
 def poly_to_sympy(poly) -> sp.Expr:

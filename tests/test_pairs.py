@@ -22,7 +22,7 @@ from symquant import (
     validate_form,
     verify_pair,
 )
-from symquant import pairs
+from symquant import pairs, phasespace
 from oracles import bruteforce_admissible_dimension, poly_to_sympy, sympy_bracket
 
 THO = oscillator_field(1, 1)
@@ -140,12 +140,25 @@ def test_complete_pair_roundtrip():
 
 
 def test_complete_pair_inverts_theta_once(monkeypatch):
+    # every inversion, the one of theta and any the form's construction makes
     calls = []
-    invert = pairs._invert_matrix
-    monkeypatch.setattr(pairs, "_invert_matrix", lambda mat: calls.append(mat) or invert(mat))
-    pair = complete_pair(FORMS[2].lower, THO)
-    assert len(calls) == 1
-    assert pair.form.upper == FORMS[2].upper
+    invert = phasespace._invert_matrix
+
+    def counting(mat):
+        calls.append(mat)
+        return invert(mat)
+
+    monkeypatch.setattr(pairs, "_invert_matrix", counting)
+    monkeypatch.setattr(phasespace, "_invert_matrix", counting)
+    m, w = sp.symbols("m_once omega_once", positive=True)
+    for forms, field in ((FORMS, THO), (standard_forms(0.3, 1.7), oscillator_field(0.3, 1.7)),
+                         (standard_forms(m, w), oscillator_field(m, w))):
+        for form in forms:
+            del calls[:]
+            pair = complete_pair(form.lower, field)
+            assert len(calls) == 1
+            assert pair.form.upper == form.upper
+            assert pair.form.lower == form.lower
 
 
 # ---------------------------------------------------------------------------

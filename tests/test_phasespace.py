@@ -24,8 +24,10 @@ from symquant import (
     validate_form,
     verify_pair,
 )
+from symquant import phasespace
 from symquant.phasespace import _normalize_scalar
-from oracles import PHASE_SYMBOLS, poly_to_sympy, sympy_bracket, sympy_lie_derivative
+from oracles import (PHASE_SYMBOLS, canonical_scalar, poly_to_sympy, sympy_bracket,
+                     sympy_lie_derivative)
 
 X, Y, PX, PY = coordinates()
 FORMS = standard_forms(1, 1)
@@ -187,6 +189,26 @@ def test_validate_rank_two_antisymmetric_degenerate():
 def test_validate_symmetric_matrix_rejected():
     candidate = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     assert validate_form(candidate).reason == "not antisymmetric"
+
+
+def test_validate_rejects_a_complex_form():
+    # 1j and Float(0.5) I used to raise TypeError from float(), and the exact I
+    # was accepted as a form
+    for unit in (1j, np.complex128(1j), sp.Float(0.5) * sp.I, sp.I):
+        report = validate_form([[0, unit, 0, 0], [-unit, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        assert not report.ok and report.reason == "not antisymmetric"
+        assert report.form is None and math.isnan(report.jacobi_residual)
+
+
+def test_validate_decides_a_float_multiple_of_a_symbol_exactly():
+    # a Float coefficient of m has no float value; it used to raise TypeError
+    # from float(), where the literal-zero test and Gauss-Jordan decide it
+    half_m = sp.Float(0.5) * _M
+    candidate = [[0, half_m, 0, 0], [-half_m, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    report = validate_form(candidate)
+    assert report.ok and report.reason is None and report.jacobi_residual == 0
+    assert report.form.lower[0][1] == -2.0 / _M and report.form.lower[1][0] == 2.0 / _M
+    assert poisson_bracket(X, Y, report.form) == half_m
 
 
 def test_validate_rejects_random_singular_antisymmetric():
@@ -352,8 +374,42 @@ _sym_candidates = st.builds(
 def _assert_canonical(poly):
     for c in poly.terms.values():
         assert c != 0
-        canonical = _normalize_scalar(c)
+        canonical = canonical_scalar(c)
         assert c == canonical and type(c) is type(canonical)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form of a scalar against cancel(expand(c)) computed by sympy
+# ---------------------------------------------------------------------------
+
+_ASSUMPTIONS = ({}, {"positive": True}, {"real": True}, {"integer": True}, {"nonzero": True})
+_ORACLE_SYMBOLS = tuple(sp.Symbol(f"{name}{k}", **assume)
+                        for name in "ab" for k, assume in enumerate(_ASSUMPTIONS))
+
+# Rational x 0-4 symbols with exponents in -4..4, as sympy evaluates the product
+_monomials = st.builds(
+    lambda n, d, factors: sp.Rational(n, d) * sp.Mul(*(s ** e for s, e in factors)),
+    st.integers(-5, 5), st.integers(1, 5),
+    st.lists(st.tuples(st.sampled_from(_ORACLE_SYMBOLS), st.integers(-4, 4)), max_size=4))
+_sums = st.lists(_monomials, min_size=2, max_size=3).map(sp.Add.fromiter)
+_scalars = st.one_of(
+    _monomials,
+    _sums,
+    st.builds(lambda x, c: sp.Float(x) * c,
+              st.floats(-10, 10, allow_nan=False, allow_infinity=False), _monomials),
+    # a sum as a factor or a base: products that cancel(expand(c)) rewrites
+    st.builds(lambda c, s, k: c * s ** k, _monomials, _sums, st.integers(-2, 2)),
+    st.just(sp.sqrt(_M)),
+    st.just((_M + 1) ** -1 * _W),
+)
+
+
+@given(c=_scalars)
+@settings(max_examples=150, deadline=None)
+def test_normalize_scalar_matches_cancel_of_expand(c):
+    ours, oracle = _normalize_scalar(c), canonical_scalar(c)
+    assert type(ours) is type(oracle)
+    assert sp.srepr(ours) == sp.srepr(oracle)
 
 
 def _sympy_rows(mat):
@@ -393,9 +449,25 @@ def test_symbolic_conservation_matches_sympy(f):
 
 @pytest.fixture
 def cancel_calls(monkeypatch):
+    """The arguments of every sp.cancel call during a test."""
     calls = []
     cancel = sp.cancel
-    monkeypatch.setattr(sp, "cancel", lambda *args, **kw: calls.append(1) or cancel(*args, **kw))
+    monkeypatch.setattr(sp, "cancel", lambda c, *args, **kw: calls.append(c) or cancel(c, *args, **kw))
+    return calls
+
+
+@pytest.fixture
+def canonicalizations(monkeypatch):
+    """The sympy arguments of every `_normalize_scalar` call during a test."""
+    calls = []
+    normalize = phasespace._normalize_scalar
+
+    def counting(c):
+        if isinstance(c, sp.Basic):
+            calls.append(c)
+        return normalize(c)
+
+    monkeypatch.setattr(phasespace, "_normalize_scalar", counting)
     return calls
 
 
@@ -405,9 +477,9 @@ def test_symbolic_bracket_table_cancels_once_per_raw_exponent(cancel_calls):
     hams = [p.hamiltonian for p in pairs]
     del cancel_calls[:]
     table = [[poisson_bracket(hi, hj, pairs[0].form) for hj in hams] for hi in hams]
-    # the 16 raw sums have 36 distinct exponents between them; canonicalizing
-    # every intermediate polynomial took 422 calls
-    assert len(cancel_calls) <= 36
+    # the 16 raw sums have 36 distinct exponents between them, each a monomial
+    # in m and omega; canonicalizing every intermediate polynomial took 422 calls
+    assert len(cancel_calls) == 0
     assert sum(len(b.terms) for row in table for b in row) == 16
     assert all(table[i][i].is_zero and table[0][i].is_zero for i in range(4))
 
@@ -416,33 +488,46 @@ def test_symbolic_pairs_cancel_once_per_entry_and_component(cancel_calls):
     m, w = sp.symbols("m_pairs omega_pairs", positive=True)
     pairs = standard_pairs(m, w)
     # 12 Hamiltonian coefficients, W3's 4 entries and 10 entries of its exact
-    # inverse; canonicalizing every entry of every Gauss-Jordan step took 50
-    assert len(cancel_calls) <= 26
+    # inverse, all monomials in m and omega; canonicalizing every entry of
+    # every Gauss-Jordan step took 50 calls
+    assert len(cancel_calls) == 0
     field = oscillator_field(m, w)
     del cancel_calls[:]
     residuals = [verify_pair(p, field) for p in pairs]
-    # one output exponent per component of each of the four pairs; forming
-    # the induced field and the difference separately took 96 calls
-    assert len(cancel_calls) <= 16
+    # one output exponent per component of each of the four pairs, each a
+    # monomial; forming the induced field and the difference separately took 96
+    assert len(cancel_calls) == 0
     assert all(comp.terms == {} for res in residuals for comp in res)
 
 
-def test_sums_cancel_once_per_touched_exponent(cancel_calls):
+def _is_monomial(c) -> bool:
+    """One term over one term once cancelled, e.g. 2 m/omega, not (m + omega^2)/omega."""
+    num, den = sp.fraction(sp.cancel(c))
+    return all(len(sp.Add.make_args(sp.expand(part))) == 1 for part in (num, den))
+
+
+def test_sums_cancel_once_per_touched_exponent(canonicalizations, cancel_calls):
     m, w = sp.symbols("m_sum omega_sum", positive=True)
     # k polynomials over mostly distinct exponents, so the running sum holds
     # many terms that a later summand does not touch
     polys = [PolynomialObservable({_EXPONENTS[(3 * i + j) % len(_EXPONENTS)]:
                                    (i + j + 1) * m / w + j * w ** i for j in range(3)})
              for i in range(8)]
-    del cancel_calls[:]
+    del canonicalizations[:], cancel_calls[:]
     total = polys[0]
     for p in polys[1:]:
         total = total + p
     touched = sum(len(p.terms) for p in polys[1:])
-    assert len(cancel_calls) == touched
-    del cancel_calls[:]
+    assert len(canonicalizations) == touched
+    # only the raw sums that are not a monomial are cancelled: here 14 of 21,
+    # those with an omega^i term next to the m/omega one
+    cancelled = list(cancel_calls)
+    sums = [sp.expand(c) for c in canonicalizations if not _is_monomial(c)]
+    assert 0 < len(sums) < touched
+    assert cancelled == sums
+    del canonicalizations[:], cancel_calls[:]
     difference = total - polys[-1]
-    assert len(cancel_calls) == len(polys[-1].terms)
+    assert len(canonicalizations) == len(polys[-1].terms)
     assert len(total.terms) > max(len(p.terms) for p in polys)
     for poly in (total, difference):
         _assert_canonical(poly)
