@@ -52,7 +52,6 @@ from .operators import (
     OperatorExpr,
     Primitive,
     WaveFunction,
-    apply,
 )
 from .quantum import (
     CANONICAL_PAIRS,

@@ -14,6 +14,7 @@ import math
 import re
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
+from itertools import repeat
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
@@ -251,11 +252,73 @@ class UncertaintyRow:
 
 
 @dataclass(frozen=True)
+class _SchemeColumns:
+    """One scheme's share of a report, as Python numbers with one entry per time.
+
+    `cells` holds (observable, mean_re, mean_im, variance) for each requested
+    observable in request order; `rows` holds (pair, bound, product,
+    satisfied) for each canonical pair of the scheme.
+    """
+
+    scheme: int
+    times: list[float]
+    cells: tuple[tuple[str, list[float], list[float], list[float]], ...]
+    rows: tuple[tuple[tuple[str, str], float, list[float], list[bool]], ...]
+
+
+@dataclass(frozen=True)
 class Report:
+    """A run's tabulated moments, uncertainty rows, pair residuals and metadata.
+
+    A report from `run_scenario` holds per-scheme columns, and builds its
+    `cells` and `uncertainties` only when one of them is first read; the
+    writers read the columns.  A report constructed from `ReportCell` and
+    `UncertaintyRow` tuples, as `dataclasses.replace` does, holds the tuples.
+    """
+
     cells: tuple[ReportCell, ...]
     uncertainties: tuple[UncertaintyRow, ...]
     pair_residuals: tuple[float, ...]
     metadata: dict
+
+    _columns = None  # not a field: the columns of a report from run_scenario
+
+    @classmethod
+    def _from_columns(cls, columns: tuple[_SchemeColumns, ...],
+                      pair_residuals: tuple[float, ...], metadata: dict) -> "Report":
+        report = object.__new__(cls)
+        object.__setattr__(report, "_columns", columns)
+        object.__setattr__(report, "pair_residuals", pair_residuals)
+        object.__setattr__(report, "metadata", metadata)
+        return report
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: a columnar report's
+        # cells and uncertainties, built here on first read
+        if name not in ("cells", "uncertainties") or self._columns is None:
+            raise AttributeError(name)
+        cell_rows, uncertainty_rows = self._rows()
+        object.__setattr__(self, "cells", tuple(
+            ReportCell(s, o, t, complex(real, imag), v) for s, o, t, real, imag, v in cell_rows))
+        object.__setattr__(self, "uncertainties", tuple(
+            UncertaintyRow(*row) for row in uncertainty_rows))
+        return object.__getattribute__(self, name)
+
+    def _rows(self) -> tuple[list[tuple], list[tuple]]:
+        """Every cell as (scheme, observable, time, mean_re, mean_im, variance)
+        and every uncertainty row as (scheme, pair, time, product, bound,
+        satisfied), in report order: read from the columns, or in one pass
+        over the cell and row tuples."""
+        if self._columns is None:
+            return ([(c.scheme, c.observable, c.time, c.mean.real, c.mean.imag, c.variance)
+                     for c in self.cells],
+                    [(u.scheme, u.pair, u.time, u.product, u.bound, u.satisfied)
+                     for u in self.uncertainties])
+        return ([row for col in self._columns for name, real, imag, var in col.cells
+                 for row in zip(repeat(col.scheme), repeat(name), col.times, real, imag, var)],
+                [row for col in self._columns for pair, bound, products, satisfied in col.rows
+                 for row in zip(repeat(col.scheme), repeat(pair), col.times, products,
+                                repeat(bound), satisfied)])
 
     def _metadata(self, include_timestamp: bool = True) -> dict:
         meta = dict(self.metadata)
@@ -267,18 +330,18 @@ class Report:
         return [{"scheme": i, "max_abs_residual": r} for i, r in enumerate(self.pair_residuals)]
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
+        cell_rows, uncertainty_rows = self._rows()
         return {
             "metadata": self._metadata(include_timestamp),
             "cells": [
-                {"scheme": c.scheme, "observable": c.observable, "time": c.time,
-                 "mean_re": c.mean.real, "mean_im": c.mean.imag,
-                 "variance": c.variance}
-                for c in self.cells
+                {"scheme": s, "observable": o, "time": t,
+                 "mean_re": real, "mean_im": imag, "variance": v}
+                for s, o, t, real, imag, v in cell_rows
             ],
             "uncertainties": [
-                {"scheme": u.scheme, "pair": list(u.pair), "time": u.time,
-                 "product": u.product, "bound": u.bound, "satisfied": u.satisfied}
-                for u in self.uncertainties
+                {"scheme": s, "pair": list(pair), "time": t,
+                 "product": product, "bound": bound, "satisfied": satisfied}
+                for s, pair, t, product, bound, satisfied in uncertainty_rows
             ],
             "pair_residuals": self._residual_rows(),
         }
@@ -309,39 +372,48 @@ def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
 
 
 def run_scenario(config: Scenario) -> Report:
-    """Evaluate every requested (scheme, observable, time) cell plus extras."""
+    """Evaluate every requested (scheme, observable, time) cell plus extras.
+
+    Each scheme's (T, 4) means and variances become Python floats once; its
+    spreads sqrt(max(variance, 0)), uncertainty products and Robertson flags
+    are formed from those columns.  Moments that leave the float range, as at
+    m = 1e-300 or omega or hbar = 1e300, are a config error.
+    """
     psi = _sample(config.packet, config.grid)
     boundary = psi.boundary_magnitude()
     if boundary >= _BOUNDARY_LIMIT:
         raise ScenarioError(f"grid: packet boundary magnitude {boundary:.3e} reaches "
                             f"{_BOUNDARY_LIMIT:.0e}; the packet is not localized on the grid")
-    cells = []
-    uncertainties = []
     gram = _primitive_gram(psi)
+    times = [float(t) for t in config.times]
+    columns = []
     for sid in config.schemes:
         s = scheme(sid, config.params)
-        means, variances = _rotated_moments(s, gram, config.times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, variances = _rotated_moments(s, gram, config.times)
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
-            raise RuntimeError(f"non-finite moments for scheme {sid}")
-        for name in config.observables:
-            i = OBSERVABLES.index(name)
-            cells.extend(ReportCell(scheme=sid, observable=name, time=float(t),
-                                    mean=complex(means[k, i]), variance=float(variances[k, i]))
-                         for k, t in enumerate(config.times))
+            raise ScenarioError(f"m, omega, hbar: non-finite moments for scheme {sid}")
+        mean_re, mean_im, var = means.real.T.tolist(), means.imag.T.tolist(), variances.T.tolist()
+        spread = [[math.sqrt(max(v, 0.0)) for v in column] for column in var]
+        rows = []
         for pair in CANONICAL_PAIRS[sid]:
+            a, b = (spread[OBSERVABLES.index(name)] for name in pair)
+            products = [x * y for x, y in zip(a, b)]
             bound = float(uncertainty_bound(s, pair))
-            for k, t in enumerate(config.times):
-                product = _spread_product(variances[k], pair)
-                uncertainties.append(UncertaintyRow(
-                    scheme=sid, pair=pair, time=float(t), product=product,
-                    bound=bound, satisfied=product >= bound - _ROBERTSON_SLACK))
+            limit = bound - _ROBERTSON_SLACK
+            rows.append((pair, bound, products, [p >= limit for p in products]))
+        indices = [OBSERVABLES.index(name) for name in config.observables]
+        columns.append(_SchemeColumns(
+            scheme=sid, times=times,
+            cells=tuple((name, mean_re[i], mean_im[i], var[i])
+                        for name, i in zip(config.observables, indices)),
+            rows=tuple(rows)))
     metadata = config.to_dict()
     del metadata["checks"]
     metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
     metadata["version"] = __version__
-    return Report(cells=tuple(cells), uncertainties=tuple(uncertainties),
-                  pair_residuals=_pair_residuals(config.params, standard_pairs(
-                      config.params.m, config.params.omega)), metadata=metadata)
+    return Report._from_columns(tuple(columns), _pair_residuals(config.params, standard_pairs(
+        config.params.m, config.params.omega)), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +614,25 @@ def run_checks(config: Scenario, corrupt_form: bool = False) -> CheckSummary:
 CSV_HEADER = "scheme,observable,time,mean_re,mean_im,variance"
 
 
+# one CSV line per cell; %r writes a float as float.__repr__
+_CELL_CSV = "%s,%s,%r,%r,%r,%r"
+
+
 def report_to_csv(report: Report) -> str:
     lines = [CSV_HEADER]
-    for c in report.cells:
-        lines.append(",".join([
-            str(c.scheme), c.observable, repr(float(c.time)),
-            repr(float(c.mean.real)), repr(float(c.mean.imag)),
-            repr(float(c.variance)),
-        ]))
+    lines += [_CELL_CSV % (s, o, float(t), float(real), float(imag), float(v))
+              for s, o, t, real, imag, v in report._rows()[0]]
     return "\n".join(lines) + "\n"
 
 
 # one cell and one uncertainty row of the report, laid out as
-# json.dumps(indent=2, sort_keys=True) lays them out; str.format writes an int
-# as int.__repr__ and a float as float.__repr__, exactly as json.dumps does
-_CELL_JSON = ('    {{\n      "mean_im": {},\n      "mean_re": {},\n      "observable": {},\n'
-              '      "scheme": {},\n      "time": {},\n      "variance": {}\n    }}')
-_ROW_JSON = ('    {{\n      "bound": {},\n      "pair": [\n        {},\n        {}\n      ],\n'
-             '      "product": {},\n      "satisfied": {},\n      "scheme": {},\n'
-             '      "time": {}\n    }}')
+# json.dumps(indent=2, sort_keys=True) lays them out; %s writes an int as
+# int.__repr__ and a float as float.__repr__, exactly as json.dumps does
+_CELL_JSON = ('    {\n      "mean_im": %s,\n      "mean_re": %s,\n      "observable": %s,\n'
+              '      "scheme": %s,\n      "time": %s,\n      "variance": %s\n    }')
+_ROW_JSON = ('    {\n      "bound": %s,\n      "pair": [\n        %s,\n        %s\n      ],\n'
+             '      "product": %s,\n      "satisfied": %s,\n      "scheme": %s,\n'
+             '      "time": %s\n    }')
 # a templated number that is nan or inf; a quoted string cannot end a line bare
 _NON_FINITE = re.compile(r": -?(?:nan|inf),?$", re.MULTILINE)
 
@@ -574,21 +646,34 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _distinct_str(values: list) -> dict[int, str]:
+    """str of each distinct object in `values`, keyed by id().
+
+    A report from `run_scenario` shares one float object per time and per
+    bound among all the rows that carry it, so each is formatted once; the
+    caller's rows keep every object alive, so no two of them share an id.
+    """
+    return {key: str(v) for key, v in {id(v): v for v in values}.items()}
+
+
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     """The bytes of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n".
 
-    Cells and uncertainty rows are written through one fixed template each,
-    so neither they nor an intermediate dict pass through the standard
-    library's pure-Python indenting encoder; only the small metadata and
-    pair-residual blocks do.  Raises ValueError on nan or inf instead of
-    writing NaN or Infinity, which are not JSON.
+    Cells and uncertainty rows are read from the report's columns and written
+    through one fixed template each, so neither they nor an intermediate dict
+    pass through the standard library's pure-Python indenting encoder; only
+    the small metadata and pair-residual blocks do.  Raises ValueError on nan
+    or inf instead of writing NaN or Infinity, which are not JSON.
     """
-    cells = _json_list([_CELL_JSON.format(c.mean.imag, c.mean.real, _quote(c.observable),
-                                          c.scheme, c.time, c.variance)
-                        for c in report.cells])
-    rows = _json_list([_ROW_JSON.format(u.bound, _quote(u.pair[0]), _quote(u.pair[1]), u.product,
-                                        "true" if u.satisfied else "false", u.scheme, u.time)
-                       for u in report.uncertainties])
+    cell_rows, uncertainty_rows = report._rows()
+    # each time and bound object is formatted once however many rows share it
+    text = _distinct_str([row[2] for row in cell_rows]
+                         + [v for row in uncertainty_rows for v in (row[2], row[4])])
+    cells = _json_list([_CELL_JSON % (imag, real, _quote(o), s, text[id(t)], v)
+                        for s, o, t, real, imag, v in cell_rows])
+    rows = _json_list([_ROW_JSON % (text[id(bound)], _quote(pair[0]), _quote(pair[1]), product,
+                                    "true" if satisfied else "false", s, text[id(t)])
+                       for s, pair, t, product, bound, satisfied in uncertainty_rows])
     if _NON_FINITE.search(cells) or _NON_FINITE.search(rows):
         raise ValueError("report holds nan or inf, which JSON cannot represent")
     return (f'{{\n  "cells": {cells},\n'

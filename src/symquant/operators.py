@@ -135,13 +135,15 @@ class GaussianPacket:
 
     def sample(self, grid: GridSpec) -> WaveFunction:
         """Sample on the grid and normalize by the Riemann-sum norm."""
-        xg, yg = grid.meshgrid()
+        ax = grid.axis()
         cx, cy = self.center
         kx, ky = self.wavevector
+        # each axis term is formed on the axis and broadcast over the grid;
         # squares past the float range are far in the tail, where exp(-inf) = 0 is exact
         with np.errstate(over="ignore"):
-            envelope = np.exp(-((xg - cx) ** 2 + (yg - cy) ** 2) / (4.0 * self.sigma ** 2))
-        phase = np.exp(1j * (kx * xg + ky * yg))
+            envelope = np.exp(-(((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :])
+                              / (4.0 * self.sigma ** 2))
+        phase = np.exp(1j * ((kx * ax)[:, None] + (ky * ax)[None, :]))
         return WaveFunction(grid, envelope * phase).normalize()
 
 
@@ -288,11 +290,6 @@ class OperatorExpr:
 
 def _acc(table: dict, key, value):
     table[key] = table.get(key, 0j) + value
-
-
-def apply(op: OperatorExpr, psi: WaveFunction) -> WaveFunction:
-    """Apply an operator expression to a wavefunction (not renormalized)."""
-    return op.apply(psi)
 
 
 def check_localized(psi: WaveFunction, threshold: float = 1e-12,

@@ -254,6 +254,23 @@ def standard_hamiltonians(m=1, omega=1) -> tuple[PolynomialObservable, ...]:
     return (s0, s1, s2, s3)
 
 
+# W0..W2 hold only the ints 0 and +/-1 at every m and omega
+_W0 = ((0, 0, 1, 0),
+       (0, 0, 0, 1),
+       (-1, 0, 0, 0),
+       (0, -1, 0, 0))
+_W1 = ((0, 0, 0, 1),
+       (0, 0, 1, 0),
+       (0, -1, 0, 0),
+       (-1, 0, 0, 0))
+_W2 = ((0, 0, -1, 0),
+       (0, 0, 0, 1),
+       (1, 0, 0, 0),
+       (0, -1, 0, 0))
+# so their validated, exactly inverted forms are built once per process
+_UNIT_FORMS = tuple(SymplecticForm(w) for w in (_W0, _W1, _W2))
+
+
 def bracket_matrices(m=1, omega=1) -> tuple[tuple[tuple, ...], ...]:
     """The raw bracket matrices W0..W3 paired with S0..S3, as nested tuples.
 
@@ -264,28 +281,20 @@ def bracket_matrices(m=1, omega=1) -> tuple[tuple[tuple, ...], ...]:
     """
     imw = _reciprocal(m * omega)
     mw = m * omega
-    w0 = ((0, 0, 1, 0),
-          (0, 0, 0, 1),
-          (-1, 0, 0, 0),
-          (0, -1, 0, 0))
-    w1 = ((0, 0, 0, 1),
-          (0, 0, 1, 0),
-          (0, -1, 0, 0),
-          (-1, 0, 0, 0))
-    w2 = ((0, 0, -1, 0),
-          (0, 0, 0, 1),
-          (1, 0, 0, 0),
-          (0, -1, 0, 0))
     w3 = ((0, -imw, 0, 0),
           (imw, 0, 0, 0),
           (0, 0, 0, -mw),
           (0, 0, mw, 0))
-    return (w0, w1, w2, w3)
+    return (_W0, _W1, _W2, w3)
 
 
 def standard_forms(m=1, omega=1) -> tuple[SymplecticForm, ...]:
-    """The four bracket matrices paired with S0..S3, each validated and inverted."""
-    return tuple(SymplecticForm(w) for w in bracket_matrices(m, omega))
+    """The four bracket matrices paired with S0..S3, each validated and inverted.
+
+    W0..W2 do not depend on m and omega; their forms are shared module
+    constants, so only W3 is validated and inverted per call.
+    """
+    return (*_UNIT_FORMS, SymplecticForm(bracket_matrices(m, omega)[3]))
 
 
 def standard_pairs(m=1, omega=1) -> tuple[HamiltonianPair, ...]:

@@ -12,20 +12,27 @@ N^2 x N^2 materialization of an operator expression, whose eigendecomposition
 backs the library's matrix-free Chebyshev propagator, the term-by-term
 operator-norm bound on a generator's spectrum, which backs the interval the
 propagator reads off its grid stencil, and the literal forward-then-backward
-conjugation, which backs the forward-only conjugation gap of `check`.
+conjugation, which backs the forward-only conjugation gap of `check`.  The
+report oracle builds a report cell by cell, as one `ReportCell` and one
+`UncertaintyRow` at a time, from the moment arrays the library computed, and
+writes it with `json.dumps` and a per-cell CSV join; it backs the library's
+columnar report and its fixed-layout writers.
 """
 
 from __future__ import annotations
 
 import math
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
 import sympy as sp
 
-from symquant import (Primitive, WaveFunction, heisenberg_operator, quantize_observable,
-                      standard_hamiltonians, unitary_evolve)
+from symquant import (CANONICAL_PAIRS, OBSERVABLES, Primitive, WaveFunction, heisenberg_operator,
+                      quantize_observable, scheme, standard_hamiltonians, uncertainty_bound,
+                      unitary_evolve)
+from symquant.lab import _ROBERTSON_SLACK, ReportCell, UncertaintyRow
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
 
@@ -333,3 +340,64 @@ def forward_backward_conjugation(s, which, t, psi) -> float:
     conjugated = unitary_evolve(s, acted, -t).values
     target = heisenberg_operator(s, which, t).apply(psi).values
     return float(np.linalg.norm(conjugated - target) / np.linalg.norm(target))
+
+
+# ---------------------------------------------------------------------------
+# per-cell report (oracle for the columnar report and its writers)
+# ---------------------------------------------------------------------------
+
+def report_rows(schemes, observables, times, params, moments):
+    """The cells and uncertainty rows of a report, one object at a time.
+
+    `moments[sid]` is the (means, variances) pair of (T, 4) arrays the
+    library computed for scheme sid.  Each number is converted on its own, and
+    a spread is sqrt(max(float(variance), 0.0)), which keeps a variance of
+    -0.0 as -0.0.
+    """
+    cells, rows = [], []
+    for sid in schemes:
+        s = scheme(sid, params)
+        means, variances = moments[sid]
+        for name in observables:
+            i = OBSERVABLES.index(name)
+            for k, t in enumerate(times):
+                cells.append(ReportCell(scheme=sid, observable=name, time=float(t),
+                                        mean=complex(means[k, i]),
+                                        variance=float(variances[k, i])))
+        for pair in CANONICAL_PAIRS[sid]:
+            bound = float(uncertainty_bound(s, pair))
+            for k, t in enumerate(times):
+                product = math.prod(math.sqrt(max(float(variances[k, OBSERVABLES.index(n)]), 0.0))
+                                    for n in pair)
+                rows.append(UncertaintyRow(scheme=sid, pair=pair, time=float(t), product=product,
+                                           bound=bound,
+                                           satisfied=product >= bound - _ROBERTSON_SLACK))
+    return tuple(cells), tuple(rows)
+
+
+def report_dict(cells, rows, pair_residuals, metadata) -> dict:
+    return {
+        "metadata": dict(metadata),
+        "cells": [{"scheme": c.scheme, "observable": c.observable, "time": c.time,
+                   "mean_re": c.mean.real, "mean_im": c.mean.imag, "variance": c.variance}
+                  for c in cells],
+        "uncertainties": [{"scheme": u.scheme, "pair": list(u.pair), "time": u.time,
+                           "product": u.product, "bound": u.bound, "satisfied": u.satisfied}
+                          for u in rows],
+        "pair_residuals": [{"scheme": i, "max_abs_residual": r}
+                           for i, r in enumerate(pair_residuals)],
+    }
+
+
+def report_json(cells, rows, pair_residuals, metadata) -> str:
+    return json.dumps(report_dict(cells, rows, pair_residuals, metadata),
+                      indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def report_csv(cells) -> str:
+    lines = ["scheme,observable,time,mean_re,mean_im,variance"]
+    for c in cells:
+        lines.append(",".join([str(c.scheme), c.observable, repr(float(c.time)),
+                               repr(float(c.mean.real)), repr(float(c.mean.imag)),
+                               repr(float(c.variance))]))
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from symquant import (
     PhysParams,
     Primitive,
     WaveFunction,
-    apply,
 )
 from symquant.operators import MAX_POINTS, check_localized
 from oracles import dense_matrix
@@ -100,7 +99,7 @@ def test_localization_warning():
 
 def test_identity_application():
     psi = GaussianPacket(sigma=0.8).sample(GRID)
-    out = apply(OperatorExpr.identity(), psi)
+    out = OperatorExpr.identity().apply(psi)
     assert np.array_equal(out.values, psi.values)
 
 
@@ -112,7 +111,7 @@ def test_spectral_derivative_against_analytic_oracle():
     values = np.exp(1j * k * xg) * np.exp(-(xg ** 2 + yg ** 2) / (4 * sigma ** 2))
     psi = WaveFunction(GRID, values).normalize()
     expected = (1j * k - xg / (2 * sigma ** 2)) * psi.values
-    got = apply(DX, psi).values
+    got = DX.apply(psi).values
     assert _l2(got - expected, GRID) / _l2(expected, GRID) <= 1e-8
 
 
@@ -121,14 +120,14 @@ def test_plane_wave_on_the_frequency_lattice_is_exact():
     k = 8 * math.pi / GRID.half_width / 2
     xg, _ = GRID.meshgrid()
     psi = WaveFunction(GRID, np.exp(1j * k * xg) / (2 * GRID.half_width))
-    got = apply(DX, psi).values
+    got = DX.apply(psi).values
     assert np.max(np.abs(got - 1j * k * psi.values)) <= 1e-10 * k
 
 
 def test_multiply_derivative_commutator_is_minus_identity():
     psi = GaussianPacket(sigma=0.7).sample(GRID)
     comm = X_OP @ DX - DX @ X_OP
-    got = apply(comm, psi).values
+    got = comm.apply(psi).values
     assert _l2(got + psi.values, GRID) <= 1e-8
 
 
@@ -137,8 +136,8 @@ def test_application_is_linear():
     pk2 = GaussianPacket(center=(-0.3, 0.5), sigma=0.6).sample(GRID)
     op = 2.0 * (X_OP @ DY) - 0.5j * DX
     combined = WaveFunction(GRID, 1.5 * pk1.values - 2j * pk2.values)
-    lhs = apply(op, combined).values
-    rhs = 1.5 * apply(op, pk1).values - 2j * apply(op, pk2).values
+    lhs = op.apply(combined).values
+    rhs = 1.5 * op.apply(pk1).values - 2j * op.apply(pk2).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -175,8 +174,8 @@ def test_composition_is_associative_on_grids():
     psi = GaussianPacket(center=(0.2, -0.1), wavevector=(0.5, 0.3),
                          sigma=0.75).sample(GRID)
     a, b, c = X_OP, DY, DX
-    lhs = apply((a @ b) @ c, psi).values
-    rhs = apply(a @ (b @ c), psi).values
+    lhs = ((a @ b) @ c).apply(psi).values
+    rhs = (a @ (b @ c)).apply(psi).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -192,7 +191,7 @@ def test_dense_matrix_matches_functional_application():
           + OperatorExpr.identity())
     dense = dense_matrix(op, grid)
     via_matrix = (dense @ psi.values.ravel()).reshape(psi.values.shape)
-    via_apply = apply(op, psi).values
+    via_apply = op.apply(psi).values
     assert np.max(np.abs(via_matrix - via_apply)) <= 1e-10
 
 

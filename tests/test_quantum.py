@@ -109,10 +109,12 @@ def test_scheme_validates_and_inverts_no_form(form_work):
 
 
 def test_run_scenario_builds_forms_only_for_its_pair_residuals(form_work):
-    # one standard_pairs call: four forms, three of them (W0..W2) inverted exactly
-    standard_pairs(1.0, 1.0)
+    # one standard_pairs call builds one form, the float W3; the forms of
+    # W0..W2 are module constants, shared by every call
+    pairs = standard_pairs(1.0, 1.0)
     expected = dict(form_work)
-    assert expected == {"invert_exact": 3, "form_init": 4}
+    assert expected == {"invert_exact": 0, "form_init": 1}
+    assert all(p.form is q.form for p, q in zip(pairs[:3], standard_pairs(2.0, 3.0)))
     form_work.update(invert_exact=0, form_init=0)
     run_scenario(default_scenario())
     assert form_work == expected
