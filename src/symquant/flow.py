@@ -3,7 +3,8 @@
 The closed-form solution is a rotation mixing each position with its momentum;
 the propagator is state independent, so the flow map is a fixed 4x4 matrix per
 time.  Every admissible bracket matrix is preserved by this map, which is what
-`verify_flow_symplectic` measures.
+`verify_flow_symplectic` decides, with a bound relative to the scale of the
+entries it compares; `check`'s flow group takes its verdict from it.
 """
 
 from __future__ import annotations
@@ -69,9 +70,13 @@ def pullback_deviation(jacobian: np.ndarray, form: SymplecticForm) -> float:
 
 def verify_flow_symplectic(form: SymplecticForm, t: float, params: PhysParams,
                            tol: float = 1e-12) -> SymplecticCheck:
-    """True iff the time-t flow map preserves the 2-form coefficients within tol."""
-    dev = pullback_deviation(flow_jacobian(t, params), form)
-    return SymplecticCheck(ok=dev <= tol, max_deviation=dev)
+    """True iff the time-t flow map J preserves the 2-form coefficients L: the
+    deviation of J^T L J from L is at most tol max(1, max(|J|^T |L| |J|)), the
+    size of the products it sums, which scales as m omega or 1/(m omega)."""
+    jac = flow_jacobian(t, params)
+    dev = pullback_deviation(jac, form)
+    size = np.abs(jac).T @ np.abs(form.lower_array()) @ np.abs(jac)
+    return SymplecticCheck(ok=dev <= tol * max(1.0, float(np.max(size))), max_deviation=dev)
 
 
 def conserved_along_flow(f: PolynomialObservable, state0: PhaseState,

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .flow import conserved_along_flow, default_sample_times, PhaseState, pullback_deviation, flow_jacobian
+from .flow import (conserved_along_flow, default_sample_times, flow_jacobian, PhaseState,
+                   verify_flow_symplectic)
 from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams, PolynomialObservable, validate_form
@@ -33,7 +34,7 @@ from .quantum import (
     _conjugation_probe,
     _primitive_gram,
     _rotated_moments,
-    _spread_product,
+    QuantizationScheme,
     commutator_table_check,
     ground_packet,
     scheme,
@@ -270,53 +271,31 @@ class _SchemeColumns:
 class Report:
     """A run's tabulated moments, uncertainty rows, pair residuals and metadata.
 
-    A report from `run_scenario` holds per-scheme columns, and builds its
-    `cells` and `uncertainties` only when one of them is first read; the
-    writers read the columns.  A report constructed from `ReportCell` and
-    `UncertaintyRow` tuples, as `dataclasses.replace` does, holds the tuples.
+    The report holds one `_SchemeColumns` per scheme; `cells` and
+    `uncertainties` are built from the columns on each read, and the writers
+    read the columns.
     """
 
-    cells: tuple[ReportCell, ...]
-    uncertainties: tuple[UncertaintyRow, ...]
+    columns: tuple[_SchemeColumns, ...]
     pair_residuals: tuple[float, ...]
     metadata: dict
 
-    _columns = None  # not a field: the columns of a report from run_scenario
+    @property
+    def cells(self) -> tuple[ReportCell, ...]:
+        return tuple(ReportCell(s, o, t, complex(real, imag), v)
+                     for s, o, t, real, imag, v in self._rows()[0])
 
-    @classmethod
-    def _from_columns(cls, columns: tuple[_SchemeColumns, ...],
-                      pair_residuals: tuple[float, ...], metadata: dict) -> "Report":
-        report = object.__new__(cls)
-        object.__setattr__(report, "_columns", columns)
-        object.__setattr__(report, "pair_residuals", pair_residuals)
-        object.__setattr__(report, "metadata", metadata)
-        return report
-
-    def __getattr__(self, name):
-        # reached only for an attribute not yet set: a columnar report's
-        # cells and uncertainties, built here on first read
-        if name not in ("cells", "uncertainties") or self._columns is None:
-            raise AttributeError(name)
-        cell_rows, uncertainty_rows = self._rows()
-        object.__setattr__(self, "cells", tuple(
-            ReportCell(s, o, t, complex(real, imag), v) for s, o, t, real, imag, v in cell_rows))
-        object.__setattr__(self, "uncertainties", tuple(
-            UncertaintyRow(*row) for row in uncertainty_rows))
-        return object.__getattribute__(self, name)
+    @property
+    def uncertainties(self) -> tuple[UncertaintyRow, ...]:
+        return tuple(UncertaintyRow(*row) for row in self._rows()[1])
 
     def _rows(self) -> tuple[list[tuple], list[tuple]]:
         """Every cell as (scheme, observable, time, mean_re, mean_im, variance)
         and every uncertainty row as (scheme, pair, time, product, bound,
-        satisfied), in report order: read from the columns, or in one pass
-        over the cell and row tuples."""
-        if self._columns is None:
-            return ([(c.scheme, c.observable, c.time, c.mean.real, c.mean.imag, c.variance)
-                     for c in self.cells],
-                    [(u.scheme, u.pair, u.time, u.product, u.bound, u.satisfied)
-                     for u in self.uncertainties])
-        return ([row for col in self._columns for name, real, imag, var in col.cells
+        satisfied), in report order."""
+        return ([row for col in self.columns for name, real, imag, var in col.cells
                  for row in zip(repeat(col.scheme), repeat(name), col.times, real, imag, var)],
-                [row for col in self._columns for pair, bound, products, satisfied in col.rows
+                [row for col in self.columns for pair, bound, products, satisfied in col.rows
                  for row in zip(repeat(col.scheme), repeat(pair), col.times, products,
                                 repeat(bound), satisfied)])
 
@@ -358,26 +337,51 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
                  for pair in pairs)
 
 
-def _sample(packet: GaussianPacket, grid: GridSpec) -> WaveFunction:
-    """Sample a packet; a grid that cannot sample or resolve it is a config error."""
+def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) -> WaveFunction:
+    """Sample a packet; a grid that cannot sample or resolve it is a config error.
+    `probe` names the check group whose probe `packet` is; None is the scenario's."""
     try:
         psi = packet.sample(grid)
     except ValueError as exc:
         raise ScenarioError(f"grid.L: cannot sample a packet on this grid: {exc}") from None
     # after sampling, so a grid no packet can be sampled on reports grid.L
     if grid.spacing > packet.sigma:
-        raise ScenarioError(f"grid: spacing {grid.spacing:.3g} exceeds packet.sigma "
-                            f"{packet.sigma:.3g}; the packet is not resolved")
+        sigma, subject = (("packet.sigma", "the packet") if probe is None
+                          else (f"the {probe} check's probe sigma", "the probe"))
+        raise ScenarioError(f"grid: spacing {grid.spacing:.3g} exceeds {sigma} "
+                            f"{packet.sigma:.3g}; {subject} is not resolved")
     return psi
+
+
+def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndarray,
+                    times: list[float], observables: Sequence[str]) -> _SchemeColumns:
+    """One scheme's cells and uncertainty rows from its (T, 4) means and variances.
+
+    The moments become Python floats once; each spread is sqrt(max(v, 0.0)),
+    which keeps a variance of -0.0 as -0.0, and a product satisfies its
+    Robertson bound when it is at most _ROBERTSON_SLACK below it.
+    """
+    mean_re, mean_im, var = means.real.T.tolist(), means.imag.T.tolist(), variances.T.tolist()
+    spread = [[math.sqrt(max(v, 0.0)) for v in column] for column in var]
+    rows = []
+    for pair in CANONICAL_PAIRS[s.id]:
+        a, b = (spread[OBSERVABLES.index(name)] for name in pair)
+        products = [x * y for x, y in zip(a, b)]
+        bound = float(uncertainty_bound(s, pair))
+        limit = bound - _ROBERTSON_SLACK
+        rows.append((pair, bound, products, [p >= limit for p in products]))
+    indices = [OBSERVABLES.index(name) for name in observables]
+    return _SchemeColumns(
+        scheme=s.id, times=times,
+        cells=tuple((name, mean_re[i], mean_im[i], var[i]) for name, i in zip(observables, indices)),
+        rows=tuple(rows))
 
 
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras.
 
-    Each scheme's (T, 4) means and variances become Python floats once; its
-    spreads sqrt(max(variance, 0)), uncertainty products and Robertson flags
-    are formed from those columns.  Moments that leave the float range, as at
-    m = 1e-300 or omega or hbar = 1e300, are a config error.
+    Each scheme's columns come from `_scheme_columns`.  Moments that leave the
+    float range, as at m = 1e-300 or omega or hbar = 1e300, are a config error.
     """
     psi = _sample(config.packet, config.grid)
     boundary = psi.boundary_magnitude()
@@ -393,26 +397,12 @@ def run_scenario(config: Scenario) -> Report:
             means, variances = _rotated_moments(s, gram, config.times)
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
             raise ScenarioError(f"m, omega, hbar: non-finite moments for scheme {sid}")
-        mean_re, mean_im, var = means.real.T.tolist(), means.imag.T.tolist(), variances.T.tolist()
-        spread = [[math.sqrt(max(v, 0.0)) for v in column] for column in var]
-        rows = []
-        for pair in CANONICAL_PAIRS[sid]:
-            a, b = (spread[OBSERVABLES.index(name)] for name in pair)
-            products = [x * y for x, y in zip(a, b)]
-            bound = float(uncertainty_bound(s, pair))
-            limit = bound - _ROBERTSON_SLACK
-            rows.append((pair, bound, products, [p >= limit for p in products]))
-        indices = [OBSERVABLES.index(name) for name in config.observables]
-        columns.append(_SchemeColumns(
-            scheme=sid, times=times,
-            cells=tuple((name, mean_re[i], mean_im[i], var[i])
-                        for name, i in zip(config.observables, indices)),
-            rows=tuple(rows)))
+        columns.append(_scheme_columns(s, means, variances, times, config.observables))
     metadata = config.to_dict()
     del metadata["checks"]
     metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
     metadata["version"] = __version__
-    return Report._from_columns(tuple(columns), _pair_residuals(config.params, standard_pairs(
+    return Report(tuple(columns), _pair_residuals(config.params, standard_pairs(
         config.params.m, config.params.omega)), metadata)
 
 
@@ -468,12 +458,12 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 
     The entries of W3 scale as m omega and 1/(m omega), and the flow map and
     the values of S0..S2 along it scale alike, so absolute bounds fail on
-    roundoff at small m omega.  A pullback deviation of J^T L J from L is
-    bounded by 1e-12 max(1, max(|J|^T |L| |J|)), the size of the products it
-    sums; a drift of f by 1e-10 max(1, sum_k |c_k| |x|^e_k) over the sampled
-    states, the size of the terms of f(x).  At m omega = 1 both sizes are of
-    order one (1 and 1.135 on the default scenario); the printed maxima stay
-    absolute.
+    roundoff at small m omega.  The pullback verdict is
+    `verify_flow_symplectic`'s, relative to the size of the products it sums;
+    a drift of f is bounded by 1e-10 max(1, sum_k |c_k| |x|^e_k) over the
+    sampled states, the size of the terms of f(x).  At m omega = 1 both sizes
+    are of order one (1 and 1.135 on the default scenario); the printed maxima
+    stay absolute.
     """
     params = config.params
     rng = np.random.default_rng(_RNG_SEED)
@@ -481,13 +471,10 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
     worst_pullback = 0.0
     ok = True
     for pair in pairs:
-        lower = np.abs(pair.form.lower_array())
         for t in times:
-            jac = flow_jacobian(float(t), params)
-            dev = pullback_deviation(jac, pair.form)
-            worst_pullback = max(worst_pullback, dev)
-            size = np.abs(jac).T @ lower @ np.abs(jac)
-            ok = ok and dev <= 1e-12 * max(1.0, float(np.max(size)))
+            check = verify_flow_symplectic(pair.form, float(t), params)
+            worst_pullback = max(worst_pullback, check.max_deviation)
+            ok = ok and check.ok
     state = PhaseState(0.9, -0.4, 0.3, 1.1)
     sample_times = default_sample_times(params)
     magnitudes = np.abs(np.stack([flow_jacobian(float(t), params) @ state.as_array()
@@ -505,7 +492,7 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 
 
 def _check_commutators(config: Scenario) -> CheckResult:
-    probe = _sample(ground_packet(config.params), config.grid)
+    probe = _sample(ground_packet(config.params), config.grid, "commutators")
     worst = 0.0
     localized = True
     for sid in config.schemes:
@@ -526,6 +513,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     grid = config.grid
     worst_saturation = 0.0
     worst_margin = math.inf
+    satisfied = True
     delocalized = 0
     probes = [ground_packet(params)]
     for _ in range(8):
@@ -539,23 +527,23 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     # probes outer: each is sampled once and its primitive Gram matrix serves
     # every scheme, and one field is held at a time
     for idx, packet in enumerate(probes):
-        psi = _sample(packet, grid)
+        psi = _sample(packet, grid, "uncertainties")
         if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
         gram = _primitive_gram(psi)
         for s in schemes:
-            _, variances = _rotated_moments(s, gram, (t_probe,))
-            for pair in CANONICAL_PAIRS[s.id]:
-                product = _spread_product(variances[0], pair)
-                bound = uncertainty_bound(s, pair)
+            means, variances = _rotated_moments(s, gram, (t_probe,))
+            for _, bound, (product,), (holds,) in _scheme_columns(s, means, variances,
+                                                                  [t_probe], ()).rows:
+                satisfied = satisfied and holds
                 worst_margin = min(worst_margin, product - bound)
                 if idx == 0:
                     worst_saturation = max(worst_saturation, abs(product - bound))
     if worst_margin is math.inf:
         return CheckResult("uncertainties", "warn",
                            "no probe packet is localized on this grid")
-    ok = worst_margin >= -_ROBERTSON_SLACK and worst_saturation <= 1e-6
+    ok = satisfied and worst_saturation <= 1e-6
     detail = (f"ground saturation gap {worst_saturation:.3e}, "
               f"worst bound margin {worst_margin:+.3e}")
     if delocalized:
@@ -646,34 +634,28 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def _distinct_str(values: list) -> dict[int, str]:
-    """str of each distinct object in `values`, keyed by id().
-
-    A report from `run_scenario` shares one float object per time and per
-    bound among all the rows that carry it, so each is formatted once; the
-    caller's rows keep every object alive, so no two of them share an id.
-    """
-    return {key: str(v) for key, v in {id(v): v for v in values}.items()}
-
-
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     """The bytes of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n".
 
     Cells and uncertainty rows are read from the report's columns and written
     through one fixed template each, so neither they nor an intermediate dict
     pass through the standard library's pure-Python indenting encoder; only
-    the small metadata and pair-residual blocks do.  Raises ValueError on nan
-    or inf instead of writing NaN or Infinity, which are not JSON.
+    the small metadata and pair-residual blocks do.  Each column's times and
+    each row's bound are formatted once.  Raises ValueError on nan or inf
+    instead of writing NaN or Infinity, which are not JSON.
     """
-    cell_rows, uncertainty_rows = report._rows()
-    # each time and bound object is formatted once however many rows share it
-    text = _distinct_str([row[2] for row in cell_rows]
-                         + [v for row in uncertainty_rows for v in (row[2], row[4])])
-    cells = _json_list([_CELL_JSON % (imag, real, _quote(o), s, text[id(t)], v)
-                        for s, o, t, real, imag, v in cell_rows])
-    rows = _json_list([_ROW_JSON % (text[id(bound)], _quote(pair[0]), _quote(pair[1]), product,
-                                    "true" if satisfied else "false", s, text[id(t)])
-                       for s, pair, t, product, bound, satisfied in uncertainty_rows])
+    cells, rows = [], []
+    for col in report.columns:
+        times = [str(t) for t in col.times]
+        for name, real, imag, var in col.cells:
+            name = _quote(name)
+            cells += [_CELL_JSON % (i, r, name, col.scheme, t, v)
+                      for t, r, i, v in zip(times, real, imag, var)]
+        for (a, b), bound, products, satisfied in col.rows:
+            a, b, bound = _quote(a), _quote(b), str(bound)
+            rows += [_ROW_JSON % (bound, a, b, p, "true" if ok else "false", col.scheme, t)
+                     for t, p, ok in zip(times, products, satisfied)]
+    cells, rows = _json_list(cells), _json_list(rows)
     if _NON_FINITE.search(cells) or _NON_FINITE.search(rows):
         raise ValueError("report holds nan or inf, which JSON cannot represent")
     return (f'{{\n  "cells": {cells},\n'

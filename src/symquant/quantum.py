@@ -181,16 +181,11 @@ def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
     return abs(s.commutators[OBSERVABLES.index(pair[0]), OBSERVABLES.index(pair[1])]) / 2.0
 
 
-def _spread_product(variances: np.ndarray, pair: tuple[str, str]) -> float:
-    """Delta A * Delta B from one row of variances ordered like OBSERVABLES."""
-    return math.prod(math.sqrt(max(float(variances[OBSERVABLES.index(n)]), 0.0)) for n in pair)
-
-
 def uncertainty_product(s: QuantizationScheme, pair: tuple[str, str],
                         psi: WaveFunction, t: float = 0.0) -> float:
     """Delta A * Delta B for the Heisenberg-evolved observables at time t."""
     _, variances = heisenberg_moments(s, psi, (t,))
-    return _spread_product(variances[0], pair)
+    return math.prod(math.sqrt(max(float(variances[0, OBSERVABLES.index(n)]), 0.0)) for n in pair)
 
 
 def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,

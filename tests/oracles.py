@@ -15,8 +15,10 @@ propagator reads off its grid stencil, and the literal forward-then-backward
 conjugation, which backs the forward-only conjugation gap of `check`.  The
 report oracle builds a report cell by cell, as one `ReportCell` and one
 `UncertaintyRow` at a time, from the moment arrays the library computed, and
-writes it with `json.dumps` and a per-cell CSV join; it backs the library's
-columnar report and its fixed-layout writers.
+writes it with `json.dumps` and a per-cell CSV join.  It backs the columns
+`run_scenario` builds, the `cells` and `uncertainties` views the library
+builds from them, and the fixed-layout writers; its CSV join also checks the
+CSV writer on generated columnar reports.
 """
 
 from __future__ import annotations

@@ -100,6 +100,19 @@ def test_flow_preserves_standard_forms():
             assert check.ok and check.max_deviation <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1e-7, 1e7])
+def test_flow_verdict_is_relative_to_the_size_of_the_pullback(m):
+    # J and W3 carry entries of order m omega and 1/(m omega); the roundoff
+    # of J^T L J (1.0e-10 for W0-W2, 1.9e-9 for W3) fails an absolute 1e-12
+    params = PhysParams(m=m, omega=1.0, hbar=1.0)
+    for pair in standard_pairs(params.m, params.omega):
+        check = verify_flow_symplectic(pair.form, 0.77, params)
+        assert check.ok and check.max_deviation > 1e-12
+    # {x, y} = 1 and {p_x, p_y} = 2 are not preserved by the flow at any m
+    mixed = SymplecticForm([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
+    assert not verify_flow_symplectic(mixed, 0.77, params).ok
+
+
 def test_scaling_map_is_not_symplectic():
     dev = pullback_deviation(2.0 * np.eye(4), standard_pairs(1, 1)[0].form)
     assert dev == pytest.approx(3.0)  # (2 I)^T w (2 I) - w = 3 w entrywise

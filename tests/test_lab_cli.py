@@ -228,15 +228,29 @@ _edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-3
                                 1e308, -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1])
 _floats = st.one_of(_edge_floats, st.floats(allow_nan=False, allow_infinity=False))
 _times = st.one_of(_floats, st.integers(-10**6, 10**6).map(float), st.integers(-10**6, 10**6))
-_cells = st.builds(lab.ReportCell, scheme=st.sampled_from(SCHEME_IDS),
-                   observable=st.sampled_from(OBSERVABLES), time=_times,
-                   mean=st.builds(complex, _floats, _floats), variance=_floats)
-_rows = st.builds(lab.UncertaintyRow, scheme=st.sampled_from(SCHEME_IDS),
-                  pair=st.sampled_from([p for pairs in CANONICAL_PAIRS.values() for p in pairs]),
-                  time=_times, product=_floats, bound=_floats, satisfied=st.booleans())
+_pairs = st.sampled_from([p for pairs in CANONICAL_PAIRS.values() for p in pairs])
+
+
+@st.composite
+def _columns(draw):
+    """One scheme's columns: any times, observables, pairs and numbers."""
+    times = draw(st.lists(_times, max_size=3))
+    per_time = len(times)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=per_time, max_size=per_time))
+
+    observables = draw(st.lists(st.sampled_from(OBSERVABLES), max_size=3, unique=True))
+    return lab._SchemeColumns(
+        scheme=draw(st.sampled_from(SCHEME_IDS)), times=times,
+        cells=tuple((name, column(_floats), column(_floats), column(_floats))
+                    for name in observables),
+        rows=tuple((pair, draw(_floats), column(_floats), column(st.booleans()))
+                   for pair in draw(st.lists(_pairs, max_size=3))))
+
+
 _reports = st.builds(
-    lab.Report, cells=st.lists(_cells, max_size=6).map(tuple),
-    uncertainties=st.lists(_rows, max_size=6).map(tuple),
+    lab.Report, columns=st.lists(_columns(), max_size=3).map(tuple),
     pair_residuals=st.lists(_floats, max_size=4).map(tuple),
     metadata=st.fixed_dictionaries({"version": st.just("0.1.0"),
                                     "times": st.lists(_times, max_size=3),
@@ -252,17 +266,27 @@ def test_json_writer_matches_json_dumps(report, include_timestamp):
         reference = json.dumps(report.to_dict(include_timestamp=include_timestamp),
                                indent=2, sort_keys=True) + "\n"
     assert ours == reference
+    assert report_to_csv(report) == oracles.report_csv(report.cells)
 
 
 def _set_first(report, value, where):
-    cell, row = report.cells[0], report.uncertainties[0]
+    """The report with one number of its first column, cell or row set to value."""
+    col = report.columns[0]
+    (name, real, imag, var), (pair, bound, products, flags) = col.cells[0], col.rows[0]
+
+    def first(values):
+        return [value, *values[1:]]
+
+    def column(**changes):
+        return replace(report, columns=(replace(col, **changes),))
+
     return {
-        "mean_re": lambda: replace(report, cells=(replace(cell, mean=complex(value, 0.0)),)),
-        "mean_im": lambda: replace(report, cells=(replace(cell, mean=complex(0.0, value)),)),
-        "variance": lambda: replace(report, cells=(replace(cell, variance=value),)),
-        "time": lambda: replace(report, cells=(replace(cell, time=value),)),
-        "product": lambda: replace(report, uncertainties=(replace(row, product=value),)),
-        "bound": lambda: replace(report, uncertainties=(replace(row, bound=value),)),
+        "mean_re": lambda: column(cells=((name, first(real), imag, var),)),
+        "mean_im": lambda: column(cells=((name, real, first(imag), var),)),
+        "variance": lambda: column(cells=((name, real, imag, first(var)),)),
+        "time": lambda: column(times=first(col.times)),
+        "product": lambda: column(rows=((pair, bound, first(products), flags),)),
+        "bound": lambda: column(rows=((pair, value, products, flags),)),
         "pair_residuals": lambda: replace(report, pair_residuals=(value,)),
         "metadata": lambda: replace(report, metadata={"times": [value]}),
     }[where]()
@@ -334,7 +358,8 @@ def test_columnar_report_matches_the_per_cell_oracle(scn, overrides):
     residuals, metadata = report.pair_residuals, report.metadata
     expected_json = oracles.report_json(cells, rows, residuals, metadata)
     expected_csv = oracles.report_csv(cells)
-    # the writers read the columns first, and again once the cells are built
+    # the writers read the columns; reading the cells and rows, which are
+    # built from the columns on each read, leaves the written bytes as they were
     assert report_to_json(report, include_timestamp=False) == expected_json
     assert report_to_csv(report) == expected_csv
     expected_dict = oracles.report_dict(cells, rows, residuals, metadata)
@@ -427,6 +452,24 @@ def test_corrupted_form_fails_the_pair_check():
     assert pairs.status == "fail"
     assert "not antisymmetric" in pairs.detail
     assert summary.exit_code == 1
+
+
+def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
+    # check builds its rows as run does; a Robertson flag turned False fails
+    # the group and leaves the printed gap and margin as they were
+    scn = _small_scenario(checks={name: name == "uncertainties" for name in lab.CHECK_NAMES})
+    passing = next(r for r in run_checks(scn).results if r.name == "uncertainties")
+    columns = lab._scheme_columns
+
+    def violated(*args):
+        col = columns(*args)
+        return replace(col, rows=tuple((pair, bound, products, [False] * len(products))
+                                       for pair, bound, products, _ in col.rows))
+
+    monkeypatch.setattr(lab, "_scheme_columns", violated)
+    failing = next(r for r in run_checks(scn).results if r.name == "uncertainties")
+    assert (passing.status, failing.status) == ("pass", "fail")
+    assert failing.detail == passing.detail
 
 
 def test_coarse_grid_downgrades_to_warning():
@@ -531,6 +574,27 @@ def test_cli_run_rejects_an_unresolved_packet(grid_args, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: grid: spacing")
+
+
+@pytest.mark.parametrize("commutators, probe", [(True, "commutators"),
+                                               (False, "uncertainties")])
+def test_cli_check_names_the_probe_it_cannot_resolve(commutators, probe, tmp_path, capsys):
+    # spacing 1 resolves the scenario's packet, sigma 1.5, but not the
+    # checks' probes: the ground packet, sigma 0.707, comes first in both
+    raw = default_scenario().to_dict()
+    raw["packet"]["sigma"] = 1.5
+    raw["grid"] = {"L": 16.0, "N": 32}
+    raw["checks"] = {"commutators": commutators, "unitary": False}
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert main(["check", "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: grid: spacing 1 exceeds the {probe} check's probe sigma 0.707; "
+        "the probe is not resolved"]
 
 
 def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):

@@ -200,6 +200,15 @@ def test_validate_rejects_a_complex_form():
         assert report.form is None and math.isnan(report.jacobi_residual)
 
 
+def test_validate_rejects_a_symbolic_imaginary_form():
+    # I*m with m positive has no float value to test; it used to be accepted,
+    # with lower[0][1] == I/m
+    for unit in (sp.I * _M, _M * _W * sp.I / 2, sp.I * (_M + _W)):
+        report = validate_form([[0, unit, 0, 0], [-unit, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        assert not report.ok and report.reason == "not antisymmetric"
+        assert report.form is None and math.isnan(report.jacobi_residual)
+
+
 def test_validate_decides_a_float_multiple_of_a_symbol_exactly():
     # a Float coefficient of m has no float value; it used to raise TypeError
     # from float(), where the literal-zero test and Gauss-Jordan decide it
