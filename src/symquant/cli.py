@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_cmd = sub.add_parser("check", help="run the verification suite")
     _scenario_args(check_cmd)
-    check_cmd.add_argument("--corrupt-form", action="store_true",
-                           help="test fixture: feed a symmetric matrix to the "
-                                "pair check and expect it to fail")
 
     pairs_cmd = sub.add_parser("pairs", help="print the admissible-form basis "
                                              "and the four standard pairs")
@@ -96,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    summary = run_checks(scenario, corrupt_form=args.corrupt_form)
+    summary = run_checks(scenario)
     for result in summary.results:
         print(f"{result.name}: {result.status} ({result.detail})")
     print(f"overall: {'fail' if summary.failed else 'pass'}")

@@ -25,7 +25,7 @@ from .flow import (conserved_along_flow, default_sample_times, flow_jacobian, Ph
                    verify_flow_symplectic)
 from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
-from .phasespace import PhysParams, PolynomialObservable, validate_form
+from .phasespace import PhysParams, PolynomialObservable
 from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
@@ -430,22 +430,8 @@ class CheckSummary:
         return 1 if self.failed else 0
 
 
-# deliberately symmetric: used by the --corrupt-form test fixture
-_CORRUPT_FORM = ((0, 0, 1, 0),
-                 (0, 0, 0, 1),
-                 (1, 0, 0, 0),
-                 (0, 1, 0, 0))
-
-
-def _check_pairs(config: Scenario, corrupt_form: bool, pairs) -> CheckResult:
-    """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2).
-
-    `standard_pairs` has validated the four forms; the --corrupt-form fixture
-    hands `validate_form` a symmetric matrix as form 0 instead.
-    """
-    if corrupt_form:
-        return CheckResult("pairs", "fail",
-                           f"form 0 rejected: {validate_form(_CORRUPT_FORM).reason}")
+def _check_pairs(config: Scenario, pairs) -> CheckResult:
+    """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2)."""
     params = config.params
     worst = max(_pair_residuals(params, pairs))
     tol = 1e-12 * max(1.0, params.m * params.omega ** 2)
@@ -571,16 +557,16 @@ def _check_unitary(config: Scenario) -> CheckResult:
     return CheckResult("unitary", status, f"max conjugation deviation {worst:.3e}")
 
 
-def run_checks(config: Scenario, corrupt_form: bool = False) -> CheckSummary:
+def run_checks(config: Scenario) -> CheckSummary:
     """Run the enabled verification groups; exit code is nonzero iff one fails.
 
     The pairs and flow groups share one `standard_pairs` call.
     """
     enabled = {name: config.checks.get(name, True) for name in CHECK_NAMES}
     pairs = (standard_pairs(config.params.m, config.params.omega)
-             if enabled["flow"] or (enabled["pairs"] and not corrupt_form) else ())
+             if enabled["flow"] or enabled["pairs"] else ())
     runners = {
-        "pairs": lambda: _check_pairs(config, corrupt_form, pairs),
+        "pairs": lambda: _check_pairs(config, pairs),
         "flow": lambda: _check_flow(config, pairs),
         "commutators": lambda: _check_commutators(config),
         "uncertainties": lambda: _check_uncertainties(config),

@@ -115,6 +115,20 @@ def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
     return psi.inner(op.apply(psi))
 
 
+def _act(row: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """sum_a row[a] P_a(values): one row of an assignment, or of J(t) A, on a field.
+
+    Zero coefficients are skipped and the terms are added in PRIMITIVES order
+    to zeros, as `OperatorExpr.apply` adds those of a `heisenberg_operator`,
+    so the two agree bit for bit.
+    """
+    out = np.zeros_like(values)
+    for c, p in zip(row, PRIMITIVES):
+        if c != 0:
+            out = out + c * _apply_primitive(p, values, grid)
+    return out
+
+
 def _primitive_gram(psi: WaveFunction) -> np.ndarray:
     """Gram matrix of psi, P_1 psi, ..., P_4 psi; it does not depend on the scheme."""
     vectors = [psi.values] + [_apply_primitive(p, psi.values, psi.grid) for p in PRIMITIVES]
@@ -155,7 +169,8 @@ class CommutatorCheck:
 
 
 def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> CommutatorCheck:
-    """Apply every fundamental pair both ways and compare against the table.
+    """Apply every fundamental pair both ways, as rows of the assignment, and
+    compare against the table.
 
     `localized` is False, with a `LocalizationWarning`, when psi reaches
     `check_localized`'s default threshold at the grid boundary.
@@ -163,15 +178,14 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> Commutat
     localized = check_localized(psi, action="commutator table check")
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
-    h = psi.grid.spacing
-    for i in range(len(OBSERVABLES)):
-        for j in range(i + 1, len(OBSERVABLES)):
-            a = s.fundamental(OBSERVABLES[i])
-            b = s.fundamental(OBSERVABLES[j])
-            lhs = a.apply(b.apply(psi)).values - b.apply(a.apply(psi)).values
-            diff = lhs - s.commutators[i, j] * psi.values
-            dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
-            devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
+    grid, rows = psi.grid, s.assignment
+    h = grid.spacing
+    acted = [_act(row, psi.values, grid) for row in rows]  # F_k psi
+    for i, j in PAIR_INDEX:
+        lhs = _act(rows[i], acted[j], grid) - _act(rows[j], acted[i], grid)
+        diff = lhs - s.commutators[i, j] * psi.values
+        dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
+        devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
     return CommutatorCheck(max_deviation=max(devs.values()),
                            deviations=devs, localized=localized)
 
@@ -426,12 +440,14 @@ def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
     is evolved to each probe's time, each target to its own.
     """
     stencil = _generator_stencil(s, psi.grid)
-    targets = [heisenberg_operator(s, which, t).apply(psi).values for which, t in probes]
+    rows = [OBSERVABLES.index(which) for which, _ in probes]
+    targets = [_act(flow_jacobian(t, s.params)[r] @ s.assignment, psi.values, psi.grid)
+               for r, (_, t) in zip(rows, probes)]
     jobs = [(0, t) for _, t in probes] + [(i + 1, t) for i, (_, t) in enumerate(probes)]
     evolved = _propagate(stencil, np.stack([psi.values, *targets]), s.params.hbar, jobs)
     deviations = []
-    for i, (which, _) in enumerate(probes):
-        acted = s.fundamental(which).apply(WaveFunction(psi.grid, evolved[i])).values
+    for i, r in enumerate(rows):
+        acted = _act(s.assignment[r], evolved[i], psi.grid)
         num = np.sqrt(np.sum(np.abs(acted - evolved[len(probes) + i]) ** 2))
         den = np.sqrt(np.sum(np.abs(targets[i]) ** 2))
         deviations.append(float(num / den))

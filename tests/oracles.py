@@ -7,7 +7,9 @@ dimension is counted by exact enumeration, and Gaussian moments come from
 closed forms cross-checked by direct trapezoid quadrature with analytic
 derivatives.  Two oracles reuse library objects: the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying operator
-expressions to the grid field (twice, for second moments), and the dense
+expressions to the grid field (twice, for second moments) and the
+commutator group's assignment-row actions by composing the fundamentals'
+operator expressions both ways, and the dense
 N^2 x N^2 materialization of an operator expression, whose eigendecomposition
 backs the library's matrix-free Chebyshev propagator, the term-by-term
 operator-norm bound on a generator's spectrum, which backs the interval the
@@ -261,6 +263,26 @@ def applied_variance(op, psi) -> float:
 def applied_commutator(op_a, op_b, psi) -> complex:
     """<psi| [A, B] psi> by applying both orderings."""
     return psi.inner(op_a.apply(op_b.apply(psi))) - psi.inner(op_b.apply(op_a.apply(psi)))
+
+
+def commutator_deviations(s, psi) -> dict:
+    """|[F_i, F_j] psi - T_ij psi| / |psi| for every fundamental pair i < j.
+
+    Each fundamental is the scheme's `OperatorExpr`, applied to the state in
+    both orders; the library applies rows of the assignment matrix instead.
+    """
+    norm = psi.norm()
+    h = psi.grid.spacing
+    devs = {}
+    for i in range(len(OBSERVABLES)):
+        for j in range(i + 1, len(OBSERVABLES)):
+            a = s.fundamental(OBSERVABLES[i])
+            b = s.fundamental(OBSERVABLES[j])
+            lhs = a.apply(b.apply(psi)).values - b.apply(a.apply(psi)).values
+            diff = lhs - s.commutators[i, j] * psi.values
+            devs[(OBSERVABLES[i], OBSERVABLES[j])] = (
+                float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm)
+    return devs
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from symquant import (
     GridSpec,
     HamiltonianPair,
     LocalizationWarning,
+    OperatorExpr,
     PhysParams,
     PolynomialObservable,
     Scenario,
@@ -446,12 +447,31 @@ def test_check_builds_the_standard_pairs_once(form_work):
     assert form_work == {"invert_exact": 0, "form_init": 1}
 
 
-def test_corrupted_form_fails_the_pair_check():
-    summary = run_checks(_small_scenario(), corrupt_form=True)
+def _w0_with_s1(m, omega):
+    # W0 paired with S1 generates another flow than the oscillator's: the
+    # pair certificate's residual is 1/m
+    pairs = standard_pairs(m, omega)
+    return (HamiltonianPair(pairs[0].form, pairs[1].hamiltonian), *pairs[1:])
+
+
+def test_corrupted_form_fails_the_pair_check(monkeypatch):
+    monkeypatch.setattr(lab, "standard_pairs", _w0_with_s1)
+    summary = run_checks(_small_scenario())
     pairs = next(r for r in summary.results if r.name == "pairs")
     assert pairs.status == "fail"
-    assert "not antisymmetric" in pairs.detail
+    assert pairs.detail == "max residual 1.000e+00"
     assert summary.exit_code == 1
+
+
+def test_check_applies_no_operator_expression(monkeypatch):
+    # check's grid work reads the schemes' assignment rows; OperatorExpr
+    # only builds the unitary group's generator stencil
+    calls = []
+    apply = OperatorExpr.apply
+    monkeypatch.setattr(OperatorExpr, "apply",
+                        lambda self, psi: calls.append(self) or apply(self, psi))
+    assert run_checks(default_scenario()).exit_code == 0
+    assert calls == []
 
 
 def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
@@ -693,14 +713,17 @@ def test_float_scenarios_never_import_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_check_exit_codes(tmp_path, capsys):
+def test_cli_check_exit_codes(tmp_path, capsys, monkeypatch):
     scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(_small_scenario().to_dict()))
     assert main(["check", "--scenario", str(scn_path)]) == 0
     out = capsys.readouterr().out
     assert "overall: pass" in out
-    assert main(["check", "--scenario", str(scn_path), "--corrupt-form"]) == 1
-    assert "overall: fail" in capsys.readouterr().out
+    monkeypatch.setattr(lab, "standard_pairs", _w0_with_s1)
+    assert main(["check", "--scenario", str(scn_path)]) == 1
+    out = capsys.readouterr().out
+    assert "pairs: fail (max residual 1.000e+00)" in out
+    assert "overall: fail" in out
 
 
 def test_cli_pairs_output(capsys):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symquant import (
     CANONICAL_PAIRS,
@@ -34,9 +35,12 @@ from symquant import (
     coordinates,
     WaveFunction,
 )
+from symquant import quantum
+from symquant.flow import flow_jacobian
 from oracles import (
     applied_commutator,
     applied_variance,
+    commutator_deviations,
     heisenberg_mean,
     heisenberg_uncertainty,
     quadrature_mean,
@@ -153,6 +157,36 @@ def test_commutator_tables_realized(params):
         chk = commutator_table_check(scheme(sid, params), psi)
         assert chk.localized
         assert chk.max_deviation <= 1e-8
+
+
+# the packets lie well inside the grid, but at small sigma_ref their peak is
+# large enough for the absolute 1e-12 boundary threshold to warn
+@pytest.mark.filterwarnings("ignore::symquant.LocalizationWarning")
+@settings(max_examples=40, deadline=None)
+@given(sid=st.sampled_from((0, 1, 2, 3)), log_mw=st.floats(-3.0, 3.0),
+       log_hbar=st.floats(-2.0, 2.0), omega=st.floats(0.1, 10.0),
+       points=st.sampled_from((16, 32, 64, 128)),
+       offset=st.tuples(*[st.floats(-0.5, 0.5)] * 4), width=st.floats(0.7, 1.1),
+       t=st.floats(-10.0, 10.0))
+def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, omega, points,
+                                                         offset, width, t):
+    # the commutator group applies rows of A and J(t) A to the grid field; it
+    # must give bit for bit what the fundamentals' OperatorExprs give
+    params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
+    ref = params.sigma_ref
+    grid = GridSpec(half_width=8.0 * ref, points=points)
+    psi = GaussianPacket(center=(offset[0] * ref, offset[1] * ref),
+                         wavevector=(offset[2] / ref, offset[3] / ref),
+                         sigma=width * params.ground_sigma).sample(grid)
+    s = scheme(sid, params)
+    assert commutator_table_check(s, psi).deviations == commutator_deviations(s, psi)
+    for r, which in enumerate(OBS):
+        for tau in (0.0, t):
+            row = flow_jacobian(tau, params)[r] @ s.assignment
+            assert np.array_equal(quantum._act(row, psi.values, grid),
+                                  heisenberg_operator(s, which, tau).apply(psi).values)
+        assert np.array_equal(quantum._act(s.assignment[r], psi.values, grid),
+                              s.fundamental(which).apply(psi).values)
 
 
 def test_commutator_check_warns_when_delocalized():
