@@ -36,6 +36,7 @@ from .pairs import (
     verify_pair,
 )
 from .flow import (
+    ConservationCheck,
     PhaseState,
     SymplecticCheck,
     conserved_along_flow,
@@ -43,6 +44,7 @@ from .flow import (
     exact_flow,
     flow_jacobian,
     pullback_deviation,
+    verify_conserved,
     verify_flow_symplectic,
 )
 from .operators import (

@@ -13,6 +13,7 @@ from .lab import (
     Scenario,
     ScenarioError,
     _pair_residuals,
+    _standard_pairs,
     default_scenario,
     emit_report,
     load_scenario,
@@ -24,7 +25,6 @@ from .pairs import (
     classify_boundedness,
     complete_pair,
     oscillator_field,
-    standard_pairs,
 )
 
 
@@ -110,6 +110,7 @@ def _format_matrix(matrix: np.ndarray) -> str:
 def _cmd_pairs(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     m, omega = scenario.params.m, scenario.params.omega
+    pairs = _standard_pairs(scenario.params)  # a config error before anything is printed
     field = oscillator_field(m, omega)
     basis = admissible_inverse_forms(field)
     print(f"oscillator field at m={m}, omega={omega}")
@@ -125,7 +126,6 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
             print(f"  completes to H = {pair.hamiltonian}")
     print()
     print("standard pairs:")
-    pairs = standard_pairs(m, omega)
     for mu, (pair, worst) in enumerate(zip(pairs, _pair_residuals(scenario.params, pairs))):
         label = classify_boundedness(pair.hamiltonian)
         contained = basis.contains(pair.form.lower_array(), tol=1e-10)

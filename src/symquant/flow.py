@@ -3,8 +3,10 @@
 The closed-form solution is a rotation mixing each position with its momentum;
 the propagator is state independent, so the flow map is a fixed 4x4 matrix per
 time.  Every admissible bracket matrix is preserved by this map, which is what
-`verify_flow_symplectic` decides, with a bound relative to the scale of the
-entries it compares; `check`'s flow group takes its verdict from it.
+`verify_flow_symplectic` decides, and each standard Hamiltonian is constant
+along it, which is what `verify_conserved` decides; both bounds are relative
+to the scale of what they compare, and `check`'s flow group takes its
+verdict from them.
 """
 
 from __future__ import annotations
@@ -91,6 +93,23 @@ def conserved_along_flow(f: PolynomialObservable, state0: PhaseState,
         val = float(f.evaluate(exact_flow(state0, t, params).as_array()))
         worst = max(worst, abs(val - ref))
     return worst
+
+
+class ConservationCheck(NamedTuple):
+    ok: bool
+    max_drift: float
+
+
+def verify_conserved(f: PolynomialObservable, state0: PhaseState,
+                     times: Sequence[float], params: PhysParams) -> ConservationCheck:
+    """True iff f's drift along the flow (`conserved_along_flow`) is at most
+    1e-10 max(1, sum_k |c_k| |x(t)|^e_k) over the sampled states x(t), the size
+    of the terms of f(x), which scales as m omega or 1/(m omega)."""
+    drift = conserved_along_flow(f, state0, times, params)
+    magnitudes = np.abs(np.stack([flow_jacobian(float(t), params) @ state0.as_array()
+                                  for t in times], axis=1))
+    size = PolynomialObservable({e: abs(c) for e, c in f.terms.items()}).evaluate(magnitudes)
+    return ConservationCheck(ok=drift <= 1e-10 * max(1.0, float(np.max(size))), max_drift=drift)
 
 
 def default_sample_times(params: PhysParams, count: int = 100) -> np.ndarray:

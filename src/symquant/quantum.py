@@ -116,12 +116,8 @@ def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
 
 
 def _act(row: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """sum_a row[a] P_a(values): one row of an assignment, or of J(t) A, on a field.
-
-    Zero coefficients are skipped and the terms are added in PRIMITIVES order
-    to zeros, as `OperatorExpr.apply` adds those of a `heisenberg_operator`,
-    so the two agree bit for bit.
-    """
+    """sum_a row[a] P_a(values), a row of A or J(t) A on a field: zero terms skipped, the
+    rest added to zeros in PRIMITIVES order, bit for bit as `OperatorExpr.apply` adds them."""
     out = np.zeros_like(values)
     for c, p in zip(row, PRIMITIVES):
         if c != 0:
@@ -178,8 +174,7 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> Commutat
     localized = check_localized(psi, action="commutator table check")
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
-    grid, rows = psi.grid, s.assignment
-    h = grid.spacing
+    grid, rows, h = psi.grid, s.assignment, psi.grid.spacing
     acted = [_act(row, psi.values, grid) for row in rows]  # F_k psi
     for i, j in PAIR_INDEX:
         lhs = _act(rows[i], acted[j], grid) - _act(rows[j], acted[i], grid)
@@ -425,8 +420,10 @@ def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFu
 
 
 def _conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
-    """The localized Gaussian the conjugation check uses by default."""
-    return GaussianPacket(center=(0.5, -0.3), wavevector=(0.4, 0.2),
+    """The localized Gaussian the conjugation check uses by default, in oscillator
+    units, so it sits alike on the check's 8 sigma_ref grid at every m omega / hbar."""
+    ref = params.sigma_ref
+    return GaussianPacket(center=(0.5 * ref, -0.3 * ref), wavevector=(0.4 / ref, 0.2 / ref),
                           sigma=params.ground_sigma).sample(grid)
 
 

@@ -8,6 +8,7 @@ import pytest
 from symquant import (
     PhaseState,
     PhysParams,
+    PolynomialObservable,
     admissible_inverse_forms,
     conserved_along_flow,
     coordinates,
@@ -19,6 +20,7 @@ from symquant import (
     standard_hamiltonians,
     standard_pairs,
     SymplecticForm,
+    verify_conserved,
     verify_flow_symplectic,
 )
 from oracles import leapfrog
@@ -111,6 +113,22 @@ def test_flow_verdict_is_relative_to_the_size_of_the_pullback(m):
     # {x, y} = 1 and {p_x, p_y} = 2 are not preserved by the flow at any m
     mixed = SymplecticForm([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
     assert not verify_flow_symplectic(mixed, 0.77, params).ok
+
+
+@pytest.mark.parametrize("m", [1e-7, 1e7])
+def test_conserved_verdict_is_relative_to_the_size_of_the_terms(m):
+    # the terms of S0..S3 scale as m omega or 1/(m omega); their roundoff
+    # along the flow (up to 2.8e-9 here) fails an absolute 1e-10
+    params = PhysParams(m=m, omega=1.0, hbar=1.0)
+    state = PhaseState(0.9, -0.4, 0.3, 1.1)
+    times = default_sample_times(params)
+    checks = [verify_conserved(pair.hamiltonian, state, times, params)
+              for pair in standard_pairs(params.m, params.omega)]
+    assert all(check.ok for check in checks)
+    assert max(check.max_drift for check in checks) > 1e-10
+    # x^2 is no constant of motion at any m
+    assert not verify_conserved(PolynomialObservable({(2, 0, 0, 0): 1}), state, times,
+                                params).ok
 
 
 def test_scaling_map_is_not_symplectic():

@@ -654,6 +654,35 @@ def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
     assert "spectral interval" in captured.err
 
 
+@pytest.mark.parametrize("omega", [1e160, 1e300])
+@pytest.mark.parametrize("command", ["check", "pairs"])
+def test_cli_pairs_past_the_float_range_are_a_config_error(command, omega, tmp_path, capsys):
+    # m omega^2 overflows when the standard pairs are built
+    raw = default_scenario().to_dict()
+    raw["omega"] = omega
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: m, omega: m omega^2 is past the float range\n"
+
+
+@pytest.mark.parametrize("m", [1e-7, 1e3, 1e7])
+def test_unitary_check_probe_is_in_oscillator_units(m):
+    # the probe scales with sigma_ref like the check's grid and times, so
+    # every m prints what m = 1 prints; a probe in absolute units is aliased
+    # at m = 1e-7, off the grid at m = 1e3 and zero on the grid at m = 1e7
+    def unitary(m):
+        raw = default_scenario().to_dict()
+        raw["m"] = m
+        raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}
+        return run_checks(scenario_from_dict(raw)).results[-1]
+
+    assert unitary(m) == unitary(1.0)
+    assert unitary(m).status == "pass"
+
+
 @pytest.mark.parametrize("key, value", [("m", 1e-300), ("omega", 1e300), ("hbar", 1e300)])
 def test_cli_run_with_moments_past_the_float_range_is_a_config_error(key, value, tmp_path,
                                                                      capsys):
@@ -803,7 +832,7 @@ def test_default_scenario_commands_need_no_sympy(argv):
 # the same on a scenario off the default parameters, shaped like the
 # benchmark's verify scenario
 BENCHMARK_LIKE_STDOUT_SHA256 = {
-    ("check",): "2d7a68d739a7042ce96312b18c38cd0298041971c87a3e26dcb3abe536d93ec8",
+    ("check",): "e4a8ce13cad20a77d514be49e5cf85759e02f6e181c962efb3c2f3bb8ce64588",
     ("run", "--no-timestamp"):
         "47f294b665302653fcb73ef351453bed1c57ce98f0644a7f5e625cdb957c2813",
     ("run", "--format", "csv", "--no-timestamp"):
