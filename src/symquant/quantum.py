@@ -175,9 +175,9 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> Commutat
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
     grid, rows, h = psi.grid, s.assignment, psi.grid.spacing
-    acted = [_act(row, psi.values, grid) for row in rows]  # F_k psi
     for i, j in PAIR_INDEX:
-        lhs = _act(rows[i], acted[j], grid) - _act(rows[j], acted[i], grid)
+        lhs = (_act(rows[i], _act(rows[j], psi.values, grid), grid)
+               - _act(rows[j], _act(rows[i], psi.values, grid), grid))
         diff = lhs - s.commutators[i, j] * psi.values
         dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
         devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
