@@ -170,8 +170,8 @@ def test_commutator_tables_realized(params):
        t=st.floats(-10.0, 10.0))
 def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, omega, points,
                                                          offset, width, t):
-    # the commutator group applies rows of A and J(t) A to the grid field; it
-    # must give bit for bit what the fundamentals' OperatorExprs give
+    # the commutator and unitary groups apply rows of A and J(t) A to the grid
+    # field; they must give bit for bit what the OperatorExprs give
     params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
     ref = params.sigma_ref
     grid = GridSpec(half_width=8.0 * ref, points=points)
