@@ -48,7 +48,9 @@ _RNG_SEED = 20240731
 # variance quadrature error scales with the squared boundary magnitude, so
 # this keeps it well inside the uncertainty-bound margin _ROBERTSON_SLACK
 _BOUNDARY_LIMIT = 1e-7
-# an uncertainty product this far below its Robertson bound still satisfies it
+# an uncertainty product this far below its Robertson bound, relative to
+# max(1, bound), still satisfies it; the bounds of schemes 1-3 scale as
+# hbar m omega and hbar / (m omega)
 _ROBERTSON_SLACK = 1e-9
 
 
@@ -336,13 +338,26 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
                  for pair in pairs)
 
 
+def _require_m_omega(params: PhysParams) -> None:
+    """Reject an m omega or 1/(m omega) that is zero or not finite.
+
+    The schemes' assignments and the bracket matrices hold both, so each must
+    be a positive float: m = omega = 1e-300 (m omega underflows) and m = 1e-320
+    (1/(m omega) overflows) are config errors.
+    """
+    m_omega = params.m * params.omega
+    for name, value in (("m omega", m_omega), ("1/(m omega)", 1.0 / m_omega if m_omega else 0.0)):
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"m, omega: {name} is past the float range")
+
+
 def _standard_pairs(params: PhysParams):
-    """`standard_pairs` at the scenario's m and omega; an m omega^2 past the
-    float range (omega = 1e160) is a config error."""
-    try:
-        return standard_pairs(params.m, params.omega)
-    except OverflowError:
-        raise ScenarioError("m, omega: m omega^2 is past the float range") from None
+    """`standard_pairs` at the scenario's m and omega, after `_require_m_omega`;
+    an m omega^2 that is zero or not finite (omega = 1e160) is a config error too."""
+    _require_m_omega(params)
+    if not 0.0 < params.m * params.omega * params.omega < math.inf:
+        raise ScenarioError("m, omega: m omega^2 is past the float range")
+    return standard_pairs(params.m, params.omega)
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) -> WaveFunction:
@@ -367,7 +382,7 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
 
     The moments become Python floats once; each spread is sqrt(max(v, 0.0)),
     which keeps a variance of -0.0 as -0.0, and a product satisfies its
-    Robertson bound when it is at most _ROBERTSON_SLACK below it.
+    Robertson bound when it is at most _ROBERTSON_SLACK max(1, bound) below it.
     """
     mean_re, mean_im, var = means.real.T.tolist(), means.imag.T.tolist(), variances.T.tolist()
     spread = [[math.sqrt(max(v, 0.0)) for v in column] for column in var]
@@ -376,7 +391,7 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
         a, b = (spread[OBSERVABLES.index(name)] for name in pair)
         products = [x * y for x, y in zip(a, b)]
         bound = float(uncertainty_bound(s, pair))
-        limit = bound - _ROBERTSON_SLACK
+        limit = bound - _ROBERTSON_SLACK * max(1.0, bound)
         rows.append((pair, bound, products, [p >= limit for p in products]))
     indices = [OBSERVABLES.index(name) for name in observables]
     return _SchemeColumns(
@@ -388,9 +403,12 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras.
 
-    Each scheme's columns come from `_scheme_columns`.  Moments that leave the
-    float range, as at m = 1e-300 or omega or hbar = 1e300, are a config error.
+    Each scheme's columns come from `_scheme_columns`.  An m omega or 1/(m
+    omega) past the float range is a config error before any grid work, and so
+    are moments that leave the float range, as at m = 1e-300 or omega or hbar =
+    1e300.
     """
+    _require_m_omega(config.params)
     psi = _sample(config.packet, config.grid)
     boundary = psi.boundary_magnitude()
     if boundary >= _BOUNDARY_LIMIT:
@@ -481,12 +499,14 @@ def _check_commutators(config: Scenario) -> CheckResult:
 
 
 def _check_uncertainties(config: Scenario) -> CheckResult:
+    """Robertson bounds on nine probe packets; the first, the ground packet,
+    saturates each bound to within 1e-6 max(1, bound)."""
     params = config.params
     rng = np.random.default_rng(_RNG_SEED)
     grid = config.grid
     worst_saturation = 0.0
     worst_margin = math.inf
-    satisfied = True
+    satisfied = saturated = True
     delocalized = 0
     probes = [ground_packet(params)]
     for _ in range(8):
@@ -512,11 +532,13 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
                 satisfied = satisfied and holds
                 worst_margin = min(worst_margin, product - bound)
                 if idx == 0:
-                    worst_saturation = max(worst_saturation, abs(product - bound))
+                    gap = abs(product - bound)
+                    worst_saturation = max(worst_saturation, gap)
+                    saturated = saturated and gap <= 1e-6 * max(1.0, bound)
     if worst_margin is math.inf:
         return CheckResult("uncertainties", "warn",
                            "no probe packet is localized on this grid")
-    ok = satisfied and worst_saturation <= 1e-6
+    ok = satisfied and saturated
     detail = (f"ground saturation gap {worst_saturation:.3e}, "
               f"worst bound margin {worst_margin:+.3e}")
     if delocalized:
@@ -528,18 +550,21 @@ def _check_unitary(config: Scenario) -> CheckResult:
     """Both conjugation probes of each scheme from one stencil and one recurrence.
 
     The probe packet is sampled once; a generator whose spectral interval is
-    not finite at these parameters (hbar = 1e300) is a config error.
+    not finite at these parameters (hbar = 1e300) is a config error, and a
+    deviation that is not a number fails the group.
     """
     params = config.params
     probes = (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega))
-    worst = 0.0
+    deviations = [0.0]
     try:
         grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
         psi = _conjugation_probe(params, grid)
         for sid in config.schemes:
-            worst = max(worst, *_conjugation_deviations(scheme(sid, params), psi, probes))
+            deviations += _conjugation_deviations(scheme(sid, params), psi, probes)
     except ValueError as exc:
         raise ScenarioError(f"m, omega, hbar: {exc}") from None
+    # a nan deviation is the worst one, so it fails the group instead of vanishing in max()
+    worst = max(deviations, key=lambda dev: math.inf if math.isnan(dev) else dev)
     status = "pass" if worst <= 1e-5 else "fail"
     return CheckResult("unitary", status, f"max conjugation deviation {worst:.3e}")
 
@@ -547,8 +572,10 @@ def _check_unitary(config: Scenario) -> CheckResult:
 def run_checks(config: Scenario) -> CheckSummary:
     """Run the enabled verification groups; exit code is nonzero iff one fails.
 
-    The pairs and flow groups share one `standard_pairs` call.
+    The pairs and flow groups share one `standard_pairs` call; an m omega or
+    1/(m omega) past the float range is a config error whichever groups run.
     """
+    _require_m_omega(config.params)
     enabled = {name: config.checks.get(name, True) for name in CHECK_NAMES}
     pairs = _standard_pairs(config.params) if enabled["flow"] or enabled["pairs"] else ()
     runners = {

@@ -271,7 +271,7 @@ def quantization_needs_symmetrization(s: QuantizationScheme,
 
 
 # ---------------------------------------------------------------------------
-# unitary evolution: matrix-free Chebyshev expansion of the propagator
+# unitary evolution: Chebyshev expansion of the propagator with a 1-D factor stencil
 # ---------------------------------------------------------------------------
 
 def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
@@ -280,47 +280,55 @@ def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
 
 @dataclass(frozen=True)
 class _Stencil:
-    """S psi = V psi + sum_g P_g ifft2(M_g fft2(psi)) on one grid.
+    """(S - center) / half_width on one grid, as products with 1-D factors.
 
-    Built from S's normal form, terms grouped by their coordinate monomial
-    x^a y^b: the derivative-free groups merge into the potential V, and each
-    other group keeps its field P_g = x^a y^b and its multiplier M_g =
-    sum c (i k_x)^c (i k_y)^d.  This is S's action as written whenever S
+    Each term c x^a y^b (d/dx)^c (d/dy)^d of S's normal form acts on a field
+    psi (axis 0 is x, axis 1 is y) as (diag(x^a) K_c) psi (diag(y^b) K_d)^T,
+    where K_c is the matrix the FFT's c-th derivative applies.  Derivative-free
+    terms merge into the field `potential`, terms on the x axis alone into one
+    left factor, terms on the y axis alone into one right factor, and the rest
+    keep their own (left, right) pair.  This is S's action as written whenever S
     multiplies only primitives that commute on the grid (different axes, or the
     same primitive), as every quantized S0-S3 does under its own scheme.
-    `center` and `half_width` bound S's spectrum; see `_generator_stencil`.
+    `center` and `half_width` bound S's spectrum (see `_generator_stencil`) and
+    are folded into the potential and into one factor of each other term.
     """
 
-    potential: np.ndarray  # V, (N, N)
-    fields: np.ndarray  # P_g, (G, N, N)
-    multipliers: np.ndarray  # M_g, (G, N, N)
+    potential: np.ndarray  # (V - center) / half_width, (N, N)
+    factors: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]  # (left, right^T), None = 1
     center: float
     half_width: float
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """S on a field (N, N) or a stack of them (B, N, N): one fft2 and one batched ifft2."""
-        shape = (len(self.fields),) + (1,) * (values.ndim - 2) + values.shape[-2:]
-        derived = np.fft.ifft2(self.multipliers.reshape(shape) * np.fft.fft2(values))
-        return self.potential * values + np.sum(self.fields.reshape(shape) * derived, axis=0)
+    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (S - center) / half_width values, for a field (N, N) or a stack (B, N, N)."""
+        np.multiply(self.potential, values, out=out)
+        for left, right_t in self.factors:
+            term = values if left is None else left @ values
+            out += term if right_t is None else term @ right_t
+        return out
 
 
 def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
     """The stencil of S = quantize_observable(s, _generator_polynomial(s)).
 
-    Its spectral interval follows from Weyl's inequality.  Write S = V + K0 +
-    rest, with K0 the multiplier of the group whose field is 1 (zero if there
-    is none).  Re V and Re K0 are Hermitian, with spectra [min, max] of their
-    arrays; rest = S - Re V - Re K0 is Hermitian whenever S is, and
-    ||rest|| <= max|Im V| + max|Im K0| + sum over the other groups of
-    max|P_g| max|M_g|.  So spec S lies in [min Re V + min Re K0 - ||rest||,
-    max Re V + max Re K0 + ||rest||].  For S0, V and K0 are both >= 0 and the
-    interval is [0, max V + max K0], half as wide as the symmetric bound
-    max|V| + sum_g max|P_g| max|M_g|.
+    Its spectral interval follows from Weyl's inequality.  Group S's
+    derivative terms by their coordinate monomial P_g = x^a y^b, each with the
+    k-space multiplier M_g = sum c (i k_x)^c (i k_y)^d, and let K0 be the
+    multiplier of the group whose field is 1 (zero if there is none).  Re V
+    and Re K0 are Hermitian, with spectra [min, max] of their arrays; rest = S
+    - Re V - Re K0 is Hermitian whenever S is, and ||rest|| <= max|Im V| +
+    max|Im K0| + sum over the other groups of max|P_g| max|M_g|.  So spec S
+    lies in [min Re V + min Re K0 - ||rest||, max Re V + max Re K0 + ||rest||].
+    For S0, V and K0 are both >= 0 and the interval is [0, max V + max K0],
+    half as wide as the symmetric bound max|V| + sum_g max|P_g| max|M_g|.
+    The multipliers serve the bound only; the stencil keeps 1-D factors.
+    Raises ValueError when the interval is not finite (hbar = 1e300).
     """
     xg, yg = grid.meshgrid()
     kx, ky = np.meshgrid(1j * grid.wavenumbers(), 1j * grid.wavenumbers(), indexing="ij")
     potential = np.zeros((grid.points, grid.points), dtype=complex)
     groups: dict[tuple[int, int], np.ndarray] = {}
+    terms = []  # (coeff, x factor (a, c), y factor (b, d)) of each derivative term
     nf = quantize_observable(s, _generator_polynomial(s)).normal_form()
     for (a, b, c, d), coeff in sorted(nf.items()):
         if c == d == 0:
@@ -328,17 +336,41 @@ def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
         else:
             mult = groups.setdefault((a, b), np.zeros_like(potential))
             mult += coeff * kx ** c * ky ** d
-    shape = (len(groups), grid.points, grid.points)
-    fields = np.array([xg ** a * yg ** b for a, b in groups]).reshape(shape)
-    multipliers = np.array(list(groups.values())).reshape(shape)
+            terms.append((coeff, (a, c), (b, d)))
     kinetic = groups.get((0, 0), np.zeros_like(potential))
     low = float(potential.real.min() + kinetic.real.min())
     high = float(potential.real.max() + kinetic.real.max())
     rest = float(np.abs(potential.imag).max() + np.abs(kinetic.imag).max()
-                 + sum(np.abs(p).max() * np.abs(m).max()
-                       for key, p, m in zip(groups, fields, multipliers) if key != (0, 0)))
-    return _Stencil(potential, fields, multipliers,
-                    center=(low + high) / 2.0, half_width=(high - low) / 2.0 + rest)
+                 + sum(np.abs(xg ** a * yg ** b).max() * np.abs(m).max()
+                       for (a, b), m in groups.items() if (a, b) != (0, 0)))
+    center, half_width = (low + high) / 2.0, (high - low) / 2.0 + rest
+    if not (math.isfinite(center) and math.isfinite(half_width)):
+        raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
+                         "is not finite")
+
+    ax, ik = grid.axis(), 1j * grid.wavenumbers()
+    spectral = np.fft.fft(np.eye(grid.points), axis=0)
+
+    def factor(power: int, order: int) -> np.ndarray | None:
+        """diag(axis^power) K_order, None for the identity."""
+        if power == order == 0:
+            return None
+        deriv = np.fft.ifft(ik[:, None] ** order * spectral, axis=0) if order else np.eye(grid.points)
+        return ax[:, None] ** power * deriv
+
+    lefts, rights, pairs = [], [], []
+    for coeff, x_part, y_part in terms:
+        x_factor, y_factor = factor(*x_part), factor(*y_part)
+        if y_factor is None:
+            lefts.append(coeff / half_width * x_factor)
+        elif x_factor is None:
+            rights.append(coeff / half_width * y_factor.T)
+        else:
+            pairs.append((coeff / half_width * x_factor, y_factor.T))
+    factors = ([(sum(lefts), None)] if lefts else []) + \
+        ([(None, sum(rights))] if rights else []) + pairs
+    return _Stencil((potential - center) / half_width, tuple(factors),
+                    center=center, half_width=half_width)
 
 
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
@@ -390,10 +422,14 @@ def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
         table[:len(coeffs), j] = coeffs
     rows = [row for row, _ in jobs]
     out = table[0, :, None, None] * states[rows]
-    prev = cur = states  # T_{k-2} and T_{k-1} of every state
+    cur = np.array(states, dtype=complex)  # T_{k-1}; T_{k-2} and a spare take two more buffers
+    prev, spare = np.empty_like(cur), np.empty_like(cur)
     for k in range(1, len(table)):
-        step = (stencil.apply(cur) - center * cur) / half_width
-        prev, cur = cur, step if k == 1 else 2.0 * step - prev
+        nxt = stencil.step(cur, spare)
+        if k > 1:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur, spare = cur, nxt, prev
         out += table[k, :, None, None] * cur[rows]
     out *= np.exp(-1j * phases)[:, None, None]
     before = np.sqrt(np.sum(np.abs(states[rows]) ** 2, axis=(1, 2)))
@@ -409,10 +445,10 @@ def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
 def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
     """exp(-i S t / hbar) psi by a Chebyshev expansion of the propagator.
 
-    The T_k follow from the three-term recurrence, one application of S's
-    grid stencil per order (one fft2 and one batched ifft2), so no matrix is
-    formed and any grid size works.  Raises RuntimeError when the norm moves
-    by more than 1e-8 relative; see `_propagate`.
+    The T_k follow from the three-term recurrence, one step of S's stencil
+    per order: products with N x N factors, so no N^2 x N^2 matrix is formed
+    and the cost per order grows as N^3.  Raises RuntimeError when the norm
+    moves by more than 1e-8 relative; see `_propagate`.
     """
     stencil = _generator_stencil(s, psi.grid)
     return WaveFunction(psi.grid, _propagate(stencil, psi.values[None], s.params.hbar,
@@ -434,17 +470,21 @@ def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
     U is unitary, so the numerator is the gap between U^dagger O U psi and
     O(t) psi, and no state is evolved backward.  One stencil of S and one
     recurrence over the stack [psi, O_1(t_1) psi, ...] serve every probe: psi
-    is evolved to each probe's time, each target to its own.
+    is evolved to each probe's time, each target to its own.  Each target
+    enters the stack in units of its largest entry, so neither the recurrence
+    nor a norm meets subnormal numbers when O(t) psi is tiny (m omega = 1e-300).
     """
     stencil = _generator_stencil(s, psi.grid)
     rows = [OBSERVABLES.index(which) for which, _ in probes]
     targets = [_act(flow_jacobian(t, s.params)[r] @ s.assignment, psi.values, psi.grid)
                for r, (_, t) in zip(rows, probes)]
+    scales = [np.abs(target).max() for target in targets]
+    targets = [target / scale for target, scale in zip(targets, scales)]
     jobs = [(0, t) for _, t in probes] + [(i + 1, t) for i, (_, t) in enumerate(probes)]
     evolved = _propagate(stencil, np.stack([psi.values, *targets]), s.params.hbar, jobs)
     deviations = []
     for i, r in enumerate(rows):
-        acted = _act(s.assignment[r], evolved[i], psi.grid)
+        acted = _act(s.assignment[r], evolved[i], psi.grid) / scales[i]
         num = np.sqrt(np.sum(np.abs(acted - evolved[len(probes) + i]) ** 2))
         den = np.sqrt(np.sum(np.abs(targets[i]) ** 2))
         deviations.append(float(num / den))
@@ -458,7 +498,7 @@ def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
 
     Uses a localized Gaussian by default.  The gap is measured forward, as
     |O U psi - U O(t) psi| / |O(t) psi| (`_conjugation_deviations`), with the
-    matrix-free propagator of `unitary_evolve`, so the grid size is not capped.
+    propagator of `unitary_evolve`, which forms no N^2 x N^2 matrix.
     """
     if psi is None:
         psi = _conjugation_probe(s.params, grid)

@@ -492,6 +492,37 @@ def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
     assert failing.detail == passing.detail
 
 
+def _large_mass_uncertainties(m):
+    ref = PhysParams(m, 1.0).sigma_ref
+    scn = scenario_from_dict({
+        **default_scenario().to_dict(), "m": m,
+        "packet": {"center": [0.3 * ref, -0.2 * ref], "wavevector": [0.0, 0.0],
+                   "sigma": 0.6 * ref},
+        "grid": {"L": 8 * ref, "N": 128},
+        "checks": {name: name == "uncertainties" for name in lab.CHECK_NAMES}})
+    return next(r for r in run_checks(scn).results if r.name == "uncertainties")
+
+
+def test_uncertainty_check_scales_its_bounds_at_large_m():
+    # packet and grid in oscillator units: the Robertson bounds of schemes 1-3
+    # are of order m, and their roundoff is no violation; the printed gap and
+    # margin stay absolute.  At m = 1e7 the margin is 6.5 times the 1e-9
+    # slack; at m = 1e13 the ground gap is 4900 times the 1e-6 saturation bound.
+    assert _large_mass_uncertainties(1e7) == lab.CheckResult(
+        "uncertainties", "pass",
+        "ground saturation gap 4.657e-09, worst bound margin -6.519e-09")
+    result = _large_mass_uncertainties(1e13)
+    assert result.status == "pass"
+    assert result.detail.startswith("ground saturation gap 4.883e-03, ")
+
+
+def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
+    # max() drops a nan that is not its first argument; the group must not
+    monkeypatch.setattr(lab, "_conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
+    result = lab._check_unitary(default_scenario())
+    assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
+
+
 def test_coarse_grid_downgrades_to_warning():
     scn = _small_scenario(grid={"L": 3.0, "N": 16},
                           checks={"pairs": True, "flow": True,
@@ -668,11 +699,39 @@ def test_cli_pairs_past_the_float_range_are_a_config_error(command, omega, tmp_p
     assert captured.err == "config error: m, omega: m omega^2 is past the float range\n"
 
 
-@pytest.mark.parametrize("m", [1e-7, 1e3, 1e7])
+@pytest.mark.parametrize("m, omega, name", [(1e-300, 1e-300, "m omega"),
+                                             (1e-320, 1.0, "1/(m omega)")])
+@pytest.mark.parametrize("command", ["run", "check", "pairs"])
+def test_cli_m_omega_past_the_float_range_is_a_config_error(command, m, omega, name,
+                                                            tmp_path, capsys):
+    # m omega underflows to 0, or 1/(m omega) overflows, where the bracket
+    # matrices would divide by zero or hold inf
+    raw = default_scenario().to_dict()
+    raw.update(m=m, omega=omega)
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: m, omega: {name} is past the float range\n"
+
+
+@pytest.mark.parametrize("group", ["commutators", "uncertainties", "unitary"])
+def test_check_gates_m_omega_whichever_groups_run(group):
+    # without the pairs and flow groups no standard pair is built, and each
+    # grid group would divide by m omega = 0 on its own
+    raw = default_scenario().to_dict()
+    raw.update(m=1e-300, omega=1e-300, checks={name: name == group for name in lab.CHECK_NAMES})
+    with pytest.raises(ScenarioError, match=r"^m, omega: m omega is past the float range$"):
+        run_checks(scenario_from_dict(raw))
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-7, 1e3, 1e7, 1e300])
 def test_unitary_check_probe_is_in_oscillator_units(m):
     # the probe scales with sigma_ref like the check's grid and times, so
     # every m prints what m = 1 prints; a probe in absolute units is aliased
-    # at m = 1e-7, off the grid at m = 1e3 and zero on the grid at m = 1e7
+    # at m = 1e-7, off the grid at m = 1e3 and zero on the grid at m = 1e7.
+    # At m = 1e-300 the p_x probes' |O(t) psi|^2 underflows in absolute units.
     def unitary(m):
         raw = default_scenario().to_dict()
         raw["m"] = m
@@ -829,6 +888,15 @@ def test_default_scenario_commands_need_no_sympy(argv):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
+def _benchmark_like_scenario(tmp_path):
+    raw = default_scenario().to_dict()
+    raw.update(m=1.3, omega=1.5)
+    raw["packet"] = {"center": [0.3, -0.2], "wavevector": [0.5, -0.4], "sigma": 0.6}
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    return scn_path
+
+
 # the same on a scenario off the default parameters, shaped like the
 # benchmark's verify scenario
 BENCHMARK_LIKE_STDOUT_SHA256 = {
@@ -842,11 +910,17 @@ BENCHMARK_LIKE_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("argv", sorted(BENCHMARK_LIKE_STDOUT_SHA256), ids=" ".join)
 def test_benchmark_like_scenario_stdout_is_byte_identical(argv, tmp_path, capsys):
-    raw = default_scenario().to_dict()
-    raw.update(m=1.3, omega=1.5)
-    raw["packet"] = {"center": [0.3, -0.2], "wavevector": [0.5, -0.4], "sigma": 0.6}
-    scn_path = tmp_path / "scn.json"
-    scn_path.write_text(json.dumps(raw))
-    assert main([*argv, "--scenario", str(scn_path)]) == 0
+    assert main([*argv, "--scenario", str(_benchmark_like_scenario(tmp_path))]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_LIKE_STDOUT_SHA256[argv]
+
+
+def test_benchmark_like_check_writes_nothing_to_stderr(tmp_path):
+    # the benchmark's verify op fails on any stderr output, so a warning from
+    # the check's grid work, even one this suite does not turn into an error,
+    # would read as a wrong answer
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "symquant", "check",
+                           "--scenario", str(_benchmark_like_scenario(tmp_path))],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("overall: pass\n")

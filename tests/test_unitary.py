@@ -12,6 +12,7 @@ from symquant import (
     PhysParams,
     Primitive,
     PolynomialObservable,
+    WaveFunction,
     ground_packet,
     quantize_observable,
     scheme,
@@ -90,11 +91,58 @@ def test_generators_multiply_only_grid_commuting_primitives():
 
 @pytest.mark.parametrize("sid", range(4))
 def test_stencil_acts_like_the_quantized_generator(sid):
+    # the stencil applies (S - c) / r with 1-D factors, to one field or a stack
     s = scheme(sid, P)
-    psi = ground_packet(P, center=(0.4, -0.2), wavevector=(0.5, 0.3)).sample(SMALL)
-    expected = _generator(s).apply(psi).values
-    acted = quantum._generator_stencil(s, SMALL).apply(psi.values)
-    assert np.max(np.abs(acted - expected)) <= 1e-12 * np.max(np.abs(expected))
+    packets = [ground_packet(P, center=c, wavevector=k)
+               for c, k in (((0.4, -0.2), (0.5, 0.3)), ((-1.0, 0.5), (0.0, -1.2)),
+                            ((0.0, 0.0), (0.0, 0.0)))]
+    for points in (16, 32, 64, 128):
+        grid = GridSpec(half_width=8.0, points=points)
+        fields = np.stack([packet.sample(grid).values for packet in packets])
+        expected = np.stack([_generator(s).apply(WaveFunction(grid, f)).values for f in fields])
+        stencil = quantum._generator_stencil(s, grid)
+        for values, target in ((fields[0], expected[0]), (fields, expected)):
+            acted = (stencil.half_width * stencil.step(values, np.empty_like(values))
+                     + stencil.center * values)
+            assert np.max(np.abs(acted - target)) <= 1e-12 * np.max(np.abs(target)), points
+
+
+def test_unitary_check_runs_its_orders_without_fft(monkeypatch):
+    # 101 + 165 + 101 + 166 = 533 stacked orders on the default scenario: T_0,
+    # then one stencil step per order on the (3, 32, 32) stack, none of them an FFT
+    steps, in_step, ffts = [], [], []
+    step = quantum._Stencil.step
+
+    def counted_step(self, values, out):
+        steps.append(values.shape)
+        in_step.append(True)
+        try:
+            return step(self, values, out)
+        finally:
+            in_step.pop()
+
+    def counted(name, transform):
+        return lambda *args, **kwargs: (ffts.append(name) if in_step else None) or \
+            transform(*args, **kwargs)
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    monkeypatch.setattr(quantum._Stencil, "step", counted_step)
+    orders = []
+    propagate = quantum._propagate
+
+    def counted_propagate(*args):
+        before = len(steps)
+        out = propagate(*args)
+        orders.append(len(steps) - before + 1)
+        return out
+
+    monkeypatch.setattr(quantum, "_propagate", counted_propagate)
+    result = lab._check_unitary(lab.default_scenario())
+    assert result.detail == "max conjugation deviation 7.266e-07"
+    assert orders == [101, 165, 101, 166] and sum(orders) == 533
+    assert set(steps) == {(3, 32, 32)}
+    assert ffts == []
 
 
 @pytest.mark.parametrize("sid", range(4))
