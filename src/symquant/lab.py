@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .flow import default_sample_times, PhaseState, verify_conserved, verify_flow_symplectic
+from .flow import (_pullback_checks, default_sample_times, flow_jacobian, PhaseState,
+                   verify_conserved)
 from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
@@ -31,10 +32,11 @@ from .quantum import (
     SCHEME_IDS,
     _conjugation_deviations,
     _conjugation_probe,
+    _primitive_commutators,
     _primitive_gram,
     _rotated_moments,
+    _table_check,
     QuantizationScheme,
-    commutator_table_check,
     ground_packet,
     scheme,
     uncertainty_bound,
@@ -43,6 +45,28 @@ from .quantum import (
 CHECK_NAMES = ("pairs", "flow", "commutators", "uncertainties", "unitary")
 
 _RNG_SEED = 20240731
+
+# the first 40 doubles of np.random.default_rng(_RNG_SEED).random(), the draws
+# behind the flow group's sample times and the uncertainty group's probe
+# packets; kept as constants so that `check` does not import numpy.random
+_UNIFORM_DRAWS = (
+    0.27557315400497695, 0.7386993177220694, 0.2902401553800298, 0.4066986564512065,
+    0.7477791199557683, 0.8431337291757494, 0.17286889987076826, 0.9499917921960244,
+    0.11240285027671604, 0.6371687495253416, 0.8236665998755079, 0.19216478280763705,
+    0.5839426375453746, 0.5972369730966768, 0.05545916522196648, 0.204946980745089,
+    0.7788524168085869, 0.05585232216890801, 0.6111001372009922, 0.7639992619327425,
+    0.9728486594905101, 0.4620591201763832, 0.5793396120736729, 0.74993622495783,
+    0.6163491747628308, 0.8167277111383258, 0.28696834078398503, 0.8393631815386352,
+    0.2621954379272128, 0.4702794821887426, 0.18798636264324575, 0.8664003640823403,
+    0.4228884603247234, 0.03164359148275875, 0.2996008532391481, 0.09354615965823043,
+    0.8709180488055167, 0.6203996551335254, 0.6999590201085526, 0.01076168346178763,
+)
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """lo + (hi - lo) u, the map `Generator.uniform` applies to each of its draws."""
+    return lo + (hi - lo) * u
+
 
 # a sampled state at least this large on the grid boundary is delocalized:
 # variance quadrature error scales with the squared boundary magnitude, so
@@ -473,10 +497,10 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
     absolute.
     """
     params = config.params
-    times = np.random.default_rng(_RNG_SEED).uniform(0.0, 4.0 * math.pi / params.omega, size=20)
+    times = [_uniform(0.0, 4.0 * math.pi / params.omega, u) for u in _UNIFORM_DRAWS[:20]]
+    jacobians = np.array([flow_jacobian(t, params) for t in times])
     state, sample_times = PhaseState(0.9, -0.4, 0.3, 1.1), default_sample_times(params)
-    pullbacks = [verify_flow_symplectic(pair.form, float(t), params)
-                 for pair in pairs for t in times]
+    pullbacks = [check for pair in pairs for check in _pullback_checks(pair.form, jacobians)]
     drifts = [verify_conserved(pair.hamiltonian, state, sample_times, params) for pair in pairs]
     ok = all(check.ok for check in pullbacks + drifts)
     worst_pullback = max([0.0] + [check.max_deviation for check in pullbacks])
@@ -487,8 +511,11 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 
 
 def _check_commutators(config: Scenario) -> CheckResult:
+    """Each scheme's commutator table on the ground packet; the six primitive
+    commutators of the probe are formed once and serve every scheme."""
     probe = _sample(ground_packet(config.params), config.grid, "commutators")
-    checks = [commutator_table_check(scheme(sid, config.params), probe) for sid in config.schemes]
+    fields = _primitive_commutators(probe)
+    checks = [_table_check(scheme(sid, config.params), probe, fields) for sid in config.schemes]
     worst = max([0.0] + [check.max_deviation for check in checks])
     if not all(check.localized for check in checks):
         return CheckResult("commutators", "warn",
@@ -502,18 +529,19 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
     saturates each bound to within 1e-6 max(1, bound)."""
     params = config.params
-    rng = np.random.default_rng(_RNG_SEED)
     grid = config.grid
     worst_saturation = 0.0
     worst_margin = math.inf
     satisfied = saturated = True
     delocalized = 0
     probes = [ground_packet(params)]
-    for _ in range(8):
+    ref = params.sigma_ref
+    for i in range(0, 40, 5):  # five draws per probe: centre, wavevector, width
+        u = _UNIFORM_DRAWS[i:i + 5]
         probes.append(GaussianPacket(
-            center=tuple(rng.uniform(-0.8, 0.8, size=2) * params.sigma_ref),
-            wavevector=tuple(rng.uniform(-1.2, 1.2, size=2) / params.sigma_ref),
-            sigma=float(rng.uniform(0.6, 1.2)) * params.ground_sigma,
+            center=(_uniform(-0.8, 0.8, u[0]) * ref, _uniform(-0.8, 0.8, u[1]) * ref),
+            wavevector=(_uniform(-1.2, 1.2, u[2]) / ref, _uniform(-1.2, 1.2, u[3]) / ref),
+            sigma=_uniform(0.6, 1.2, u[4]) * params.ground_sigma,
         ))
     t_probe = 0.3 / params.omega
     schemes = [scheme(sid, params) for sid in config.schemes]

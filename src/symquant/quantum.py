@@ -164,25 +164,58 @@ class CommutatorCheck:
     localized: bool
 
 
-def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> CommutatorCheck:
-    """Apply every fundamental pair both ways, as rows of the assignment, and
-    compare against the table.
+def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarray]:
+    """K_ab = [P_a, P_b] psi for each pair a < b of PRIMITIVES, from 16 primitive actions.
 
-    `localized` is False, with a `LocalizationWarning`, when psi reaches
-    `check_localized`'s default threshold at the grid boundary.
+    Each K_ab is P_a (P_b psi) - P_b (P_a psi), what (P_a @ P_b - P_b @ P_a).apply
+    gives; P_a psi is dropped once the pairs in row a are formed, the last that use it.
+    """
+    grid = psi.grid
+    firsts = [_apply_primitive(p, psi.values, grid) for p in PRIMITIVES]
+    fields = {}
+    for a, pa in enumerate(PRIMITIVES):
+        for b in range(a + 1, len(PRIMITIVES)):
+            fields[a, b] = (_apply_primitive(pa, firsts[b], grid)
+                            - _apply_primitive(PRIMITIVES[b], firsts[a], grid))
+        firsts[a] = None
+    return fields
+
+
+def _table_check(s: QuantizationScheme, psi: WaveFunction,
+                 fields: Mapping[tuple[int, int], np.ndarray]) -> CommutatorCheck:
+    """`commutator_table_check` from the primitive commutators of psi.
+
+    With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
+    each pair's residual sums the nonzero coefficients' fields and subtracts
+    T_ij psi where T_ij is nonzero.
     """
     localized = check_localized(psi, action="commutator table check")
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
-    grid, rows, h = psi.grid, s.assignment, psi.grid.spacing
+    rows, h = s.assignment, psi.grid.spacing
     for i, j in PAIR_INDEX:
-        lhs = (_act(rows[i], _act(rows[j], psi.values, grid), grid)
-               - _act(rows[j], _act(rows[i], psi.values, grid), grid))
-        diff = lhs - s.commutators[i, j] * psi.values
+        diff = np.zeros_like(psi.values)
+        for (a, b), field in fields.items():
+            coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
+            if coeff != 0:
+                diff = diff + coeff * field
+        if s.commutators[i, j] != 0:
+            diff = diff - s.commutators[i, j] * psi.values
         dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
         devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
     return CommutatorCheck(max_deviation=max(devs.values()),
                            deviations=devs, localized=localized)
+
+
+def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> CommutatorCheck:
+    """Compare [F_i, F_j] psi against the table T_ij psi for every fundamental pair.
+
+    The commutators come from the six primitive ones (`_primitive_commutators`)
+    and the assignment rows.  `localized` is False, with a
+    `LocalizationWarning`, when psi reaches `check_localized`'s default
+    threshold at the grid boundary.
+    """
+    return _table_check(s, psi, _primitive_commutators(psi))
 
 
 def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
@@ -271,7 +304,8 @@ def quantization_needs_symmetrization(s: QuantizationScheme,
 
 
 # ---------------------------------------------------------------------------
-# unitary evolution: Chebyshev expansion of the propagator with a 1-D factor stencil
+# unitary evolution: closed form for a separable generator, else a Chebyshev
+# expansion of the propagator with a 1-D factor stencil
 # ---------------------------------------------------------------------------
 
 def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
@@ -306,6 +340,19 @@ class _Stencil:
             term = values if left is None else left @ values
             out += term if right_t is None else term @ right_t
         return out
+
+
+def _axis_factor(grid: GridSpec, power: int, order: int) -> np.ndarray | None:
+    """diag(axis^power) K_order on one axis of the grid, None for the identity;
+    K_order is the N x N matrix the FFT's order-th derivative applies."""
+    if power == order == 0:
+        return None
+    if order:
+        spectral = np.fft.fft(np.eye(grid.points), axis=0)
+        deriv = np.fft.ifft((1j * grid.wavenumbers())[:, None] ** order * spectral, axis=0)
+    else:
+        deriv = np.eye(grid.points)
+    return grid.axis()[:, None] ** power * deriv
 
 
 def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
@@ -348,19 +395,9 @@ def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
         raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
                          "is not finite")
 
-    ax, ik = grid.axis(), 1j * grid.wavenumbers()
-    spectral = np.fft.fft(np.eye(grid.points), axis=0)
-
-    def factor(power: int, order: int) -> np.ndarray | None:
-        """diag(axis^power) K_order, None for the identity."""
-        if power == order == 0:
-            return None
-        deriv = np.fft.ifft(ik[:, None] ** order * spectral, axis=0) if order else np.eye(grid.points)
-        return ax[:, None] ** power * deriv
-
     lefts, rights, pairs = [], [], []
     for coeff, x_part, y_part in terms:
-        x_factor, y_factor = factor(*x_part), factor(*y_part)
+        x_factor, y_factor = _axis_factor(grid, *x_part), _axis_factor(grid, *y_part)
         if y_factor is None:
             lefts.append(coeff / half_width * x_factor)
         elif x_factor is None:
@@ -417,22 +454,30 @@ def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
         raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
                          "does not give a finite propagator")
     series = [_chebyshev_coefficients(alpha) for alpha in alphas]
-    table = np.zeros((max(map(len, series)), len(jobs)), dtype=complex)
-    for j, coeffs in enumerate(series):
-        table[:len(coeffs), j] = coeffs
-    rows = [row for row, _ in jobs]
+    # jobs run longest series first, so the jobs whose series has not ended
+    # yet are a leading slice, the only rows an order adds to
+    order = sorted(range(len(jobs)), key=lambda j: -len(series[j]))
+    ends = [len(series[j]) for j in order]
+    table = np.zeros((ends[0], len(jobs)), dtype=complex)
+    for col, j in enumerate(order):
+        table[:ends[col], col] = series[j]
+    rows = [jobs[j][0] for j in order]
     out = table[0, :, None, None] * states[rows]
     cur = np.array(states, dtype=complex)  # T_{k-1}; T_{k-2} and a spare take two more buffers
     prev, spare = np.empty_like(cur), np.empty_like(cur)
+    live = len(jobs)
     for k in range(1, len(table)):
         nxt = stencil.step(cur, spare)
         if k > 1:
             nxt *= 2.0
             nxt -= prev
         prev, cur, spare = cur, nxt, prev
-        out += table[k, :, None, None] * cur[rows]
+        while ends[live - 1] <= k:
+            live -= 1
+        out[:live] += table[k, :live, None, None] * cur[rows[:live]]
+    out = out[np.argsort(order)]  # back to the order of jobs
     out *= np.exp(-1j * phases)[:, None, None]
-    before = np.sqrt(np.sum(np.abs(states[rows]) ** 2, axis=(1, 2)))
+    before = np.sqrt(np.sum(np.abs(states[[row for row, _ in jobs]]) ** 2, axis=(1, 2)))
     drift = np.abs(np.sqrt(np.sum(np.abs(out) ** 2, axis=(1, 2))) - before)
     failed = np.flatnonzero(~(drift <= 1e-8 * before))
     if failed.size:
@@ -442,17 +487,94 @@ def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
     return out
 
 
-def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
-    """exp(-i S t / hbar) psi by a Chebyshev expansion of the propagator.
+def _is_hermitian(op: OperatorExpr) -> bool:
+    """op equals its adjoint in the Weyl algebra, where x and y are Hermitian and
+    d/dx and d/dy anti-Hermitian, as they are on the grid."""
+    adjoint = OperatorExpr(
+        (c.conjugate() * (-1) ** sum(p in (Primitive.DX, Primitive.DY) for p in prod), prod[::-1])
+        for c, prod in op.terms)
+    return op.equals(adjoint)
 
-    The T_k follow from the three-term recurrence, one step of S's stencil
-    per order: products with N x N factors, so no N^2 x N^2 matrix is formed
-    and the cost per order grows as N^3.  Raises RuntimeError when the norm
-    moves by more than 1e-8 relative; see `_propagate`.
+
+def _separable_factors(s: QuantizationScheme, grid: GridSpec) -> tuple | None:
+    """Eigensystems (w, V) of S_x and S_y when S = S_x (x) 1 + 1 (x) S_y, else None.
+
+    S splits this way when no term of its normal form mixes the axes, the
+    potential's terms included: each term then acts on one axis alone, as
+    `_axis_factor`'s matrix for that axis, and a constant term joins S_x.  S0
+    and S2 split under their own schemes.  Each factor is made exactly
+    Hermitian and diagonalized by one `eigh`, which would drop an
+    anti-Hermitian part, so an S that is not Hermitian takes the Chebyshev
+    route, whose norm guard reports it.  Raises ValueError when a factor is
+    not finite.
     """
-    stencil = _generator_stencil(s, psi.grid)
-    return WaveFunction(psi.grid, _propagate(stencil, psi.values[None], s.params.hbar,
-                                             ((0, t),))[0])
+    op = quantize_observable(s, _generator_polynomial(s))
+    nf = op.normal_form()
+    if any((a or c) and (b or d) for a, b, c, d in nf) or not _is_hermitian(op):
+        return None
+    eye = np.eye(grid.points)
+    parts = [np.zeros((grid.points, grid.points), dtype=complex) for _ in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for (a, b, c, d), coeff in sorted(nf.items()):
+            axis, power, order = (1, b, d) if b or d else (0, a, c)
+            factor = _axis_factor(grid, power, order)
+            parts[axis] += coeff * (eye if factor is None else factor)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValueError("the generator's spectral interval is not finite: "
+                         "a 1-D factor holds inf or nan")
+    return tuple(np.linalg.eigh((part + part.conj().T) / 2.0) for part in parts)
+
+
+def _separable_propagate(factors, states: np.ndarray, hbar: float,
+                         jobs: Sequence[tuple[int, float]]) -> np.ndarray:
+    """exp(-i S t / hbar) states[row] = U_x states[row] U_y^T for each (row, t) of jobs.
+
+    Each U = V exp(-i w t / hbar) V^dagger comes from its factor's
+    eigensystem, once per distinct t.  Raises ValueError when a phase w t /
+    hbar is not finite.
+    """
+    out = np.empty((len(jobs),) + states.shape[1:], dtype=complex)
+    unitaries = {}
+    for j, (row, t) in enumerate(jobs):
+        if t not in unitaries:
+            phases = [w * t / hbar for w, _ in factors]
+            if not all(np.isfinite(phase).all() for phase in phases):
+                raise ValueError("the generator's spectral interval does not give "
+                                 "a finite propagator")
+            ux, uy = ((v * np.exp(-1j * phase)) @ v.conj().T
+                      for phase, (_, v) in zip(phases, factors))
+            unitaries[t] = ux, uy.T
+        ux, uy_t = unitaries[t]
+        out[j] = ux @ states[row] @ uy_t
+    return out
+
+
+def _propagator(s: QuantizationScheme, grid: GridSpec):
+    """evolve(states, jobs): exp(-i S t / hbar) states[row] for each (row, t) of jobs.
+
+    The route follows from S's normal form: the closed form of
+    `_separable_factors` when S splits over the axes (S0, S2), else one
+    Chebyshev recurrence over S's stencil (`_propagate`; S1, S3).
+    """
+    hbar = s.params.hbar
+    factors = _separable_factors(s, grid)
+    if factors is not None:
+        return lambda states, jobs: _separable_propagate(factors, states, hbar, jobs)
+    stencil = _generator_stencil(s, grid)
+    return lambda states, jobs: _propagate(stencil, states, hbar, jobs)
+
+
+def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
+    """exp(-i S t / hbar) psi, by the route `_propagator` takes for S.
+
+    A separable S (S0, S2) evolves in closed form from its 1-D factors'
+    eigensystems.  Any other S takes a Chebyshev expansion of the propagator:
+    the T_k follow from the three-term recurrence, one step of S's stencil per
+    order, products with N x N factors, so no N^2 x N^2 matrix is formed and
+    the cost per order grows as N^3; it raises RuntimeError when the norm moves
+    by more than 1e-8 relative (see `_propagate`).
+    """
+    return WaveFunction(psi.grid, _propagator(s, psi.grid)(psi.values[None], ((0, t),))[0])
 
 
 def _conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
@@ -468,20 +590,20 @@ def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
     """|O U psi - U O(t) psi| / |O(t) psi| for each (O, t) of probes, U = exp(-i S t / hbar).
 
     U is unitary, so the numerator is the gap between U^dagger O U psi and
-    O(t) psi, and no state is evolved backward.  One stencil of S and one
-    recurrence over the stack [psi, O_1(t_1) psi, ...] serve every probe: psi
-    is evolved to each probe's time, each target to its own.  Each target
-    enters the stack in units of its largest entry, so neither the recurrence
+    O(t) psi, and no state is evolved backward.  One propagator of S
+    (`_propagator`) evolves the stack [psi, O_1(t_1) psi, ...] for every
+    probe: psi to each probe's time, each target to its own.  Each target
+    enters the stack in units of its largest entry, so neither the evolution
     nor a norm meets subnormal numbers when O(t) psi is tiny (m omega = 1e-300).
     """
-    stencil = _generator_stencil(s, psi.grid)
+    evolve = _propagator(s, psi.grid)
     rows = [OBSERVABLES.index(which) for which, _ in probes]
     targets = [_act(flow_jacobian(t, s.params)[r] @ s.assignment, psi.values, psi.grid)
                for r, (_, t) in zip(rows, probes)]
     scales = [np.abs(target).max() for target in targets]
     targets = [target / scale for target, scale in zip(targets, scales)]
     jobs = [(0, t) for _, t in probes] + [(i + 1, t) for i, (_, t) in enumerate(probes)]
-    evolved = _propagate(stencil, np.stack([psi.values, *targets]), s.params.hbar, jobs)
+    evolved = evolve(np.stack([psi.values, *targets]), jobs)
     deviations = []
     for i, r in enumerate(rows):
         acted = _act(s.assignment[r], evolved[i], psi.grid) / scales[i]

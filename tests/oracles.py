@@ -8,8 +8,8 @@ closed forms cross-checked by direct trapezoid quadrature with analytic
 derivatives.  Two oracles reuse library objects: the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying operator
 expressions to the grid field (twice, for second moments) and the
-commutator group's assignment-row actions by composing the fundamentals'
-operator expressions both ways, and the dense
+commutator group's residuals, built from the six primitive commutators, by
+composing the fundamentals' operator expressions both ways, and the dense
 N^2 x N^2 materialization of an operator expression, whose eigendecomposition
 backs the library's matrix-free Chebyshev propagator, the term-by-term
 operator-norm bound on a generator's spectrum, which backs the interval the
@@ -269,7 +269,8 @@ def commutator_deviations(s, psi) -> dict:
     """|[F_i, F_j] psi - T_ij psi| / |psi| for every fundamental pair i < j.
 
     Each fundamental is the scheme's `OperatorExpr`, applied to the state in
-    both orders; the library applies rows of the assignment matrix instead.
+    both orders; the library combines the primitive commutators [P_a, P_b] psi
+    with the assignment rows instead, so the two agree to roundoff.
     """
     norm = psi.norm()
     h = psi.grid.spacing

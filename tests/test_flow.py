@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symquant import (
     PhaseState,
@@ -23,6 +24,7 @@ from symquant import (
     verify_conserved,
     verify_flow_symplectic,
 )
+from symquant import flow
 from oracles import leapfrog
 
 P = PhysParams(1.0, 1.0, 1.0)
@@ -129,6 +131,39 @@ def test_conserved_verdict_is_relative_to_the_size_of_the_terms(m):
     # x^2 is no constant of motion at any m
     assert not verify_conserved(PolynomialObservable({(2, 0, 0, 0): 1}), state, times,
                                 params).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_mw=st.floats(-3.0, 3.0), log_hbar=st.floats(-3.0, 3.0), omega=st.floats(0.1, 10.0),
+       phases=st.lists(st.floats(0.0, 4.0 * math.pi), min_size=1, max_size=20),
+       state=st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_stacked_flow_verdicts_equal_the_per_time_verdicts(log_mw, log_hbar, omega, phases, state):
+    # check's flow group takes its verdicts from one (T, 4, 4) Jacobian stack
+    # per form and f evaluated once on the (4, T) states; each must be what
+    # the per-time products give, bit for bit
+    params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
+    times = [phase / omega for phase in phases]
+    jacobians = np.array([flow_jacobian(t, params) for t in times])
+    state0 = PhaseState(*state)
+    pairs = standard_pairs(params.m, params.omega)
+    # {x, y} = 1 and {p_x, p_y} = 2 is not preserved, so some verdicts are False
+    mixed = SymplecticForm([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
+    for form in [pair.form for pair in pairs] + [mixed]:
+        lower = form.lower_array()
+        stacked = flow._pullback_checks(form, jacobians)
+        for t, check in zip(times, stacked):
+            jac = flow_jacobian(t, params)
+            dev = pullback_deviation(jac, form)
+            size = float(np.max(np.abs(jac).T @ np.abs(lower) @ np.abs(jac)))
+            assert check == (dev <= 1e-12 * max(1.0, size), dev)
+            assert verify_flow_symplectic(form, t, params) == check
+    for pair in pairs:
+        f = pair.hamiltonian
+        ref = float(f.evaluate(state0.as_array()))
+        drifts = [abs(float(f.evaluate(exact_flow(state0, t, params).as_array())) - ref)
+                  for t in times]
+        assert conserved_along_flow(f, state0, times, params) == max([0.0] + drifts)
+        assert verify_conserved(f, state0, times, params).max_drift == max([0.0] + drifts)
 
 
 def test_scaling_map_is_not_symplectic():

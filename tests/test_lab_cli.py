@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -915,12 +916,33 @@ def test_benchmark_like_scenario_stdout_is_byte_identical(argv, tmp_path, capsys
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_LIKE_STDOUT_SHA256[argv]
 
 
+# runs the CLI as `python -m symquant` does, then fails if numpy.random was imported
+_WITHOUT_NUMPY_RANDOM = (
+    "import sys\n"
+    "from symquant.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    "raise SystemExit(code)\n")
+
+
 def test_benchmark_like_check_writes_nothing_to_stderr(tmp_path):
     # the benchmark's verify op fails on any stderr output, so a warning from
     # the check's grid work, even one this suite does not turn into an error,
-    # would read as a wrong answer
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "symquant", "check",
+    # would read as a wrong answer; and importing numpy.random costs every
+    # check process about 15 ms and 3-4 MB, so no new import may slip in
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _WITHOUT_NUMPY_RANDOM, "check",
                            "--scenario", str(_benchmark_like_scenario(tmp_path))],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith("overall: pass\n")
+
+
+def test_check_draws_are_the_seeded_generator_draws():
+    # the flow group's times and the uncertainty group's probes come from
+    # these constants exactly as they came from the generator
+    rng = np.random.default_rng(lab._RNG_SEED)
+    draws = rng.random(40)
+    assert lab._UNIFORM_DRAWS == tuple(draws.tolist())
+    for lo, hi in ((0.0, 4.0 * math.pi / 1.5), (-0.8, 0.8), (-1.2, 1.2), (0.6, 1.2)):
+        expected = np.random.default_rng(lab._RNG_SEED).uniform(lo, hi, size=40)
+        assert [lab._uniform(lo, hi, u) for u in lab._UNIFORM_DRAWS] == expected.tolist()

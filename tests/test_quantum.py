@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from symquant import (
     coordinates,
     WaveFunction,
 )
-from symquant import quantum
+from symquant import lab, quantum
 from symquant.flow import flow_jacobian
 from oracles import (
     applied_commutator,
@@ -170,8 +171,9 @@ def test_commutator_tables_realized(params):
        t=st.floats(-10.0, 10.0))
 def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, omega, points,
                                                          offset, width, t):
-    # the commutator and unitary groups apply rows of A and J(t) A to the grid
-    # field; they must give bit for bit what the OperatorExprs give
+    # the unitary group applies rows of A and J(t) A to the grid field, and
+    # the commutator group the primitive commutators; each must give bit for
+    # bit what the OperatorExprs give
     params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
     ref = params.sigma_ref
     grid = GridSpec(half_width=8.0 * ref, points=points)
@@ -179,7 +181,21 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                          wavevector=(offset[2] / ref, offset[3] / ref),
                          sigma=width * params.ground_sigma).sample(grid)
     s = scheme(sid, params)
-    assert commutator_table_check(s, psi).deviations == commutator_deviations(s, psi)
+    prims = [OperatorExpr.primitive(p) for p in quantum.PRIMITIVES]
+    fields = quantum._primitive_commutators(psi)
+    assert sorted(fields) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    for (a, b), field in fields.items():
+        assert np.array_equal(field, (prims[a] @ prims[b] - prims[b] @ prims[a]).apply(psi).values)
+    # the per-pair composition of the fundamentals rounds its products in
+    # another order; the gap is roundoff on terms of the size of the table
+    # entries, hbar, hbar m omega and hbar / (m omega)
+    mw = params.m * params.omega
+    bound = 16 * np.finfo(float).eps * params.hbar * max(1.0, mw, 1.0 / mw)
+    expected = commutator_deviations(s, psi)
+    got = commutator_table_check(s, psi).deviations
+    assert got.keys() == expected.keys()
+    for pair, dev in got.items():
+        assert abs(dev - expected[pair]) <= bound, pair
     for r, which in enumerate(OBS):
         for tau in (0.0, t):
             row = flow_jacobian(tau, params)[r] @ s.assignment
@@ -187,6 +203,20 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                                   heisenberg_operator(s, which, tau).apply(psi).values)
         assert np.array_equal(quantum._act(s.assignment[r], psi.values, grid),
                               s.fundamental(which).apply(psi).values)
+
+
+def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
+    # the six primitive commutators of the probe serve every scheme: 4 first
+    # actions and 12 second ones, whatever the number of schemes
+    calls = []
+    apply = quantum._apply_primitive
+    monkeypatch.setattr(quantum, "_apply_primitive",
+                        lambda p, values, grid: calls.append(p) or apply(p, values, grid))
+    for schemes in ((0,), (0, 1, 2, 3)):
+        del calls[:]
+        scn = replace(default_scenario(), schemes=schemes)
+        assert lab._check_commutators(scn).detail == "max deviation 6.889e-13"
+        assert len(calls) == 16
 
 
 def test_commutator_check_warns_when_delocalized():

@@ -16,6 +16,7 @@ from symquant import (
     ground_packet,
     quantize_observable,
     scheme,
+    standard_hamiltonians,
     unitary_conjugation_check,
     unitary_evolve,
 )
@@ -76,6 +77,43 @@ def test_matches_dense_eigendecomposition():
             assert np.max(np.abs(unitary_evolve(s, psi, t).values - dense.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("points", [16, 32])
+@pytest.mark.parametrize("m_omega", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("sid", [0, 2])
+def test_separable_route_matches_dense_eigendecomposition(sid, m_omega, points, monkeypatch):
+    # S0 and S2 split over the axes, so they evolve in closed form from the
+    # eigensystems of two N x N factors, and build no stencil
+    monkeypatch.setattr(quantum, "_generator_stencil", None)
+    params = PhysParams(m=m_omega / 1.3, omega=1.3, hbar=0.7)
+    ref = params.sigma_ref
+    grid = GridSpec(half_width=8.0 * ref, points=points)
+    psi = GaussianPacket(center=(0.4 * ref, -0.2 * ref), wavevector=(0.5 / ref, 0.3 / ref),
+                         sigma=params.ground_sigma).sample(grid)
+    s = scheme(sid, params)
+    times = tuple(tau / params.omega for tau in (-1.1, 0.3, 1.7, 6.0))
+    for t, dense in zip(times, dense_evolve(s, psi, times)):
+        assert np.max(np.abs(unitary_evolve(s, psi, t).values - dense.values)) <= 1e-10, t
+
+
+def test_a_generator_that_mixes_the_axes_takes_the_recurrence(monkeypatch):
+    # S0 plus an x y potential no longer splits over the axes
+    coupled = PolynomialObservable({**standard_hamiltonians(1, 1)[0].terms, (1, 1, 0, 0): 0.25})
+    monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: coupled)
+    s = scheme(0, P)
+    assert quantum._separable_factors(s, SMALL) is None
+    runs = []
+    propagate = quantum._propagate
+    monkeypatch.setattr(quantum, "_propagate", lambda *args: runs.append(args) or propagate(*args))
+    grid = GridSpec(half_width=8.0, points=16)
+    psi = ground_packet(P, center=(0.4, -0.2), wavevector=(0.5, 0.3)).sample(grid)
+    evolved = unitary_evolve(s, psi, 0.7)
+    assert len(runs) == 1
+    mat = dense_matrix(quantize_observable(s, coupled), grid)
+    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    dense = evecs @ (np.exp(-0.7j * evals / P.hbar) * (evecs.conj().T @ psi.values.ravel()))
+    assert np.max(np.abs(evolved.values.ravel() - dense)) <= 1e-10
+
+
 def _generator(s):
     return quantize_observable(s, quantum._generator_polynomial(s))
 
@@ -108,8 +146,9 @@ def test_stencil_acts_like_the_quantized_generator(sid):
 
 
 def test_unitary_check_runs_its_orders_without_fft(monkeypatch):
-    # 101 + 165 + 101 + 166 = 533 stacked orders on the default scenario: T_0,
-    # then one stencil step per order on the (3, 32, 32) stack, none of them an FFT
+    # S0 and S2 evolve in closed form; S1 and S3 run 165 + 166 = 331 stacked
+    # orders on the default scenario: T_0, then one stencil step per order on
+    # the (3, 32, 32) stack, none of them an FFT
     steps, in_step, ffts = [], [], []
     step = quantum._Stencil.step
 
@@ -140,7 +179,7 @@ def test_unitary_check_runs_its_orders_without_fft(monkeypatch):
     monkeypatch.setattr(quantum, "_propagate", counted_propagate)
     result = lab._check_unitary(lab.default_scenario())
     assert result.detail == "max conjugation deviation 7.266e-07"
-    assert orders == [101, 165, 101, 166] and sum(orders) == 533
+    assert orders == [165, 166] and sum(orders) == 331
     assert set(steps) == {(3, 32, 32)}
     assert ffts == []
 
@@ -178,7 +217,8 @@ def test_propagator_applies_no_operator_expression(monkeypatch):
 
 
 def test_conjugation_check_builds_one_stencil(monkeypatch):
-    # a scheme's generator is compiled once for all of its conjugation probes
+    # a scheme's generator is compiled once for all of its conjugation probes;
+    # only S1 and S3, whose generators mix the axes, need a stencil
     builds = []
     build = quantum._generator_stencil
     monkeypatch.setattr(quantum, "_generator_stencil",
@@ -187,18 +227,18 @@ def test_conjugation_check_builds_one_stencil(monkeypatch):
     assert builds == [3]
     del builds[:]
     result = lab._check_unitary(lab.default_scenario())
-    assert builds == [0, 1, 2, 3]
+    assert builds == [1, 3]
     assert result.detail == "max conjugation deviation 7.266e-07"
 
 
 def test_conjugation_check_evolves_forward_only(monkeypatch):
-    # each scheme runs one recurrence, over the stack [psi, x(t1) psi, p_x(t2) psi]
+    # S1 and S3 each run one recurrence, over the stack [psi, x(t1) psi, p_x(t2) psi]
     runs = []
     propagate = quantum._propagate
     monkeypatch.setattr(quantum, "_propagate", lambda stencil, states, hbar, jobs:
                         runs.append((states.shape[0], jobs)) or propagate(stencil, states, hbar, jobs))
     lab._check_unitary(lab.default_scenario())
-    assert runs == [(3, [(0, 0.6), (0, 1.1), (1, 0.6), (2, 1.1)])] * 4
+    assert runs == [(3, [(0, 0.6), (0, 1.1), (1, 0.6), (2, 1.1)])] * 2
 
 
 @pytest.mark.parametrize("hbar", [0.5, 2.0])
@@ -236,6 +276,9 @@ def test_norm_guard_rejects_a_non_hermitian_generator(monkeypatch):
     assert quantize_observable(s, unsymmetrized).equals(
         s.fundamental("x") @ s.fundamental("p_x"))
     monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: unsymmetrized)
+    # it splits over the axes, but eigh would drop its anti-Hermitian part,
+    # so it takes the recurrence, whose norm guard reports it
+    assert quantum._separable_factors(s, SMALL) is None
     psi = ground_packet(P).sample(SMALL)
     with pytest.raises(RuntimeError, match="changed the norm"):
         unitary_evolve(s, psi, 0.3)
