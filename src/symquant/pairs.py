@@ -24,6 +24,7 @@ from .phasespace import (
     _ONE,
     _all_zero,
     _as_matrix,
+    _check_shape_and_antisymmetry,
     _contract,
     _invert_matrix,
     _raw_gradient,
@@ -102,30 +103,26 @@ def admissible_inverse_forms(field: LinearVectorField,
     """
     a = field.as_float_array()
     system = np.zeros((len(_UPPER_WITH_DIAG), len(PAIR_INDEX)))
-    for k in range(len(PAIR_INDEX)):
-        unit = np.zeros(len(PAIR_INDEX))
-        unit[k] = 1.0
+    for k, unit in enumerate(np.eye(len(PAIR_INDEX))):
         e = _theta_from_coordinates(unit)
         c = e @ a + a.T @ e
         system[:, k] = [c[i, j] for i, j in _UPPER_WITH_DIAG]
     _, svals, vt = np.linalg.svd(system)
     cutoff = sv_threshold * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     null_rows = [vt[k] for k in range(vt.shape[0]) if k >= svals.size or svals[k] <= cutoff]
-    basis = []
-    for row in null_rows:
-        theta = _theta_from_coordinates(row)
+    basis = tuple(_theta_from_coordinates(row) for row in null_rows)
+    for theta in basis:
         theta.setflags(write=False)
-        basis.append(theta)
-    return InverseFormBasis(basis=tuple(basis))
+    return InverseFormBasis(basis=basis)
 
 
 def hamiltonian_from_form(theta, field: LinearVectorField,
                           tol: float = 1e-12) -> PolynomialObservable:
     """Quadratic Hamiltonian (1/2) x^T (theta A) x for an admissible theta.
 
-    Raises ValueError("asymmetric product") when theta A is not symmetric and
-    ValueError("degenerate form") when theta has no inverse, since then no
-    bracket matrix completes the pair.
+    Raises ValueError: "not antisymmetric" unless theta is antisymmetric 4x4,
+    "asymmetric product" when theta A is not symmetric and "degenerate form"
+    when theta has no inverse, since then no bracket matrix completes the pair.
     """
     return _hamiltonian_and_inverse(theta, field, tol)[0]
 
@@ -145,24 +142,19 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12
     """The Hamiltonian of `hamiltonian_from_form`, theta in canonical form, and
     theta^{-1}, inverting theta once."""
     theta = _as_matrix(theta)
+    _check_shape_and_antisymmetry(theta)
     a = field.matrix
-    s = [[sum(theta[i][k] * a[k][j] for k in range(NVARS)) for j in range(NVARS)]
-         for i in range(NVARS)]
+    s = [[sum(t * a[k][j] for k, t in enumerate(row) if t != 0 and a[k][j] != 0)
+          for j in range(NVARS)] for row in theta]
     if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s, tol):
         raise ValueError("asymmetric product")
     try:
         inverse = _invert_matrix(theta)
-    except ZeroDivisionError:
+    except ValueError:
         raise ValueError("degenerate form") from None
-
     half = Fraction(1, 2)
-    terms: dict[tuple[int, int, int, int], object] = {}
-    for i in range(NVARS):
-        for j in range(i, NVARS):
-            expo = [0, 0, 0, 0]
-            expo[i] += 1
-            expo[j] += 1
-            terms[tuple(expo)] = half * s[i][i] if i == j else s[i][j]
+    terms = {tuple(int(k == i) + int(k == j) for k in range(NVARS)):
+             half * s[i][j] if i == j else s[i][j] for i, j in _UPPER_WITH_DIAG if s[i][j] != 0}
     return PolynomialObservable(terms), theta, inverse
 
 
@@ -177,7 +169,7 @@ def verify_pair(pair: HamiltonianPair,
     residuals = []
     for upper_row, field_row in zip(pair.form.upper, field.matrix):
         raw = _contract((_ONE,), (upper_row,), grad)
-        _contract((_ONE,), (tuple(-a for a in field_row),), _COORDINATE_GRADIENT, raw)
+        _contract(({(0,) * NVARS: -1},), (field_row,), _COORDINATE_GRADIENT, raw)
         residuals.append(PolynomialObservable(raw))
     return tuple(residuals)
 

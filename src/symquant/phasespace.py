@@ -130,12 +130,14 @@ def _as_matrix(rows) -> tuple[tuple, ...]:
 
 
 def _is_complex(c) -> bool:
-    """c is a Python complex, or a sympy value, not a canonical monomial, that
-    sympy can tell is not real (I, I*m with m positive).  Monomials are not
-    asked: that query on every entry cut the `exact` benchmark by a third."""
+    """c is a Python complex, or a sympy value that sympy can tell is not real
+    (I, I*m with m positive, m with m imaginary).  A canonical monomial whose
+    symbols are all known to be real is real, so it is not asked: that query
+    on every entry cut the `exact` benchmark by a third."""
     if isinstance(c, complex):
         return True
-    return (_sympy_of(c) is not None and not _is_canonical_monomial(c)
+    return (_sympy_of(c) is not None
+            and not (_is_canonical_monomial(c) and all(s.is_real for s in c.free_symbols))
             and c.is_real is False)
 
 
@@ -147,48 +149,42 @@ def _is_float_matrix(mat) -> bool:
             and not any(_sympy_of(v) is not None and v.free_symbols for row in mat for v in row))
 
 
-def _matrix_max_abs(mat) -> float:
-    return max((abs(float(v)) for row in mat for v in row), default=0.0)
-
-
 def _all_zero(values, mat, tol: float = 1e-12) -> bool:
     """Each value read off `mat` is zero: literally 0 once canonical, or, when
     `mat` is a float matrix, at most tol (1 + max|mat|), a scale taken once."""
     if _is_float_matrix(mat):
-        scale = tol * (1.0 + _matrix_max_abs(mat))
+        scale = tol * (1.0 + max(abs(float(v)) for row in mat for v in row))
         return all(abs(float(v)) <= scale for v in values)
     return all(_normalize_scalar(v) == 0 for v in values)
 
 
-def _is_antisymmetric(mat) -> bool:
-    n = len(mat)
-    return _all_zero((mat[i][j] + mat[j][i] for i in range(n) for j in range(i, n)), mat)
+def _invert_antisymmetric(mat) -> tuple[tuple, ...]:
+    """Inverse of a canonical exact antisymmetric 4x4 matrix W, in closed form:
+    with a, b, c, d, e, f its upper entries W01, W02, W03, W12, W13, W23, the
+    Pfaffian is Pf = af - be + cd, det W = Pf^2 (Cayley), and W^-1 is
+    [[0, -f, e, -d], [f, 0, -c, b], [-e, c, 0, -a], [d, -b, a, 0]] / Pf.  A
+    canonical Pf of 0 raises ValueError("degenerate").  A zero comes out as
+    Fraction(0), and so does every entry of an int or Fraction matrix."""
+    (_, a, b, c), (_, _, d, e), (_, _, _, f) = mat[:3]
+    pf = _normalize_scalar(sum(u * v for u, v in ((a, f), (-b, e), (c, d)) if u != 0 and v != 0))
+    if pf == 0:
+        raise ValueError("degenerate")
+    r, zero = _reciprocal(pf), Fraction(0)
 
+    def scaled(v):  # v / Pf and -v / Pf; a sympy v is not multiplied by a unit Pf
+        if v == 0:
+            return zero, zero
+        if _sympy_of(v) is None or r != 1:
+            v = _normalize_scalar(v * r)
+        return v, _normalize_scalar(-v)
 
-def _invert_exact(mat) -> tuple[tuple, ...]:
-    """Gauss-Jordan inverse over canonical exact scalars; raises ZeroDivisionError if singular."""
-    n = len(mat)
-    aug = [[Fraction(v) if isinstance(v, (int, Fraction)) else v for v in row]
-           + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = _reciprocal(aug[col][col])
-        # only the entries a step changes are canonicalized again
-        aug[col] = [v if v == 0 else _normalize_scalar(v * inv_p) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a if b == 0 else _normalize_scalar(a - f * b)
-                          for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    (a, na), (b, nb), (c, nc), (d, nd), (e, ne), (f, nf) = map(scaled, (a, b, c, d, e, f))
+    return ((zero, nf, e, nd), (f, zero, nc, b), (ne, c, zero, na), (d, nb, a, zero))
 
 
 def _invert_matrix(mat) -> tuple[tuple, ...]:
-    """Matrix inverse; raises ZeroDivisionError when (numerically) singular.
+    """Inverse of an antisymmetric 4x4 matrix, in closed form when it is exact;
+    raises ValueError("degenerate") when it is (numerically) singular.
 
     Floats are tested after dividing each row by its largest absolute entry,
     so rows of very different scale, such as 1/(m omega) against m omega, do
@@ -200,12 +196,12 @@ def _invert_matrix(mat) -> tuple[tuple, ...]:
         arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
         scales = np.abs(arr).max(axis=1)
         if not scales.all():
-            raise ZeroDivisionError("singular matrix")
+            raise ValueError("degenerate")
         svals = np.linalg.svd(arr / scales[:, None], compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
-            raise ZeroDivisionError("singular matrix")
+            raise ValueError("degenerate")
         return _as_matrix(np.linalg.inv(arr))
-    return _invert_exact(mat)
+    return _invert_antisymmetric(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ def coordinates() -> tuple[PolynomialObservable, ...]:
 def _check_shape_and_antisymmetry(mat) -> None:
     if len(mat) != NVARS:
         raise ValueError("form must be 4x4")
-    if not _is_antisymmetric(mat):
+    if not _all_zero((mat[i][j] + mat[j][i] for i in range(NVARS) for j in range(i, NVARS)), mat):
         raise ValueError("not antisymmetric")
 
 
@@ -440,11 +436,7 @@ class SymplecticForm:
     def __init__(self, upper):
         mat = _as_matrix(upper)
         _check_shape_and_antisymmetry(mat)
-        try:
-            inverse = _invert_matrix(mat)
-        except ZeroDivisionError:
-            raise ValueError("degenerate") from None
-        self._store(mat, inverse)
+        self._store(mat, _invert_matrix(mat))
 
     @classmethod
     def _from_inverse_pair(cls, upper, lower) -> "SymplecticForm":
@@ -504,9 +496,19 @@ _COORDINATE_GRADIENT = tuple({tuple(int(i == nu) for i in range(NVARS)): 1}
                              for nu in range(NVARS))
 
 
+def _times(c, d):
+    """c * d; a factor that is the int 1 or -1 costs no multiplication, which
+    on sympy values is a full Mul where a negation is not."""
+    if type(d) is int and (d == 1 or d == -1):
+        return c if d == 1 else -c
+    if type(c) is int and (c == 1 or c == -1):
+        return d if c == 1 else -d
+    return c * d
+
+
 def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
     """d/dx^mu of a term dict, uncanonicalized; lowered exponents stay distinct."""
-    return {expo[:mu] + (expo[mu] - 1,) + expo[mu + 1:]: expo[mu] * coeff
+    return {expo[:mu] + (expo[mu] - 1,) + expo[mu + 1:]: _times(expo[mu], coeff)
             for expo, coeff in terms.items() if expo[mu]}
 
 
@@ -516,17 +518,19 @@ def _raw_gradient(f: PolynomialObservable) -> tuple[dict, ...]:
 
 def _contract(left: Sequence[dict], matrix, right: Sequence[dict],
               out: dict | None = None) -> dict:
-    """Raw sum_mu,nu left[mu] * matrix[mu][nu] * right[nu], accumulated into `out`."""
+    """Raw sum_mu,nu left[mu] * matrix[mu][nu] * right[nu], accumulated into
+    `out`; the first product at an exponent is stored, not added to 0."""
     out = {} if out is None else out
     for lterms, row in zip(left, matrix):
         for w, rterms in zip(row, right):
             if w == 0:
                 continue
             for e1, c1 in lterms.items():
-                c1w = c1 * w
+                c1w = _times(c1, w)
                 for e2, c2 in rterms.items():
                     expo = tuple(a + b for a, b in zip(e1, e2))
-                    out[expo] = out.get(expo, 0) + c1w * c2
+                    term, prev = _times(c1w, c2), out.get(expo)
+                    out[expo] = term if prev is None else prev + term
     return out
 
 

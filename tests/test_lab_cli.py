@@ -524,6 +524,18 @@ def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
     assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
 
 
+def test_commutator_bound_is_relative_to_the_table():
+    # at hbar m omega = 1.3e5 the table's roundoff alone reaches 9.3e-8, 7e-13
+    # of the table; an absolute 1e-8 bound failed the group
+    params = dict(m=1e3, omega=1.3, hbar=100.0)
+    ref = math.sqrt(params["hbar"] / (params["m"] * params["omega"]))
+    scn = _small_scenario(**params, schemes=[0, 1, 2, 3], grid={"L": 8 * ref, "N": 64},
+                          checks={name: name == "commutators" for name in lab.CHECK_NAMES})
+    result = next(r for r in run_checks(scn).results if r.name == "commutators")
+    assert result.status == "pass"
+    assert float(result.detail.split()[-1]) > 1e-8
+
+
 def test_coarse_grid_downgrades_to_warning():
     scn = _small_scenario(grid={"L": 3.0, "N": 16},
                           checks={"pairs": True, "flow": True,

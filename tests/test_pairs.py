@@ -1,7 +1,9 @@
 """Admissible-form enumeration, Hamiltonian reconstruction, pair verification."""
 
+import hashlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +135,15 @@ def test_degenerate_theta_rejected():
         hamiltonian_from_form(theta, THO)
 
 
+@pytest.mark.parametrize("build", [hamiltonian_from_form, complete_pair])
+def test_non_antisymmetric_theta_rejected(build):
+    # theta A = diag(1, 1, 2, 2) is symmetric and theta is invertible, but theta
+    # is no inverse bracket matrix; hamiltonian_from_form used to return its H
+    theta = [[0, 0, -1, 0], [0, 0, 0, -1], [2, 0, 0, 0], [0, 2, 0, 0]]
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        build(theta, THO)
+
+
 def test_complete_pair_roundtrip():
     pair = complete_pair(FORMS[2].lower, THO)
     assert all(r.is_zero for r in verify_pair(pair, THO))
@@ -258,3 +269,47 @@ def test_boundedness_labels():
 def test_boundedness_rejects_cubics():
     with pytest.raises(ValueError):
         classify_boundedness(X * X * X)
+
+
+# ---------------------------------------------------------------------------
+# the exact layer's outputs are pinned down to their repr
+# ---------------------------------------------------------------------------
+
+def _exact_layer_outputs(m, omega) -> list:
+    """Every output of the calls one `exact` benchmark op makes, at m, omega."""
+    field = oscillator_field(m, omega)
+    standard = standard_pairs(m, omega)
+    hams = [p.hamiltonian for p in standard]
+    out = [field.matrix, standard, [form.lower for form in standard_forms(m, omega)]]
+    out.append([verify_pair(p, field) for p in standard])
+    out.append([[phasespace.poisson_bracket(hi, hj, standard[0].form) for hj in hams]
+                for hi in hams])
+    reports = [validate_form(p.form.upper) for p in standard]
+    out += [reports, [r.form.lower for r in reports]]
+    out.append([is_constant_of_motion(h, field) for h in hams])
+    completed = [complete_pair(p.form.lower, field) for p in standard]
+    out += [completed, [p.form.lower for p in completed]]
+    out.append([hamiltonian_from_form(p.form.lower, field) for p in standard])
+    out.append([validate_form(c) for c in (
+        [[7, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[0, 1, 2, 0], [-1, 0, 3, 0], [-2, -3, 0, 0], [0, 0, 0, 0]],
+        [[0, m, 0, 0], [-m, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])])
+    if not isinstance(m, sp.Basic):
+        # a form with no zero entry off the diagonal, and so none in its
+        # inverse; whether an exact zero of a symbolic inverse is an int or a
+        # Fraction is not pinned
+        generic = validate_form([[0, m, 2, omega], [-m, 0, omega, 3],
+                                 [-2, -omega, 0, m * omega], [-omega, -3, -m * omega, 0]])
+        out += [generic, generic.form.lower, admissible_inverse_forms(field)]
+    return out
+
+
+def test_exact_layer_outputs_are_pinned():
+    # SHA-256 of the repr of every output above at int, Fraction and symbolic
+    # m and omega, recorded with sympy 1.14 and numpy 2.4 on x86-64; a change
+    # to exact arithmetic that moves any value, type or printed form moves it
+    m, w = sp.symbols("m_pin omega_pin", positive=True)
+    outputs = [_exact_layer_outputs(*mw)
+               for mw in ((1, 1), (2, 3), (Fraction(3, 5), Fraction(2, 7)), (m, w))]
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "57d019c594705c68d60714d645a9b9b6f6fad9600a553a5e274cab1a27031971"

@@ -202,16 +202,22 @@ def test_validate_rejects_a_complex_form():
 
 def test_validate_rejects_a_symbolic_imaginary_form():
     # I*m with m positive has no float value to test; it used to be accepted,
-    # with lower[0][1] == I/m
-    for unit in (sp.I * _M, _M * _W * sp.I / 2, sp.I * (_M + _W)):
+    # with lower[0][1] == I/m, and so was a monomial in a symbol declared
+    # imaginary, which skipped the reality test as every monomial did
+    z = sp.Symbol("z", imaginary=True)
+    for unit in (sp.I * _M, _M * _W * sp.I / 2, sp.I * (_M + _W), z, 2 * z * _M / _W):
         report = validate_form([[0, unit, 0, 0], [-unit, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
         assert not report.ok and report.reason == "not antisymmetric"
         assert report.form is None and math.isnan(report.jacobi_residual)
+    # sympy cannot tell that a symbol without assumptions, or a product of
+    # two imaginary ones, is not real
+    for unit in (sp.Symbol("q"), z * sp.Symbol("z2", imaginary=True)):
+        assert validate_form([[0, unit, 0, 0], [-unit, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]).ok
 
 
 def test_validate_decides_a_float_multiple_of_a_symbol_exactly():
     # a Float coefficient of m has no float value; it used to raise TypeError
-    # from float(), where the literal-zero test and Gauss-Jordan decide it
+    # from float(), where the literal-zero test and the exact inverse decide it
     half_m = sp.Float(0.5) * _M
     candidate = [[0, half_m, 0, 0], [-half_m, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     report = validate_form(candidate)
@@ -231,6 +237,53 @@ def test_validate_rejects_random_singular_antisymmetric():
             # rescaled like W3 at extreme m omega: still rank <= 2
             d = np.array([1 / m_omega, 1 / m_omega, m_omega, m_omega])
             assert validate_form(np.outer(d, d) * mat).reason == "degenerate"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form inverse of an exact form against sympy's Matrix.inv()
+# ---------------------------------------------------------------------------
+
+def _antisymmetric(upper) -> list:
+    mat = [[0] * 4 for _ in range(4)]
+    for v, (i, j) in zip(upper, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
+        mat[i][j], mat[j][i] = v, -v
+    return mat
+
+
+def _rank_two(u, v) -> list:
+    """u v^T - v u^T: antisymmetric, of rank at most 2."""
+    return [[u[i] * v[j] - v[i] * u[j] for j in range(4)] for i in range(4)]
+
+
+_exact_entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+_symbolic_entries = st.sampled_from([0, 0, 1, -2, Fraction(1, 3), _M, -_W, _M * _W, 1 / _M,
+                                     _M + _W, sp.Rational(3, 2) * _W ** 2])
+_exact_forms = st.one_of(
+    *(st.lists(entries, min_size=6, max_size=6).map(_antisymmetric)
+      for entries in (_exact_entries, _symbolic_entries)),
+    *(st.builds(_rank_two, *[st.lists(entries, min_size=4, max_size=4)] * 2)
+      for entries in (_exact_entries, _symbolic_entries)))
+
+
+@given(candidate=_exact_forms)
+@settings(max_examples=60, deadline=None)
+def test_exact_inverse_matches_sympy(candidate):
+    oracle = sp.Matrix(candidate)
+    report = validate_form(candidate)
+    if sp.cancel(oracle.det()) == 0:
+        assert report.reason == "degenerate"
+        return
+    assert report.ok
+    inverse = oracle.inv()
+    symbolic = any(isinstance(v, sp.Basic) for row in candidate for v in row)
+    for i, row in enumerate(report.form.lower):
+        for j, v in enumerate(row):
+            assert sp.cancel(sp.sympify(v) - inverse[i, j]) == 0
+            if v == 0 or not symbolic:
+                assert type(v) is Fraction
+            elif isinstance(v, sp.Basic):
+                canonical = canonical_scalar(v)
+                assert v == canonical and type(v) is type(canonical)
 
 
 def test_symplectic_form_constructor_enforces_invariants():
