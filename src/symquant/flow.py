@@ -19,6 +19,9 @@ import numpy as np
 
 from .phasespace import PhysParams, PolynomialObservable, SymplecticForm
 
+_PULLBACK_TOL = 1e-12  # of the size of the products, see verify_flow_symplectic
+_SAMPLE_COUNT = 100  # default_sample_times' samples over two periods
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -70,24 +73,23 @@ def pullback_deviation(jacobian: np.ndarray, form: SymplecticForm) -> float:
     return float(np.max(np.abs(jacobian.T @ lower @ jacobian - lower)))
 
 
-def _pullback_checks(form: SymplecticForm, jacobians: np.ndarray,
-                     tol: float = 1e-12) -> list[SymplecticCheck]:
+def _pullback_checks(form: SymplecticForm, jacobians: np.ndarray) -> list[SymplecticCheck]:
     """`verify_flow_symplectic`'s verdict for each J of a (T, 4, 4) stack, from one
     `lower_array()`; each slice is the product `pullback_deviation` forms for it."""
     lower = form.lower_array()
     transposed = np.swapaxes(jacobians, 1, 2)
     devs = np.max(np.abs(transposed @ lower @ jacobians - lower), axis=(1, 2)).tolist()
     sizes = np.max(np.abs(transposed) @ np.abs(lower) @ np.abs(jacobians), axis=(1, 2)).tolist()
-    return [SymplecticCheck(ok=dev <= tol * max(1.0, size), max_deviation=dev)
+    return [SymplecticCheck(ok=dev <= _PULLBACK_TOL * max(1.0, size), max_deviation=dev)
             for dev, size in zip(devs, sizes)]
 
 
-def verify_flow_symplectic(form: SymplecticForm, t: float, params: PhysParams,
-                           tol: float = 1e-12) -> SymplecticCheck:
+def verify_flow_symplectic(form: SymplecticForm, t: float, params: PhysParams) -> SymplecticCheck:
     """True iff the time-t flow map J preserves the 2-form coefficients L: the
-    deviation of J^T L J from L is at most tol max(1, max(|J|^T |L| |J|)), the
-    size of the products it sums, which scales as m omega or 1/(m omega)."""
-    return _pullback_checks(form, flow_jacobian(t, params)[None], tol)[0]
+    deviation of J^T L J from L is at most _PULLBACK_TOL max(1, max(|J|^T |L|
+    |J|)), the size of the products it sums, which scales as m omega or
+    1/(m omega)."""
+    return _pullback_checks(form, flow_jacobian(t, params)[None])[0]
 
 
 def _flow_states(state0: PhaseState, times: Sequence[float], params: PhysParams) -> np.ndarray:
@@ -129,6 +131,6 @@ def verify_conserved(f: PolynomialObservable, state0: PhaseState,
     return ConservationCheck(ok=drift <= 1e-10 * max(1.0, float(np.max(size))), max_drift=drift)
 
 
-def default_sample_times(params: PhysParams, count: int = 100) -> np.ndarray:
-    """Uniform samples over two oscillator periods."""
-    return np.linspace(0.0, 4.0 * math.pi / params.omega, count)
+def default_sample_times(params: PhysParams) -> np.ndarray:
+    """_SAMPLE_COUNT uniform samples over two oscillator periods."""
+    return np.linspace(0.0, 4.0 * math.pi / params.omega, _SAMPLE_COUNT)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
-from itertools import repeat
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .flow import (_pullback_checks, default_sample_times, flow_jacobian, PhaseState,
                    verify_conserved)
-from .operators import GaussianPacket, GridSpec, WaveFunction
+from .operators import GaussianPacket, GridSpec, WaveFunction, check_localized
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
 from .quantum import (
@@ -68,14 +68,15 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
-# a sampled state at least this large on the grid boundary is delocalized:
-# variance quadrature error scales with the squared boundary magnitude, so
-# this keeps it well inside the uncertainty-bound margin _ROBERTSON_SLACK
-_BOUNDARY_LIMIT = 1e-7
 # an uncertainty product this far below its Robertson bound, relative to
 # max(1, bound), still satisfies it; the bounds of schemes 1-3 scale as
 # hbar m omega and hbar / (m omega)
 _ROBERTSON_SLACK = 1e-9
+# a sampled state of boundary magnitude b at least this is delocalized: the
+# tails the grid cuts off pull a product below its bound by about 5 b^2 at
+# most, which this keeps at half the slack; the seam's error, about
+# +7 (sigma / h) b^2 in a momentum variance, only raises a product
+_BOUNDARY_LIMIT = math.sqrt(_ROBERTSON_SLACK / 10.0)
 
 
 class ScenarioError(ValueError):
@@ -259,25 +260,6 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReportCell:
-    scheme: int
-    observable: str
-    time: float
-    mean: complex
-    variance: float
-
-
-@dataclass(frozen=True)
-class UncertaintyRow:
-    scheme: int
-    pair: tuple[str, str]
-    time: float
-    product: float
-    bound: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class _SchemeColumns:
     """One scheme's share of a report, as Python numbers with one entry per time.
 
@@ -296,59 +278,13 @@ class _SchemeColumns:
 class Report:
     """A run's tabulated moments, uncertainty rows, pair residuals and metadata.
 
-    The report holds one `_SchemeColumns` per scheme; `cells` and
-    `uncertainties` are built from the columns on each read, and the writers
-    read the columns.
+    The moments and uncertainty rows are one `_SchemeColumns` per scheme, in
+    request order; the writers read them column by column.
     """
 
     columns: tuple[_SchemeColumns, ...]
     pair_residuals: tuple[float, ...]
     metadata: dict
-
-    @property
-    def cells(self) -> tuple[ReportCell, ...]:
-        return tuple(ReportCell(s, o, t, complex(real, imag), v)
-                     for s, o, t, real, imag, v in self._rows()[0])
-
-    @property
-    def uncertainties(self) -> tuple[UncertaintyRow, ...]:
-        return tuple(UncertaintyRow(*row) for row in self._rows()[1])
-
-    def _rows(self) -> tuple[list[tuple], list[tuple]]:
-        """Every cell as (scheme, observable, time, mean_re, mean_im, variance)
-        and every uncertainty row as (scheme, pair, time, product, bound,
-        satisfied), in report order."""
-        return ([row for col in self.columns for name, real, imag, var in col.cells
-                 for row in zip(repeat(col.scheme), repeat(name), col.times, real, imag, var)],
-                [row for col in self.columns for pair, bound, products, satisfied in col.rows
-                 for row in zip(repeat(col.scheme), repeat(pair), col.times, products,
-                                repeat(bound), satisfied)])
-
-    def _metadata(self, include_timestamp: bool = True) -> dict:
-        meta = dict(self.metadata)
-        if include_timestamp:
-            meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-        return meta
-
-    def _residual_rows(self) -> list[dict]:
-        return [{"scheme": i, "max_abs_residual": r} for i, r in enumerate(self.pair_residuals)]
-
-    def to_dict(self, include_timestamp: bool = True) -> dict:
-        cell_rows, uncertainty_rows = self._rows()
-        return {
-            "metadata": self._metadata(include_timestamp),
-            "cells": [
-                {"scheme": s, "observable": o, "time": t,
-                 "mean_re": real, "mean_im": imag, "variance": v}
-                for s, o, t, real, imag, v in cell_rows
-            ],
-            "uncertainties": [
-                {"scheme": s, "pair": list(pair), "time": t,
-                 "product": product, "bound": bound, "satisfied": satisfied}
-                for s, pair, t, product, bound, satisfied in uncertainty_rows
-            ],
-            "pair_residuals": self._residual_rows(),
-        }
 
 
 def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
@@ -385,8 +321,8 @@ def _standard_pairs(params: PhysParams):
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) -> WaveFunction:
-    """Sample a packet; a grid that cannot sample or resolve it is a config error.
-    `probe` names the check group whose probe `packet` is; None is the scenario's."""
+    """Sample a packet; a grid that cannot sample or resolve it, or hold a check's
+    probe, is a config error.  `probe` names that check group; None is the scenario."""
     try:
         psi = packet.sample(grid)
     except ValueError as exc:
@@ -397,6 +333,9 @@ def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) ->
                           else (f"the {probe} check's probe sigma", "the probe"))
         raise ScenarioError(f"grid: spacing {grid.spacing:.3g} exceeds {sigma} "
                             f"{packet.sigma:.3g}; {subject} is not resolved")
+    if probe is not None and packet.sigma > grid.half_width:
+        raise ScenarioError(f"grid: half-width {grid.half_width:.3g} is below the {probe} "
+                            f"check's probe sigma {packet.sigma:.3g}; the probe does not fit")
     return psi
 
 
@@ -515,11 +454,12 @@ def _check_commutators(config: Scenario) -> CheckResult:
     commutators of the probe are formed once and serve every scheme, and each
     deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T."""
     probe = _sample(ground_packet(config.params), config.grid, "commutators")
+    localized = check_localized(probe, action="commutator table check")
     fields = _primitive_commutators(probe)
     schemes = [scheme(sid, config.params) for sid in config.schemes]
-    checks = [_table_check(s, probe, fields) for s in schemes]
+    checks = [_table_check(s, probe, fields, localized) for s in schemes]
     worst = max([0.0] + [check.max_deviation for check in checks])
-    if not all(check.localized for check in checks):
+    if not localized:
         return CheckResult("commutators", "warn",
                            f"probe state not localized on this grid; "
                            f"max deviation {worst:.3e}")
@@ -532,9 +472,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
     saturates each bound to within 1e-6 max(1, bound)."""
     params = config.params
-    grid = config.grid
-    worst_saturation = 0.0
-    worst_margin = math.inf
+    worst_saturation, worst_margin = 0.0, math.inf
     satisfied = saturated = True
     delocalized = 0
     probes = [ground_packet(params)]
@@ -551,7 +489,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     # probes outer: each is sampled once and its primitive Gram matrix serves
     # every scheme, and one field is held at a time
     for idx, packet in enumerate(probes):
-        psi = _sample(packet, grid, "uncertainties")
+        psi = _sample(packet, config.grid, "uncertainties")
         if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
@@ -633,9 +571,12 @@ _CELL_CSV = "%s,%s,%r,%r,%r,%r"
 
 
 def report_to_csv(report: Report) -> str:
+    """One line per cell, column by column, in the JSON report's cell order."""
     lines = [CSV_HEADER]
-    lines += [_CELL_CSV % (s, o, float(t), float(real), float(imag), float(v))
-              for s, o, t, real, imag, v in report._rows()[0]]
+    for col in report.columns:
+        for name, real, imag, var in col.cells:
+            lines += [_CELL_CSV % (col.scheme, name, float(t), float(r), float(i), float(v))
+                      for t, r, i, v in zip(col.times, real, imag, var)]
     return "\n".join(lines) + "\n"
 
 
@@ -661,7 +602,9 @@ def _json_list(items: list[str]) -> str:
 
 
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
-    """The bytes of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n".
+    """The bytes json.dumps(doc, indent=2, sort_keys=True) + "\n" writes for the
+    report: one object per cell, uncertainty row and pair residual, and the
+    metadata with a UTC timestamp unless it is suppressed.
 
     Cells and uncertainty rows are read from the report's columns and written
     through one fixed template each, so neither they nor an intermediate dict
@@ -684,9 +627,13 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     cells, rows = _json_list(cells), _json_list(rows)
     if _NON_FINITE.search(cells) or _NON_FINITE.search(rows):
         raise ValueError("report holds nan or inf, which JSON cannot represent")
+    metadata = dict(report.metadata)
+    if include_timestamp:
+        metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
+    residuals = [{"scheme": i, "max_abs_residual": r} for i, r in enumerate(report.pair_residuals)]
     return (f'{{\n  "cells": {cells},\n'
-            f'  "metadata": {_json_block(report._metadata(include_timestamp))},\n'
-            f'  "pair_residuals": {_json_block(report._residual_rows())},\n'
+            f'  "metadata": {_json_block(metadata)},\n'
+            f'  "pair_residuals": {_json_block(residuals)},\n'
             f'  "uncertainties": {rows}\n}}\n')
 
 
@@ -700,8 +647,6 @@ def emit_report(report: Report, fmt: str, path: str,
     else:
         raise ValueError(f"unknown format: {fmt!r}")
     if path == "-":
-        import sys
-
         sys.stdout.write(payload)
         return
     try:

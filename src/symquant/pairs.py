@@ -34,6 +34,8 @@ from .phasespace import (
 # index pairs (i < j) parametrizing antisymmetric 4x4 matrices
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
+_NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
+_HESSIAN_TOL = 1e-10  # below it a curvature or flat-direction slope is 0 in classify_boundedness
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,12 @@ def _theta_from_coordinates(coeffs) -> np.ndarray:
     return theta
 
 
-def admissible_inverse_forms(field: LinearVectorField,
-                             sv_threshold: float = 1e-10) -> InverseFormBasis:
+def admissible_inverse_forms(field: LinearVectorField) -> InverseFormBasis:
     """Null space of theta -> theta A + A^T theta over antisymmetric theta.
 
     The constraint matrix is assembled entrywise on the upper triangle
     (including the diagonal), giving a 10x6 system whose null space is found by
-    SVD with a relative singular-value threshold.
+    SVD with the relative singular-value threshold _NULL_SV_RATIO.
     """
     a = field.as_float_array()
     system = np.zeros((len(_UPPER_WITH_DIAG), len(PAIR_INDEX)))
@@ -108,7 +109,7 @@ def admissible_inverse_forms(field: LinearVectorField,
         c = e @ a + a.T @ e
         system[:, k] = [c[i, j] for i, j in _UPPER_WITH_DIAG]
     _, svals, vt = np.linalg.svd(system)
-    cutoff = sv_threshold * (svals[0] if svals.size and svals[0] > 0 else 1.0)
+    cutoff = _NULL_SV_RATIO * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     null_rows = [vt[k] for k in range(vt.shape[0]) if k >= svals.size or svals[k] <= cutoff]
     basis = tuple(_theta_from_coordinates(row) for row in null_rows)
     for theta in basis:
@@ -116,15 +117,14 @@ def admissible_inverse_forms(field: LinearVectorField,
     return InverseFormBasis(basis=basis)
 
 
-def hamiltonian_from_form(theta, field: LinearVectorField,
-                          tol: float = 1e-12) -> PolynomialObservable:
+def hamiltonian_from_form(theta, field: LinearVectorField) -> PolynomialObservable:
     """Quadratic Hamiltonian (1/2) x^T (theta A) x for an admissible theta.
 
     Raises ValueError: "not antisymmetric" unless theta is antisymmetric 4x4,
     "asymmetric product" when theta A is not symmetric and "degenerate form"
     when theta has no inverse, since then no bracket matrix completes the pair.
     """
-    return _hamiltonian_and_inverse(theta, field, tol)[0]
+    return _hamiltonian_and_inverse(theta, field)[0]
 
 
 def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
@@ -138,7 +138,7 @@ def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
                            hamiltonian=hamiltonian)
 
 
-def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12):
+def _hamiltonian_and_inverse(theta, field: LinearVectorField):
     """The Hamiltonian of `hamiltonian_from_form`, theta in canonical form, and
     theta^{-1}, inverting theta once."""
     theta = _as_matrix(theta)
@@ -146,7 +146,7 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField, tol: float = 1e-12
     a = field.matrix
     s = [[sum(t * a[k][j] for k, t in enumerate(row) if t != 0 and a[k][j] != 0)
           for j in range(NVARS)] for row in theta]
-    if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s, tol):
+    if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s):
         raise ValueError("asymmetric product")
     try:
         inverse = _invert_matrix(theta)
@@ -174,8 +174,7 @@ def verify_pair(pair: HamiltonianPair,
     return tuple(residuals)
 
 
-def classify_boundedness(hamiltonian: PolynomialObservable,
-                         tol: float = 1e-10) -> str:
+def classify_boundedness(hamiltonian: PolynomialObservable) -> str:
     """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2."""
     if hamiltonian.degree > 2:
         raise ValueError("only observables of degree <= 2 are classified")
@@ -190,11 +189,11 @@ def classify_boundedness(hamiltonian: PolynomialObservable,
     below = True
     above = True
     for lam, vec in zip(eigvals, eigvecs.T):
-        if lam > tol:
+        if lam > _HESSIAN_TOL:
             above = False
-        elif lam < -tol:
+        elif lam < -_HESSIAN_TOL:
             below = False
-        elif abs(vec @ lin) > tol:
+        elif abs(vec @ lin) > _HESSIAN_TOL:
             below = above = False
     if below and above:
         return "bounded"

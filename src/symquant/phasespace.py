@@ -45,6 +45,7 @@ Exponents = tuple[int, int, int, int]
 # ---------------------------------------------------------------------------
 
 _PLAIN_SCALARS = (int, float, Fraction, complex)
+_ZERO_TOL = 1e-12  # of 1 + max|mat|, for a float matrix's entries in _all_zero
 
 
 def _sympy_of(c):
@@ -149,11 +150,11 @@ def _is_float_matrix(mat) -> bool:
             and not any(_sympy_of(v) is not None and v.free_symbols for row in mat for v in row))
 
 
-def _all_zero(values, mat, tol: float = 1e-12) -> bool:
+def _all_zero(values, mat) -> bool:
     """Each value read off `mat` is zero: literally 0 once canonical, or, when
-    `mat` is a float matrix, at most tol (1 + max|mat|), a scale taken once."""
+    `mat` is a float matrix, at most _ZERO_TOL (1 + max|mat|), a scale taken once."""
     if _is_float_matrix(mat):
-        scale = tol * (1.0 + max(abs(float(v)) for row in mat for v in row))
+        scale = _ZERO_TOL * (1.0 + max(abs(float(v)) for row in mat for v in row))
         return all(abs(float(v)) <= scale for v in values)
     return all(_normalize_scalar(v) == 0 for v in values)
 

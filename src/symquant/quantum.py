@@ -182,14 +182,15 @@ def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarra
 
 
 def _table_check(s: QuantizationScheme, psi: WaveFunction,
-                 fields: Mapping[tuple[int, int], np.ndarray]) -> CommutatorCheck:
-    """`commutator_table_check` from the primitive commutators of psi.
+                 fields: Mapping[tuple[int, int], np.ndarray],
+                 localized: bool) -> CommutatorCheck:
+    """`commutator_table_check` from the primitive commutators of psi, whose
+    localization the caller decided once for every scheme.
 
     With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
     each pair's residual sums the nonzero coefficients' fields and subtracts
     T_ij psi where T_ij is nonzero.
     """
-    localized = check_localized(psi, action="commutator table check")
     norm = psi.norm()
     devs: dict[tuple[str, str], float] = {}
     rows, h = s.assignment, psi.grid.spacing
@@ -212,10 +213,11 @@ def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> Commutat
 
     The commutators come from the six primitive ones (`_primitive_commutators`)
     and the assignment rows.  `localized` is False, with a
-    `LocalizationWarning`, when psi reaches `check_localized`'s default
-    threshold at the grid boundary.
+    `LocalizationWarning`, when psi's boundary magnitude reaches
+    `check_localized`'s threshold.
     """
-    return _table_check(s, psi, _primitive_commutators(psi))
+    localized = check_localized(psi, action="commutator table check")
+    return _table_check(s, psi, _primitive_commutators(psi), localized)
 
 
 def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
@@ -236,8 +238,8 @@ def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
 
     With M_ij = <F_i psi|F_j psi>, it equals sin(omega (t'-t))/(m omega) times
     the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
-    A psi that reaches `check_localized`'s default threshold at the grid
-    boundary draws a `LocalizationWarning`.
+    A psi whose boundary magnitude reaches `check_localized`'s threshold
+    draws a `LocalizationWarning`.
     """
     check_localized(psi, action="two-time commutator")
     _, second = _fundamental_moments(s, _primitive_gram(psi))

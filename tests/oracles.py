@@ -15,12 +15,12 @@ backs the library's matrix-free Chebyshev propagator, the term-by-term
 operator-norm bound on a generator's spectrum, which backs the interval the
 propagator reads off its grid stencil, and the literal forward-then-backward
 conjugation, which backs the forward-only conjugation gap of `check`.  The
-report oracle builds a report cell by cell, as one `ReportCell` and one
-`UncertaintyRow` at a time, from the moment arrays the library computed, and
-writes it with `json.dumps` and a per-cell CSV join.  It backs the columns
-`run_scenario` builds, the `cells` and `uncertainties` views the library
-builds from them, and the fixed-layout writers; its CSV join also checks the
-CSV writer on generated columnar reports.
+report oracle builds a report cell by cell, as one `Cell` and one `Row` at a
+time, from the moment arrays the library computed, and writes it with
+`json.dumps` and a per-cell CSV join.  It backs the columns `run_scenario`
+builds and the fixed-layout writers; `flatten_report` turns any report's
+columns into the same cells and rows, so the writers are also checked on
+generated columnar reports.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 import json
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -36,7 +37,7 @@ import sympy as sp
 from symquant import (CANONICAL_PAIRS, OBSERVABLES, Primitive, WaveFunction, heisenberg_operator,
                       quantize_observable, scheme, standard_hamiltonians, uncertainty_bound,
                       unitary_evolve)
-from symquant.lab import _ROBERTSON_SLACK, ReportCell, UncertaintyRow
+from symquant.lab import _ROBERTSON_SLACK
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
 
@@ -371,6 +372,24 @@ def forward_backward_conjugation(s, which, t, psi) -> float:
 # per-cell report (oracle for the columnar report and its writers)
 # ---------------------------------------------------------------------------
 
+class Cell(NamedTuple):
+    scheme: int
+    observable: str
+    time: float
+    mean_re: float
+    mean_im: float
+    variance: float
+
+
+class Row(NamedTuple):
+    scheme: int
+    pair: tuple[str, str]
+    time: float
+    product: float
+    bound: float
+    satisfied: bool
+
+
 def report_rows(schemes, observables, times, params, moments):
     """The cells and uncertainty rows of a report, one object at a time.
 
@@ -386,29 +405,37 @@ def report_rows(schemes, observables, times, params, moments):
         for name in observables:
             i = OBSERVABLES.index(name)
             for k, t in enumerate(times):
-                cells.append(ReportCell(scheme=sid, observable=name, time=float(t),
-                                        mean=complex(means[k, i]),
-                                        variance=float(variances[k, i])))
+                mean = complex(means[k, i])
+                cells.append(Cell(scheme=sid, observable=name, time=float(t), mean_re=mean.real,
+                                  mean_im=mean.imag, variance=float(variances[k, i])))
         for pair in CANONICAL_PAIRS[sid]:
             bound = float(uncertainty_bound(s, pair))
             for k, t in enumerate(times):
                 product = math.prod(math.sqrt(max(float(variances[k, OBSERVABLES.index(n)]), 0.0))
                                     for n in pair)
-                rows.append(UncertaintyRow(scheme=sid, pair=pair, time=float(t), product=product,
-                                           bound=bound,
-                                           satisfied=product >= bound - _ROBERTSON_SLACK))
+                rows.append(Row(scheme=sid, pair=pair, time=float(t), product=product,
+                                bound=bound, satisfied=product >= bound - _ROBERTSON_SLACK))
+    return tuple(cells), tuple(rows)
+
+
+def flatten_report(report):
+    """A report's columns as (cells, rows) of the oracle's types, in column
+    order, each number as the column holds it."""
+    cells, rows = [], []
+    for col in report.columns:
+        for name, real, imag, var in col.cells:
+            cells += [Cell(col.scheme, name, *entry) for entry in zip(col.times, real, imag, var)]
+        for pair, bound, products, satisfied in col.rows:
+            rows += [Row(col.scheme, pair, t, product, bound, ok)
+                     for t, product, ok in zip(col.times, products, satisfied)]
     return tuple(cells), tuple(rows)
 
 
 def report_dict(cells, rows, pair_residuals, metadata) -> dict:
     return {
         "metadata": dict(metadata),
-        "cells": [{"scheme": c.scheme, "observable": c.observable, "time": c.time,
-                   "mean_re": c.mean.real, "mean_im": c.mean.imag, "variance": c.variance}
-                  for c in cells],
-        "uncertainties": [{"scheme": u.scheme, "pair": list(u.pair), "time": u.time,
-                           "product": u.product, "bound": u.bound, "satisfied": u.satisfied}
-                          for u in rows],
+        "cells": [c._asdict() for c in cells],
+        "uncertainties": [{**u._asdict(), "pair": list(u.pair)} for u in rows],
         "pair_residuals": [{"scheme": i, "max_abs_residual": r}
                            for i, r in enumerate(pair_residuals)],
     }
@@ -423,6 +450,6 @@ def report_csv(cells) -> str:
     lines = ["scheme,observable,time,mean_re,mean_im,variance"]
     for c in cells:
         lines.append(",".join([str(c.scheme), c.observable, repr(float(c.time)),
-                               repr(float(c.mean.real)), repr(float(c.mean.imag)),
+                               repr(float(c.mean_re)), repr(float(c.mean_im)),
                                repr(float(c.variance))]))
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -126,9 +126,8 @@ def test_parser_returns_a_scenario_or_raises_a_scenario_error(key, value):
 # ---------------------------------------------------------------------------
 
 def test_default_scenario_exhibits_inequivalence():
-    report = run_scenario(default_scenario())
-    means = {(c.scheme, c.observable, round(c.time, 12)): c.mean.real
-             for c in report.cells}
+    cells, _ = oracles.flatten_report(run_scenario(default_scenario()))
+    means = {(c.scheme, c.observable, round(c.time, 12)): c.mean_re for c in cells}
     for t in default_scenario().times:
         key = round(t, 12)
         gap = means[(0, "x", key)] - means[(1, "x", key)]
@@ -138,26 +137,27 @@ def test_default_scenario_exhibits_inequivalence():
 def test_symmetric_packet_blinds_the_crossed_scheme():
     scn = _small_scenario(packet={"center": [0.7, 0.7],
                                   "wavevector": [0.9, 0.9], "sigma": 0.75})
-    report = run_scenario(scn)
-    means = {(c.scheme, round(c.time, 12)): c.mean.real for c in report.cells}
+    cells, _ = oracles.flatten_report(run_scenario(scn))
+    means = {(c.scheme, round(c.time, 12)): c.mean_re for c in cells}
     for t in scn.times:
         key = round(t, 12)
         assert abs(means[(0, key)] - means[(1, key)]) <= 1e-9
 
 
 def test_time_zero_row_is_the_packet_center():
-    report = run_scenario(default_scenario())
-    for cell in report.cells:
+    cells, _ = oracles.flatten_report(run_scenario(default_scenario()))
+    for cell in cells:
         if cell.time == 0.0 and cell.observable == "x":
-            assert cell.mean.real == pytest.approx(1.0, abs=1e-9)
+            assert cell.mean_re == pytest.approx(1.0, abs=1e-9)
 
 
 def test_report_contains_every_requested_cell():
     scn = _small_scenario()
     report = run_scenario(scn)
-    assert len(report.cells) == len(scn.schemes) * len(scn.observables) * len(scn.times)
+    cells, rows = oracles.flatten_report(report)
+    assert len(cells) == len(scn.schemes) * len(scn.observables) * len(scn.times)
     assert len(report.pair_residuals) == 4
-    assert all(u.satisfied for u in report.uncertainties)
+    assert all(u.satisfied for u in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,8 @@ def test_integer_times_are_written_as_floats():
 def test_json_roundtrip_is_structural_identity():
     report = run_scenario(_small_scenario())
     text = report_to_json(report, include_timestamp=False)
-    assert json.loads(text) == report.to_dict(include_timestamp=False)
+    assert json.loads(text) == oracles.report_dict(*oracles.flatten_report(report),
+                                                   report.pair_residuals, report.metadata)
 
 
 def test_csv_and_json_decimal_strings_agree():
@@ -265,10 +266,12 @@ def test_json_writer_matches_json_dumps(report, include_timestamp):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lab, "datetime", _FrozenClock)
         ours = report_to_json(report, include_timestamp=include_timestamp)
-        reference = json.dumps(report.to_dict(include_timestamp=include_timestamp),
-                               indent=2, sort_keys=True) + "\n"
-    assert ours == reference
-    assert report_to_csv(report) == oracles.report_csv(report.cells)
+    metadata = dict(report.metadata)
+    if include_timestamp:
+        metadata["timestamp"] = _FrozenClock.now(timezone.utc).isoformat()
+    cells, rows = oracles.flatten_report(report)
+    assert ours == oracles.report_json(cells, rows, report.pair_residuals, metadata)
+    assert report_to_csv(report) == oracles.report_csv(cells)
 
 
 def _set_first(report, value, where):
@@ -309,9 +312,9 @@ def _oracle_scenarios(draw):
     ints and integer-valued floats; schemes and observables in any order."""
     n = draw(st.sampled_from([16, 32, 128]))
     # at N = 16 and L = 8 sigma the spacing is sigma itself and the grid ends
-    # 7 sigma from the origin; a packet's boundary magnitude then stays below
-    # 1e-7 only near the origin and with its peak height 1/(2.5 sigma) small
-    sigma = draw(st.floats(40.0, 80.0) if n == 16 else st.floats(0.6, 1.2))
+    # 7 sigma from the origin; a packet's boundary magnitude, relative to its
+    # peak, then stays below lab._BOUNDARY_LIMIT only near the origin
+    sigma = draw(st.floats(0.6, 1.2))
     half_width, reach = (8.0 * sigma, 0.05 * sigma) if n == 16 else (12.0 * sigma, 2.0 * sigma)
     offsets = st.floats(-reach, reach)
     wavenumbers = st.floats(-1.0 / sigma, 1.0 / sigma)
@@ -360,17 +363,10 @@ def test_columnar_report_matches_the_per_cell_oracle(scn, overrides):
     residuals, metadata = report.pair_residuals, report.metadata
     expected_json = oracles.report_json(cells, rows, residuals, metadata)
     expected_csv = oracles.report_csv(cells)
-    # the writers read the columns; reading the cells and rows, which are
-    # built from the columns on each read, leaves the written bytes as they were
     assert report_to_json(report, include_timestamp=False) == expected_json
     assert report_to_csv(report) == expected_csv
-    expected_dict = oracles.report_dict(cells, rows, residuals, metadata)
-    assert report.to_dict(include_timestamp=False) == expected_dict
-    assert repr(report.to_dict(include_timestamp=False)) == repr(expected_dict)
-    assert report.cells == cells and repr(report.cells) == repr(cells)
-    assert report.uncertainties == rows and repr(report.uncertainties) == repr(rows)
-    assert report_to_json(report, include_timestamp=False) == expected_json
-    assert report_to_csv(report) == expected_csv
+    flat = oracles.flatten_report(report)
+    assert flat == (cells, rows) and repr(flat) == repr((cells, rows))
 
 
 def test_emit_report_failure_names_the_path(tmp_path):
@@ -671,6 +667,68 @@ def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: grid: packet boundary magnitude")
+
+
+def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
+    # one centred packet on one N = 16, L = 8 sigma grid, in three units of
+    # length: its edge row sits 7 sigma out, where |psi| is exp(-49/4) of its
+    # peak whatever sigma is.  An absolute gate rejected it at sigma = 1 and 10.
+    for sigma in (1.0, 10.0, 40.0):
+        psi = GaussianPacket(sigma=sigma).sample(GridSpec(8.0 * sigma, 16))
+        assert psi.boundary_magnitude() == pytest.approx(math.exp(-49.0 / 4.0), rel=1e-12)
+        raw = default_scenario().to_dict()
+        raw["packet"] = {"center": [0.0, 0.0], "wavevector": [0.0, 0.0], "sigma": sigma}
+        raw["grid"] = {"L": 8.0 * sigma, "N": 16}
+        scn_path = tmp_path / "scn.json"
+        scn_path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 0, sigma
+        assert capsys.readouterr().err == ""
+
+
+def test_commutator_probe_is_localized_at_a_large_mass():
+    # m = 1e3, omega = 2.3, hbar = 0.4 on an L = 8 sigma_ref grid is the
+    # default scenario's geometry in oscillator units; the probe's boundary
+    # |psi| was 1.461e-12 in absolute units, which warned
+    params = dict(m=1e3, omega=2.3, hbar=0.4)
+    ref = PhysParams(**params).sigma_ref
+    scn = _small_scenario(**params, schemes=[0, 1, 2, 3], grid={"L": 8 * ref, "N": 128},
+                          checks={name: name == "commutators" for name in lab.CHECK_NAMES})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = lab._check_commutators(scn)
+    assert result.status == "pass"
+
+
+def test_commutator_group_decides_its_probe_localization_once():
+    # one probe serves four schemes, so a delocalized one warns once
+    scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 3.0, "N": 16})
+    with pytest.warns(LocalizationWarning) as record:
+        result = lab._check_commutators(scn)
+    assert result.status == "warn"
+    assert len(record) == 1
+
+
+def test_cli_check_rejects_a_probe_wider_than_the_grid(tmp_path, capsys):
+    # at m = 1e-300 the probes' sigma is 7.07e149 on the L = 8 grid: the groups
+    # reported flow: pass at a pullback deviation of 3e284, an inf commutator
+    # deviation and overall: pass, with two warnings on stderr
+    raw = default_scenario().to_dict()
+    raw["m"] = 1e-300
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: grid: half-width 8 is below the commutators check's probe sigma "
+        "7.07e+149; the probe does not fit"]
+    raw["checks"] = {"commutators": False}
+    scn_path.write_text(json.dumps(raw))
+    assert main(["check", "--scenario", str(scn_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: grid: half-width 8 is below the uncertainties check's probe sigma")
 
 
 def test_cli_run_accepts_a_small_mass(tmp_path, capsys):

@@ -160,8 +160,9 @@ def test_commutator_tables_realized(params):
         assert chk.max_deviation <= 1e-8
 
 
-# the packets lie well inside the grid, but at small sigma_ref their peak is
-# large enough for the absolute 1e-12 boundary threshold to warn
+# the widest off-centre packets reach about 1e-10 of their peak at the grid
+# boundary, past check_localized's threshold; the comparisons are bit for bit
+# and do not depend on localization
 @pytest.mark.filterwarnings("ignore::symquant.LocalizationWarning")
 @settings(max_examples=40, deadline=None)
 @given(sid=st.sampled_from((0, 1, 2, 3)), log_mw=st.floats(-3.0, 3.0),
