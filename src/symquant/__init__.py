@@ -39,11 +39,9 @@ from .flow import (
     ConservationCheck,
     PhaseState,
     SymplecticCheck,
-    conserved_along_flow,
     default_sample_times,
     exact_flow,
     flow_jacobian,
-    pullback_deviation,
     verify_conserved,
     verify_flow_symplectic,
 )
@@ -62,6 +60,8 @@ from .quantum import (
     CommutatorCheck,
     QuantizationScheme,
     commutator_table_check,
+    conjugation_deviations,
+    conjugation_probe,
     expectation,
     ground_packet,
     heisenberg_moments,
@@ -73,7 +73,6 @@ from .quantum import (
     two_time_commutator,
     uncertainty_bound,
     uncertainty_product,
-    unitary_conjugation_check,
     unitary_evolve,
 )
 from .lab import (

@@ -67,52 +67,17 @@ class SymplecticCheck(NamedTuple):
     max_deviation: float
 
 
-def pullback_deviation(jacobian: np.ndarray, form: SymplecticForm) -> float:
-    """Max-abs entry of J^T (lower form) J minus the lower form."""
-    lower = form.lower_array()
-    return float(np.max(np.abs(jacobian.T @ lower @ jacobian - lower)))
-
-
-def _pullback_checks(form: SymplecticForm, jacobians: np.ndarray) -> list[SymplecticCheck]:
-    """`verify_flow_symplectic`'s verdict for each J of a (T, 4, 4) stack, from one
-    `lower_array()`; each slice is the product `pullback_deviation` forms for it."""
+def verify_flow_symplectic(form: SymplecticForm, jacobians: np.ndarray) -> list[SymplecticCheck]:
+    """For each flow map J of a (T, 4, 4) stack, True iff J preserves the 2-form
+    coefficients L: the max-abs deviation of J^T L J from L is at most
+    _PULLBACK_TOL max(1, max(|J|^T |L| |J|)), the size of the products it sums,
+    which scales as m omega or 1/(m omega).  One `lower_array()` serves the stack."""
     lower = form.lower_array()
     transposed = np.swapaxes(jacobians, 1, 2)
     devs = np.max(np.abs(transposed @ lower @ jacobians - lower), axis=(1, 2)).tolist()
     sizes = np.max(np.abs(transposed) @ np.abs(lower) @ np.abs(jacobians), axis=(1, 2)).tolist()
     return [SymplecticCheck(ok=dev <= _PULLBACK_TOL * max(1.0, size), max_deviation=dev)
             for dev, size in zip(devs, sizes)]
-
-
-def verify_flow_symplectic(form: SymplecticForm, t: float, params: PhysParams) -> SymplecticCheck:
-    """True iff the time-t flow map J preserves the 2-form coefficients L: the
-    deviation of J^T L J from L is at most _PULLBACK_TOL max(1, max(|J|^T |L|
-    |J|)), the size of the products it sums, which scales as m omega or
-    1/(m omega)."""
-    return _pullback_checks(form, flow_jacobian(t, params)[None])[0]
-
-
-def _flow_states(state0: PhaseState, times: Sequence[float], params: PhysParams) -> np.ndarray:
-    """The (4, T) array of J(t) x0 over the sample times."""
-    x0 = state0.as_array()
-    states = [flow_jacobian(float(t), params) @ x0 for t in times]
-    if not states:
-        raise ValueError("times must be nonempty")
-    return np.stack(states, axis=1)
-
-
-def _max_drift(f: PolynomialObservable, state0: PhaseState, states: np.ndarray) -> float:
-    """Max |f(x(t)) - f(x0)| over the columns x(t) of states, with f evaluated once
-    on the whole array; like max() over the differences, it passes over a nan."""
-    ref = float(f.evaluate(state0.as_array()))
-    values = np.broadcast_to(np.asarray(f.evaluate(states), dtype=float), states.shape[1:])
-    return max([0.0] + np.abs(values - ref).tolist())
-
-
-def conserved_along_flow(f: PolynomialObservable, state0: PhaseState,
-                         times: Sequence[float], params: PhysParams) -> float:
-    """Max |f(state(t)) - f(state(0))| over the given sample times."""
-    return _max_drift(f, state0, _flow_states(state0, times, params))
 
 
 class ConservationCheck(NamedTuple):
@@ -122,11 +87,18 @@ class ConservationCheck(NamedTuple):
 
 def verify_conserved(f: PolynomialObservable, state0: PhaseState,
                      times: Sequence[float], params: PhysParams) -> ConservationCheck:
-    """True iff f's drift along the flow (`conserved_along_flow`) is at most
-    1e-10 max(1, sum_k |c_k| |x(t)|^e_k) over the sampled states x(t), the size
-    of the terms of f(x), which scales as m omega or 1/(m omega)."""
-    states = _flow_states(state0, times, params)
-    drift = _max_drift(f, state0, states)
+    """True iff f's drift along the flow, max |f(x(t)) - f(x0)| over the sample
+    times, is at most 1e-10 max(1, sum_k |c_k| |x(t)|^e_k) over the sampled
+    states x(t), the size of the terms of f(x), which scales as m omega or 1/(m
+    omega).  f is evaluated once on the (4, T) array of states; like max() over
+    the differences, the drift passes over a nan."""
+    x0 = state0.as_array()
+    states = [flow_jacobian(float(t), params) @ x0 for t in times]
+    if not states:
+        raise ValueError("times must be nonempty")
+    states = np.stack(states, axis=1)
+    values = np.broadcast_to(np.asarray(f.evaluate(states), dtype=float), states.shape[1:])
+    drift = max([0.0] + np.abs(values - float(f.evaluate(x0))).tolist())
     size = PolynomialObservable({e: abs(c) for e, c in f.terms.items()}).evaluate(np.abs(states))
     return ConservationCheck(ok=drift <= 1e-10 * max(1.0, float(np.max(size))), max_drift=drift)
 

@@ -21,23 +21,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .flow import (_pullback_checks, default_sample_times, flow_jacobian, PhaseState,
-                   verify_conserved)
-from .operators import GaussianPacket, GridSpec, WaveFunction, check_localized
+from .flow import (default_sample_times, flow_jacobian, PhaseState, verify_conserved,
+                   verify_flow_symplectic)
+from .operators import GaussianPacket, GridSpec, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
 from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
     SCHEME_IDS,
-    _conjugation_deviations,
-    _conjugation_probe,
-    _primitive_commutators,
-    _primitive_gram,
-    _rotated_moments,
-    _table_check,
     QuantizationScheme,
+    commutator_table_check,
+    conjugation_deviations,
+    conjugation_probe,
     ground_packet,
+    heisenberg_moments,
     scheme,
     uncertainty_bound,
 )
@@ -377,15 +375,14 @@ def run_scenario(config: Scenario) -> Report:
     if boundary >= _BOUNDARY_LIMIT:
         raise ScenarioError(f"grid: packet boundary magnitude {boundary:.3e} reaches "
                             f"{_BOUNDARY_LIMIT:.0e}; the packet is not localized on the grid")
-    gram = _primitive_gram(psi)
     times = [float(t) for t in config.times]
+    schemes = [scheme(sid, config.params) for sid in config.schemes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = heisenberg_moments(schemes, psi, config.times)
     columns = []
-    for sid in config.schemes:
-        s = scheme(sid, config.params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means, variances = _rotated_moments(s, gram, config.times)
+    for s, (means, variances) in zip(schemes, moments):
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
-            raise ScenarioError(f"m, omega, hbar: non-finite moments for scheme {sid}")
+            raise ScenarioError(f"m, omega, hbar: non-finite moments for scheme {s.id}")
         columns.append(_scheme_columns(s, means, variances, times, config.observables))
     metadata = config.to_dict()
     del metadata["checks"]
@@ -439,7 +436,8 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
     times = [_uniform(0.0, 4.0 * math.pi / params.omega, u) for u in _UNIFORM_DRAWS[:20]]
     jacobians = np.array([flow_jacobian(t, params) for t in times])
     state, sample_times = PhaseState(0.9, -0.4, 0.3, 1.1), default_sample_times(params)
-    pullbacks = [check for pair in pairs for check in _pullback_checks(pair.form, jacobians)]
+    pullbacks = [check for pair in pairs
+                 for check in verify_flow_symplectic(pair.form, jacobians)]
     drifts = [verify_conserved(pair.hamiltonian, state, sample_times, params) for pair in pairs]
     ok = all(check.ok for check in pullbacks + drifts)
     worst_pullback = max([0.0] + [check.max_deviation for check in pullbacks])
@@ -454,12 +452,10 @@ def _check_commutators(config: Scenario) -> CheckResult:
     commutators of the probe are formed once and serve every scheme, and each
     deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T."""
     probe = _sample(ground_packet(config.params), config.grid, "commutators")
-    localized = check_localized(probe, action="commutator table check")
-    fields = _primitive_commutators(probe)
     schemes = [scheme(sid, config.params) for sid in config.schemes]
-    checks = [_table_check(s, probe, fields, localized) for s in schemes]
+    checks = commutator_table_check(schemes, probe)
     worst = max([0.0] + [check.max_deviation for check in checks])
-    if not localized:
+    if not all(check.localized for check in checks):
         return CheckResult("commutators", "warn",
                            f"probe state not localized on this grid; "
                            f"max deviation {worst:.3e}")
@@ -493,9 +489,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
         if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
-        gram = _primitive_gram(psi)
-        for s in schemes:
-            means, variances = _rotated_moments(s, gram, (t_probe,))
+        for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, (t_probe,))):
             for _, bound, (product,), (holds,) in _scheme_columns(s, means, variances,
                                                                   [t_probe], ()).rows:
                 satisfied = satisfied and holds
@@ -527,9 +521,9 @@ def _check_unitary(config: Scenario) -> CheckResult:
     deviations = [0.0]
     try:
         grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
-        psi = _conjugation_probe(params, grid)
+        psi = conjugation_probe(params, grid)
         for sid in config.schemes:
-            deviations += _conjugation_deviations(scheme(sid, params), psi, probes)
+            deviations += conjugation_deviations(scheme(sid, params), psi, probes)
     except ValueError as exc:
         raise ScenarioError(f"m, omega, hbar: {exc}") from None
     # a nan deviation is the worst one, so it fails the group instead of vanishing in max()

@@ -140,19 +140,21 @@ def _fundamental_moments(s: QuantizationScheme, gram: np.ndarray) -> tuple[np.nd
     return s.assignment @ gram[0, 1:], s.assignment.conj() @ gram[1:, 1:] @ s.assignment.T
 
 
-def _rotated_moments(s: QuantizationScheme, gram: np.ndarray,
-                     times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """`heisenberg_moments` from a state's primitive Gram matrix."""
-    mean0, second0 = _fundamental_moments(s, gram)
-    jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
-    means = jac @ mean0
-    return means, (np.einsum("tij,jk,tik->ti", jac, second0, jac) - means * means).real
+def heisenberg_moments(schemes: Sequence[QuantizationScheme], psi: WaveFunction,
+                       times: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4), per scheme.
 
-
-def heisenberg_moments(s: QuantizationScheme, psi: WaveFunction,
-                       times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4)."""
-    return _rotated_moments(s, _primitive_gram(psi), times)
+    One primitive Gram matrix of psi serves every scheme.
+    """
+    gram = _primitive_gram(psi)
+    moments = []
+    for s in schemes:
+        mean0, second0 = _fundamental_moments(s, gram)
+        jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
+        means = jac @ mean0
+        moments.append((means, (np.einsum("tij,jk,tik->ti", jac, second0, jac)
+                                - means * means).real))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -181,43 +183,37 @@ def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarra
     return fields
 
 
-def _table_check(s: QuantizationScheme, psi: WaveFunction,
-                 fields: Mapping[tuple[int, int], np.ndarray],
-                 localized: bool) -> CommutatorCheck:
-    """`commutator_table_check` from the primitive commutators of psi, whose
-    localization the caller decided once for every scheme.
+def commutator_table_check(schemes: Sequence[QuantizationScheme],
+                           psi: WaveFunction) -> list[CommutatorCheck]:
+    """Compare [F_i, F_j] psi against the table T_ij psi for every fundamental pair,
+    one `CommutatorCheck` per scheme.
 
     With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
-    each pair's residual sums the nonzero coefficients' fields and subtracts
-    T_ij psi where T_ij is nonzero.
-    """
-    norm = psi.norm()
-    devs: dict[tuple[str, str], float] = {}
-    rows, h = s.assignment, psi.grid.spacing
-    for i, j in PAIR_INDEX:
-        diff = np.zeros_like(psi.values)
-        for (a, b), field in fields.items():
-            coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
-            if coeff != 0:
-                diff = diff + coeff * field
-        if s.commutators[i, j] != 0:
-            diff = diff - s.commutators[i, j] * psi.values
-        dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
-        devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
-    return CommutatorCheck(max_deviation=max(devs.values()),
-                           deviations=devs, localized=localized)
-
-
-def commutator_table_check(s: QuantizationScheme, psi: WaveFunction) -> CommutatorCheck:
-    """Compare [F_i, F_j] psi against the table T_ij psi for every fundamental pair.
-
-    The commutators come from the six primitive ones (`_primitive_commutators`)
-    and the assignment rows.  `localized` is False, with a
-    `LocalizationWarning`, when psi's boundary magnitude reaches
-    `check_localized`'s threshold.
+    the six primitive commutators of psi (`_primitive_commutators`) serve every
+    scheme: each pair's residual sums the nonzero coefficients' fields and
+    subtracts T_ij psi where T_ij is nonzero.  Localization is decided once:
+    `localized` is False, with one `LocalizationWarning`, when psi's boundary
+    magnitude reaches `check_localized`'s threshold.
     """
     localized = check_localized(psi, action="commutator table check")
-    return _table_check(s, psi, _primitive_commutators(psi), localized)
+    fields = _primitive_commutators(psi)
+    norm, h = psi.norm(), psi.grid.spacing
+    checks = []
+    for s in schemes:
+        rows, devs = s.assignment, {}
+        for i, j in PAIR_INDEX:
+            diff = np.zeros_like(psi.values)
+            for (a, b), field in fields.items():
+                coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
+                if coeff != 0:
+                    diff = diff + coeff * field
+            if s.commutators[i, j] != 0:
+                diff = diff - s.commutators[i, j] * psi.values
+            dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
+            devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
+        checks.append(CommutatorCheck(max_deviation=max(devs.values()),
+                                      deviations=devs, localized=localized))
+    return checks
 
 
 def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
@@ -228,7 +224,7 @@ def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
 def uncertainty_product(s: QuantizationScheme, pair: tuple[str, str],
                         psi: WaveFunction, t: float = 0.0) -> float:
     """Delta A * Delta B for the Heisenberg-evolved observables at time t."""
-    _, variances = heisenberg_moments(s, psi, (t,))
+    _, variances = heisenberg_moments((s,), psi, (t,))[0]
     return math.prod(math.sqrt(max(float(variances[0, OBSERVABLES.index(n)]), 0.0)) for n in pair)
 
 
@@ -357,8 +353,8 @@ def _axis_factor(grid: GridSpec, power: int, order: int) -> np.ndarray | None:
     return grid.axis()[:, None] ** power * deriv
 
 
-def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
-    """The stencil of S = quantize_observable(s, _generator_polynomial(s)).
+def _generator_stencil(nf: Mapping, grid: GridSpec) -> _Stencil:
+    """The stencil of the generator S whose normal form is nf.
 
     Its spectral interval follows from Weyl's inequality.  Group S's
     derivative terms by their coordinate monomial P_g = x^a y^b, each with the
@@ -378,7 +374,6 @@ def _generator_stencil(s: QuantizationScheme, grid: GridSpec) -> _Stencil:
     potential = np.zeros((grid.points, grid.points), dtype=complex)
     groups: dict[tuple[int, int], np.ndarray] = {}
     terms = []  # (coeff, x factor (a, c), y factor (b, d)) of each derivative term
-    nf = quantize_observable(s, _generator_polynomial(s)).normal_form()
     for (a, b, c, d), coeff in sorted(nf.items()):
         if c == d == 0:
             potential += coeff * xg ** a * yg ** b
@@ -498,8 +493,9 @@ def _is_hermitian(op: OperatorExpr) -> bool:
     return op.equals(adjoint)
 
 
-def _separable_factors(s: QuantizationScheme, grid: GridSpec) -> tuple | None:
-    """Eigensystems (w, V) of S_x and S_y when S = S_x (x) 1 + 1 (x) S_y, else None.
+def _separable_factors(op: OperatorExpr, nf: Mapping, grid: GridSpec) -> tuple | None:
+    """Eigensystems (w, V) of S_x and S_y when S = S_x (x) 1 + 1 (x) S_y, else None;
+    op is S and nf its normal form.
 
     S splits this way when no term of its normal form mixes the axes, the
     potential's terms included: each term then acts on one axis alone, as
@@ -510,8 +506,6 @@ def _separable_factors(s: QuantizationScheme, grid: GridSpec) -> tuple | None:
     route, whose norm guard reports it.  Raises ValueError when a factor is
     not finite.
     """
-    op = quantize_observable(s, _generator_polynomial(s))
-    nf = op.normal_form()
     if any((a or c) and (b or d) for a, b, c, d in nf) or not _is_hermitian(op):
         return None
     eye = np.eye(grid.points)
@@ -556,13 +550,16 @@ def _propagator(s: QuantizationScheme, grid: GridSpec):
 
     The route follows from S's normal form: the closed form of
     `_separable_factors` when S splits over the axes (S0, S2), else one
-    Chebyshev recurrence over S's stencil (`_propagate`; S1, S3).
+    Chebyshev recurrence over S's stencil (`_propagate`; S1, S3).  S is
+    quantized and normal-ordered once, for both routes.
     """
     hbar = s.params.hbar
-    factors = _separable_factors(s, grid)
+    op = quantize_observable(s, _generator_polynomial(s))
+    nf = op.normal_form()
+    factors = _separable_factors(op, nf, grid)
     if factors is not None:
         return lambda states, jobs: _separable_propagate(factors, states, hbar, jobs)
-    stencil = _generator_stencil(s, grid)
+    stencil = _generator_stencil(nf, grid)
     return lambda states, jobs: _propagate(stencil, states, hbar, jobs)
 
 
@@ -579,21 +576,23 @@ def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFu
     return WaveFunction(psi.grid, _propagator(s, psi.grid)(psi.values[None], ((0, t),))[0])
 
 
-def _conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
-    """The localized Gaussian the conjugation check uses by default, in oscillator
-    units, so it sits alike on the check's 8 sigma_ref grid at every m omega / hbar."""
+def conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
+    """The localized Gaussian `check`'s unitary group probes, in oscillator units,
+    so it sits alike on the group's 8 sigma_ref grid at every m omega / hbar."""
     ref = params.sigma_ref
     return GaussianPacket(center=(0.5 * ref, -0.3 * ref), wavevector=(0.4 / ref, 0.2 / ref),
                           sigma=params.ground_sigma).sample(grid)
 
 
-def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
-                            probes: Sequence[tuple[str, float]]) -> list[float]:
-    """|O U psi - U O(t) psi| / |O(t) psi| for each (O, t) of probes, U = exp(-i S t / hbar).
+def conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
+                           probes: Sequence[tuple[str, float]]) -> list[float]:
+    """Relative L2 gap between exp(iSt/h) O exp(-iSt/h) psi and the rotated operator
+    O(t) psi, for each (O, t) of probes.
 
-    U is unitary, so the numerator is the gap between U^dagger O U psi and
-    O(t) psi, and no state is evolved backward.  One propagator of S
-    (`_propagator`) evolves the stack [psi, O_1(t_1) psi, ...] for every
+    U = exp(-i S t / hbar) is unitary, so the gap |U^dagger O U psi - O(t) psi|
+    is measured forward, as |O U psi - U O(t) psi| / |O(t) psi|, and no state
+    is evolved backward.  One propagator of S (`_propagator`, as in
+    `unitary_evolve`) evolves the stack [psi, O_1(t_1) psi, ...] for every
     probe: psi to each probe's time, each target to its own.  Each target
     enters the stack in units of its largest entry, so neither the evolution
     nor a norm meets subnormal numbers when O(t) psi is tiny (m omega = 1e-300).
@@ -613,19 +612,3 @@ def _conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
         den = np.sqrt(np.sum(np.abs(targets[i]) ** 2))
         deviations.append(float(num / den))
     return deviations
-
-
-def unitary_conjugation_check(s: QuantizationScheme, which: str, t: float,
-                              grid: GridSpec,
-                              psi: WaveFunction | None = None) -> float:
-    """Relative L2 gap between exp(iSt/h) O exp(-iSt/h) psi and the rotated operator.
-
-    Uses a localized Gaussian by default.  The gap is measured forward, as
-    |O U psi - U O(t) psi| / |O(t) psi| (`_conjugation_deviations`), with the
-    propagator of `unitary_evolve`, which forms no N^2 x N^2 matrix.
-    """
-    if psi is None:
-        psi = _conjugation_probe(s.params, grid)
-    elif psi.grid != grid:
-        raise ValueError("grid mismatch")
-    return _conjugation_deviations(s, psi, ((which, t),))[0]

@@ -396,7 +396,8 @@ def report_rows(schemes, observables, times, params, moments):
     `moments[sid]` is the (means, variances) pair of (T, 4) arrays the
     library computed for scheme sid.  Each number is converted on its own, and
     a spread is sqrt(max(float(variance), 0.0)), which keeps a variance of
-    -0.0 as -0.0.
+    -0.0 as -0.0.  A product satisfies its bound when it is at most
+    _ROBERTSON_SLACK max(1, bound) below it.
     """
     cells, rows = [], []
     for sid in schemes:
@@ -410,11 +411,12 @@ def report_rows(schemes, observables, times, params, moments):
                                   mean_im=mean.imag, variance=float(variances[k, i])))
         for pair in CANONICAL_PAIRS[sid]:
             bound = float(uncertainty_bound(s, pair))
+            limit = bound - _ROBERTSON_SLACK * max(1.0, bound)
             for k, t in enumerate(times):
                 product = math.prod(math.sqrt(max(float(variances[k, OBSERVABLES.index(n)]), 0.0))
                                     for n in pair)
                 rows.append(Row(scheme=sid, pair=pair, time=float(t), product=product,
-                                bound=bound, satisfied=product >= bound - _ROBERTSON_SLACK))
+                                bound=bound, satisfied=product >= limit))
     return tuple(cells), tuple(rows)
 
 

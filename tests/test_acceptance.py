@@ -19,9 +19,10 @@ from symquant import (
     PhysParams,
     admissible_inverse_forms,
     commutator_table_check,
+    conjugation_deviations,
+    conjugation_probe,
     coordinates,
     default_sample_times,
-    conserved_along_flow,
     default_scenario,
     expectation,
     flow_jacobian,
@@ -29,7 +30,6 @@ from symquant import (
     heisenberg_operator,
     oscillator_field,
     poisson_bracket,
-    pullback_deviation,
     scheme,
     standard_forms,
     standard_hamiltonians,
@@ -37,7 +37,8 @@ from symquant import (
     two_time_commutator,
     uncertainty_bound,
     uncertainty_product,
-    unitary_conjugation_check,
+    verify_conserved,
+    verify_flow_symplectic,
     verify_pair,
     PhaseState,
 )
@@ -100,12 +101,13 @@ def test_criterion_03_admissible_space_containment():
 def test_criterion_04_flow_symplecticity_and_conservation():
     rng = np.random.default_rng(123)
     times = rng.uniform(0.0, 4 * math.pi, size=20)
+    jacobians = np.array([flow_jacobian(float(t), P) for t in times])
     worst_pullback = max(
-        pullback_deviation(flow_jacobian(float(t), P), pair.form)
-        for pair in standard_pairs(1, 1) for t in times)
+        check.max_deviation
+        for pair in standard_pairs(1, 1) for check in verify_flow_symplectic(pair.form, jacobians))
     state = PhaseState(0.8, -0.6, 0.5, 1.2)
     worst_drift = max(
-        conserved_along_flow(h, state, default_sample_times(P), P)
+        verify_conserved(h, state, default_sample_times(P), P).max_drift
         for h in standard_hamiltonians(1, 1))
     ok = worst_pullback <= 1e-12 and worst_drift <= 1e-10
     _report(4, "flow symplecticity + conservation", ok,
@@ -114,10 +116,8 @@ def test_criterion_04_flow_symplecticity_and_conservation():
 
 def test_criterion_05_commutator_realization():
     psi = ground_packet(P).sample(GRID)
-    worst = 0.0
-    for sid in range(4):
-        chk = commutator_table_check(scheme(sid, P), psi)
-        worst = max(worst, chk.max_deviation)
+    checks = commutator_table_check([scheme(sid, P) for sid in range(4)], psi)
+    worst = max(chk.max_deviation for chk in checks)
     # sign flips and noncommuting coordinates, measured directly
     def measured(s, a, b):
         fa, fb = s.fundamental(a), s.fundamental(b)
@@ -217,12 +217,11 @@ def test_criterion_08_two_time_commutator():
 def test_criterion_09_unitary_conjugation():
     small = GridSpec(half_width=8.0 * P.sigma_ref, points=32)
     start = time.perf_counter()
-    worst = 0.0
-    for sid in range(4):
-        s = scheme(sid, P)
-        for which in ("x", "y", "p_x", "p_y"):
-            for t in (0.6 / P.omega, 1.1 / P.omega):
-                worst = max(worst, unitary_conjugation_check(s, which, t, small))
+    psi = conjugation_probe(P, small)
+    probes = [(which, t) for which in ("x", "y", "p_x", "p_y")
+              for t in (0.6 / P.omega, 1.1 / P.omega)]
+    worst = max(dev for sid in range(4)
+                for dev in conjugation_deviations(scheme(sid, P), psi, probes))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed <= 60.0
     _report(9, "unitary conjugation", ok,

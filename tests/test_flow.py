@@ -11,25 +11,27 @@ from symquant import (
     PhysParams,
     PolynomialObservable,
     admissible_inverse_forms,
-    conserved_along_flow,
     coordinates,
     default_sample_times,
     exact_flow,
     flow_jacobian,
     oscillator_field,
-    pullback_deviation,
     standard_hamiltonians,
     standard_pairs,
     SymplecticForm,
     verify_conserved,
     verify_flow_symplectic,
 )
-from symquant import flow
 from oracles import leapfrog
 
 P = PhysParams(1.0, 1.0, 1.0)
 P2 = PhysParams(m=2.5, omega=1.3, hbar=1.0)
 X, Y, PX, PY = coordinates()
+
+
+def _jacobians(times, params):
+    """The (T, 4, 4) stack of flow maps `verify_flow_symplectic` takes."""
+    return np.array([flow_jacobian(float(t), params) for t in times])
 
 
 def test_identity_at_time_zero():
@@ -95,12 +97,14 @@ def test_group_law():
 
 
 def test_flow_preserves_standard_forms():
-    assert verify_flow_symplectic(standard_pairs(1, 1)[0].form, 1.23, P).ok
-    assert verify_flow_symplectic(standard_pairs(1, 1)[3].form, 0.77, P).ok
+    assert verify_flow_symplectic(standard_pairs(1, 1)[0].form, _jacobians([1.23], P))[0].ok
+    assert verify_flow_symplectic(standard_pairs(1, 1)[3].form, _jacobians([0.77], P))[0].ok
     rng = np.random.default_rng(14)
     for pair in standard_pairs(P2.m, P2.omega):
-        for t in rng.uniform(0, 4 * math.pi / P2.omega, size=20):
-            check = verify_flow_symplectic(pair.form, float(t), P2)
+        times = rng.uniform(0, 4 * math.pi / P2.omega, size=20)
+        checks = verify_flow_symplectic(pair.form, _jacobians(times, P2))
+        assert len(checks) == 20
+        for check in checks:
             assert check.ok and check.max_deviation <= 1e-12
 
 
@@ -110,11 +114,11 @@ def test_flow_verdict_is_relative_to_the_size_of_the_pullback(m):
     # of J^T L J (1.0e-10 for W0-W2, 1.9e-9 for W3) fails an absolute 1e-12
     params = PhysParams(m=m, omega=1.0, hbar=1.0)
     for pair in standard_pairs(params.m, params.omega):
-        check = verify_flow_symplectic(pair.form, 0.77, params)
+        check, = verify_flow_symplectic(pair.form, _jacobians([0.77], params))
         assert check.ok and check.max_deviation > 1e-12
     # {x, y} = 1 and {p_x, p_y} = 2 are not preserved by the flow at any m
     mixed = SymplecticForm([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
-    assert not verify_flow_symplectic(mixed, 0.77, params).ok
+    assert not verify_flow_symplectic(mixed, _jacobians([0.77], params))[0].ok
 
 
 @pytest.mark.parametrize("m", [1e-7, 1e7])
@@ -140,36 +144,36 @@ def test_conserved_verdict_is_relative_to_the_size_of_the_terms(m):
 def test_stacked_flow_verdicts_equal_the_per_time_verdicts(log_mw, log_hbar, omega, phases, state):
     # check's flow group takes its verdicts from one (T, 4, 4) Jacobian stack
     # per form and f evaluated once on the (4, T) states; each must be what
-    # the per-time products give, bit for bit
+    # the per-time products and a one-map stack give, bit for bit
     params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
     times = [phase / omega for phase in phases]
-    jacobians = np.array([flow_jacobian(t, params) for t in times])
+    jacobians = _jacobians(times, params)
     state0 = PhaseState(*state)
     pairs = standard_pairs(params.m, params.omega)
     # {x, y} = 1 and {p_x, p_y} = 2 is not preserved, so some verdicts are False
     mixed = SymplecticForm([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
     for form in [pair.form for pair in pairs] + [mixed]:
         lower = form.lower_array()
-        stacked = flow._pullback_checks(form, jacobians)
+        stacked = verify_flow_symplectic(form, jacobians)
+        assert len(stacked) == len(times)
         for t, check in zip(times, stacked):
             jac = flow_jacobian(t, params)
-            dev = pullback_deviation(jac, form)
+            dev = float(np.max(np.abs(jac.T @ lower @ jac - lower)))
             size = float(np.max(np.abs(jac).T @ np.abs(lower) @ np.abs(jac)))
             assert check == (dev <= 1e-12 * max(1.0, size), dev)
-            assert verify_flow_symplectic(form, t, params) == check
+            assert verify_flow_symplectic(form, jac[None]) == [check]
     for pair in pairs:
         f = pair.hamiltonian
         ref = float(f.evaluate(state0.as_array()))
         drifts = [abs(float(f.evaluate(exact_flow(state0, t, params).as_array())) - ref)
                   for t in times]
-        assert conserved_along_flow(f, state0, times, params) == max([0.0] + drifts)
         assert verify_conserved(f, state0, times, params).max_drift == max([0.0] + drifts)
 
 
 def test_scaling_map_is_not_symplectic():
-    dev = pullback_deviation(2.0 * np.eye(4), standard_pairs(1, 1)[0].form)
-    assert dev == pytest.approx(3.0)  # (2 I)^T w (2 I) - w = 3 w entrywise
-    assert dev > 1e-12
+    check, = verify_flow_symplectic(standard_pairs(1, 1)[0].form, 2.0 * np.eye(4)[None])
+    assert check.max_deviation == pytest.approx(3.0)  # (2 I)^T w (2 I) - w = 3 w entrywise
+    assert not check.ok
 
 
 def test_flow_preserves_every_invertible_admissible_form():
@@ -181,8 +185,8 @@ def test_flow_preserves_every_invertible_admissible_form():
         if abs(np.linalg.det(theta)) < 1e-6:
             continue
         form = SymplecticForm(np.linalg.inv(theta))
-        for t in rng.uniform(0, 4 * math.pi, size=20):
-            assert verify_flow_symplectic(form, float(t), P).ok
+        times = rng.uniform(0, 4 * math.pi, size=20)
+        assert all(check.ok for check in verify_flow_symplectic(form, _jacobians(times, P)))
         checked += 1
     assert checked >= 8
 
@@ -193,16 +197,16 @@ def test_conserved_quantities_along_flow():
     times = default_sample_times(P2)
     assert len(times) == 100
     hams = standard_hamiltonians(P2.m, P2.omega)
-    assert conserved_along_flow(hams[0], state, times, P2) <= 1e-10
-    assert conserved_along_flow(hams[3], state, times, P2) <= 1e-10
+    assert verify_conserved(hams[0], state, times, P2).max_drift <= 1e-10
+    assert verify_conserved(hams[3], state, times, P2).max_drift <= 1e-10
 
 
 def test_coordinate_drifts():
-    dev = conserved_along_flow(X, PhaseState(1.0, 0.0, 0.0, 0.0),
-                               [math.pi / 2], P)
-    assert dev == pytest.approx(1.0)
+    check = verify_conserved(X, PhaseState(1.0, 0.0, 0.0, 0.0), [math.pi / 2], P)
+    assert check.max_drift == pytest.approx(1.0)
+    assert not check.ok
 
 
 def test_times_must_be_nonempty():
-    with pytest.raises(ValueError):
-        conserved_along_flow(X, PhaseState(0, 0, 0, 0), [], P)
+    with pytest.raises(ValueError, match="times must be nonempty"):
+        verify_conserved(X, PhaseState(0, 0, 0, 0), [], P)

@@ -1,5 +1,6 @@
 """Scenario parsing, report emission, verification summaries, CLI contract."""
 
+import ast
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,19 +346,19 @@ def test_columnar_report_matches_the_per_cell_oracle(scn, overrides):
     # sqrt(max(float(v), 0.0)) keeps a variance of -0.0 as -0.0, which a
     # np.maximum clamp may not; the reprs compare the sign of every zero
     moments = {}
-    rotated = lab._rotated_moments
+    heisenberg_moments = lab.heisenberg_moments
 
-    def recording(s, gram, times):
-        means, variances = rotated(s, gram, times)
-        variances = variances.copy()
-        for sid, k, i, value in overrides:
-            if sid == s.id and k < len(times):
-                variances[k, i] = value
-        moments[s.id] = (means, variances)
-        return means, variances
+    def recording(schemes, psi, times):
+        for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, times)):
+            variances = variances.copy()
+            for sid, k, i, value in overrides:
+                if sid == s.id and k < len(times):
+                    variances[k, i] = value
+            moments[s.id] = (means, variances)
+        return [moments[s.id] for s in schemes]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lab, "_rotated_moments", recording)
+        patch.setattr(lab, "heisenberg_moments", recording)
         report = run_scenario(scn)
     cells, rows = oracles.report_rows(scn.schemes, scn.observables, scn.times, scn.params,
                                       moments)
@@ -367,6 +369,37 @@ def test_columnar_report_matches_the_per_cell_oracle(scn, overrides):
     assert report_to_csv(report) == expected_csv
     flat = oracles.flatten_report(report)
     assert flat == (cells, rows) and repr(flat) == repr((cells, rows))
+
+
+def test_robertson_flags_match_the_oracle_between_the_slacks():
+    # scheme 3's p_x, p_y bound is hbar m omega / 2 = 4 here, so the slack is
+    # 4e-9: a product 2.5e-9 below the bound satisfies it, one 5e-9 below
+    # does not, and the oracle must draw the line where the library does
+    params = PhysParams(m=2.0, omega=2.0, hbar=2.0)
+    s = lab.scheme(3, params)
+    times = [0.0, 1.0]
+    means = np.zeros((2, 4), dtype=complex)
+    variances = np.array([[1.0, 1.0, 4.0 - 2.5e-9, 4.0 - 2.5e-9],
+                          [1.0, 1.0, 4.0 - 5e-9, 4.0 - 5e-9]])
+    columns = lab._scheme_columns(s, means, variances, times, OBSERVABLES)
+    pair, bound, products, satisfied = columns.rows[1]
+    assert pair == ("p_x", "p_y") and bound == 4.0
+    assert bound - 4e-9 < products[0] < bound - 1e-9 and products[1] < bound - 4e-9
+    assert satisfied == [True, False]
+    cells, rows = oracles.report_rows((3,), OBSERVABLES, times, params, {3: (means, variances)})
+    report = lab.Report((columns,), (), {})
+    assert oracles.flatten_report(report) == (cells, rows)
+
+
+def test_lab_imports_no_private_name_from_quantum_or_flow():
+    # check runs the public functions of the library, so a private twin of
+    # one of them cannot grow back beside it
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] in ("quantum", "flow")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_emit_report_failure_names_the_path(tmp_path):
@@ -401,6 +434,21 @@ def test_flow_check_passes_at_small_m_omega():
     # m omega = 1e-7: W3 and the flow map carry entries of order 1e7, and the
     # roundoff of J^T L J and of S0..S2 along the flow reaches 1e-9
     assert _flow_status(1e-7) == "pass"
+
+
+def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch):
+    # one (20, 4, 4) Jacobian stack serves all four forms, each read by one
+    # lower_array() call
+    stacks, lowered = [], []
+    verify, lower_array = lab.verify_flow_symplectic, SymplecticForm.lower_array
+    monkeypatch.setattr(lab, "verify_flow_symplectic",
+                        lambda form, jacobians: stacks.append(jacobians) or verify(form, jacobians))
+    monkeypatch.setattr(SymplecticForm, "lower_array",
+                        lambda self: lowered.append(self) or lower_array(self))
+    result = lab._check_flow(default_scenario(), standard_pairs(1.0, 1.0))
+    assert result.status == "pass"
+    assert len(stacks) == 4 and all(stack is stacks[0] for stack in stacks)
+    assert stacks[0].shape == (20, 4, 4) and len(lowered) == 4
 
 
 def _reversed_momentum_block(pairs):
@@ -515,7 +563,7 @@ def test_uncertainty_check_scales_its_bounds_at_large_m():
 
 def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
     # max() drops a nan that is not its first argument; the group must not
-    monkeypatch.setattr(lab, "_conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
+    monkeypatch.setattr(lab, "conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
     result = lab._check_unitary(default_scenario())
     assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
 

@@ -154,10 +154,14 @@ def test_canonical_pairs_are_the_nonzero_upper_table_entries(mw):
 def test_commutator_tables_realized(params):
     grid = _grid_for(params)
     psi = ground_packet(params).sample(grid)
-    for sid in range(4):
-        chk = commutator_table_check(scheme(sid, params), psi)
+    schemes = [scheme(sid, params) for sid in range(4)]
+    checks = commutator_table_check(schemes, psi)
+    assert len(checks) == 4
+    for s, chk in zip(schemes, checks):
         assert chk.localized
         assert chk.max_deviation <= 1e-8
+        # one scheme alone gets what it gets among four, bit for bit
+        assert commutator_table_check([s], psi) == [chk]
 
 
 # the widest off-centre packets reach about 1e-10 of their peak at the grid
@@ -193,8 +197,10 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
     mw = params.m * params.omega
     bound = 16 * np.finfo(float).eps * params.hbar * max(1.0, mw, 1.0 / mw)
     expected = commutator_deviations(s, psi)
-    got = commutator_table_check(s, psi).deviations
+    got = commutator_table_check([s], psi)[0].deviations
     assert got.keys() == expected.keys()
+    every = commutator_table_check([scheme(k, params) for k in range(4)], psi)
+    assert every[sid].deviations == got
     for pair, dev in got.items():
         assert abs(dev - expected[pair]) <= bound, pair
     for r, which in enumerate(OBS):
@@ -223,8 +229,18 @@ def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
 def test_commutator_check_warns_when_delocalized():
     psi = GaussianPacket(sigma=4.0).sample(GRID)
     with pytest.warns(LocalizationWarning):
-        chk = commutator_table_check(scheme(0, P), psi)
+        chk, = commutator_table_check([scheme(0, P)], psi)
     assert not chk.localized
+
+
+def test_a_delocalized_probe_warns_once_for_all_schemes():
+    # localization is a property of the state, decided once per call
+    psi = GaussianPacket(sigma=4.0).sample(GRID)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        checks = commutator_table_check([scheme(sid, P) for sid in range(4)], psi)
+    assert [w.category for w in caught] == [LocalizationWarning]
+    assert len(checks) == 4 and not any(chk.localized for chk in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +463,12 @@ def test_moment_engine_matches_applied_operators(sid, field, localized):
     psi = field()
     s = scheme(sid, P2)
     times = (0.0, 0.45 / P2.omega, 2.1 / P2.omega, -3.7 / P2.omega)
-    means, variances = heisenberg_moments(s, psi, times)
+    means, variances = heisenberg_moments([s], psi, times)[0]
     assert means.shape == variances.shape == (len(times), len(OBS))
     assert variances.dtype == np.float64
+    # one scheme alone gets what it gets among four, bit for bit
+    batched = heisenberg_moments([scheme(k, P2) for k in range(4)], psi, times)[sid]
+    assert [a.tobytes() for a in batched] == [means.tobytes(), variances.tobytes()]
     for k, t in enumerate(times):
         spreads = {}
         for i, which in enumerate(OBS):
@@ -475,8 +494,9 @@ def test_moment_engine_matches_applied_operators(sid, field, localized):
 
 
 def test_moments_of_no_times_are_empty():
-    means, variances = heisenberg_moments(scheme(0, P), _small_gaussian(), ())
+    (means, variances), = heisenberg_moments([scheme(0, P)], _small_gaussian(), ())
     assert means.shape == variances.shape == (0, len(OBS))
+    assert heisenberg_moments([], _small_gaussian(), (0.0,)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +583,7 @@ def test_degree_three_unsupported():
 def test_variance_of_fundamentals_matches_packet_moments():
     packet = _packet_for(P)
     psi = packet.sample(GRID)
-    _, variances = heisenberg_moments(scheme(0, P), psi, (0.0,))
+    _, variances = heisenberg_moments([scheme(0, P)], psi, (0.0,))[0]
     assert variances[0, OBS.index("x")] == pytest.approx(
         packet.sigma ** 2, abs=1e-9)
     assert variances[0, OBS.index("p_x")] == pytest.approx(

@@ -13,11 +13,12 @@ from symquant import (
     Primitive,
     PolynomialObservable,
     WaveFunction,
+    conjugation_deviations,
+    conjugation_probe,
     ground_packet,
     quantize_observable,
     scheme,
     standard_hamiltonians,
-    unitary_conjugation_check,
     unitary_evolve,
 )
 from symquant import lab, quantum
@@ -27,29 +28,31 @@ P = PhysParams(1.0, 1.0, 1.0)
 SMALL = GridSpec(half_width=8.0, points=32)
 
 
+def _worst_gap(s, probes, grid=SMALL):
+    """The largest conjugation deviation of s's probes on the default probe packet."""
+    return max(conjugation_deviations(s, conjugation_probe(s.params, grid), probes))
+
+
 def test_zero_time_conjugation_is_exact():
     for sid in range(4):
-        dev = unitary_conjugation_check(scheme(sid, P), "x", 0.0, SMALL)
-        assert dev <= 1e-12
+        assert _worst_gap(scheme(sid, P), [("x", 0.0)]) <= 1e-12
 
 
 def test_conjugation_matches_heisenberg_rotation():
-    assert unitary_conjugation_check(scheme(0, P), "x", 0.6, SMALL) <= 1e-5
-    assert unitary_conjugation_check(scheme(3, P), "p_x", 1.1, SMALL) <= 1e-5
+    assert _worst_gap(scheme(0, P), [("x", 0.6)]) <= 1e-5
+    assert _worst_gap(scheme(3, P), [("p_x", 1.1)]) <= 1e-5
 
 
 def test_conjugation_all_schemes_all_observables():
     for sid in range(4):
-        s = scheme(sid, P)
-        for which in ("x", "y", "p_x", "p_y"):
-            assert unitary_conjugation_check(s, which, 0.6, SMALL) <= 1e-5
+        assert _worst_gap(scheme(sid, P), [(which, 0.6) for which in ("x", "y", "p_x", "p_y")]) \
+            <= 1e-5
 
 
 def test_generic_parameters():
     params = PhysParams(m=2.5, omega=1.3, hbar=0.7)
     grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
-    assert unitary_conjugation_check(scheme(1, params), "y",
-                                     0.8 / params.omega, grid) <= 1e-5
+    assert _worst_gap(scheme(1, params), [("y", 0.8 / params.omega)], grid) <= 1e-5
 
 
 def test_evolution_preserves_the_norm():
@@ -100,7 +103,8 @@ def test_a_generator_that_mixes_the_axes_takes_the_recurrence(monkeypatch):
     coupled = PolynomialObservable({**standard_hamiltonians(1, 1)[0].terms, (1, 1, 0, 0): 0.25})
     monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: coupled)
     s = scheme(0, P)
-    assert quantum._separable_factors(s, SMALL) is None
+    generator = quantize_observable(s, coupled)
+    assert quantum._separable_factors(generator, generator.normal_form(), SMALL) is None
     runs = []
     propagate = quantum._propagate
     monkeypatch.setattr(quantum, "_propagate", lambda *args: runs.append(args) or propagate(*args))
@@ -138,7 +142,7 @@ def test_stencil_acts_like_the_quantized_generator(sid):
         grid = GridSpec(half_width=8.0, points=points)
         fields = np.stack([packet.sample(grid).values for packet in packets])
         expected = np.stack([_generator(s).apply(WaveFunction(grid, f)).values for f in fields])
-        stencil = quantum._generator_stencil(s, grid)
+        stencil = quantum._generator_stencil(_generator(s).normal_form(), grid)
         for values, target in ((fields[0], expected[0]), (fields, expected)):
             acted = (stencil.half_width * stencil.step(values, np.empty_like(values))
                      + stencil.center * values)
@@ -187,7 +191,7 @@ def test_unitary_check_runs_its_orders_without_fft(monkeypatch):
 @pytest.mark.parametrize("sid", range(4))
 def test_stencil_radius_matches_the_term_by_term_bound(sid):
     s = scheme(sid, P)
-    stencil = quantum._generator_stencil(s, SMALL)
+    stencil = quantum._generator_stencil(_generator(s).normal_form(), SMALL)
     bound = spectral_bound(_generator(s), SMALL)
     # the symmetric radius the propagator used before the centre shift: S2 =
     # (p_y^2 - p_x^2) / 2m + m omega^2 (y^2 - x^2) / 2 merges its terms to half
@@ -199,7 +203,7 @@ def test_stencil_radius_matches_the_term_by_term_bound(sid):
         assert stencil.half_width == pytest.approx(bound / 2, rel=1e-14)
         assert stencil.center == pytest.approx(bound / 2, rel=1e-14)
     tiny = GridSpec(half_width=8.0, points=16)
-    small = quantum._generator_stencil(s, tiny)
+    small = quantum._generator_stencil(_generator(s).normal_form(), tiny)
     dense = dense_matrix(_generator(s), tiny)
     spectrum = np.linalg.eigvalsh((dense + dense.conj().T) / 2.0)
     assert small.center - small.half_width <= spectrum.min()
@@ -222,13 +226,36 @@ def test_conjugation_check_builds_one_stencil(monkeypatch):
     builds = []
     build = quantum._generator_stencil
     monkeypatch.setattr(quantum, "_generator_stencil",
-                        lambda s, grid: builds.append(s.id) or build(s, grid))
-    assert unitary_conjugation_check(scheme(3, P), "p_x", 1.1, SMALL) <= 1e-5
-    assert builds == [3]
+                        lambda nf, grid: builds.append(nf) or build(nf, grid))
+    assert _worst_gap(scheme(3, P), [("x", 0.6), ("p_x", 1.1)]) <= 1e-5
+    assert builds == [_generator(scheme(3, P)).normal_form()]
     del builds[:]
     result = lab._check_unitary(lab.default_scenario())
-    assert builds == [1, 3]
+    assert builds == [_generator(scheme(sid, P)).normal_form() for sid in (1, 3)]
     assert result.detail == "max conjugation deviation 7.266e-07"
+
+
+def test_each_generator_is_quantized_and_normal_ordered_once(monkeypatch):
+    # both routes read the one normal form _propagator computes: S0 and S2
+    # test it for separability, S1 and S3 also compile their stencil from it
+    generators, orderings = [], []
+    quantize, normal_form = quantum.quantize_observable, OperatorExpr.normal_form
+
+    def recorded_quantize(s, f):
+        generators.append(quantize(s, f))
+        return generators[-1]
+
+    def recorded_normal_form(self):
+        if any(self is op for op in generators):
+            orderings.append(self)
+        return normal_form(self)
+
+    monkeypatch.setattr(quantum, "quantize_observable", recorded_quantize)
+    monkeypatch.setattr(OperatorExpr, "normal_form", recorded_normal_form)
+    result = lab._check_unitary(lab.default_scenario())
+    assert result.detail == "max conjugation deviation 7.266e-07"
+    assert len(generators) == 4
+    assert len(orderings) == 4 and all(a is b for a, b in zip(orderings, generators))
 
 
 def test_conjugation_check_evolves_forward_only(monkeypatch):
@@ -254,7 +281,7 @@ def test_conjugation_matches_the_forward_backward_oracle(m_omega, hbar):
     probes = (("x", 0.6 / omega), ("p_x", 1.1 / omega))
     for sid in range(4):
         s = scheme(sid, params)
-        stacked = quantum._conjugation_deviations(s, psi, probes)
+        stacked = conjugation_deviations(s, psi, probes)
         for (which, t), dev in zip(probes, stacked):
             expected = forward_backward_conjugation(s, which, t, psi)
             assert abs(dev - expected) <= 1e-12, (sid, which)
@@ -264,8 +291,8 @@ def test_conjugation_matches_the_forward_backward_oracle(m_omega, hbar):
 def test_large_grid_accepted():
     # a dense generator would be 4096 x 4096 here; the propagator never forms it
     big = GridSpec(half_width=8.0, points=64)
-    assert unitary_conjugation_check(scheme(0, P), "x", 0.6, big) <= 1e-5
-    assert unitary_conjugation_check(scheme(3, P), "p_x", 1.1, big) <= 1e-5
+    assert _worst_gap(scheme(0, P), [("x", 0.6)], big) <= 1e-5
+    assert _worst_gap(scheme(3, P), [("p_x", 1.1)], big) <= 1e-5
 
 
 def test_norm_guard_rejects_a_non_hermitian_generator(monkeypatch):
@@ -278,7 +305,8 @@ def test_norm_guard_rejects_a_non_hermitian_generator(monkeypatch):
     monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: unsymmetrized)
     # it splits over the axes, but eigh would drop its anti-Hermitian part,
     # so it takes the recurrence, whose norm guard reports it
-    assert quantum._separable_factors(s, SMALL) is None
+    generator = quantize_observable(s, unsymmetrized)
+    assert quantum._separable_factors(generator, generator.normal_form(), SMALL) is None
     psi = ground_packet(P).sample(SMALL)
     with pytest.raises(RuntimeError, match="changed the norm"):
         unitary_evolve(s, psi, 0.3)
@@ -290,12 +318,6 @@ def test_norm_guard_holds_on_the_stacked_check(monkeypatch):
     monkeypatch.setattr(quantum, "_generator_polynomial", lambda _: unsymmetrized)
     with pytest.raises(RuntimeError, match="changed the norm"):
         lab._check_unitary(lab.default_scenario())
-
-
-def test_grid_mismatch_rejected():
-    psi = ground_packet(P).sample(GridSpec(half_width=8.0, points=16))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        unitary_conjugation_check(scheme(0, P), "x", 0.5, SMALL, psi=psi)
 
 
 def test_explicit_matrix_exponential_oracle():
