@@ -510,17 +510,19 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
 
 
 def _check_unitary(config: Scenario) -> CheckResult:
-    """Both conjugation probes of each scheme from one stencil and one recurrence.
+    """Both conjugation probes of each scheme from one closed-form propagator.
 
-    The probe packet is sampled once; a generator whose spectral interval is
-    not finite at these parameters (hbar = 1e300) is a config error, and a
-    deviation that is not a number fails the group.
+    The probe packet is sampled once, on a grid of N = 48 that resolves it
+    (at N = 32 the deviations are the grid's discretization error); a
+    generator with no finite closed-form propagator at these parameters
+    (hbar = 1e300) is a config error, and a deviation that is not a number
+    fails the group.
     """
     params = config.params
     probes = (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega))
     deviations = [0.0]
     try:
-        grid = GridSpec(half_width=8.0 * params.sigma_ref, points=32)
+        grid = GridSpec(half_width=8.0 * params.sigma_ref, points=48)
         psi = conjugation_probe(params, grid)
         for sid in config.schemes:
             deviations += conjugation_deviations(scheme(sid, params), psi, probes)

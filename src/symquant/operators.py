@@ -137,15 +137,22 @@ class GaussianPacket:
             raise ValueError(f"sigma must be positive and finite, not {self.sigma!r}")
 
     def sample(self, grid: GridSpec) -> WaveFunction:
-        """Sample on the grid and normalize by the Riemann-sum norm."""
+        """Sample on the grid and normalize by the Riemann-sum norm.
+
+        Raises ValueError when 4 sigma^2 is zero or not finite (sigma = 1e-300
+        or 1e300), as the envelope would then divide 0 by 0 or inf by inf.
+        """
+        # a float product, not sigma ** 2, which raises OverflowError; both round alike
+        width = 4.0 * self.sigma * self.sigma
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
         ax = grid.axis()
         cx, cy = self.center
         kx, ky = self.wavevector
         # each axis term is formed on the axis and broadcast over the grid;
         # squares past the float range are far in the tail, where exp(-inf) = 0 is exact
         with np.errstate(over="ignore"):
-            envelope = np.exp(-(((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :])
-                              / (4.0 * self.sigma ** 2))
+            envelope = np.exp(-(((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :]) / width)
         phase = np.exp(1j * ((kx * ax)[:, None] + (ky * ax)[None, :]))
         return WaveFunction(grid, envelope * phase).normalize()
 

@@ -20,6 +20,7 @@ arbiter):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -302,278 +303,124 @@ def quantization_needs_symmetrization(s: QuantizationScheme,
 
 
 # ---------------------------------------------------------------------------
-# unitary evolution: closed form for a separable generator, else a Chebyshev
-# expansion of the propagator with a 1-D factor stencil
+# unitary evolution: every quantized generator is metaplectic, so its
+# propagator is a product of phases diagonal on the grid or in its DFT
 # ---------------------------------------------------------------------------
 
 def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
     return standard_hamiltonians(s.params.m, s.params.omega)[s.id]
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """(S - center) / half_width on one grid, as products with 1-D factors.
+# relative slack within which a normal form's coefficients fit a closed form
+_FIT = 1e-12
 
-    Each term c x^a y^b (d/dx)^c (d/dy)^d of S's normal form acts on a field
-    psi (axis 0 is x, axis 1 is y) as (diag(x^a) K_c) psi (diag(y^b) K_d)^T,
-    where K_c is the matrix the FFT's c-th derivative applies.  Derivative-free
-    terms merge into the field `potential`, terms on the x axis alone into one
-    left factor, terms on the y axis alone into one right factor, and the rest
-    keep their own (left, right) pair.  This is S's action as written whenever S
-    multiplies only primitives that commute on the grid (different axes, or the
-    same primitive), as every quantized S0-S3 does under its own scheme.
-    `center` and `half_width` bound S's spectrum (see `_generator_stencil`) and
-    are folded into the potential and into one factor of each other term.
+
+def _chirp_route(nf: Mapping, hbar: float, grid: GridSpec):
+    """(omega, step) for S = V(q) + K(d), V and K real quadratics whose blocks A B = omega^2 I.
+
+    V = q^T A q / 2 is S's pure-position part and K, its pure-derivative part
+    at d = i k, is hbar^2 k^T B k / 2.  `step(phi)` advances by omega t = phi
+    as C F C: C multiplies by exp(-i tan(phi/2) V/(hbar omega)) and F the DFT
+    by exp(-i sin(phi) K/(hbar omega)), the lower-upper-lower shear
+    factorization of the phase-space rotation (Koc, Ozaktas, Candan & Kutay,
+    IEEE Trans. Signal Process. 56, 2383, 2008).  None when nf has another
+    shape, an imaginary part (S is not Hermitian) or blocks whose product is
+    not a positive multiple of I.
     """
-
-    potential: np.ndarray  # (V - center) / half_width, (N, N)
-    factors: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]  # (left, right^T), None = 1
-    center: float
-    half_width: float
-
-    def step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (S - center) / half_width values, for a field (N, N) or a stack (B, N, N)."""
-        np.multiply(self.potential, values, out=out)
-        for left, right_t in self.factors:
-            term = values if left is None else left @ values
-            out += term if right_t is None else term @ right_t
-        return out
-
-
-def _axis_factor(grid: GridSpec, power: int, order: int) -> np.ndarray | None:
-    """diag(axis^power) K_order on one axis of the grid, None for the identity;
-    K_order is the N x N matrix the FFT's order-th derivative applies."""
-    if power == order == 0:
+    if any(c or d if a + b == 2 else a or b or c + d != 2 for a, b, c, d in nf) \
+            or any(abs(c.imag) > _FIT * abs(c) for c in nf.values()):
         return None
-    if order:
-        spectral = np.fft.fft(np.eye(grid.points), axis=0)
-        deriv = np.fft.ifft((1j * grid.wavenumbers())[:, None] ** order * spectral, axis=0)
-    else:
-        deriv = np.eye(grid.points)
-    return grid.axis()[:, None] ** power * deriv
-
-
-def _generator_stencil(nf: Mapping, grid: GridSpec) -> _Stencil:
-    """The stencil of the generator S whose normal form is nf.
-
-    Its spectral interval follows from Weyl's inequality.  Group S's
-    derivative terms by their coordinate monomial P_g = x^a y^b, each with the
-    k-space multiplier M_g = sum c (i k_x)^c (i k_y)^d, and let K0 be the
-    multiplier of the group whose field is 1 (zero if there is none).  Re V
-    and Re K0 are Hermitian, with spectra [min, max] of their arrays; rest = S
-    - Re V - Re K0 is Hermitian whenever S is, and ||rest|| <= max|Im V| +
-    max|Im K0| + sum over the other groups of max|P_g| max|M_g|.  So spec S
-    lies in [min Re V + min Re K0 - ||rest||, max Re V + max Re K0 + ||rest||].
-    For S0, V and K0 are both >= 0 and the interval is [0, max V + max K0],
-    half as wide as the symmetric bound max|V| + sum_g max|P_g| max|M_g|.
-    The multipliers serve the bound only; the stencil keeps 1-D factors.
-    Raises ValueError when the interval is not finite (hbar = 1e300).
-    """
+    coef = {key: c.real for key, c in nf.items()}
+    pos = np.array([[2 * coef.get((2, 0, 0, 0), 0.0), coef.get((1, 1, 0, 0), 0.0)],
+                    [coef.get((1, 1, 0, 0), 0.0), 2 * coef.get((0, 2, 0, 0), 0.0)]])
+    mom = np.array([[2 * coef.get((0, 0, 2, 0), 0.0), coef.get((0, 0, 1, 1), 0.0)],
+                    [coef.get((0, 0, 1, 1), 0.0), 2 * coef.get((0, 0, 0, 2), 0.0)]]) / -hbar / hbar
+    prod = pos @ mom
+    omega2 = (prod[0, 0] + prod[1, 1]) / 2.0
+    if not (omega2 > 0 and max(abs(prod[0, 1]), abs(prod[1, 0]), abs(prod[0, 0] - prod[1, 1]))
+            <= _FIT * omega2):
+        return None
+    omega = math.sqrt(omega2)
     xg, yg = grid.meshgrid()
     kx, ky = np.meshgrid(1j * grid.wavenumbers(), 1j * grid.wavenumbers(), indexing="ij")
-    potential = np.zeros((grid.points, grid.points), dtype=complex)
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    terms = []  # (coeff, x factor (a, c), y factor (b, d)) of each derivative term
-    for (a, b, c, d), coeff in sorted(nf.items()):
-        if c == d == 0:
-            potential += coeff * xg ** a * yg ** b
-        else:
-            mult = groups.setdefault((a, b), np.zeros_like(potential))
-            mult += coeff * kx ** c * ky ** d
-            terms.append((coeff, (a, c), (b, d)))
-    kinetic = groups.get((0, 0), np.zeros_like(potential))
-    low = float(potential.real.min() + kinetic.real.min())
-    high = float(potential.real.max() + kinetic.real.max())
-    rest = float(np.abs(potential.imag).max() + np.abs(kinetic.imag).max()
-                 + sum(np.abs(xg ** a * yg ** b).max() * np.abs(m).max()
-                       for (a, b), m in groups.items() if (a, b) != (0, 0)))
-    center, half_width = (low + high) / 2.0, (high - low) / 2.0 + rest
-    if not (math.isfinite(center) and math.isfinite(half_width)):
-        raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
-                         "is not finite")
+    potential = sum(c * xg ** a * yg ** b for (a, b, _, _), c in coef.items() if a + b)
+    kinetic = sum((c * kx ** c_x * ky ** c_y).real
+                  for (a, b, c_x, c_y), c in coef.items() if not a + b)
 
-    lefts, rights, pairs = [], [], []
-    for coeff, x_part, y_part in terms:
-        x_factor, y_factor = _axis_factor(grid, *x_part), _axis_factor(grid, *y_part)
-        if y_factor is None:
-            lefts.append(coeff / half_width * x_factor)
-        elif x_factor is None:
-            rights.append(coeff / half_width * y_factor.T)
-        else:
-            pairs.append((coeff / half_width * x_factor, y_factor.T))
-    factors = ([(sum(lefts), None)] if lefts else []) + \
-        ([(None, sum(rights))] if rights else []) + pairs
-    return _Stencil((potential - center) / half_width, tuple(factors),
-                    center=center, half_width=half_width)
+    def step(phi):
+        chirp = np.exp(-1j * math.tan(phi / 2.0) / (hbar * omega) * potential)
+        spectral = np.exp(-1j * math.sin(phi) / (hbar * omega) * kinetic)
+        return lambda values: chirp * np.fft.ifft2(spectral * np.fft.fft2(chirp * values))
+    return omega, step
 
 
-def _chebyshev_coefficients(alpha: float) -> np.ndarray:
-    """c_k with exp(-i alpha z) = sum_k c_k T_k(z) on [-1, 1], cut where |c_k| < 1e-15.
+def _shear_route(nf: Mapping, hbar: float, grid: GridSpec):
+    """(omega, step) for S = c (x d_y - y d_x) with c imaginary: S turns the plane by omega t,
+    U(t) psi(q) = psi(R(omega t) q), for omega = Im c / hbar.
 
-    c_k = (2 - delta_k0) (-i)^k J_k(alpha).  Past k = |alpha| the Kapteyn bound
-    |J_k(a)| <= (z e^r / (1 + r))^k, z = |a| / k, r = sqrt(1 - z^2), decreases
-    with k, so the first order where it puts |c_k| below 1e-15 ends the series.
-    The kept c_k are read off an FFT of exp(-i alpha cos theta) with at least
-    twice as many samples as orders, so only dropped orders alias onto them.
+    `step(phi)` turns by phi with three 1-D FFT shears, x by -tan(phi/2), y
+    by sin(phi), x by -tan(phi/2) (Unser, Thevenaz & Yaroslavsky, IEEE Trans.
+    Image Process. 4, 1371, 1995); a shear of x by a moves each column y_j by
+    a y_j, a phase exp(i k a y_j) on its DFT.  None when nf has another shape
+    or a real part (S is not Hermitian).
     """
-    a = abs(alpha)
-    order = math.floor(a) + 1
-    while a > 0:
-        z = a / order
-        r = math.sqrt(1.0 - z * z)
-        if order * (math.log(z) + r - math.log1p(r)) < math.log(0.5e-15):
-            break
-        order += 1
-    samples = 2 ** math.ceil(math.log2(2 * order))
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    coeffs = np.fft.fft(np.exp(-1j * alpha * np.cos(theta)))[:order] / samples
-    coeffs[1:] *= 2.0
-    return coeffs
-
-
-def _propagate(stencil: _Stencil, states: np.ndarray, hbar: float,
-               jobs: Sequence[tuple[int, float]]) -> np.ndarray:
-    """exp(-i S t / hbar) states[row] for each (row, t) of jobs, from one recurrence.
-
-    With spec S in [c - r, c + r], exp(-i S t / hbar) = exp(-i c t / hbar)
-    sum_k c_k T_k((S - c) / r) for alpha = r t / hbar (Tal-Ezer & Kosloff, J.
-    Chem. Phys. 81, 3967, 1984).  T_k((S - c) / r) does not depend on t, so
-    the stack of states runs one three-term recurrence, to the highest order
-    any job needs, and each job sums its own row's T_k with its own time's
-    c_k.  Raises ValueError when the interval or a job's alpha is not finite,
-    and RuntimeError when an evolved state's norm moves by more than 1e-8
-    relative: a non-Hermitian generator or an interval that is too narrow.
-    """
-    center, half_width = stencil.center, stencil.half_width
-    times = np.array([t for _, t in jobs], dtype=float)
-    alphas, phases = half_width * times / hbar, center * times / hbar
-    if not (np.isfinite(alphas).all() and np.isfinite(phases).all()):
-        raise ValueError(f"the generator's spectral interval {center:.3e} +/- {half_width:.3e} "
-                         "does not give a finite propagator")
-    series = [_chebyshev_coefficients(alpha) for alpha in alphas]
-    # jobs run longest series first, so the jobs whose series has not ended
-    # yet are a leading slice, the only rows an order adds to
-    order = sorted(range(len(jobs)), key=lambda j: -len(series[j]))
-    ends = [len(series[j]) for j in order]
-    table = np.zeros((ends[0], len(jobs)), dtype=complex)
-    for col, j in enumerate(order):
-        table[:ends[col], col] = series[j]
-    rows = [jobs[j][0] for j in order]
-    out = table[0, :, None, None] * states[rows]
-    cur = np.array(states, dtype=complex)  # T_{k-1}; T_{k-2} and a spare take two more buffers
-    prev, spare = np.empty_like(cur), np.empty_like(cur)
-    live = len(jobs)
-    for k in range(1, len(table)):
-        nxt = stencil.step(cur, spare)
-        if k > 1:
-            nxt *= 2.0
-            nxt -= prev
-        prev, cur, spare = cur, nxt, prev
-        while ends[live - 1] <= k:
-            live -= 1
-        out[:live] += table[k, :live, None, None] * cur[rows[:live]]
-    out = out[np.argsort(order)]  # back to the order of jobs
-    out *= np.exp(-1j * phases)[:, None, None]
-    before = np.sqrt(np.sum(np.abs(states[[row for row, _ in jobs]]) ** 2, axis=(1, 2)))
-    drift = np.abs(np.sqrt(np.sum(np.abs(out) ** 2, axis=(1, 2))) - before)
-    failed = np.flatnonzero(~(drift <= 1e-8 * before))
-    if failed.size:
-        j = failed[0]
-        raise RuntimeError(f"propagator changed the norm by {drift[j] / before[j]:.3e} relative: "
-                           "the generator is not Hermitian or its spectral interval is too narrow")
-    return out
-
-
-def _is_hermitian(op: OperatorExpr) -> bool:
-    """op equals its adjoint in the Weyl algebra, where x and y are Hermitian and
-    d/dx and d/dy anti-Hermitian, as they are on the grid."""
-    adjoint = OperatorExpr(
-        (c.conjugate() * (-1) ** sum(p in (Primitive.DX, Primitive.DY) for p in prod), prod[::-1])
-        for c, prod in op.terms)
-    return op.equals(adjoint)
-
-
-def _separable_factors(op: OperatorExpr, nf: Mapping, grid: GridSpec) -> tuple | None:
-    """Eigensystems (w, V) of S_x and S_y when S = S_x (x) 1 + 1 (x) S_y, else None;
-    op is S and nf its normal form.
-
-    S splits this way when no term of its normal form mixes the axes, the
-    potential's terms included: each term then acts on one axis alone, as
-    `_axis_factor`'s matrix for that axis, and a constant term joins S_x.  S0
-    and S2 split under their own schemes.  Each factor is made exactly
-    Hermitian and diagonalized by one `eigh`, which would drop an
-    anti-Hermitian part, so an S that is not Hermitian takes the Chebyshev
-    route, whose norm guard reports it.  Raises ValueError when a factor is
-    not finite.
-    """
-    if any((a or c) and (b or d) for a, b, c, d in nf) or not _is_hermitian(op):
+    if set(nf) != {(1, 0, 0, 1), (0, 1, 1, 0)}:
         return None
-    eye = np.eye(grid.points)
-    parts = [np.zeros((grid.points, grid.points), dtype=complex) for _ in range(2)]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for (a, b, c, d), coeff in sorted(nf.items()):
-            axis, power, order = (1, b, d) if b or d else (0, a, c)
-            factor = _axis_factor(grid, power, order)
-            parts[axis] += coeff * (eye if factor is None else factor)
-    if not all(np.isfinite(part).all() for part in parts):
-        raise ValueError("the generator's spectral interval is not finite: "
-                         "a 1-D factor holds inf or nan")
-    return tuple(np.linalg.eigh((part + part.conj().T) / 2.0) for part in parts)
+    c = (nf[1, 0, 0, 1] - nf[0, 1, 1, 0]) / 2.0
+    # the two terms may differ from c and -c by roundoff, the real parts included
+    if abs(nf[1, 0, 0, 1] - c) > _FIT * abs(c) or abs(c.real) > _FIT * abs(c):
+        return None
+    k_q = np.outer(grid.wavenumbers(), grid.axis())  # k_i q_j, for the x shear; .T for the y shear
 
+    def step(phi):
+        shear_x = np.exp(-1j * math.tan(phi / 2.0) * k_q)
+        shear_y = np.exp(1j * math.sin(phi) * k_q.T)
 
-def _separable_propagate(factors, states: np.ndarray, hbar: float,
-                         jobs: Sequence[tuple[int, float]]) -> np.ndarray:
-    """exp(-i S t / hbar) states[row] = U_x states[row] U_y^T for each (row, t) of jobs.
-
-    Each U = V exp(-i w t / hbar) V^dagger comes from its factor's
-    eigensystem, once per distinct t.  Raises ValueError when a phase w t /
-    hbar is not finite.
-    """
-    out = np.empty((len(jobs),) + states.shape[1:], dtype=complex)
-    unitaries = {}
-    for j, (row, t) in enumerate(jobs):
-        if t not in unitaries:
-            phases = [w * t / hbar for w, _ in factors]
-            if not all(np.isfinite(phase).all() for phase in phases):
-                raise ValueError("the generator's spectral interval does not give "
-                                 "a finite propagator")
-            ux, uy = ((v * np.exp(-1j * phase)) @ v.conj().T
-                      for phase, (_, v) in zip(phases, factors))
-            unitaries[t] = ux, uy.T
-        ux, uy_t = unitaries[t]
-        out[j] = ux @ states[row] @ uy_t
-    return out
+        def turn(values):
+            values = np.fft.ifft(shear_x * np.fft.fft(values, axis=-2), axis=-2)
+            values = np.fft.ifft(shear_y * np.fft.fft(values, axis=-1), axis=-1)
+            return np.fft.ifft(shear_x * np.fft.fft(values, axis=-2), axis=-2)
+        return turn
+    return c.imag / hbar, step
 
 
 def _propagator(s: QuantizationScheme, grid: GridSpec):
-    """evolve(states, jobs): exp(-i S t / hbar) states[row] for each (row, t) of jobs.
+    """evolve(values, t): exp(-i S t / hbar) applied to a field or a stack of fields.
 
-    The route follows from S's normal form: the closed form of
-    `_separable_factors` when S splits over the axes (S0, S2), else one
-    Chebyshev recurrence over S's stencil (`_propagate`; S1, S3).  S is
-    quantized and normal-ordered once, for both routes.
+    S, the scheme's quantized generator, is normal-ordered once, and its
+    normal form alone picks the route: `_chirp_route` (S0-S2) or
+    `_shear_route` (S3); any other normal form raises ValueError.  Every
+    route's S has period 2 pi/omega, so omega t is reduced to (-pi, pi] and
+    taken in the fewest equal steps of at most pi/4 (at most 4); t = 0 takes
+    none.  A normal form or an omega t that is not finite raises ValueError.
     """
     hbar = s.params.hbar
-    op = quantize_observable(s, _generator_polynomial(s))
-    nf = op.normal_form()
-    factors = _separable_factors(op, nf, grid)
-    if factors is not None:
-        return lambda states, jobs: _separable_propagate(factors, states, hbar, jobs)
-    stencil = _generator_stencil(nf, grid)
-    return lambda states, jobs: _propagate(stencil, states, hbar, jobs)
+    nf = quantize_observable(s, _generator_polynomial(s)).normal_form()
+    if not all(cmath.isfinite(c) for c in nf.values()):
+        raise ValueError("the quantized generator's normal form is not finite")
+    route = _chirp_route(nf, hbar, grid) or _shear_route(nf, hbar, grid)
+    if route is None:
+        raise ValueError(f"no closed-form propagator for the normal form {nf}")
+    omega, step = route
+
+    def evolve(values: np.ndarray, t: float) -> np.ndarray:
+        theta = math.remainder(omega * t, 2.0 * math.pi)
+        steps = math.ceil(abs(theta) / (math.pi / 4.0))
+        if steps:
+            advance = step(theta / steps)
+            for _ in range(steps):
+                values = advance(values)
+        return values
+    return evolve
 
 
 def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFunction:
-    """exp(-i S t / hbar) psi, by the route `_propagator` takes for S.
+    """exp(-i S t / hbar) psi in closed form, by the route `_propagator` reads off S.
 
-    A separable S (S0, S2) evolves in closed form from its 1-D factors'
-    eigensystems.  Any other S takes a Chebyshev expansion of the propagator:
-    the T_k follow from the three-term recurrence, one step of S's stencil per
-    order, products with N x N factors, so no N^2 x N^2 matrix is formed and
-    the cost per order grows as N^3; it raises RuntimeError when the norm moves
-    by more than 1e-8 relative (see `_propagate`).
+    Each step costs a few FFTs of the field, and a step count of at most 4
+    whatever t is.
     """
-    return WaveFunction(psi.grid, _propagator(s, psi.grid)(psi.values[None], ((0, t),))[0])
+    return WaveFunction(psi.grid, _propagator(s, psi.grid)(psi.values, t))
 
 
 def conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
@@ -592,23 +439,20 @@ def conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,
     U = exp(-i S t / hbar) is unitary, so the gap |U^dagger O U psi - O(t) psi|
     is measured forward, as |O U psi - U O(t) psi| / |O(t) psi|, and no state
     is evolved backward.  One propagator of S (`_propagator`, as in
-    `unitary_evolve`) evolves the stack [psi, O_1(t_1) psi, ...] for every
-    probe: psi to each probe's time, each target to its own.  Each target
-    enters the stack in units of its largest entry, so neither the evolution
-    nor a norm meets subnormal numbers when O(t) psi is tiny (m omega = 1e-300).
+    `unitary_evolve`) serves every probe, evolving the stack [psi, O(t) psi]
+    to the probe's t.  The target enters the stack in units of its largest
+    entry, so neither the evolution nor a norm meets subnormal numbers when
+    O(t) psi is tiny (m omega = 1e-300).
     """
     evolve = _propagator(s, psi.grid)
-    rows = [OBSERVABLES.index(which) for which, _ in probes]
-    targets = [_act(flow_jacobian(t, s.params)[r] @ s.assignment, psi.values, psi.grid)
-               for r, (_, t) in zip(rows, probes)]
-    scales = [np.abs(target).max() for target in targets]
-    targets = [target / scale for target, scale in zip(targets, scales)]
-    jobs = [(0, t) for _, t in probes] + [(i + 1, t) for i, (_, t) in enumerate(probes)]
-    evolved = evolve(np.stack([psi.values, *targets]), jobs)
     deviations = []
-    for i, r in enumerate(rows):
-        acted = _act(s.assignment[r], evolved[i], psi.grid) / scales[i]
-        num = np.sqrt(np.sum(np.abs(acted - evolved[len(probes) + i]) ** 2))
-        den = np.sqrt(np.sum(np.abs(targets[i]) ** 2))
-        deviations.append(float(num / den))
+    for which, t in probes:
+        row = OBSERVABLES.index(which)
+        target = _act(flow_jacobian(t, s.params)[row] @ s.assignment, psi.values, psi.grid)
+        scale = np.abs(target).max()
+        target = target / scale
+        evolved, moved = evolve(np.stack([psi.values, target]), t)
+        acted = _act(s.assignment[row], evolved, psi.grid) / scale
+        num = np.sqrt(np.sum(np.abs(acted - moved) ** 2))
+        deviations.append(float(num / np.sqrt(np.sum(np.abs(target) ** 2))))
     return deviations

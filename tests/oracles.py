@@ -2,25 +2,30 @@
 
 Everything here deliberately avoids the library's own code paths: brackets and
 derivatives along a linear flow are expanded with sympy, an exact scalar's
-canonical form is sympy's cancel(expand(c)), the flow is integrated with leapfrog, the admissible-space
-dimension is counted by exact enumeration, and Gaussian moments come from
-closed forms cross-checked by direct trapezoid quadrature with analytic
-derivatives.  Two oracles reuse library objects: the applied-operator moments,
-which back the library's Gram-matrix moment engine by applying operator
-expressions to the grid field (twice, for second moments) and the
-commutator group's residuals, built from the six primitive commutators, by
-composing the fundamentals' operator expressions both ways, and the dense
-N^2 x N^2 materialization of an operator expression, whose eigendecomposition
-backs the library's matrix-free Chebyshev propagator, the term-by-term
-operator-norm bound on a generator's spectrum, which backs the interval the
-propagator reads off its grid stencil, and the literal forward-then-backward
-conjugation, which backs the forward-only conjugation gap of `check`.  The
-report oracle builds a report cell by cell, as one `Cell` and one `Row` at a
-time, from the moment arrays the library computed, and writes it with
-`json.dumps` and a per-cell CSV join.  It backs the columns `run_scenario`
-builds and the fixed-layout writers; `flatten_report` turns any report's
-columns into the same cells and rows, so the writers are also checked on
-generated columnar reports.
+canonical form is sympy's cancel(expand(c)), the flow is integrated with
+leapfrog, the admissible-space dimension is counted by exact enumeration, and
+Gaussian moments come from closed forms cross-checked by direct trapezoid
+quadrature with analytic derivatives.  The same closed forms give the evolved
+Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
+and wavevector follow the classical flow, sampled here on its own, which
+backs the library's closed-form propagator.
+
+Four oracles reuse library objects: the applied-operator moments, which back
+the library's Gram-matrix moment engine by applying operator expressions to
+the grid field (twice, for second moments); the commutator group's residuals,
+built from the six primitive commutators, by composing the fundamentals'
+operator expressions both ways; the dense N^2 x N^2 materialization of an
+operator expression, whose matrix exponential backs the Heisenberg rotation on
+a small grid without the library's propagator, and whose position and
+derivative parts, exponentiated by eigendecomposition, back the propagator's
+chirp-spectral-chirp product on grids too coarse to resolve the probe; and
+the literal forward-then-backward conjugation, which backs the forward-only
+conjugation gap of `check`.  The report oracle builds a report cell by cell, as one
+`Cell` and one `Row` at a time, from the moment arrays the library computed,
+and writes it with `json.dumps` and a per-cell CSV join.  It backs the
+columns `run_scenario` builds and the fixed-layout writers; `flatten_report`
+turns any report's columns into the same cells and rows, so the writers are
+also checked on generated columnar reports.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from typing import NamedTuple
 import numpy as np
 import sympy as sp
 
-from symquant import (CANONICAL_PAIRS, OBSERVABLES, Primitive, WaveFunction, heisenberg_operator,
-                      quantize_observable, scheme, standard_hamiltonians, uncertainty_bound,
-                      unitary_evolve)
+from symquant import (CANONICAL_PAIRS, OBSERVABLES, Primitive, heisenberg_operator, scheme,
+                      uncertainty_bound, unitary_evolve)
 from symquant.lab import _ROBERTSON_SLACK
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
@@ -288,7 +292,7 @@ def commutator_deviations(s, psi) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dense materialization (oracle for the matrix-free propagator)
+# dense materialization and evolved Gaussians (oracles for the propagator)
 # ---------------------------------------------------------------------------
 
 def axis_matrices(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -326,32 +330,67 @@ def dense_matrix(op, grid) -> np.ndarray:
     return total
 
 
-def spectral_bound(op, grid) -> float:
-    """Sum over terms of |c| times the product of the primitives' operator norms.
+def evolved_packet(sid: int, packet, t: float, params) -> tuple:
+    """(centre, wavevector) of the Gaussian exp(-i S t / hbar) sends `packet` to.
 
-    On the periodic grid |x|, |y| <= L and the spectral derivative has
-    eigenvalues i k with |k| <= pi / h, so the spectrum of op lies in [-R, R].
+    In every scheme each grid quantity, a coordinate q_axis or a wavenumber
+    k_axis = -i d/daxis, is one fundamental over its coefficient, so its mean
+    at t is that fundamental's Heisenberg mean (`heisenberg_mean`, the
+    classical flow) over the same coefficient.  Scheme 3 turns the plane, so
+    the packet keeps its width; schemes 0-2 keep it only for the ground width
+    sqrt(hbar / (2 m omega)), where the packet is a coherent state.
     """
-    norms = {Primitive.X: grid.half_width, Primitive.Y: grid.half_width,
-             Primitive.DX: math.pi / grid.spacing, Primitive.DY: math.pi / grid.spacing}
-    return sum(abs(c) * math.prod(norms[p] for p in prod) for c, prod in op.terms)
+    center, wavevector = [0.0, 0.0], [0.0, 0.0]
+    for name, (kind, axis, coef) in _oracle_assignment(sid, params).items():
+        (center if kind == "q" else wavevector)[axis] = \
+            heisenberg_mean(sid, name, t, packet, params) / coef
+    return tuple(center), tuple(wavevector)
 
 
-def dense_evolve(s, psi, times) -> list:
-    """exp(-i S t / hbar) psi for each t by eigendecomposing the dense generator.
-
-    S is the scheme's standard Hamiltonian quantized on the grid; its dense
-    matrix must be Hermitian to 1e-9 relative before it is diagonalized.
-    """
-    generator = quantize_observable(s, standard_hamiltonians(s.params.m, s.params.omega)[s.id])
-    mat = dense_matrix(generator, psi.grid)
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
-    assert asym <= 1e-9 * (1.0 + float(np.max(np.abs(mat)))), "generator is not Hermitian"
+def _dense_exponential(mat: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-i scale mat) of a Hermitian dense matrix, by its eigendecomposition."""
     evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    coords = evecs.conj().T @ psi.values.ravel()
-    return [WaveFunction(psi.grid, (evecs @ (np.exp(-1j * evals * t / s.params.hbar) * coords))
-                         .reshape(psi.values.shape))
-            for t in times]
+    return (evecs * np.exp(-1j * scale * evals)) @ evecs.conj().T
+
+
+def dense_shear_evolve(generator, psi, t: float, omega: float, hbar: float) -> np.ndarray:
+    """exp(-i S t / hbar) psi as the shear product C F C, built from dense matrices.
+
+    S = V + K must split into a position part V (products of X and Y) and a
+    derivative part K (products of DX and DY), each materialized densely and
+    exponentiated by its eigendecomposition.  omega t is reduced to (-pi, pi]
+    and taken in the fewest equal steps phi of at most pi / 4, each step
+    exp(-i a V) exp(-i b K) exp(-i a V) with a = tan(phi/2) / (hbar omega) and
+    b = sin(phi) / (hbar omega).  On any grid this is the grid's own shear
+    product, whether or not the grid resolves psi.
+    """
+    coords, derivs = {Primitive.X, Primitive.Y}, {Primitive.DX, Primitive.DY}
+    assert all(set(prod) <= coords or set(prod) <= derivs for _, prod in generator.terms)
+    potential = type(generator)([(c, p) for c, p in generator.terms if set(p) <= coords])
+    kinetic = type(generator)([(c, p) for c, p in generator.terms if set(p) <= derivs])
+    theta = math.remainder(omega * t, 2.0 * math.pi)
+    steps = math.ceil(abs(theta) / (math.pi / 4.0))
+    values = psi.values.ravel()
+    if steps:
+        phi = theta / steps
+        chirp = _dense_exponential(dense_matrix(potential, psi.grid),
+                                   math.tan(phi / 2.0) / (hbar * omega))
+        spectral = _dense_exponential(dense_matrix(kinetic, psi.grid),
+                                      math.sin(phi) / (hbar * omega))
+        step = chirp @ spectral @ chirp
+        for _ in range(steps):
+            values = step @ values
+    return values.reshape(psi.values.shape)
+
+
+def sampled_gaussian(center, wavevector, sigma: float, grid) -> np.ndarray:
+    """exp(-|q - c|^2 / (4 sigma^2) + i k.q) on the grid, over its Riemann-sum norm."""
+    xs = np.linspace(-grid.half_width, grid.half_width, grid.points, endpoint=False)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    field = np.exp(-((x - center[0]) ** 2 + (y - center[1]) ** 2) / (4.0 * sigma ** 2)
+                   + 1j * (wavevector[0] * x + wavevector[1] * y))
+    h = 2.0 * grid.half_width / grid.points
+    return field / math.sqrt(np.sum(np.abs(field) ** 2) * h * h)
 
 
 def forward_backward_conjugation(s, which, t, psi) -> float:
@@ -360,7 +399,8 @@ def forward_backward_conjugation(s, which, t, psi) -> float:
     Evolve psi forward, apply the fundamental O, evolve back by -t: the formula
     the library replaced by the forward-only intertwining gap
     |O U psi - U O(t) psi|.  Each evolution is the library's `unitary_evolve`
-    of one state, which `dense_evolve` backs on its own.
+    of one state, which `evolved_packet` and `sampled_gaussian` back on their
+    own.
     """
     acted = s.fundamental(which).apply(unitary_evolve(s, psi, t))
     conjugated = unitary_evolve(s, acted, -t).values

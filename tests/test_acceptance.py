@@ -215,9 +215,10 @@ def test_criterion_08_two_time_commutator():
 
 
 def test_criterion_09_unitary_conjugation():
-    small = GridSpec(half_width=8.0 * P.sigma_ref, points=32)
+    # the unitary group's grid, which resolves its probe
+    grid = GridSpec(half_width=8.0 * P.sigma_ref, points=48)
     start = time.perf_counter()
-    psi = conjugation_probe(P, small)
+    psi = conjugation_probe(P, grid)
     probes = [(which, t) for which in ("x", "y", "p_x", "p_y")
               for t in (0.6 / P.omega, 1.1 / P.omega)]
     worst = max(dev for sid in range(4)

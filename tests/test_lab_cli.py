@@ -34,7 +34,7 @@ from symquant import (
     scenario_from_dict,
     standard_pairs,
 )
-from symquant import lab
+from symquant import lab, quantum
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
 from symquant.quantum import CANONICAL_PAIRS, OBSERVABLES, SCHEME_IDS
@@ -402,6 +402,16 @@ def test_lab_imports_no_private_name_from_quantum_or_flow():
     assert private == []
 
 
+def test_quantum_forms_no_grid_sized_matrix():
+    # the propagator acts on fields with FFTs and phases, so an N x N or
+    # N^2 x N^2 matrix (np.eye, anything of np.linalg) stays in the test oracles
+    tree = ast.parse(Path(quantum.__file__).read_text(encoding="utf-8"))
+    names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [n for n in names if n == "np.eye" or "linalg" in n.split(".")] == []
+
+
 def test_emit_report_failure_names_the_path(tmp_path):
     report = run_scenario(_small_scenario())
     bad = tmp_path / "missing" / "out.json"
@@ -510,7 +520,8 @@ def test_corrupted_form_fails_the_pair_check(monkeypatch):
 
 def test_check_applies_no_operator_expression(monkeypatch):
     # check's grid work reads the schemes' assignment rows; OperatorExpr
-    # only builds the unitary group's generator stencil
+    # only builds the unitary group's generator, whose normal form picks the
+    # closed-form propagator
     calls = []
     apply = OperatorExpr.apply
     monkeypatch.setattr(OperatorExpr, "apply",
@@ -791,7 +802,7 @@ def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
 
 def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
     # hbar^2 overflows, so the unitary group's generator has no finite
-    # spectral interval; the other groups are off, they overflow on their own
+    # normal form; the other groups are off, they overflow on their own
     raw = default_scenario().to_dict()
     raw["hbar"] = 1e300
     raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}
@@ -801,7 +812,7 @@ def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: m, omega, hbar: ")
-    assert "spectral interval" in captured.err
+    assert captured.err.endswith("the quantized generator's normal form is not finite\n")
 
 
 @pytest.mark.parametrize("omega", [1e160, 1e300])
@@ -874,6 +885,26 @@ def test_cli_run_with_moments_past_the_float_range_is_a_config_error(key, value,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: m, omega, hbar: non-finite moments for scheme 0\n"
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_cli_run_with_sigma_squared_past_the_float_range_is_a_config_error(scale, tmp_path,
+                                                                         capsys):
+    # 4 sigma^2 overflows, where sigma ** 2 raised OverflowError, or
+    # underflows to 0, where the envelope divided by 0 with a RuntimeWarning
+    raw = default_scenario().to_dict()
+    raw["packet"]["sigma"] = scale
+    raw["grid"] = {"L": scale, "N": 16}
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: grid.L: cannot sample a packet on this grid: "
+                            f"4 sigma^2 is past the float range at sigma = {scale!r}\n")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -975,7 +1006,7 @@ GOLDEN_STDOUT_SHA256 = {
         "734164fb87e0ebb84d1bbd53d4cbbdf090abad14f846ad38f3ad5ff955e7907f",
     ("run", "--format", "csv", "--no-timestamp"):
         "e0ce2af34f517cc2fe9b2af67543eb170527451786f756ebd4e09a33991ef03f",
-    ("check",): "ca080e30923e987ffebaef341a22d838584c38f905ccc2253a46180884920b70",
+    ("check",): "17d282a0af9bb9c5a7aaa6cc71310ae48531273344350435f24e4c489b276c26",
 }
 
 
@@ -1019,7 +1050,7 @@ def _benchmark_like_scenario(tmp_path):
 # the same on a scenario off the default parameters, shaped like the
 # benchmark's verify scenario
 BENCHMARK_LIKE_STDOUT_SHA256 = {
-    ("check",): "e4a8ce13cad20a77d514be49e5cf85759e02f6e181c962efb3c2f3bb8ce64588",
+    ("check",): "2669b0878d6a1f6cd08c09f30bc537cfb92a76b8a166e875287021e93bbea142",
     ("run", "--no-timestamp"):
         "47f294b665302653fcb73ef351453bed1c57ce98f0644a7f5e625cdb957c2813",
     ("run", "--format", "csv", "--no-timestamp"):
