@@ -62,17 +62,13 @@ from .quantum import (
     commutator_table_check,
     conjugation_deviations,
     conjugation_probe,
-    expectation,
     ground_packet,
     heisenberg_moments,
-    heisenberg_operator,
     kernel_overlap,
-    quantization_needs_symmetrization,
     quantize_observable,
     scheme,
     two_time_commutator,
     uncertainty_bound,
-    uncertainty_product,
     unitary_evolve,
 )
 from .lab import (

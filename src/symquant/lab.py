@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .flow import (default_sample_times, flow_jacobian, PhaseState, verify_conserved,
                    verify_flow_symplectic)
-from .operators import GaussianPacket, GridSpec, WaveFunction
+from .operators import GaussianPacket, GridSpec, PacketWidthError, WaveFunction
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
 from .quantum import (
@@ -319,10 +319,17 @@ def _standard_pairs(params: PhysParams):
 
 
 def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) -> WaveFunction:
-    """Sample a packet; a grid that cannot sample or resolve it, or hold a check's
-    probe, is a config error.  `probe` names that check group; None is the scenario."""
+    """Sample a packet; a packet too wide for the float range, or a grid that cannot
+    sample or resolve it or hold a check's probe, is a config error.  `probe`
+    names that check group; None is the scenario.  The width is the fault of
+    `packet.sigma` for the scenario's packet and of m, omega, hbar for a probe,
+    whose width they set."""
     try:
         psi = packet.sample(grid)
+    except PacketWidthError as exc:
+        key, subject = (("packet.sigma", "the packet") if probe is None
+                        else ("m, omega, hbar", f"the {probe} check's probe"))
+        raise ScenarioError(f"{key}: cannot sample {subject}: {exc}") from None
     except ValueError as exc:
         raise ScenarioError(f"grid.L: cannot sample a packet on this grid: {exc}") from None
     # after sampling, so a grid no packet can be sampled on reports grid.L

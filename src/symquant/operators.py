@@ -1,14 +1,15 @@
-"""Grid wavefunctions and composable operators built from five primitives.
+"""Grid wavefunctions, the four primitive grid actions, and symbolic operators.
 
-Operators are linear combinations of ordered products of the primitive grid
-actions multiply-by-x, multiply-by-y, d/dx, d/dy, and the identity (the empty
-product).  Products apply right to left.  Derivatives are evaluated spectrally
+The primitives are multiply-by-x, multiply-by-y, d/dx and d/dy; each acts on
+a field on its own (`_apply_primitive`).  Derivatives are evaluated spectrally
 with the periodic FFT convention, which is accurate to roundoff for states that
 decay below ~1e-13 of their peak at the grid boundary.
 
-The Weyl-algebra normal form (all multiplications moved left of derivatives
-via d_x x = x d_x + 1) gives an exact symbolic calculus on operator
-expressions: equality, zero tests, and commutation checks never touch a grid.
+Operator expressions are linear combinations of ordered products of the
+primitives and the identity (the empty product), factors acting right to
+left.  They are symbolic: the Weyl-algebra normal form (all multiplications
+moved left of derivatives via d_x x = x d_x + 1) gives an exact calculus on
+them, and equality, zero tests and commutation checks never touch a grid.
 """
 
 from __future__ import annotations
@@ -106,19 +107,16 @@ class WaveFunction:
             raise ValueError(f"cannot normalize a field of norm {n}")
         return WaveFunction(self.grid, self.values / n)
 
-    def inner(self, other: "WaveFunction") -> complex:
-        """L2 inner product <self|other> by Riemann sum; conjugates self."""
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
-        h = self.grid.spacing
-        return complex(np.vdot(self.values, other.values) * h * h)
-
     def boundary_magnitude(self) -> float:
         """The largest |psi| on the grid boundary over the largest |psi|, 0 for a
         zero field: a packet's value does not depend on the unit of length."""
         v = np.abs(self.values)
         edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
         return float(edge / v.max()) if edge else 0.0
+
+
+class PacketWidthError(ValueError):
+    """A packet's 4 sigma^2 is past the float range, whatever grid samples it."""
 
 
 @dataclass(frozen=True)
@@ -139,13 +137,15 @@ class GaussianPacket:
     def sample(self, grid: GridSpec) -> WaveFunction:
         """Sample on the grid and normalize by the Riemann-sum norm.
 
-        Raises ValueError when 4 sigma^2 is zero or not finite (sigma = 1e-300
-        or 1e300), as the envelope would then divide 0 by 0 or inf by inf.
+        Raises PacketWidthError, whatever the grid, when 4 sigma^2 is zero or
+        not finite (sigma = 1e-300 or 1e300), as the envelope would then divide
+        0 by 0 or inf by inf; `normalize` raises ValueError when the sampled
+        field's norm is zero or not finite.
         """
         # a float product, not sigma ** 2, which raises OverflowError; both round alike
         width = 4.0 * self.sigma * self.sigma
         if not 0.0 < width < math.inf:
-            raise ValueError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
+            raise PacketWidthError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
         ax = grid.axis()
         cx, cy = self.center
         kx, ky = self.wavevector
@@ -278,18 +278,6 @@ class OperatorExpr:
     def commutes_with(self, other: "OperatorExpr", tol: float = 1e-12) -> bool:
         scale = max(self.coefficient_scale() * other.coefficient_scale(), 1.0)
         return self.commutator(other).is_zero(tol=tol, scale=scale)
-
-    # -- action on grids -----------------------------------------------------
-
-    def apply(self, psi: WaveFunction) -> WaveFunction:
-        """Apply to a wavefunction; the result is not renormalized."""
-        out = np.zeros_like(psi.values)
-        for coeff, prod in self.terms:
-            work = psi.values
-            for p in reversed(prod):
-                work = _apply_primitive(p, work, psi.grid)
-            out = out + coeff * work
-        return WaveFunction(psi.grid, out)
 
     def __repr__(self):
         body = " + ".join(

@@ -63,9 +63,6 @@ class QuantizationScheme:
     commutators: np.ndarray  # i*hbar times the classical bracket matrix
     assignment: np.ndarray  # rows OBSERVABLES, columns PRIMITIVES
 
-    def fundamental(self, which: str) -> OperatorExpr:
-        return heisenberg_operator(self, which, 0.0)
-
 
 def scheme(scheme_id: int, params: PhysParams) -> QuantizationScheme:
     """Build one of the four quantization schemes.
@@ -100,25 +97,9 @@ def ground_packet(params: PhysParams, center=(0.0, 0.0),
                           sigma=params.ground_sigma)
 
 
-def heisenberg_operator(s: QuantizationScheme, which: str, t: float) -> OperatorExpr:
-    """Time-evolved observable: the classical rotation with operators substituted.
-
-    At t = 0 this is the fundamental operator itself.
-    """
-    if which not in OBSERVABLES:
-        raise ValueError(f"unknown observable: {which!r}")
-    row = flow_jacobian(t, s.params)[OBSERVABLES.index(which)] @ s.assignment
-    return OperatorExpr((c, (p,)) for c, p in zip(row, PRIMITIVES))
-
-
-def expectation(op: OperatorExpr, psi: WaveFunction) -> complex:
-    """<psi| op psi> by grid quadrature; psi is assumed normalized."""
-    return psi.inner(op.apply(psi))
-
-
 def _act(row: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """sum_a row[a] P_a(values), a row of A or J(t) A on a field: zero terms skipped, the
-    rest added to zeros in PRIMITIVES order, bit for bit as `OperatorExpr.apply` adds them."""
+    rest added to zeros in PRIMITIVES order."""
     out = np.zeros_like(values)
     for c, p in zip(row, PRIMITIVES):
         if c != 0:
@@ -170,8 +151,8 @@ class CommutatorCheck:
 def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarray]:
     """K_ab = [P_a, P_b] psi for each pair a < b of PRIMITIVES, from 16 primitive actions.
 
-    Each K_ab is P_a (P_b psi) - P_b (P_a psi), what (P_a @ P_b - P_b @ P_a).apply
-    gives; P_a psi is dropped once the pairs in row a are formed, the last that use it.
+    Each K_ab is P_a (P_b psi) - P_b (P_a psi); P_a psi is dropped once the pairs
+    in row a are formed, the last that use it.
     """
     grid = psi.grid
     firsts = [_apply_primitive(p, psi.values, grid) for p in PRIMITIVES]
@@ -222,13 +203,6 @@ def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
     return abs(s.commutators[OBSERVABLES.index(pair[0]), OBSERVABLES.index(pair[1])]) / 2.0
 
 
-def uncertainty_product(s: QuantizationScheme, pair: tuple[str, str],
-                        psi: WaveFunction, t: float = 0.0) -> float:
-    """Delta A * Delta B for the Heisenberg-evolved observables at time t."""
-    _, variances = heisenberg_moments((s,), psi, (t,))[0]
-    return math.prod(math.sqrt(max(float(variances[0, OBSERVABLES.index(n)]), 0.0)) for n in pair)
-
-
 def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
                         psi: WaveFunction) -> complex:
     """<psi| [x(t), x(t')] psi> = a M b - b M a for x(t) = a.F, x(t') = b.F.
@@ -263,18 +237,20 @@ def kernel_overlap(s: QuantizationScheme, x: float, y: float,
     return complex(np.exp(1j * exponent / hb) / (2.0 * math.pi * hb))
 
 
-def _monomial_operator(s: QuantizationScheme, expo: tuple[int, int, int, int]) -> tuple[OperatorExpr, bool]:
+def _monomial_operator(s: QuantizationScheme, expo: tuple[int, int, int, int]) -> OperatorExpr:
+    """The monomial's fundamentals, each built from its assignment row, multiplied
+    in OBSERVABLES order; two that do not commute give the half-sum of both orders."""
     factors = []
-    for name, e in zip(OBSERVABLES, expo):
-        factors.extend([s.fundamental(name)] * e)
+    for row, e in zip(s.assignment, expo):
+        factors.extend([OperatorExpr((c, (p,)) for c, p in zip(row, PRIMITIVES))] * e)
     if not factors:
-        return OperatorExpr.identity(), False
+        return OperatorExpr.identity()
     if len(factors) == 1:
-        return factors[0], False
+        return factors[0]
     a, b = factors
     if a is b or a.commutes_with(b):
-        return a @ b, False
-    return 0.5 * (a @ b + b @ a), True
+        return a @ b
+    return 0.5 * (a @ b + b @ a)
 
 
 def quantize_observable(s: QuantizationScheme,
@@ -289,17 +265,8 @@ def quantize_observable(s: QuantizationScheme,
         raise ValueError("degree > 2 unsupported")
     total = OperatorExpr()
     for expo in sorted(f.terms):
-        op, _ = _monomial_operator(s, expo)
-        total = total + complex(f.terms[expo]) * op
+        total = total + complex(f.terms[expo]) * _monomial_operator(s, expo)
     return total
-
-
-def quantization_needs_symmetrization(s: QuantizationScheme,
-                                      f: PolynomialObservable) -> bool:
-    """True iff promoting f would symmetrize at least one monomial."""
-    if f.degree > 2:
-        raise ValueError("degree > 2 unsupported")
-    return any(_monomial_operator(s, expo)[1] for expo in sorted(f.terms))
 
 
 # ---------------------------------------------------------------------------

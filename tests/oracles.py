@@ -10,19 +10,28 @@ Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
 and wavevector follow the classical flow, sampled here on its own, which
 backs the library's closed-form propagator.
 
-Four oracles reuse library objects: the applied-operator moments, which back
-the library's Gram-matrix moment engine by applying operator expressions to
-the grid field (twice, for second moments); the commutator group's residuals,
-built from the six primitive commutators, by composing the fundamentals'
-operator expressions both ways; the dense N^2 x N^2 materialization of an
-operator expression, whose matrix exponential backs the Heisenberg rotation on
-a small grid without the library's propagator, and whose position and
-derivative parts, exponentiated by eigendecomposition, back the propagator's
+The operator oracles build their operators for themselves.  Each is a
+tuple of (coefficient, word) terms over the primitives: the fundamentals from
+`_oracle_assignment`, the Heisenberg observables from `_combination`, the four
+generators quantized by hand, and the commutator tables, Robertson bounds and
+uncertainty pairs from W0-W3 transcribed by hand (`brackets`).  `apply` acts
+on a grid field with coordinates and FFT wavenumbers it forms from the grid's
+half-width and point count.  On these rest the applied-operator moments,
+which back the library's Gram-matrix moment engine by applying each
+observable to the field (twice, for second moments); the commutator
+residuals, which back the six-primitive-commutator group by applying the
+fundamentals in both orders; the dense N^2 x N^2 materialization of an
+operator, whose matrix exponential backs the Heisenberg rotation on a small
+grid without the library's propagator, and whose position and derivative
+parts, exponentiated by eigendecomposition, back the propagator's
 chirp-spectral-chirp product on grids too coarse to resolve the probe; and
 the literal forward-then-backward conjugation, which backs the forward-only
-conjugation gap of `check`.  The report oracle builds a report cell by cell, as one
-`Cell` and one `Row` at a time, from the moment arrays the library computed,
-and writes it with `json.dumps` and a per-cell CSV join.  It backs the
+conjugation gap of `check`.  Only that last one calls the library, for
+`unitary_evolve`, which the evolved-Gaussian oracle backs on its own.
+
+The report oracle builds a report cell by cell, as one `Cell` and one `Row`
+at a time, from the moment arrays the library computed, and writes it with
+`json.dumps` and a per-cell CSV join.  It backs the
 columns `run_scenario` builds and the fixed-layout writers; `flatten_report`
 turns any report's columns into the same cells and rows, so the writers are
 also checked on generated columnar reports.
@@ -39,8 +48,7 @@ from typing import NamedTuple
 import numpy as np
 import sympy as sp
 
-from symquant import (CANONICAL_PAIRS, OBSERVABLES, Primitive, heisenberg_operator, scheme,
-                      uncertainty_bound, unitary_evolve)
+from symquant import OBSERVABLES, Primitive, WaveFunction, unitary_evolve
 from symquant.lab import _ROBERTSON_SLACK
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
@@ -255,39 +263,149 @@ def quadrature_mean(sid: int, which: str, t: float, packet, params,
 
 
 # ---------------------------------------------------------------------------
-# applied-operator moments (oracle for the Gram-matrix moment engine)
+# hand-built operators on the grid (oracle for the moment engine, the
+# commutator group, the quantized generators and the conjugation gap)
 # ---------------------------------------------------------------------------
+#
+# An operator is a tuple of (coefficient, word) terms; a word is a tuple of
+# Primitive factors, which act right to left, and () is the identity.
+
+_COORDINATE = (Primitive.X, Primitive.Y)
+_DERIVATIVE = (Primitive.DX, Primitive.DY)
+
+
+def fundamental(sid: int, name: str, params) -> tuple:
+    """coef q_axis or coef (-i d/daxis), as `_oracle_assignment` lists the fundamental."""
+    kind, axis, coef = _oracle_assignment(sid, params)[name]
+    if kind == "q":
+        return ((coef, (_COORDINATE[axis],)),)
+    return ((-1j * coef, (_DERIVATIVE[axis],)),)
+
+
+def heisenberg_observable(sid: int, which: str, t: float, params) -> tuple:
+    """O(t): the fundamentals combined with `_combination`'s written-out rotation."""
+    return tuple((coef * c, word) for name, coef in _combination(which, t, params)
+                 for c, word in fundamental(sid, name, params))
+
+
+def generator(sid: int, params) -> tuple:
+    """Scheme sid's own generator S_sid, quantized by hand under its assignment.
+
+    S0 = (p_x^2 + p_y^2) / (2m) + m omega^2 (x^2 + y^2) / 2 and S2 =
+    (p_y^2 - p_x^2) / (2m) + m omega^2 (y^2 - x^2) / 2, where p_x^2 =
+    -hbar^2 d^2/dx^2 for either sign of p_x; S1 = p_x p_y / m + m omega^2 x y
+    with the crossed momenta, p_x p_y = -hbar^2 d/dy d/dx; S3 = omega (x p_y -
+    y p_x) = i hbar omega (x d/dy - d/dx y).  No product pairs a coordinate
+    with the derivative along its own axis, so no ordering is ambiguous.
+    """
+    m, omega, hb = params.m, params.omega, params.hbar
+    kin, pot = -hb * hb / (2.0 * m), m * omega * omega / 2.0
+    x, y, dx, dy = Primitive.X, Primitive.Y, Primitive.DX, Primitive.DY
+    return {
+        0: ((kin, (dx, dx)), (kin, (dy, dy)), (pot, (x, x)), (pot, (y, y))),
+        1: ((2.0 * kin, (dy, dx)), (2.0 * pot, (x, y))),
+        2: ((-kin, (dx, dx)), (kin, (dy, dy)), (-pot, (x, x)), (pot, (y, y))),
+        3: ((1j * hb * omega, (x, dy)), (-1j * hb * omega, (dx, y))),
+    }[sid]
+
+
+def brackets(sid: int, params) -> dict:
+    """The nonzero {F_i, F_j}, i before j in OBSERVABLES, of W0-W3 transcribed by hand.
+
+    Its keys, in row-major order, are the scheme's uncertainty pairs, and
+    i hbar times each value is the commutator table's entry.
+    """
+    mw = params.m * params.omega
+    return {
+        0: {("x", "p_x"): 1, ("y", "p_y"): 1},
+        1: {("x", "p_y"): 1, ("y", "p_x"): 1},
+        2: {("x", "p_x"): -1, ("y", "p_y"): 1},
+        3: {("x", "y"): -(1.0 / mw), ("p_x", "p_y"): -mw},
+    }[sid]
+
+
+def robertson_bound(sid: int, pair, params) -> float:
+    """|<[A, B]>| / 2 = hbar |{A, B}| / 2 for an uncertainty pair of scheme sid."""
+    return abs(params.hbar * brackets(sid, params)[pair]) / 2.0
+
+
+def _axis_and_wavenumbers(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and FFT angular wavenumbers along one axis, from the grid's
+    half-width and point count alone."""
+    h = 2.0 * grid.half_width / grid.points
+    axis = -grid.half_width + h * np.arange(grid.points)
+    return axis, 2.0 * math.pi * np.fft.fftfreq(grid.points, d=h)
+
+
+def apply(op, values: np.ndarray, grid) -> np.ndarray:
+    """op on a field: each word's factors right to left, the terms added to zeros in order.
+
+    A coordinate multiplies along its axis, and a derivative is spectral:
+    ifft(i k fft(values)) along its axis.
+    """
+    q, k = _axis_and_wavenumbers(grid)
+    actions = {
+        Primitive.X: lambda v: q[:, None] * v,
+        Primitive.Y: lambda v: q[None, :] * v,
+        Primitive.DX: lambda v: np.fft.ifft(1j * k[:, None] * np.fft.fft(v, axis=0), axis=0),
+        Primitive.DY: lambda v: np.fft.ifft(1j * k[None, :] * np.fft.fft(v, axis=1), axis=1),
+    }
+    out = np.zeros(values.shape, dtype=complex)
+    for coeff, word in op:
+        work = values
+        for p in reversed(word):
+            work = actions[p](work)
+        out = out + coeff * work
+    return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray, grid) -> complex:
+    """<a|b> by Riemann sum; conjugates a."""
+    h = 2.0 * grid.half_width / grid.points
+    return complex(np.vdot(a, b) * h * h)
+
+
+def l2_norm(values: np.ndarray, grid) -> float:
+    return math.sqrt(_inner(values, values, grid).real)
+
+
+def applied_mean(op, psi) -> complex:
+    """<psi| op psi>, op applied to the grid field."""
+    return _inner(psi.values, apply(op, psi.values, psi.grid), psi.grid)
+
 
 def applied_variance(op, psi) -> float:
-    """<op^2> - <op>^2 with op^2 applied as the composition op @ op."""
-    m1 = psi.inner(op.apply(psi))
-    m2 = psi.inner((op @ op).apply(psi))
-    return float((m2 - m1 * m1).real)
+    """<op op> - <op>^2, op applied to the grid field twice."""
+    once = apply(op, psi.values, psi.grid)
+    first = _inner(psi.values, once, psi.grid)
+    second = _inner(psi.values, apply(op, once, psi.grid), psi.grid)
+    return float((second - first * first).real)
 
 
 def applied_commutator(op_a, op_b, psi) -> complex:
     """<psi| [A, B] psi> by applying both orderings."""
-    return psi.inner(op_a.apply(op_b.apply(psi))) - psi.inner(op_b.apply(op_a.apply(psi)))
+    v, grid = psi.values, psi.grid
+    return _inner(v, apply(op_a, apply(op_b, v, grid), grid)
+                  - apply(op_b, apply(op_a, v, grid), grid), grid)
 
 
-def commutator_deviations(s, psi) -> dict:
+def commutator_deviations(sid: int, params, psi) -> dict:
     """|[F_i, F_j] psi - T_ij psi| / |psi| for every fundamental pair i < j.
 
-    Each fundamental is the scheme's `OperatorExpr`, applied to the state in
-    both orders; the library combines the primitive commutators [P_a, P_b] psi
-    with the assignment rows instead, so the two agree to roundoff.
+    Each fundamental is `fundamental`'s, applied to the state in both orders,
+    and T_ij = i hbar {F_i, F_j} from `brackets`; the library combines the
+    primitive commutators [P_a, P_b] psi with the assignment rows instead, so
+    the two agree to roundoff.
     """
-    norm = psi.norm()
-    h = psi.grid.spacing
+    v, grid = psi.values, psi.grid
+    table = brackets(sid, params)
     devs = {}
-    for i in range(len(OBSERVABLES)):
-        for j in range(i + 1, len(OBSERVABLES)):
-            a = s.fundamental(OBSERVABLES[i])
-            b = s.fundamental(OBSERVABLES[j])
-            lhs = a.apply(b.apply(psi)).values - b.apply(a.apply(psi)).values
-            diff = lhs - s.commutators[i, j] * psi.values
-            devs[(OBSERVABLES[i], OBSERVABLES[j])] = (
-                float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm)
+    for i, a in enumerate(OBSERVABLES):
+        for b in OBSERVABLES[i + 1:]:
+            fa, fb = fundamental(sid, a, params), fundamental(sid, b, params)
+            diff = (apply(fa, apply(fb, v, grid), grid) - apply(fb, apply(fa, v, grid), grid)
+                    - 1j * params.hbar * table.get((a, b), 0) * v)
+            devs[(a, b)] = l2_norm(diff, grid) / l2_norm(v, grid)
     return devs
 
 
@@ -297,18 +415,18 @@ def commutator_deviations(s, psi) -> dict:
 
 def axis_matrices(grid) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis dense actions: (multiply-by-coordinate, spectral d/dcoordinate)."""
-    n = grid.points
-    coord = np.diag(grid.axis()).astype(complex)
-    k = grid.wavenumbers()
-    fwd = np.fft.fft(np.eye(n), axis=0)
+    q, k = _axis_and_wavenumbers(grid)
+    coord = np.diag(q).astype(complex)
+    fwd = np.fft.fft(np.eye(grid.points), axis=0)
     deriv = np.fft.ifft(1j * k[:, None] * fwd, axis=0)
     return coord, deriv
 
 
 def dense_matrix(op, grid) -> np.ndarray:
-    """Materialize as an N^2 x N^2 matrix acting on row-major flattened fields.
+    """Materialize an operator as an N^2 x N^2 matrix acting on row-major
+    flattened fields.
 
-    Within a product, the x-axis primitives (X, DX) and y-axis primitives
+    Within a word, the x-axis primitives (X, DX) and y-axis primitives
     (Y, DY) commute exactly, so each term factors as kron(x-part, y-part).
     """
     n = grid.points
@@ -321,9 +439,9 @@ def dense_matrix(op, grid) -> np.ndarray:
     }
     total = np.zeros((n * n, n * n), dtype=complex)
     eye = np.eye(n, dtype=complex)
-    for coeff, prod in op.terms:
+    for coeff, word in op:
         factors = [eye, eye]
-        for p in prod:
+        for p in word:
             axis, mat = per_axis[p]
             factors[axis] = factors[axis] @ mat
         total += coeff * np.kron(factors[0], factors[1])
@@ -356,18 +474,18 @@ def _dense_exponential(mat: np.ndarray, scale: float) -> np.ndarray:
 def dense_shear_evolve(generator, psi, t: float, omega: float, hbar: float) -> np.ndarray:
     """exp(-i S t / hbar) psi as the shear product C F C, built from dense matrices.
 
-    S = V + K must split into a position part V (products of X and Y) and a
-    derivative part K (products of DX and DY), each materialized densely and
-    exponentiated by its eigendecomposition.  omega t is reduced to (-pi, pi]
+    The operator S = V + K must split into a position part V (products of X
+    and Y) and a derivative part K (products of DX and DY), each materialized
+    densely and exponentiated by its eigendecomposition.  omega t is reduced to (-pi, pi]
     and taken in the fewest equal steps phi of at most pi / 4, each step
     exp(-i a V) exp(-i b K) exp(-i a V) with a = tan(phi/2) / (hbar omega) and
     b = sin(phi) / (hbar omega).  On any grid this is the grid's own shear
     product, whether or not the grid resolves psi.
     """
-    coords, derivs = {Primitive.X, Primitive.Y}, {Primitive.DX, Primitive.DY}
-    assert all(set(prod) <= coords or set(prod) <= derivs for _, prod in generator.terms)
-    potential = type(generator)([(c, p) for c, p in generator.terms if set(p) <= coords])
-    kinetic = type(generator)([(c, p) for c, p in generator.terms if set(p) <= derivs])
+    assert all(set(word) <= set(_COORDINATE) or set(word) <= set(_DERIVATIVE)
+               for _, word in generator)
+    potential = tuple(term for term in generator if set(term[1]) <= set(_COORDINATE))
+    kinetic = tuple(term for term in generator if set(term[1]) <= set(_DERIVATIVE))
     theta = math.remainder(omega * t, 2.0 * math.pi)
     steps = math.ceil(abs(theta) / (math.pi / 4.0))
     values = psi.values.ravel()
@@ -398,13 +516,15 @@ def forward_backward_conjugation(s, which, t, psi) -> float:
 
     Evolve psi forward, apply the fundamental O, evolve back by -t: the formula
     the library replaced by the forward-only intertwining gap
-    |O U psi - U O(t) psi|.  Each evolution is the library's `unitary_evolve`
-    of one state, which `evolved_packet` and `sampled_gaussian` back on their
-    own.
+    |O U psi - U O(t) psi|.  O and O(t) are `fundamental` and
+    `heisenberg_observable`, applied by `apply`.  Each evolution is the
+    library's `unitary_evolve` of one state, the only library function the
+    oracles call: `evolved_packet` and `sampled_gaussian` back it on their own.
     """
-    acted = s.fundamental(which).apply(unitary_evolve(s, psi, t))
-    conjugated = unitary_evolve(s, acted, -t).values
-    target = heisenberg_operator(s, which, t).apply(psi).values
+    grid = psi.grid
+    acted = apply(fundamental(s.id, which, s.params), unitary_evolve(s, psi, t).values, grid)
+    conjugated = unitary_evolve(s, WaveFunction(grid, acted), -t).values
+    target = apply(heisenberg_observable(s.id, which, t, s.params), psi.values, grid)
     return float(np.linalg.norm(conjugated - target) / np.linalg.norm(target))
 
 
@@ -436,12 +556,12 @@ def report_rows(schemes, observables, times, params, moments):
     `moments[sid]` is the (means, variances) pair of (T, 4) arrays the
     library computed for scheme sid.  Each number is converted on its own, and
     a spread is sqrt(max(float(variance), 0.0)), which keeps a variance of
-    -0.0 as -0.0.  A product satisfies its bound when it is at most
+    -0.0 as -0.0.  The pairs and bounds are `brackets`' and `robertson_bound`'s,
+    and a product satisfies its bound when it is at most
     _ROBERTSON_SLACK max(1, bound) below it.
     """
     cells, rows = [], []
     for sid in schemes:
-        s = scheme(sid, params)
         means, variances = moments[sid]
         for name in observables:
             i = OBSERVABLES.index(name)
@@ -449,8 +569,8 @@ def report_rows(schemes, observables, times, params, moments):
                 mean = complex(means[k, i])
                 cells.append(Cell(scheme=sid, observable=name, time=float(t), mean_re=mean.real,
                                   mean_im=mean.imag, variance=float(variances[k, i])))
-        for pair in CANONICAL_PAIRS[sid]:
-            bound = float(uncertainty_bound(s, pair))
+        for pair in brackets(sid, params):
+            bound = robertson_bound(sid, pair, params)
             limit = bound - _ROBERTSON_SLACK * max(1.0, bound)
             for k, t in enumerate(times):
                 product = math.prod(math.sqrt(max(float(variances[k, OBSERVABLES.index(n)]), 0.0))

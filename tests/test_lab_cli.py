@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,6 @@ from symquant import (
     GridSpec,
     HamiltonianPair,
     LocalizationWarning,
-    OperatorExpr,
     PhysParams,
     PolynomialObservable,
     Scenario,
@@ -402,6 +402,17 @@ def test_lab_imports_no_private_name_from_quantum_or_flow():
     assert private == []
 
 
+def test_readme_python_examples_run(capsys):
+    # every python block of README.md runs as written, so an example cannot
+    # call a name the library no longer has
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_quantum_forms_no_grid_sized_matrix():
     # the propagator acts on fields with FFTs and phases, so an N x N or
     # N^2 x N^2 matrix (np.eye, anything of np.linalg) stays in the test oracles
@@ -516,18 +527,6 @@ def test_corrupted_form_fails_the_pair_check(monkeypatch):
     assert pairs.status == "fail"
     assert pairs.detail == "max residual 1.000e+00"
     assert summary.exit_code == 1
-
-
-def test_check_applies_no_operator_expression(monkeypatch):
-    # check's grid work reads the schemes' assignment rows; OperatorExpr
-    # only builds the unitary group's generator, whose normal form picks the
-    # closed-form propagator
-    calls = []
-    apply = OperatorExpr.apply
-    monkeypatch.setattr(OperatorExpr, "apply",
-                        lambda self, psi: calls.append(self) or apply(self, psi))
-    assert run_checks(default_scenario()).exit_code == 0
-    assert calls == []
 
 
 def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
@@ -891,20 +890,37 @@ def test_cli_run_with_moments_past_the_float_range_is_a_config_error(key, value,
 def test_cli_run_with_sigma_squared_past_the_float_range_is_a_config_error(scale, tmp_path,
                                                                          capsys):
     # 4 sigma^2 overflows, where sigma ** 2 raised OverflowError, or
-    # underflows to 0, where the envelope divided by 0 with a RuntimeWarning
+    # underflows to 0, where the envelope divided by 0 with a RuntimeWarning;
+    # the packet's own sigma is at fault on a grid of its scale and on the default one
+    for grid in ({"L": scale, "N": 16}, {"L": 8.0, "N": 64}):
+        raw = default_scenario().to_dict()
+        raw["packet"]["sigma"] = scale
+        raw["grid"] = grid
+        scn_path = tmp_path / "scn.json"
+        scn_path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: packet.sigma: cannot sample the packet: "
+                                f"4 sigma^2 is past the float range at sigma = {scale!r}\n")
+
+
+def test_cli_check_with_a_probe_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # at m = 1e-308 the ground probe's sigma is 7.07e153 and its 4 sigma^2
+    # overflows: m, omega, hbar set that width, not the grid
     raw = default_scenario().to_dict()
-    raw["packet"]["sigma"] = scale
-    raw["grid"] = {"L": scale, "N": 16}
+    raw["m"] = 1e-308
     scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(raw))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
-    assert caught == []
+    assert main(["check", "--scenario", str(scn_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("config error: grid.L: cannot sample a packet on this grid: "
-                            f"4 sigma^2 is past the float range at sigma = {scale!r}\n")
+    assert captured.err == ("config error: m, omega, hbar: cannot sample the commutators "
+                            "check's probe: 4 sigma^2 is past the float range at "
+                            "sigma = 7.071067811865475e+153\n")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -18,12 +18,9 @@ from symquant import (
     PhysParams,
     commutator_table_check,
     default_scenario,
-    expectation,
     ground_packet,
     heisenberg_moments,
-    heisenberg_operator,
     kernel_overlap,
-    quantization_needs_symmetrization,
     quantize_observable,
     run_scenario,
     scheme,
@@ -32,7 +29,6 @@ from symquant import (
     standard_pairs,
     two_time_commutator,
     uncertainty_bound,
-    uncertainty_product,
     coordinates,
     WaveFunction,
 )
@@ -40,10 +36,17 @@ from symquant import lab, quantum
 from symquant.flow import flow_jacobian
 from oracles import (
     applied_commutator,
+    applied_mean,
     applied_variance,
+    apply,
+    brackets,
     commutator_deviations,
+    fundamental,
+    generator,
     heisenberg_mean,
+    heisenberg_observable,
     heisenberg_uncertainty,
+    l2_norm,
     quadrature_mean,
 )
 
@@ -72,6 +75,17 @@ def _packet_for(params: PhysParams) -> GaussianPacket:
                           sigma=0.8 * s)
 
 
+def _operator(row) -> OperatorExpr:
+    """sum_a row[a] P_a: a row of the assignment matrix A, or of J(t) A."""
+    return OperatorExpr((c, (p,)) for c, p in zip(row, quantum.PRIMITIVES))
+
+
+def _product(s, pair, psi, t: float) -> float:
+    """Delta A Delta B of the Heisenberg-evolved pair at t, read from `heisenberg_moments`."""
+    (_, variances), = heisenberg_moments([s], psi, (t,))
+    return math.prod(math.sqrt(max(float(variances[0, OBS.index(n)]), 0.0)) for n in pair)
+
+
 # ---------------------------------------------------------------------------
 # scheme construction
 # ---------------------------------------------------------------------------
@@ -79,17 +93,18 @@ def _packet_for(params: PhysParams) -> GaussianPacket:
 def test_scheme_assignments_match_the_representations():
     hb = P2.hbar
     mw = P2.m * P2.omega
-    s0, s1, s2, s3 = (scheme(i, P2) for i in range(4))
-    assert s0.fundamental("p_x").equals(-1j * hb * DX)
-    assert s0.fundamental("p_y").equals(-1j * hb * DY)
-    assert s1.fundamental("p_x").equals(-1j * hb * DY)
-    assert s1.fundamental("p_y").equals(-1j * hb * DX)
-    assert s2.fundamental("p_x").equals(1j * hb * DX)
-    assert s2.fundamental("p_y").equals(-1j * hb * DY)
-    assert s3.fundamental("x").equals(X_OP)
-    assert s3.fundamental("p_x").equals(mw * Y_OP)
-    assert s3.fundamental("y").equals((1j * hb / mw) * DX)
-    assert s3.fundamental("p_y").equals(1j * hb * DY)
+    f0, f1, f2, f3 = ({name: _operator(row) for name, row in zip(OBS, scheme(i, P2).assignment)}
+                      for i in range(4))
+    assert f0["p_x"].equals(-1j * hb * DX)
+    assert f0["p_y"].equals(-1j * hb * DY)
+    assert f1["p_x"].equals(-1j * hb * DY)
+    assert f1["p_y"].equals(-1j * hb * DX)
+    assert f2["p_x"].equals(1j * hb * DX)
+    assert f2["p_y"].equals(-1j * hb * DY)
+    assert f3["x"].equals(X_OP)
+    assert f3["p_x"].equals(mw * Y_OP)
+    assert f3["y"].equals((1j * hb / mw) * DX)
+    assert f3["p_y"].equals(1j * hb * DY)
 
 
 def test_unknown_scheme_id():
@@ -143,7 +158,7 @@ def test_canonical_pairs_are_the_nonzero_upper_table_entries(mw):
         table = scheme(sid, params).commutators
         nonzero = tuple((OBS[i], OBS[j]) for i in range(4) for j in range(i + 1, 4)
                         if table[i, j] != 0)
-        assert CANONICAL_PAIRS[sid] == nonzero
+        assert CANONICAL_PAIRS[sid] == nonzero == tuple(brackets(sid, params))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,7 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                                                          offset, width, t):
     # the unitary group applies rows of A and J(t) A to the grid field, and
     # the commutator group the primitive commutators; each must give bit for
-    # bit what the OperatorExprs give
+    # bit what the oracle's hand-built operators give on the oracle's own grid
     params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
     ref = params.sigma_ref
     grid = GridSpec(half_width=8.0 * ref, points=points)
@@ -186,17 +201,18 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                          wavevector=(offset[2] / ref, offset[3] / ref),
                          sigma=width * params.ground_sigma).sample(grid)
     s = scheme(sid, params)
-    prims = [OperatorExpr.primitive(p) for p in quantum.PRIMITIVES]
+    prims = quantum.PRIMITIVES
     fields = quantum._primitive_commutators(psi)
     assert sorted(fields) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
     for (a, b), field in fields.items():
-        assert np.array_equal(field, (prims[a] @ prims[b] - prims[b] @ prims[a]).apply(psi).values)
+        commutator = ((1.0, (prims[a], prims[b])), (-1.0, (prims[b], prims[a])))
+        assert np.array_equal(field, apply(commutator, psi.values, grid))
     # the per-pair composition of the fundamentals rounds its products in
     # another order; the gap is roundoff on terms of the size of the table
     # entries, hbar, hbar m omega and hbar / (m omega)
     mw = params.m * params.omega
     bound = 16 * np.finfo(float).eps * params.hbar * max(1.0, mw, 1.0 / mw)
-    expected = commutator_deviations(s, psi)
+    expected = commutator_deviations(sid, params, psi)
     got = commutator_table_check([s], psi)[0].deviations
     assert got.keys() == expected.keys()
     every = commutator_table_check([scheme(k, params) for k in range(4)], psi)
@@ -207,9 +223,10 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
         for tau in (0.0, t):
             row = flow_jacobian(tau, params)[r] @ s.assignment
             assert np.array_equal(quantum._act(row, psi.values, grid),
-                                  heisenberg_operator(s, which, tau).apply(psi).values)
+                                  apply(heisenberg_observable(sid, which, tau, params),
+                                        psi.values, grid))
         assert np.array_equal(quantum._act(s.assignment[r], psi.values, grid),
-                              s.fundamental(which).apply(psi).values)
+                              apply(fundamental(sid, which, params), psi.values, grid))
 
 
 def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
@@ -244,25 +261,25 @@ def test_a_delocalized_probe_warns_once_for_all_schemes():
 
 
 # ---------------------------------------------------------------------------
-# heisenberg_operator
+# Heisenberg observables: rows of J(t) A
 # ---------------------------------------------------------------------------
 
 def test_rotational_scheme_mixes_coordinates():
     t = 0.7
-    op = heisenberg_operator(scheme(3, P), "x", t)
+    op = _operator(flow_jacobian(t, P)[0] @ scheme(3, P).assignment)
     assert op.equals(math.cos(t) * X_OP + math.sin(t) * Y_OP)
 
 
 def test_time_zero_returns_fundamentals():
     for sid in range(4):
         s = scheme(sid, P2)
-        for which in OBS:
-            assert heisenberg_operator(s, which, 0.0).equals(s.fundamental(which))
+        for row, fundamental_row in zip(flow_jacobian(0.0, P2) @ s.assignment, s.assignment):
+            assert _operator(row).equals(_operator(fundamental_row))
 
 
 def test_quarter_period_swaps_position_and_momentum():
     s = scheme(0, P)
-    op = heisenberg_operator(s, "x", math.pi / 2)
+    op = _operator(flow_jacobian(math.pi / 2, P)[0] @ s.assignment)
     assert op.equals(-1j * DX)  # hbar/(m omega i) d/dx at unit parameters
 
 
@@ -272,15 +289,13 @@ def test_operator_equations_of_motion():
     delta = 1e-4
     t = 0.6
     for sid in range(4):
-        s = scheme(sid, P)
-        mean = {w: expectation(heisenberg_operator(s, w, t), psi).real
-                for w in OBS}
+        (means, _), = heisenberg_moments([scheme(sid, P)], psi, (t, t + delta, t - delta))
+        mean = dict(zip(OBS, means[0].real))
         rhs = {"x": mean["p_x"] / P.m, "y": mean["p_y"] / P.m,
                "p_x": -P.m * P.omega ** 2 * mean["x"],
                "p_y": -P.m * P.omega ** 2 * mean["y"]}
-        for w in OBS:
-            plus = expectation(heisenberg_operator(s, w, t + delta), psi).real
-            minus = expectation(heisenberg_operator(s, w, t - delta), psi).real
+        for i, w in enumerate(OBS):
+            plus, minus = means[1, i].real, means[2, i].real
             assert abs((plus - minus) / (2 * delta) - rhs[w]) <= 1e-6
 
 
@@ -291,18 +306,15 @@ def test_operator_equations_of_motion():
 def test_centered_real_packet_has_zero_means():
     psi = ground_packet(P).sample(GRID)
     for sid in range(4):
-        s = scheme(sid, P)
-        for t in (0.0, 0.9):
-            assert abs(expectation(heisenberg_operator(s, "x", t), psi)) <= 1e-12
+        (means, _), = heisenberg_moments([scheme(sid, P)], psi, (0.0, 0.9))
+        assert np.abs(means[:, OBS.index("x")]).max() <= 1e-12
 
 
 def test_hermitian_expectations_are_real():
     psi = _packet_for(P2).sample(_grid_for(P2))
     for sid in range(4):
-        s = scheme(sid, P2)
-        for w in OBS:
-            val = expectation(heisenberg_operator(s, w, 0.55), psi)
-            assert abs(val.imag) <= 1e-10
+        (means, _), = heisenberg_moments([scheme(sid, P2)], psi, (0.55,))
+        assert np.abs(means.imag).max() <= 1e-10
 
 
 @pytest.mark.parametrize("params", [P, P2], ids=["unit", "generic"])
@@ -310,11 +322,12 @@ def test_means_match_gaussian_moment_oracle(params):
     grid = _grid_for(params)
     packet = _packet_for(params)
     psi = packet.sample(grid)
+    times = (0.0, 0.45 / params.omega, 2.1 / params.omega)
     for sid in range(4):
-        s = scheme(sid, params)
-        for which in OBS:
-            for t in (0.0, 0.45 / params.omega, 2.1 / params.omega):
-                got = expectation(heisenberg_operator(s, which, t), psi)
+        (means, _), = heisenberg_moments([scheme(sid, params)], psi, times)
+        for i, which in enumerate(OBS):
+            for k, t in enumerate(times):
+                got = complex(means[k, i])
                 want = heisenberg_mean(sid, which, t, packet, params)
                 assert got.real == pytest.approx(want, abs=1e-9)
                 assert abs(got.imag) <= 1e-10
@@ -333,7 +346,7 @@ def test_crossed_momentum_shows_up_in_the_mean():
     packet = GaussianPacket(center=(0.4, -0.7), wavevector=(1.3, -0.6), sigma=0.7)
     psi = packet.sample(GRID)
     t = 1.1
-    means = {sid: expectation(heisenberg_operator(scheme(sid, P), "x", t), psi).real
+    means = {sid: heisenberg_moments([scheme(sid, P)], psi, (t,))[0][0][0, 0].real
              for sid in range(4)}
     kx, ky = packet.wavevector
     assert means[0] - means[1] == pytest.approx((kx - ky) * math.sin(t), abs=1e-6)
@@ -346,17 +359,14 @@ def test_crossed_momentum_shows_up_in_the_mean():
 def test_all_schemes_agree_at_time_zero():
     packet = _packet_for(P)
     psi = packet.sample(GRID)
+    means = [m[0].real for m, _ in heisenberg_moments([scheme(sid, P) for sid in range(4)],
+                                                       psi, (0.0,))]
     for sid in range(4):
-        s = scheme(sid, P)
-        assert expectation(s.fundamental("x"), psi).real == pytest.approx(
-            packet.center[0], abs=1e-9)
+        assert means[sid][0] == pytest.approx(packet.center[0], abs=1e-9)
     for sid in (0, 1, 2):
-        s = scheme(sid, P)
-        assert expectation(s.fundamental("y"), psi).real == pytest.approx(
-            packet.center[1], abs=1e-9)
+        assert means[sid][1] == pytest.approx(packet.center[1], abs=1e-9)
     # the rotational scheme represents y with a derivative, so its mean differs
-    s3 = scheme(3, P)
-    assert expectation(s3.fundamental("y"), psi).real == pytest.approx(
+    assert means[3][1] == pytest.approx(
         -P.hbar * packet.wavevector[0] / (P.m * P.omega), abs=1e-9)
 
 
@@ -379,8 +389,7 @@ def test_ground_width_saturates_every_bound(params):
         s = scheme(sid, params)
         assert uncertainty_bound(s, pair) == pytest.approx(value, abs=1e-15)
         for t in (0.0, 0.9 / params.omega):
-            assert uncertainty_product(s, pair, psi, t) == pytest.approx(
-                value, abs=1e-6)
+            assert _product(s, pair, psi, t) == pytest.approx(value, abs=1e-6)
 
 
 def test_double_width_packet_at_eighth_period():
@@ -390,7 +399,7 @@ def test_double_width_packet_at_eighth_period():
     t = math.pi / 4
     oracle = heisenberg_uncertainty(0, ("x", "p_x"), t, packet, P)
     assert oracle == pytest.approx(5.0 / 8.0, abs=1e-12)
-    got = uncertainty_product(scheme(0, P), ("x", "p_x"), psi, t)
+    got = _product(scheme(0, P), ("x", "p_x"), psi, t)
     assert got == pytest.approx(5.0 / 8.0, abs=1e-6)
 
 
@@ -408,7 +417,7 @@ def test_bounds_hold_for_random_packets():
             psi = packet.sample(GRID)
             t = float(rng.uniform(0, 2 * math.pi))
             for pair in pairs[sid]:
-                product = uncertainty_product(s, pair, psi, t)
+                product = _product(s, pair, psi, t)
                 assert product >= uncertainty_bound(s, pair) - 1e-9
                 oracle = heisenberg_uncertainty(sid, pair, t, packet, P)
                 assert product == pytest.approx(oracle, abs=1e-8)
@@ -469,22 +478,25 @@ def test_moment_engine_matches_applied_operators(sid, field, localized):
     # one scheme alone gets what it gets among four, bit for bit
     batched = heisenberg_moments([scheme(k, P2) for k in range(4)], psi, times)[sid]
     assert [a.tobytes() for a in batched] == [means.tobytes(), variances.tobytes()]
+    # the oracle's observables are its own rotation of its own fundamentals,
+    # applied on its own grid
+    size = lambda op: l2_norm(apply(op, psi.values, psi.grid), psi.grid)
     for k, t in enumerate(times):
         spreads = {}
         for i, which in enumerate(OBS):
-            op = heisenberg_operator(s, which, t)
-            scale = op.apply(psi).norm()
-            assert abs(means[k, i] - expectation(op, psi)) <= 1e-12 * scale
+            op = heisenberg_observable(sid, which, t, P2)
+            scale = size(op)
+            assert abs(means[k, i] - applied_mean(op, psi)) <= 1e-12 * scale
             want = applied_variance(op, psi)
             assert abs(variances[k, i] - want) <= 1e-12 * scale ** 2
             spreads[which] = math.sqrt(want)
-        for pair in CANONICAL_PAIRS[sid]:
-            assert uncertainty_product(s, pair, psi, t) == pytest.approx(
+        for pair in brackets(sid, P2):
+            assert _product(s, pair, psi, t) == pytest.approx(
                 spreads[pair[0]] * spreads[pair[1]], rel=1e-12, abs=0)
         for t_prime in times:
-            a = heisenberg_operator(s, "x", t)
-            b = heisenberg_operator(s, "x", t_prime)
-            scale = a.apply(psi).norm() * b.apply(psi).norm()
+            a = heisenberg_observable(sid, "x", t, P2)
+            b = heisenberg_observable(sid, "x", t_prime, P2)
+            scale = size(a) * size(b)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = two_time_commutator(s, t, t_prime, psi)
@@ -558,19 +570,31 @@ def test_rotational_generator_has_commuting_factors():
     assert got.equals(want)
 
 
+@pytest.mark.parametrize("sid", range(4))
+def test_generators_match_the_hand_quantized_oracle(sid):
+    s = scheme(sid, P2)
+    got = quantize_observable(s, standard_hamiltonians(P2.m, P2.omega)[sid])
+    assert got.equals(OperatorExpr(generator(sid, P2)))
+
+
 def test_no_symmetrization_for_matching_scheme():
+    # a symmetrized monomial is the half-sum of both orders of its factors,
+    # so it would put a word and its reverse into the operator
     for sid in range(4):
-        s = scheme(sid, P)
-        smu = standard_hamiltonians(1, 1)[sid]
-        assert not quantization_needs_symmetrization(s, smu)
+        op = quantize_observable(scheme(sid, P), standard_hamiltonians(1, 1)[sid])
+        words = {word for _, word in op.terms}
+        assert not any(word[::-1] in words for word in words if word != word[::-1])
 
 
 def test_symmetrization_triggers_for_noncommuting_factors():
     x, y, px, py = coordinates()
     s3 = scheme(3, P)
-    assert quantization_needs_symmetrization(s3, x * y)
     sym = quantize_observable(s3, x * y)
-    a, b = s3.fundamental("x"), s3.fundamental("y")
+    # x is X and y is (i hbar / (m omega)) DX: both orders, each at half weight
+    half = 0.5j * P.hbar / (P.m * P.omega)
+    assert dict((word, c) for c, word in sym.terms) == pytest.approx(
+        {(Primitive.X, Primitive.DX): half, (Primitive.DX, Primitive.X): half}, abs=1e-15)
+    a, b = _operator(s3.assignment[0]), _operator(s3.assignment[1])
     assert sym.equals(0.5 * (a @ b + b @ a))
 
 

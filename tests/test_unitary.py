@@ -22,7 +22,8 @@ from symquant import (
     unitary_evolve,
 )
 from symquant import lab, quantum
-from oracles import (dense_matrix, dense_shear_evolve, evolved_packet, forward_backward_conjugation,
+from oracles import (apply, dense_matrix, dense_shear_evolve, evolved_packet,
+                     forward_backward_conjugation, fundamental, generator, heisenberg_observable,
                      sampled_gaussian)
 
 P = PhysParams(1.0, 1.0, 1.0)
@@ -113,10 +114,9 @@ def test_separable_route_matches_dense_eigendecomposition(sid, m_omega, points):
     psi = GaussianPacket(center=(0.4 * ref, -0.2 * ref), wavevector=(0.5 / ref, 0.3 / ref),
                          sigma=params.ground_sigma).sample(grid)
     s = scheme(sid, params)
-    generator = quantize_observable(s, standard_hamiltonians(params.m, params.omega)[sid])
     for tau in (-1.1, 0.3, 1.7, 6.0):
         t = tau / params.omega
-        dense = dense_shear_evolve(generator, psi, t, params.omega, params.hbar)
+        dense = dense_shear_evolve(generator(sid, params), psi, t, params.omega, params.hbar)
         assert np.max(np.abs(unitary_evolve(s, psi, t).values - dense)) <= 1e-10, t
 
 
@@ -150,15 +150,14 @@ def test_long_times_reduce_modulo_the_period(sid, monkeypatch):
 @pytest.mark.parametrize("sid", range(4))
 def test_propagator_is_generated_by_the_quantized_generator(sid):
     # i hbar d/dt U(t) psi = S psi at t = 0, by a central difference, with S
-    # applied as the quantized operator expression
+    # quantized by hand and applied on the grid by the oracle
     s = scheme(sid, P)
-    generator = quantize_observable(s, standard_hamiltonians(1, 1)[sid])
     eps = 1e-4
     for center, wavevector in (((0.4, -0.2), (0.5, 0.3)), ((-1.0, 0.5), (0.0, -1.2))):
         psi = ground_packet(P, center=center, wavevector=wavevector).sample(GRID)
         ahead, behind = (unitary_evolve(s, psi, tau).values for tau in (eps, -eps))
         rate = (ahead - behind) / (2 * eps)
-        expected = -1j / P.hbar * generator.apply(psi).values
+        expected = -1j / P.hbar * apply(generator(sid, P), psi.values, GRID)
         assert np.max(np.abs(rate - expected)) <= 1e-6 * np.max(np.abs(expected))
 
 
@@ -224,10 +223,11 @@ def test_generators_multiply_only_grid_commuting_primitives():
 
 
 def test_propagator_applies_no_operator_expression(monkeypatch):
-    def refuse(self, psi):
-        raise AssertionError("OperatorExpr.apply called")
+    # the propagator is phases and FFTs: it makes no primitive grid action
+    def refuse(p, values, grid):
+        raise AssertionError("a primitive grid action was applied")
 
-    monkeypatch.setattr(OperatorExpr, "apply", refuse)
+    monkeypatch.setattr(quantum, "_apply_primitive", refuse)
     psi = ground_packet(P, center=(0.3, 0.1)).sample(GRID)
     for sid in range(4):
         assert abs(unitary_evolve(scheme(sid, P), psi, 0.7).norm() - 1.0) <= 1e-8
@@ -315,16 +315,12 @@ def test_large_grid_accepted():
 
 
 def test_explicit_matrix_exponential_oracle():
-    # independent route: scipy-free series-squaring exponential of the dense
-    # generator applied to the state, for one scheme and time, on a grid of
-    # N = 32 that a dense 1024 x 1024 matrix affords
-    from symquant.quantum import heisenberg_operator
-
+    # independent route: scipy-free series-squaring exponential of the dense,
+    # hand-quantized generator applied to the state, for one scheme and time,
+    # on a grid of N = 32 that a dense 1024 x 1024 matrix affords
     small = GridSpec(half_width=8.0, points=32)
-    s = scheme(2, P)
     t = 0.6
-    generator = dense_matrix(quantize_observable(s, standard_hamiltonians(1, 1)[2]), small)
-    a = -1j * generator * t / P.hbar
+    a = -1j * dense_matrix(generator(2, P), small) * t / P.hbar
     # scaling and squaring with a plain Taylor kernel
     squarings = max(0, int(math.ceil(math.log2(max(1.0, np.linalg.norm(a, 1))))) + 4)
     scaled = a / (2 ** squarings)
@@ -338,9 +334,8 @@ def test_explicit_matrix_exponential_oracle():
 
     psi = ground_packet(P, center=(0.5, -0.3), wavevector=(0.4, 0.2)).sample(small)
     forward = expm @ psi.values.ravel()
-    acted = s.fundamental("x").apply(
-        type(psi)(small, forward.reshape(psi.values.shape))).values.ravel()
+    acted = apply(fundamental(2, "x", P), forward.reshape(psi.values.shape), small).ravel()
     back = np.conj(expm.T) @ acted
-    target = heisenberg_operator(s, "x", t).apply(psi).values.ravel()
+    target = apply(heisenberg_observable(2, "x", t, P), psi.values, small).ravel()
     rel = np.linalg.norm(back - target) / np.linalg.norm(target)
     assert rel <= 1e-5
