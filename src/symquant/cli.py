@@ -13,7 +13,7 @@ from .lab import (
     Scenario,
     ScenarioError,
     _pair_residuals,
-    _standard_pairs,
+    _require_domain,
     default_scenario,
     emit_report,
     load_scenario,
@@ -25,6 +25,7 @@ from .pairs import (
     classify_boundedness,
     complete_pair,
     oscillator_field,
+    standard_pairs,
 )
 
 
@@ -110,7 +111,8 @@ def _format_matrix(matrix: np.ndarray) -> str:
 def _cmd_pairs(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     m, omega = scenario.params.m, scenario.params.omega
-    pairs = _standard_pairs(scenario.params)  # a config error before anything is printed
+    _require_domain(scenario.params)  # a config error before anything is printed
+    pairs = standard_pairs(m, omega)
     field = oscillator_field(m, omega)
     basis = admissible_inverse_forms(field)
     print(f"oscillator field at m={m}, omega={omega}")

@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .flow import (default_sample_times, flow_jacobian, PhaseState, verify_conserved,
                    verify_flow_symplectic)
-from .operators import GaussianPacket, GridSpec, PacketWidthError, WaveFunction
+from .operators import _WARN_BOUNDARY, GaussianPacket, GridSpec
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
 from .quantum import (
@@ -296,52 +296,58 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
                  for pair in pairs)
 
 
-def _require_m_omega(params: PhysParams) -> None:
-    """Reject an m omega or 1/(m omega) that is zero or not finite.
-
-    The schemes' assignments and the bracket matrices hold both, so each must
-    be a positive float: m = omega = 1e-300 (m omega underflows) and m = 1e-320
-    (1/(m omega) overflows) are config errors.
-    """
-    m_omega = params.m * params.omega
-    for name, value in (("m omega", m_omega), ("1/(m omega)", 1.0 / m_omega if m_omega else 0.0)):
-        if not 0.0 < value < math.inf:
-            raise ScenarioError(f"m, omega: {name} is past the float range")
+def _spectral_edge(sigma: float, k: float, h: float) -> float:
+    """exp(-sigma^2 (pi/h - k)^2), a Gaussian's spectrum at pi/h over its peak at k, or 1."""
+    gap = math.pi / h - k
+    return math.exp(-(sigma * gap) * (sigma * gap)) if gap > 0 else 1.0
 
 
-def _standard_pairs(params: PhysParams):
-    """`standard_pairs` at the scenario's m and omega, after `_require_m_omega`;
-    an m omega^2 that is zero or not finite (omega = 1e160) is a config error too."""
-    _require_m_omega(params)
-    if not 0.0 < params.m * params.omega * params.omega < math.inf:
-        raise ScenarioError("m, omega: m omega^2 is past the float range")
-    return standard_pairs(params.m, params.omega)
-
-
-def _sample(packet: GaussianPacket, grid: GridSpec, probe: str | None = None) -> WaveFunction:
-    """Sample a packet; a packet too wide for the float range, or a grid that cannot
-    sample or resolve it or hold a check's probe, is a config error.  `probe`
-    names that check group; None is the scenario.  The width is the fault of
-    `packet.sigma` for the scenario's packet and of m, omega, hbar for a probe,
-    whose width they set."""
-    try:
-        psi = packet.sample(grid)
-    except PacketWidthError as exc:
-        key, subject = (("packet.sigma", "the packet") if probe is None
-                        else ("m, omega, hbar", f"the {probe} check's probe"))
-        raise ScenarioError(f"{key}: cannot sample {subject}: {exc}") from None
-    except ValueError as exc:
-        raise ScenarioError(f"grid.L: cannot sample a packet on this grid: {exc}") from None
-    # after sampling, so a grid no packet can be sampled on reports grid.L
-    if grid.spacing > packet.sigma:
-        sigma, subject = (("packet.sigma", "the packet") if probe is None
-                          else (f"the {probe} check's probe sigma", "the probe"))
-        raise ScenarioError(f"grid: spacing {grid.spacing:.3g} exceeds {sigma} "
-                            f"{packet.sigma:.3g}; {subject} is not resolved")
-    if probe is not None and packet.sigma > grid.half_width:
-        raise ScenarioError(f"grid: half-width {grid.half_width:.3g} is below the {probe} "
-                            f"check's probe sigma {packet.sigma:.3g}; the probe does not fit")
-    return psi
+def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
+                    grid: GridSpec | None = None, times: Sequence[float] = (),
+                    probe: str | None = None) -> None:
+    """Raise ScenarioError, keyed by what is at fault, outside the valid domain
+    (README, "Valid domain"): (a) the parameters' coefficients, (b) a packet on
+    a grid, the scenario's or the probe of check group `probe`, (c) the times."""
+    m, omega, hbar = params.m, params.omega, params.hbar
+    inverse = 1.0 / (m * omega) if m * omega else math.inf  # m omega = 0 fails first
+    floats = [(key, name, value, "") for key, name, value in (
+        ("m, omega", "m omega", m * omega), ("m, omega", "1/(m omega)", inverse),
+        ("m, omega", "m omega^2", m * omega * omega), ("m", "1/m", 1.0 / m),
+        ("hbar", "hbar^2", hbar * hbar), ("m, hbar", "hbar^2/(2m)", hbar * hbar / (2.0 * m)),
+        ("m, omega, hbar", "hbar/(m omega)", hbar * inverse),
+        ("m, omega, hbar", "hbar m omega", hbar * m * omega),
+        ("omega, hbar", "hbar omega", hbar * omega))]
+    if packet is not None:  # the envelope's divisor, the squared norm and h^2
+        sigma, h, half_width = packet.sigma, grid.spacing, grid.half_width
+        key, who, what = (("packet.sigma", "packet", "packet") if probe is None
+                          else ("m, omega, hbar", f"{probe} check's probe", "probe"))
+        sampled, at = f"{key}: cannot sample the {who}", f" at sigma = {sigma!r}"
+        floats += [(sampled, "4 sigma^2", 4.0 * sigma * sigma, at),
+                   (sampled, "2 pi sigma^2", 2.0 * math.pi * sigma * sigma, at),
+                   ("grid.L: cannot sample a packet on this grid", "h^2", h * h,
+                    f" at spacing {h!r}")]
+    for key, name, value, where in floats:
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise ScenarioError(f"{key}: {name} is past the float range{where}")
+    if packet is not None:
+        if max(map(abs, packet.center)) > half_width:
+            raise ScenarioError(f"packet.center: off the grid of half-width {half_width:.3g}")
+        if sigma > half_width:
+            raise ScenarioError(f"grid: half-width {half_width:.3g} is below the {who} sigma "
+                                f"{sigma:.3g}; the {what} does not fit")
+        k = max(map(abs, packet.wavevector))
+        edge = _spectral_edge(sigma, k, h)
+        if edge >= _BOUNDARY_LIMIT:  # the wavevector is at fault when k = 0 would pass
+            key = ("grid" if probe or _spectral_edge(sigma, 0.0, h) >= _BOUNDARY_LIMIT
+                   else "packet.wavevector")
+            raise ScenarioError(f"{key}: spacing {h:.3g} does not resolve the {who} of sigma "
+                                f"{sigma:.3g} and |k| {k:.3g}: its spectral edge {edge:.3e} "
+                                f"reaches {_BOUNDARY_LIMIT:.0e}")
+    limit = _ROBERTSON_SLACK / sys.float_info.epsilon  # cos(omega t) keeps the slack
+    for i, t in enumerate(times):
+        if not abs(omega * t) <= limit:
+            raise ScenarioError(f"times[{i}]: |omega t| = {abs(omega * t):.3g} is past "
+                                f"{limit:.3g}, where cos(omega t) keeps less than 1e-9")
 
 
 def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndarray,
@@ -371,13 +377,12 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras.
 
-    Each scheme's columns come from `_scheme_columns`.  An m omega or 1/(m
-    omega) past the float range is a config error before any grid work, and so
-    are moments that leave the float range, as at m = 1e-300 or omega or hbar =
-    1e300.
+    Each scheme's columns come from `_scheme_columns`.  A scenario outside
+    `_require_domain` is a config error, and so are a packet the grid does not
+    hold and moments past the float range (m = 1e-300, which the domain admits).
     """
-    _require_m_omega(config.params)
-    psi = _sample(config.packet, config.grid)
+    _require_domain(config.params, config.packet, config.grid, config.times)
+    psi = config.packet.sample(config.grid)
     boundary = psi.boundary_magnitude()
     if boundary >= _BOUNDARY_LIMIT:
         raise ScenarioError(f"grid: packet boundary magnitude {boundary:.3e} reaches "
@@ -395,8 +400,8 @@ def run_scenario(config: Scenario) -> Report:
     del metadata["checks"]
     metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
     metadata["version"] = __version__
-    return Report(tuple(columns), _pair_residuals(config.params, _standard_pairs(config.params)),
-                  metadata)
+    pairs = standard_pairs(config.params.m, config.params.omega)
+    return Report(tuple(columns), _pair_residuals(config.params, pairs), metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +462,15 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 def _check_commutators(config: Scenario) -> CheckResult:
     """Each scheme's commutator table on the ground packet; the six primitive
     commutators of the probe are formed once and serve every scheme, and each
-    deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T."""
-    probe = _sample(ground_packet(config.params), config.grid, "commutators")
+    deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T.
+    A probe's spectral edge adds some 50 times itself to a deviation."""
+    packet, grid = ground_packet(config.params), config.grid
+    _require_domain(config.params, packet, grid, probe="commutators")
     schemes = [scheme(sid, config.params) for sid in config.schemes]
-    checks = commutator_table_check(schemes, probe)
+    checks = commutator_table_check(schemes, packet.sample(grid))
     worst = max([0.0] + [check.max_deviation for check in checks])
-    if not all(check.localized for check in checks):
+    if (_spectral_edge(packet.sigma, 0.0, grid.spacing) >= _WARN_BOUNDARY
+            or not all(check.localized for check in checks)):
         return CheckResult("commutators", "warn",
                            f"probe state not localized on this grid; "
                            f"max deviation {worst:.3e}")
@@ -473,7 +481,8 @@ def _check_commutators(config: Scenario) -> CheckResult:
 
 def _check_uncertainties(config: Scenario) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
-    saturates each bound to within 1e-6 max(1, bound)."""
+    saturates each bound to within 1e-6 max(1, bound) and must lie in the domain;
+    a drawn probe delocalized in position or wavenumber is skipped and counted."""
     params = config.params
     worst_saturation, worst_margin = 0.0, math.inf
     satisfied = saturated = True
@@ -489,11 +498,13 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
         ))
     t_probe = 0.3 / params.omega
     schemes = [scheme(sid, params) for sid in config.schemes]
-    # probes outer: each is sampled once and its primitive Gram matrix serves
-    # every scheme, and one field is held at a time
+    _require_domain(params, probes[0], config.grid, probe="uncertainties")
+    # probes outer: each is sampled once, unless delocalized in wavenumber, and
+    # its primitive Gram matrix serves every scheme; one field is held at a time
     for idx, packet in enumerate(probes):
-        psi = _sample(packet, config.grid, "uncertainties")
-        if psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
+        edge = _spectral_edge(packet.sigma, max(map(abs, packet.wavevector)), config.grid.spacing)
+        psi = packet.sample(config.grid) if edge < _BOUNDARY_LIMIT else None
+        if psi is None or psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
         for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, (t_probe,))):
@@ -517,24 +528,17 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
 
 
 def _check_unitary(config: Scenario) -> CheckResult:
-    """Both conjugation probes of each scheme from one closed-form propagator.
-
-    The probe packet is sampled once, on a grid of N = 48 that resolves it
-    (at N = 32 the deviations are the grid's discretization error); a
-    generator with no finite closed-form propagator at these parameters
-    (hbar = 1e300) is a config error, and a deviation that is not a number
-    fails the group.
-    """
+    """Both conjugation probes of each scheme from one closed-form propagator, on a
+    grid of N = 48 that resolves the probe packet (at N = 32 the deviations are
+    the grid's discretization error); a deviation that is not a number fails."""
     params = config.params
     probes = (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega))
-    deviations = [0.0]
-    try:
-        grid = GridSpec(half_width=8.0 * params.sigma_ref, points=48)
-        psi = conjugation_probe(params, grid)
-        for sid in config.schemes:
-            deviations += conjugation_deviations(scheme(sid, params), psi, probes)
-    except ValueError as exc:
-        raise ScenarioError(f"m, omega, hbar: {exc}") from None
+    grid = GridSpec(half_width=8.0 * params.sigma_ref, points=48)
+    packet = conjugation_probe(params)
+    _require_domain(params, packet, grid, probe="unitary")
+    psi = packet.sample(grid)
+    deviations = [0.0] + [dev for sid in config.schemes
+                          for dev in conjugation_deviations(scheme(sid, params), psi, probes)]
     # a nan deviation is the worst one, so it fails the group instead of vanishing in max()
     worst = max(deviations, key=lambda dev: math.inf if math.isnan(dev) else dev)
     status = "pass" if worst <= 1e-5 else "fail"
@@ -544,12 +548,13 @@ def _check_unitary(config: Scenario) -> CheckResult:
 def run_checks(config: Scenario) -> CheckSummary:
     """Run the enabled verification groups; exit code is nonzero iff one fails.
 
-    The pairs and flow groups share one `standard_pairs` call; an m omega or
-    1/(m omega) past the float range is a config error whichever groups run.
+    A scenario outside `_require_domain` is a config error whichever groups
+    run, and the pairs and flow groups share one `standard_pairs` call.
     """
-    _require_m_omega(config.params)
+    params = config.params
+    _require_domain(params, config.packet, config.grid, config.times)
     enabled = {name: config.checks.get(name, True) for name in CHECK_NAMES}
-    pairs = _standard_pairs(config.params) if enabled["flow"] or enabled["pairs"] else ()
+    pairs = standard_pairs(params.m, params.omega) if enabled["flow"] or enabled["pairs"] else ()
     runners = {
         "pairs": lambda: _check_pairs(config, pairs),
         "flow": lambda: _check_flow(config, pairs),

@@ -115,10 +115,6 @@ class WaveFunction:
         return float(edge / v.max()) if edge else 0.0
 
 
-class PacketWidthError(ValueError):
-    """A packet's 4 sigma^2 is past the float range, whatever grid samples it."""
-
-
 @dataclass(frozen=True)
 class GaussianPacket:
     """Isotropic Gaussian wavepacket with a linear phase."""
@@ -137,15 +133,13 @@ class GaussianPacket:
     def sample(self, grid: GridSpec) -> WaveFunction:
         """Sample on the grid and normalize by the Riemann-sum norm.
 
-        Raises PacketWidthError, whatever the grid, when 4 sigma^2 is zero or
-        not finite (sigma = 1e-300 or 1e300), as the envelope would then divide
-        0 by 0 or inf by inf; `normalize` raises ValueError when the sampled
-        field's norm is zero or not finite.
+        Raises ValueError when 4 sigma^2, the envelope's divisor, or the
+        sampled field's norm is zero or not finite.
         """
         # a float product, not sigma ** 2, which raises OverflowError; both round alike
         width = 4.0 * self.sigma * self.sigma
         if not 0.0 < width < math.inf:
-            raise PacketWidthError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
+            raise ValueError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
         ax = grid.axis()
         cx, cy = self.center
         kx, ky = self.wavevector

@@ -390,12 +390,11 @@ def unitary_evolve(s: QuantizationScheme, psi: WaveFunction, t: float) -> WaveFu
     return WaveFunction(psi.grid, _propagator(s, psi.grid)(psi.values, t))
 
 
-def conjugation_probe(params: PhysParams, grid: GridSpec) -> WaveFunction:
+def conjugation_probe(params: PhysParams) -> GaussianPacket:
     """The localized Gaussian `check`'s unitary group probes, in oscillator units,
     so it sits alike on the group's 8 sigma_ref grid at every m omega / hbar."""
     ref = params.sigma_ref
-    return GaussianPacket(center=(0.5 * ref, -0.3 * ref), wavevector=(0.4 / ref, 0.2 / ref),
-                          sigma=params.ground_sigma).sample(grid)
+    return ground_packet(params, center=(0.5 * ref, -0.3 * ref), wavevector=(0.4 / ref, 0.2 / ref))
 
 
 def conjugation_deviations(s: QuantizationScheme, psi: WaveFunction,

@@ -2,12 +2,14 @@
 
 import ast
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -121,6 +123,67 @@ def test_parser_returns_a_scenario_or_raises_a_scenario_error(key, value):
         assert isinstance(scenario_from_dict(raw), Scenario)
     except ScenarioError:
         pass
+
+
+# numbers across the float range: its edges, the domain's edges, and the
+# scales at which a product of two of them leaves the range
+_cli_numbers = st.one_of(
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-320, 1e-308, 1e-160, 1e-150, 1e-7, 0.5, 2.0, 30.0,
+                     1e7, 4.6e6, 1e16, 1e154, 1e160, 1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_cli_leaves = st.sampled_from([("m",), ("omega",), ("hbar",), ("packet", "sigma"),
+                               ("packet", "center", 0), ("packet", "wavevector", 1),
+                               ("times", 1), ("grid", "L"), ("grid", "N")])
+
+
+@st.composite
+def _cli_documents(draw):
+    """The default scenario at a small N with some groups on: its m, omega and
+    hbar drawn across the float range, its packet and grid sometimes rescaled
+    to the oscillator length, and up to two leaves set to any number or JSON
+    value."""
+    raw = default_scenario().to_dict()
+    raw["grid"]["N"] = draw(st.sampled_from([16, 32]))
+    raw["checks"] = {name: draw(st.booleans()) for name in lab.CHECK_NAMES}
+    for key in ("m", "omega", "hbar"):
+        raw[key] = draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0), _cli_numbers))
+    # the check groups compute in absolute units, so only moderate parameters
+    # are drawn with the packet and grid rescaled to the oscillator length
+    if draw(st.booleans()) and all(1e-2 <= raw[key] <= 1e2 for key in ("m", "omega", "hbar")):
+        ref = math.sqrt(raw["hbar"] / (raw["m"] * raw["omega"]))
+        packet = raw["packet"]
+        packet.update(center=[c * ref for c in packet["center"]], sigma=packet["sigma"] * ref,
+                      wavevector=[k / ref for k in packet["wavevector"]])
+        raw["grid"]["L"] *= ref
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, leaf = draw(_cli_leaves)
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = draw(st.one_of(_cli_numbers, _cli_numbers.map(int), _json_values))
+    return raw
+
+
+@given(raw=_cli_documents(), command=st.sampled_from(["run", "check"]),
+       grid_n=st.sampled_from([None, 16, 17, 64, 10 ** 6]),
+       grid_l=st.one_of(st.none(), _cli_numbers))
+@settings(max_examples=80, deadline=None)
+def test_cli_ends_in_a_report_or_one_config_error(raw, command, grid_n, grid_l,
+                                                  tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "cli-document.json"
+    path.write_text(json.dumps(raw))
+    argv = [command, "--scenario", str(path)]
+    argv += [] if grid_n is None else [f"--grid-n={grid_n}"]
+    argv += [] if grid_l is None else [f"--grid-l={grid_l!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"config error: [^:\n]+: [^\n]*\n", err.getvalue()), err.getvalue()
+    else:
+        assert (code, err.getvalue()) == (0, ""), out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +376,18 @@ def _oracle_scenarios(draw):
     """Localized, resolved packets on N = 16, 32 and 128 grids; times include
     ints and integer-valued floats; schemes and observables in any order."""
     n = draw(st.sampled_from([16, 32, 128]))
-    # at N = 16 and L = 8 sigma the spacing is sigma itself and the grid ends
-    # 7 sigma from the origin; a packet's boundary magnitude, relative to its
-    # peak, then stays below lab._BOUNDARY_LIMIT only near the origin
+    # at N = 16 a packet is both resolved and localized only in a narrow
+    # window: the spectral edge needs a spacing below 0.926 sigma at k = 0,
+    # and the boundary gate needs the 15 spacings from the first grid point
+    # to the last to span 13.6 sigma, so h = 0.915 sigma, the centre within
+    # 0.01 sigma of the midpoint -h/2 and |k| at most 0.03 / sigma
     sigma = draw(st.floats(0.6, 1.2))
-    half_width, reach = (8.0 * sigma, 0.05 * sigma) if n == 16 else (12.0 * sigma, 2.0 * sigma)
-    offsets = st.floats(-reach, reach)
-    wavenumbers = st.floats(-1.0 / sigma, 1.0 / sigma)
+    if n == 16:
+        half_width, middle, reach, k_max = 7.32 * sigma, -0.4575 * sigma, 0.01 * sigma, 0.03
+    else:
+        half_width, middle, reach, k_max = 10.0 * sigma, 0.0, 2.0 * sigma, 1.0
+    offsets = st.floats(middle - reach, middle + reach)
+    wavenumbers = st.floats(-k_max / sigma, k_max / sigma)
     positive = st.floats(0.5, 2.0)
     return replace(
         default_scenario(),
@@ -697,10 +765,10 @@ def test_cli_run_rejects_an_unresolved_packet(grid_args, capsys):
 @pytest.mark.parametrize("commutators, probe", [(True, "commutators"),
                                                (False, "uncertainties")])
 def test_cli_check_names_the_probe_it_cannot_resolve(commutators, probe, tmp_path, capsys):
-    # spacing 1 resolves the scenario's packet, sigma 1.5, but not the
-    # checks' probes: the ground packet, sigma 0.707, comes first in both
+    # spacing 1 resolves the scenario's packet, sigma 1.5 at k = 0, but not
+    # the checks' probes: the ground packet, sigma 0.707, comes first in both
     raw = default_scenario().to_dict()
-    raw["packet"]["sigma"] = 1.5
+    raw["packet"].update(sigma=1.5, wavevector=[0.0, 0.0])
     raw["grid"] = {"L": 16.0, "N": 32}
     raw["checks"] = {"commutators": commutators, "unitary": False}
     scn_path = tmp_path / "scn.json"
@@ -711,8 +779,8 @@ def test_cli_check_names_the_probe_it_cannot_resolve(commutators, probe, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"config error: grid: spacing 1 exceeds the {probe} check's probe sigma 0.707; "
-        "the probe is not resolved"]
+        f"config error: grid: spacing 1 does not resolve the {probe} check's probe of sigma "
+        "0.707 and |k| 0: its spectral edge 7.192e-03 reaches 1e-05"]
 
 
 def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
@@ -727,16 +795,116 @@ def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
     assert captured.err.startswith("config error: grid: packet boundary magnitude")
 
 
+# scenarios that exited 0 with wrong numbers before the domain gate, each
+# with the key the gate now names
+_OUTSIDE_THE_DOMAIN = {
+    # k = 30 is past the grid's Nyquist wavenumber pi/h = 25.1, so the packet
+    # aliased as it was sampled: run reported <p_x>(0) = -20.265 for scheme 0
+    "aliased": (lambda raw: raw["packet"].update(wavevector=[30.0, 0.0]), "packet.wavevector"),
+    # hbar^2 = 1e-320 is subnormal: run reported Var p_x = 5e-321 as satisfying
+    # a bound of 5e-161, and the unitary group printed 7.500e-06 for 2.799e-11
+    "subnormal-hbar-squared": (lambda raw: raw.update(
+        hbar=1e-160, checks={name: name == "unitary" for name in lab.CHECK_NAMES}), "hbar"),
+    # at omega t = 1e16 the phase of cos(omega t) carries no digit
+    "phase-precision": (lambda raw: raw.update(times=[0.0, 1e16]), "times[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTSIDE_THE_DOMAIN))
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_rejects_a_scenario_outside_the_domain(command, case, tmp_path, capsys):
+    mutate, key = _OUTSIDE_THE_DOMAIN[case]
+    raw = default_scenario().to_dict()
+    mutate(raw)
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", str(scn_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
+
+
+@pytest.mark.parametrize("half_width, center, key, error", [(7.0, 0.7, "packet.wavevector", 3.1e-5),
+                                                           (8.0, 0.0, "grid", 1.7e-3)])
+def test_run_rejects_a_packet_the_grid_does_not_resolve(half_width, center, key, error):
+    # k = 1 / sigma on N = 16, where the old gate asked only for a spacing of
+    # at most sigma: the grid reads Var p_x this far above hbar^2 / (4 sigma^2),
+    # decades past the Robertson slack.  The centred packet on L = 8 sigma was
+    # reported; at L = 7 sigma the spacing resolves the width, not the wavevector.
+    scn = replace(default_scenario(), grid=GridSpec(half_width, 16),
+                  packet=GaussianPacket(center=(center, 0.0), wavevector=(1.0, 0.0), sigma=1.0))
+    (_, variances), = lab.heisenberg_moments([lab.scheme(0, scn.params)],
+                                             scn.packet.sample(scn.grid), (0.0,))
+    assert variances[0, 2] / 0.25 - 1.0 == pytest.approx(error, rel=0.05)
+    for run in (run_scenario, run_checks):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(key)}: spacing "):
+            run(scn)
+
+
+def test_run_and_the_check_groups_catch_no_exception():
+    # validity is decided up front by the domain gate and by measured gates,
+    # so no group translates a library error into a verdict or a config error
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and (node.name == "run_scenario" or node.name.startswith("_check_"))]
+    assert len(functions) == 6
+    assert [f.name for f in functions
+            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []
+
+
+# the corners of the benchmark's parameter boxes (benchmarks/workloads.py):
+# (m and omega range, |centre|, |k|, sigma range, times) of tabulate and verify
+_BENCHMARK_BOXES = {
+    "tabulate": ((0.8, 1.25), 1.0, 1.5, (0.5, 0.7),
+                 lambda omega: [2.0 * math.pi * k / (16 * omega) for k in range(16)]),
+    "verify": ((1.0, 1.8), 1.0, 1.0, (0.5, 0.7), lambda omega: [0.0, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_BOXES))
+def test_benchmark_inputs_lie_in_the_domain(workload, monkeypatch):
+    # the default scenario and every corner of the workload's box pass the
+    # gate, and so does every probe the check groups build on them: no group
+    # is a config error or skips a probe, and the verify op's groups all pass
+    # (at m omega < 1 the commutators group warns on the ground probe's
+    # boundary).  The closest is the verify uncertainties probe, at a
+    # spectral margin sigma (pi/h - |k|) of 5.8 against the 3.39 the gate needs.
+    lab._require_domain(*(getattr(default_scenario(), key)
+                          for key in ("params", "packet", "grid", "times")))
+    edges = []
+    spectral_edge = lab._spectral_edge
+    monkeypatch.setattr(lab, "_spectral_edge",
+                        lambda *args: edges.append(spectral_edge(*args)) or edges[-1])
+    masses, center, k, sigmas, times = _BENCHMARK_BOXES[workload]
+    for m, omega in ((m, omega) for m in masses for omega in masses):
+        for sigma in sigmas:
+            scn = replace(default_scenario(), params=PhysParams(m, omega, 1.0),
+                          packet=GaussianPacket((center, -center), (k, -k), sigma),
+                          times=tuple(times(omega)))
+            lab._require_domain(scn.params, scn.packet, scn.grid, scn.times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LocalizationWarning)
+            results = run_checks(scn).results
+        assert not any("skipped" in r.detail for r in results)
+        assert all(r.status == "pass" for r in results
+                   if workload == "verify" or r.name != "commutators")
+    assert edges and max(edges) < lab._BOUNDARY_LIMIT
+
+
 def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
-    # one centred packet on one N = 16, L = 8 sigma grid, in three units of
-    # length: its edge row sits 7 sigma out, where |psi| is exp(-49/4) of its
-    # peak whatever sigma is.  An absolute gate rejected it at sigma = 1 and 10.
-    for sigma in (1.0, 10.0, 40.0):
-        psi = GaussianPacket(sigma=sigma).sample(GridSpec(8.0 * sigma, 16))
-        assert psi.boundary_magnitude() == pytest.approx(math.exp(-49.0 / 4.0), rel=1e-12)
+    # one centred packet on one N = 32, L = 8 sigma grid, in three units of
+    # length: its last row sits 7.5 sigma out, where |psi| is exp(-225/16) of
+    # its peak whatever sigma is.  An absolute gate rejected it at sigma = 0.5
+    # and 1.  (At N = 16 the grid cannot both resolve and hold a centred packet.)
+    for sigma in (0.5, 1.0, 40.0):
+        psi = GaussianPacket(sigma=sigma).sample(GridSpec(8.0 * sigma, 32))
+        assert psi.boundary_magnitude() == pytest.approx(math.exp(-225.0 / 16.0), rel=1e-12)
         raw = default_scenario().to_dict()
         raw["packet"] = {"center": [0.0, 0.0], "wavevector": [0.0, 0.0], "sigma": sigma}
-        raw["grid"] = {"L": 8.0 * sigma, "N": 16}
+        raw["grid"] = {"L": 8.0 * sigma, "N": 32}
         scn_path = tmp_path / "scn.json"
         scn_path.write_text(json.dumps(raw))
         assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 0, sigma
@@ -800,8 +968,8 @@ def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
 
 
 def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
-    # hbar^2 overflows, so the unitary group's generator has no finite
-    # normal form; the other groups are off, they overflow on their own
+    # hbar^2 overflows, where the unitary group's generator had no finite
+    # normal form; the domain gate rejects it before any group runs
     raw = default_scenario().to_dict()
     raw["hbar"] = 1e300
     raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}
@@ -810,8 +978,7 @@ def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
     assert main(["check", "--scenario", str(scn_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: m, omega, hbar: ")
-    assert captured.err.endswith("the quantized generator's normal form is not finite\n")
+    assert captured.err == "config error: hbar: hbar^2 is past the float range\n"
 
 
 @pytest.mark.parametrize("omega", [1e160, 1e300])
@@ -829,12 +996,14 @@ def test_cli_pairs_past_the_float_range_are_a_config_error(command, omega, tmp_p
 
 
 @pytest.mark.parametrize("m, omega, name", [(1e-300, 1e-300, "m omega"),
-                                             (1e-320, 1.0, "1/(m omega)")])
+                                             (1e-320, 1.0, "m omega"),
+                                             (1e308, 1.0, "1/(m omega)")])
 @pytest.mark.parametrize("command", ["run", "check", "pairs"])
 def test_cli_m_omega_past_the_float_range_is_a_config_error(command, m, omega, name,
                                                             tmp_path, capsys):
-    # m omega underflows to 0, or 1/(m omega) overflows, where the bracket
-    # matrices would divide by zero or hold inf
+    # m omega underflows to 0 or to a subnormal, or 1/(m omega) to a
+    # subnormal, where the bracket matrices would divide by zero, hold inf or
+    # keep a few digits
     raw = default_scenario().to_dict()
     raw.update(m=m, omega=omega)
     scn_path = tmp_path / "scn.json"
@@ -874,8 +1043,13 @@ def test_unitary_check_probe_is_in_oscillator_units(m):
 @pytest.mark.parametrize("key, value", [("m", 1e-300), ("omega", 1e300), ("hbar", 1e300)])
 def test_cli_run_with_moments_past_the_float_range_is_a_config_error(key, value, tmp_path,
                                                                      capsys):
-    # the moments overflow to inf or nan; a RuntimeWarning is an error in
-    # this suite, so this also shows that no numpy warning escapes
+    # the moments overflow to inf or nan.  At omega or hbar = 1e300 the
+    # domain gate sees it in m omega^2 or hbar^2; at m = 1e-300 every
+    # coefficient is a normal float, and the moments check catches it.  A
+    # RuntimeWarning is an error in this suite, so no numpy warning escapes.
+    expected = {"m": "m, omega, hbar: non-finite moments for scheme 0",
+                "omega": "m, omega: m omega^2 is past the float range",
+                "hbar": "hbar: hbar^2 is past the float range"}[key]
     raw = default_scenario().to_dict()
     raw[key] = value
     scn_path = tmp_path / "scn.json"
@@ -883,7 +1057,7 @@ def test_cli_run_with_moments_past_the_float_range_is_a_config_error(key, value,
     assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: m, omega, hbar: non-finite moments for scheme 0\n"
+    assert captured.err == f"config error: {expected}\n"
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
@@ -909,10 +1083,11 @@ def test_cli_run_with_sigma_squared_past_the_float_range_is_a_config_error(scale
 
 
 def test_cli_check_with_a_probe_past_the_float_range_is_a_config_error(tmp_path, capsys):
-    # at m = 1e-308 the ground probe's sigma is 7.07e153 and its 4 sigma^2
-    # overflows: m, omega, hbar set that width, not the grid
+    # every coefficient is a normal float, but hbar/(m omega) = 1.2e308 sets
+    # the ground probe's sigma to 7.77e153, and its 4 sigma^2 overflows:
+    # m, omega, hbar set that width, not the grid
     raw = default_scenario().to_dict()
-    raw["m"] = 1e-308
+    raw.update(m=0.293, omega=2.83e-154, hbar=1e154)
     scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(raw))
     assert main(["check", "--scenario", str(scn_path)]) == 2
@@ -920,7 +1095,7 @@ def test_cli_check_with_a_probe_past_the_float_range_is_a_config_error(tmp_path,
     assert captured.out == ""
     assert captured.err == ("config error: m, omega, hbar: cannot sample the commutators "
                             "check's probe: 4 sigma^2 is past the float range at "
-                            "sigma = 7.071067811865475e+153\n")
+                            "sigma = 7.765295271822864e+153\n")
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
