@@ -70,10 +70,10 @@ def _uniform(lo: float, hi: float, u: float) -> float:
 # max(1, bound), still satisfies it; the bounds of schemes 1-3 scale as
 # hbar m omega and hbar / (m omega)
 _ROBERTSON_SLACK = 1e-9
-# a sampled state of boundary magnitude b at least this is delocalized: the
-# tails the grid cuts off pull a product below its bound by about 5 b^2 at
-# most, which this keeps at half the slack; the seam's error, about
-# +7 (sigma / h) b^2 in a momentum variance, only raises a product
+# a packet whose boundary magnitude or spectral edge b (`_edges`) reaches this
+# is delocalized: the tails the grid cuts off pull a product below its bound
+# by about 5 b^2 at most, which this keeps at half the slack; the seam's
+# error, about +7 (sigma / h) b^2 in a momentum variance, only raises one
 _BOUNDARY_LIMIT = math.sqrt(_ROBERTSON_SLACK / 10.0)
 
 
@@ -296,10 +296,22 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
                  for pair in pairs)
 
 
-def _spectral_edge(sigma: float, k: float, h: float) -> float:
-    """exp(-sigma^2 (pi/h - k)^2), a Gaussian's spectrum at pi/h over its peak at k, or 1."""
-    gap = math.pi / h - k
-    return math.exp(-(sigma * gap) * (sigma * gap)) if gap > 0 else 1.0
+def _edges(packet: GaussianPacket, grid: GridSpec) -> tuple[float, float]:
+    """(boundary, spectral) edges of a packet on a grid in closed form, without sampling:
+    `boundary_magnitude` of the sampled packet, the larger over the axes of
+    exp(-(d_b - d_p)(d_b + d_p) / (4 sigma^2)) with d_b, d_p the centre's distances to
+    the nearer end point and the nearest grid point (1 off the grid), and the spectrum
+    at pi/h over its peak, exp(-sigma^2 (pi/h - max_i |k_i|)^2), or 1.  Python floats
+    keep the ends of the float range free of warnings."""
+    sigma, h, half_width, n = packet.sigma, grid.spacing, grid.half_width, grid.points
+    boundary = 0.0
+    for c in packet.center:  # the grid points are -L + h i, as `GridSpec.axis` forms them
+        d_b = min(abs(-half_width - c), abs(-half_width + h * (n - 1) - c))
+        d_p = abs(-half_width + h * round(min(max((c + half_width) / h, 0.0), n - 1.0)) - c)
+        boundary = max(boundary, math.exp(-(d_b - d_p) * (d_b + d_p) / (4.0 * sigma * sigma))
+                       if d_b > d_p else 1.0)
+    gap = math.pi / h - max(map(abs, packet.wavevector))
+    return boundary, math.exp(-(sigma * gap) * (sigma * gap)) if gap > 0 else 1.0
 
 
 def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
@@ -319,8 +331,8 @@ def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
         ("omega, hbar", "hbar omega", hbar * omega))]
     if packet is not None:  # the envelope's divisor, the squared norm and h^2
         sigma, h, half_width = packet.sigma, grid.spacing, grid.half_width
-        key, who, what = (("packet.sigma", "packet", "packet") if probe is None
-                          else ("m, omega, hbar", f"{probe} check's probe", "probe"))
+        key, who = (("packet.sigma", "packet") if probe is None
+                    else ("m, omega, hbar", f"{probe} check's probe"))
         sampled, at = f"{key}: cannot sample the {who}", f" at sigma = {sigma!r}"
         floats += [(sampled, "4 sigma^2", 4.0 * sigma * sigma, at),
                    (sampled, "2 pi sigma^2", 2.0 * math.pi * sigma * sigma, at),
@@ -330,19 +342,17 @@ def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise ScenarioError(f"{key}: {name} is past the float range{where}")
     if packet is not None:
-        if max(map(abs, packet.center)) > half_width:
-            raise ScenarioError(f"packet.center: off the grid of half-width {half_width:.3g}")
-        if sigma > half_width:
-            raise ScenarioError(f"grid: half-width {half_width:.3g} is below the {who} sigma "
-                                f"{sigma:.3g}; the {what} does not fit")
-        k = max(map(abs, packet.wavevector))
-        edge = _spectral_edge(sigma, k, h)
-        if edge >= _BOUNDARY_LIMIT:  # the wavevector is at fault when k = 0 would pass
-            key = ("grid" if probe or _spectral_edge(sigma, 0.0, h) >= _BOUNDARY_LIMIT
-                   else "packet.wavevector")
-            raise ScenarioError(f"{key}: spacing {h:.3g} does not resolve the {who} of sigma "
-                                f"{sigma:.3g} and |k| {k:.3g}: its spectral edge {edge:.3e} "
-                                f"reaches {_BOUNDARY_LIMIT:.0e}")
+        k, c = max(map(abs, packet.wavevector)), max(map(abs, packet.center))
+        boundary, spectral = _edges(packet, grid)
+        for i, edge, field, fault in (
+                (1, spectral, "wavevector", f"spacing {h:.3g} does not resolve the {who} of "
+                 f"sigma {sigma:.3g} and |k| {k:.3g}: its spectral edge"),
+                (0, boundary, "center", f"half-width {half_width:.3g} does not hold the {who} "
+                 f"of sigma {sigma:.3g} and |c| {c:.3g}: its boundary magnitude")):
+            if edge >= _BOUNDARY_LIMIT:  # the packet is at fault when a centred one at k = 0 passes
+                ideal = _edges(GaussianPacket(sigma=sigma), grid)[i]
+                key = "grid" if probe or ideal >= _BOUNDARY_LIMIT else f"packet.{field}"
+                raise ScenarioError(f"{key}: {fault} {edge:.3e} reaches {_BOUNDARY_LIMIT:.0e}")
     limit = _ROBERTSON_SLACK / sys.float_info.epsilon  # cos(omega t) keeps the slack
     for i, t in enumerate(times):
         if not abs(omega * t) <= limit:
@@ -377,16 +387,11 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
 def run_scenario(config: Scenario) -> Report:
     """Evaluate every requested (scheme, observable, time) cell plus extras.
 
-    Each scheme's columns come from `_scheme_columns`.  A scenario outside
-    `_require_domain` is a config error, and so are a packet the grid does not
-    hold and moments past the float range (m = 1e-300, which the domain admits).
+    Each scheme's columns come from `_scheme_columns`.  A scenario outside `_require_domain`
+    is a config error, and so are moments past the float range (m = 1e-300, in the domain).
     """
     _require_domain(config.params, config.packet, config.grid, config.times)
     psi = config.packet.sample(config.grid)
-    boundary = psi.boundary_magnitude()
-    if boundary >= _BOUNDARY_LIMIT:
-        raise ScenarioError(f"grid: packet boundary magnitude {boundary:.3e} reaches "
-                            f"{_BOUNDARY_LIMIT:.0e}; the packet is not localized on the grid")
     times = [float(t) for t in config.times]
     schemes = [scheme(sid, config.params) for sid in config.schemes]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -463,17 +468,15 @@ def _check_commutators(config: Scenario) -> CheckResult:
     """Each scheme's commutator table on the ground packet; the six primitive
     commutators of the probe are formed once and serve every scheme, and each
     deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T.
-    A probe's spectral edge adds some 50 times itself to a deviation."""
+    The group warns when either edge of its probe reaches _WARN_BOUNDARY."""
     packet, grid = ground_packet(config.params), config.grid
     _require_domain(config.params, packet, grid, probe="commutators")
     schemes = [scheme(sid, config.params) for sid in config.schemes]
     checks = commutator_table_check(schemes, packet.sample(grid))
     worst = max([0.0] + [check.max_deviation for check in checks])
-    if (_spectral_edge(packet.sigma, 0.0, grid.spacing) >= _WARN_BOUNDARY
-            or not all(check.localized for check in checks)):
-        return CheckResult("commutators", "warn",
-                           f"probe state not localized on this grid; "
-                           f"max deviation {worst:.3e}")
+    if max(_edges(packet, grid)) >= _WARN_BOUNDARY:
+        return CheckResult("commutators", "warn", f"probe state not localized on this grid; "
+                                                  f"max deviation {worst:.3e}")
     ok = all(check.max_deviation <= 1e-8 * max(1.0, float(np.abs(s.commutators).max()))
              for s, check in zip(schemes, checks))
     return CheckResult("commutators", "pass" if ok else "fail", f"max deviation {worst:.3e}")
@@ -482,7 +485,7 @@ def _check_commutators(config: Scenario) -> CheckResult:
 def _check_uncertainties(config: Scenario) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
     saturates each bound to within 1e-6 max(1, bound) and must lie in the domain;
-    a drawn probe delocalized in position or wavenumber is skipped and counted."""
+    a drawn probe with an edge at `_BOUNDARY_LIMIT` or above is skipped and counted."""
     params = config.params
     worst_saturation, worst_margin = 0.0, math.inf
     satisfied = saturated = True
@@ -499,14 +502,13 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     t_probe = 0.3 / params.omega
     schemes = [scheme(sid, params) for sid in config.schemes]
     _require_domain(params, probes[0], config.grid, probe="uncertainties")
-    # probes outer: each is sampled once, unless delocalized in wavenumber, and
-    # its primitive Gram matrix serves every scheme; one field is held at a time
+    # probes outer: each is sampled once, unless delocalized, and its primitive
+    # Gram matrix serves every scheme; one field is held at a time
     for idx, packet in enumerate(probes):
-        edge = _spectral_edge(packet.sigma, max(map(abs, packet.wavevector)), config.grid.spacing)
-        psi = packet.sample(config.grid) if edge < _BOUNDARY_LIMIT else None
-        if psi is None or psi.boundary_magnitude() >= _BOUNDARY_LIMIT:
+        if max(_edges(packet, config.grid)) >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
+        psi = packet.sample(config.grid)
         for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, (t_probe,))):
             for _, bound, (product,), (holds,) in _scheme_columns(s, means, variances,
                                                                   [t_probe], ()).rows:
@@ -516,9 +518,6 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
                     gap = abs(product - bound)
                     worst_saturation = max(worst_saturation, gap)
                     saturated = saturated and gap <= 1e-6 * max(1.0, bound)
-    if worst_margin is math.inf:
-        return CheckResult("uncertainties", "warn",
-                           "no probe packet is localized on this grid")
     ok = satisfied and saturated
     detail = (f"ground saturation gap {worst_saturation:.3e}, "
               f"worst bound margin {worst_margin:+.3e}")

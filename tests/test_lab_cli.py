@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symquant import (
     GaussianPacket,
@@ -378,7 +378,7 @@ def _oracle_scenarios(draw):
     n = draw(st.sampled_from([16, 32, 128]))
     # at N = 16 a packet is both resolved and localized only in a narrow
     # window: the spectral edge needs a spacing below 0.926 sigma at k = 0,
-    # and the boundary gate needs the 15 spacings from the first grid point
+    # and the boundary edge needs the 15 spacings from the first grid point
     # to the last to span 13.6 sigma, so h = 0.915 sigma, the centre within
     # 0.01 sigma of the midpoint -h/2 and |k| at most 0.03 / sigma
     sigma = draw(st.floats(0.6, 1.2))
@@ -457,6 +457,14 @@ def test_robertson_flags_match_the_oracle_between_the_slacks():
     cells, rows = oracles.report_rows((3,), OBSERVABLES, times, params, {3: (means, variances)})
     report = lab.Report((columns,), (), {})
     assert oracles.flatten_report(report) == (cells, rows)
+
+
+def test_lab_decides_localization_before_sampling():
+    # each localization decision in the lab is `_edges`' closed form, made
+    # before a state is sampled; the sampled measure serves library warnings
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "boundary_magnitude"] == []
 
 
 def test_lab_imports_no_private_name_from_quantum_or_flow():
@@ -649,9 +657,12 @@ def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
 def test_commutator_bound_is_relative_to_the_table():
     # at hbar m omega = 1.3e5 the table's roundoff alone reaches 9.3e-8, 7e-13
     # of the table; an absolute 1e-8 bound failed the group
+    # (the scenario's packet is scaled with the grid, which must hold it too)
     params = dict(m=1e3, omega=1.3, hbar=100.0)
     ref = math.sqrt(params["hbar"] / (params["m"] * params["omega"]))
+    packet = {"center": [ref, 0.0], "wavevector": [1.0 / ref, 0.0], "sigma": ref / math.sqrt(2.0)}
     scn = _small_scenario(**params, schemes=[0, 1, 2, 3], grid={"L": 8 * ref, "N": 64},
+                          packet=packet,
                           checks={name: name == "commutators" for name in lab.CHECK_NAMES})
     result = next(r for r in run_checks(scn).results if r.name == "commutators")
     assert result.status == "pass"
@@ -659,7 +670,12 @@ def test_commutator_bound_is_relative_to_the_table():
 
 
 def test_coarse_grid_downgrades_to_warning():
-    scn = _small_scenario(grid={"L": 3.0, "N": 16},
+    # L = 6.5 holds the scenario's packet and the ground probe to within
+    # _BOUNDARY_LIMIT, but the probe's boundary edge, 8.6e-9, reaches
+    # _WARN_BOUNDARY: its commutator deviation of 2.9e-8, past the 1e-8 bound,
+    # is a warning, not a failure; the uncertainties group skips the two drawn
+    # probes the grid does not hold
+    scn = _small_scenario(grid={"L": 6.5, "N": 32},
                           checks={"pairs": True, "flow": True,
                                   "commutators": True, "uncertainties": True,
                                   "unitary": False})
@@ -667,7 +683,9 @@ def test_coarse_grid_downgrades_to_warning():
         summary = run_checks(scn)
     by_name = {r.name: r for r in summary.results}
     assert by_name["commutators"].status == "warn"
-    assert by_name["uncertainties"].status == "warn"
+    assert float(by_name["commutators"].detail.split()[-1]) > 1e-8
+    assert by_name["uncertainties"].status == "pass"
+    assert by_name["uncertainties"].detail.endswith(", 4 delocalized probes skipped")
     assert summary.exit_code == 0
 
 
@@ -784,7 +802,8 @@ def test_cli_check_names_the_probe_it_cannot_resolve(commutators, probe, tmp_pat
 
 
 def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
-    # centred at x = 7.5 on [-8, 8): the run would report <x>(0) = 7.18
+    # centred at x = 7.5 on [-8, 8): the run would report <x>(0) = 7.18; the
+    # grid holds a centred packet, so the centre is at fault
     raw = default_scenario().to_dict()
     raw["packet"]["center"] = [7.5, 0.0]
     scn_path = tmp_path / "scn.json"
@@ -792,7 +811,8 @@ def test_cli_run_rejects_a_delocalized_packet(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: grid: packet boundary magnitude")
+    assert captured.err.startswith("config error: packet.center: half-width 8 does not hold "
+                                   "the packet of sigma 0.707 and |c| 7.5: its boundary magnitude")
 
 
 # scenarios that exited 0 with wrong numbers before the domain gate, each
@@ -807,6 +827,12 @@ _OUTSIDE_THE_DOMAIN = {
         hbar=1e-160, checks={name: name == "unitary" for name in lab.CHECK_NAMES}), "hbar"),
     # at omega t = 1e16 the phase of cos(omega t) carries no digit
     "phase-precision": (lambda raw: raw.update(times=[0.0, 1e16]), "times[1]"),
+    # centred at x = 6 on [-8, 8): boundary magnitude 0.17; run rejected it
+    # after sampling, while check passed all five groups and exited 0
+    "off-centre": (lambda raw: raw["packet"].update(center=[6.0, 0.0]), "packet.center"),
+    # sigma = 4 on L = 8: boundary magnitude 0.48, and a centred packet's is
+    # 0.38, so the grid is at fault; check exited 0 here too
+    "too-wide": (lambda raw: raw["packet"].update(sigma=4.0), "grid"),
 }
 
 
@@ -827,6 +853,20 @@ def test_cli_rejects_a_scenario_outside_the_domain(command, case, tmp_path, caps
     assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
 
 
+@pytest.mark.parametrize("case", ["aliased", "off-centre", "too-wide"])
+def test_run_and_check_reject_a_packet_outside_the_domain_alike(case, tmp_path, capsys):
+    # one closed-form gate decides for both commands, before either samples
+    raw = default_scenario().to_dict()
+    _OUTSIDE_THE_DOMAIN[case][0](raw)
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    errors = []
+    for command in ("run", "check"):
+        assert main([command, "--scenario", str(scn_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1, errors
+
+
 @pytest.mark.parametrize("half_width, center, key, error", [(7.0, 0.7, "packet.wavevector", 3.1e-5),
                                                            (8.0, 0.0, "grid", 1.7e-3)])
 def test_run_rejects_a_packet_the_grid_does_not_resolve(half_width, center, key, error):
@@ -845,8 +885,9 @@ def test_run_rejects_a_packet_the_grid_does_not_resolve(half_width, center, key,
 
 
 def test_run_and_the_check_groups_catch_no_exception():
-    # validity is decided up front by the domain gate and by measured gates,
-    # so no group translates a library error into a verdict or a config error
+    # validity is decided up front by the domain gate, in closed form; only
+    # the non-finite-moments gate still reads computed values, so no group
+    # translates a library error into a verdict or a config error
     tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and (node.name == "run_scenario" or node.name.startswith("_check_"))]
@@ -870,14 +911,16 @@ def test_benchmark_inputs_lie_in_the_domain(workload, monkeypatch):
     # gate, and so does every probe the check groups build on them: no group
     # is a config error or skips a probe, and the verify op's groups all pass
     # (at m omega < 1 the commutators group warns on the ground probe's
-    # boundary).  The closest is the verify uncertainties probe, at a
-    # spectral margin sigma (pi/h - |k|) of 5.8 against the 3.39 the gate needs.
+    # boundary).  The closest edges are uncertainties probes': a spectral
+    # margin sigma (pi/h - |k|) of 5.8 against the 3.39 the gate needs
+    # (verify), and a boundary edge of 2.3e-7 against its 1e-5 (tabulate, at
+    # m = omega = 0.8).  `check` gates the scenario's packet on both edges, so
+    # a box corner past either would turn a benchmark op into a config error.
     lab._require_domain(*(getattr(default_scenario(), key)
                           for key in ("params", "packet", "grid", "times")))
     edges = []
-    spectral_edge = lab._spectral_edge
-    monkeypatch.setattr(lab, "_spectral_edge",
-                        lambda *args: edges.append(spectral_edge(*args)) or edges[-1])
+    measure = lab._edges
+    monkeypatch.setattr(lab, "_edges", lambda *args: edges.append(measure(*args)) or edges[-1])
     masses, center, k, sigmas, times = _BENCHMARK_BOXES[workload]
     for m, omega in ((m, omega) for m in masses for omega in masses):
         for sigma in sigmas:
@@ -891,7 +934,8 @@ def test_benchmark_inputs_lie_in_the_domain(workload, monkeypatch):
         assert not any("skipped" in r.detail for r in results)
         assert all(r.status == "pass" for r in results
                    if workload == "verify" or r.name != "commutators")
-    assert edges and max(edges) < lab._BOUNDARY_LIMIT
+    boundary, spectral = (max(column) for column in zip(*edges))
+    assert boundary < lab._BOUNDARY_LIMIT and spectral < lab._BOUNDARY_LIMIT
 
 
 def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
@@ -900,8 +944,10 @@ def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
     # its peak whatever sigma is.  An absolute gate rejected it at sigma = 0.5
     # and 1.  (At N = 16 the grid cannot both resolve and hold a centred packet.)
     for sigma in (0.5, 1.0, 40.0):
-        psi = GaussianPacket(sigma=sigma).sample(GridSpec(8.0 * sigma, 32))
-        assert psi.boundary_magnitude() == pytest.approx(math.exp(-225.0 / 16.0), rel=1e-12)
+        packet, grid = GaussianPacket(sigma=sigma), GridSpec(8.0 * sigma, 32)
+        assert packet.sample(grid).boundary_magnitude() == pytest.approx(math.exp(-225.0 / 16.0),
+                                                                         rel=1e-12)
+        assert lab._edges(packet, grid)[0] == pytest.approx(math.exp(-225.0 / 16.0), rel=1e-12)
         raw = default_scenario().to_dict()
         raw["packet"] = {"center": [0.0, 0.0], "wavevector": [0.0, 0.0], "sigma": sigma}
         raw["grid"] = {"L": 8.0 * sigma, "N": 32}
@@ -909,6 +955,32 @@ def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
         scn_path.write_text(json.dumps(raw))
         assert main(["run", "--scenario", str(scn_path), "--no-timestamp"]) == 0, sigma
         assert capsys.readouterr().err == ""
+
+
+# off-centre, wide and flat packets, and centres near and past the end
+# points, where the edge reads 1; the wavevector does not move it
+@example(points=16, half_width=8.0, u=(0.75, 0.0), sigma=0.707)
+@example(points=32, half_width=8.0, u=(0.0, 0.0), sigma=1.0)  # exp(-225/16)
+@example(points=64, half_width=8.0, u=(0.3125, 1.0), sigma=1.3)
+@example(points=128, half_width=8.0, u=(0.0375, 0.025), sigma=4.0)
+@example(points=256, half_width=8.0, u=(-0.375, 0.125), sigma=100.0)
+@example(points=512, half_width=8.0, u=(-0.9875, 0.99625), sigma=0.4)
+@given(points=st.sampled_from([16, 32, 64, 128, 256, 512]), half_width=st.floats(3.0, 12.0),
+       u=st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)), sigma=st.floats(0.3, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_boundary_edge_is_the_sampled_boundary_magnitude(points, half_width, u, sigma):
+    packet = GaussianPacket((u[0] * half_width, u[1] * half_width), (1.3, -0.4), sigma)
+    grid = GridSpec(half_width, points)
+    sampled = packet.sample(grid).boundary_magnitude()
+    assert lab._edges(packet, grid)[0] == pytest.approx(sampled, rel=1e-12, abs=0.0)
+
+
+def test_boundary_edge_reads_one_where_sampling_fails():
+    # a centre 1000 sigma off the grid samples to norm 0, which sample rejects
+    packet, grid = GaussianPacket(center=(1e3, 0.0)), GridSpec(8.0, 64)
+    with pytest.raises(ValueError, match="cannot normalize"):
+        packet.sample(grid)
+    assert lab._edges(packet, grid)[0] == 1.0
 
 
 def test_commutator_probe_is_localized_at_a_large_mass():
@@ -927,7 +999,7 @@ def test_commutator_probe_is_localized_at_a_large_mass():
 
 def test_commutator_group_decides_its_probe_localization_once():
     # one probe serves four schemes, so a delocalized one warns once
-    scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 3.0, "N": 16})
+    scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 6.5, "N": 32})
     with pytest.warns(LocalizationWarning) as record:
         result = lab._check_commutators(scn)
     assert result.status == "warn"
@@ -937,7 +1009,8 @@ def test_commutator_group_decides_its_probe_localization_once():
 def test_cli_check_rejects_a_probe_wider_than_the_grid(tmp_path, capsys):
     # at m = 1e-300 the probes' sigma is 7.07e149 on the L = 8 grid: the groups
     # reported flow: pass at a pullback deviation of 3e284, an inf commutator
-    # deviation and overall: pass, with two warnings on stderr
+    # deviation and overall: pass, with two warnings on stderr.  The probe is
+    # flat across the grid, so its boundary edge reads 1
     raw = default_scenario().to_dict()
     raw["m"] = 1e-300
     scn_path = tmp_path / "scn.json"
@@ -948,13 +1021,14 @@ def test_cli_check_rejects_a_probe_wider_than_the_grid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "config error: grid: half-width 8 is below the commutators check's probe sigma "
-        "7.07e+149; the probe does not fit"]
+        "config error: grid: half-width 8 does not hold the commutators check's probe of "
+        "sigma 7.07e+149 and |c| 0: its boundary magnitude 1.000e+00 reaches 1e-05"]
     raw["checks"] = {"commutators": False}
     scn_path.write_text(json.dumps(raw))
     assert main(["check", "--scenario", str(scn_path)]) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: grid: half-width 8 is below the uncertainties check's probe sigma")
+        "config error: grid: half-width 8 does not hold the uncertainties check's probe of "
+        "sigma 7.07e+149")
 
 
 def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
