@@ -130,7 +130,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
     print("standard pairs:")
     for mu, (pair, worst) in enumerate(zip(pairs, _pair_residuals(scenario.params, pairs))):
         label = classify_boundedness(pair.hamiltonian)
-        contained = basis.contains(pair.form.lower_array(), tol=1e-10)
+        contained = basis.contains(pair.form.lower_array())
         print(f"  scheme {mu}: H = {pair.hamiltonian}")
         print(f"    residual {worst:.3e}, {label}, inverse form in admissible "
               f"space: {contained}")

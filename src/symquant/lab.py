@@ -466,8 +466,10 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 
 def _check_commutators(config: Scenario) -> CheckResult:
     """Each scheme's commutator table on the ground packet; the six primitive
-    commutators of the probe are formed once and serve every scheme, and each
-    deviation is bounded by 1e-8 max(1, max |T_ij|) of the scheme's table T.
+    commutators of the probe are formed once and serve every scheme, and the
+    deviation of pair (i, j) is bounded by 1e-8 max(|T_ij|, s_i s_j), with T
+    the scheme's table and s = |A| (sigma_ref, sigma_ref, 1/sigma_ref, 1/sigma_ref)
+    the size of each fundamental of its assignment A in oscillator units.
     The group warns when either edge of its probe reaches _WARN_BOUNDARY."""
     packet, grid = ground_packet(config.params), config.grid
     _require_domain(config.params, packet, grid, probe="commutators")
@@ -477,8 +479,12 @@ def _check_commutators(config: Scenario) -> CheckResult:
     if max(_edges(packet, grid)) >= _WARN_BOUNDARY:
         return CheckResult("commutators", "warn", f"probe state not localized on this grid; "
                                                   f"max deviation {worst:.3e}")
-    ok = all(check.max_deviation <= 1e-8 * max(1.0, float(np.abs(s.commutators).max()))
-             for s, check in zip(schemes, checks))
+    ref, ok = config.params.sigma_ref, True
+    for s, check in zip(schemes, checks):
+        size = np.abs(s.assignment) @ (ref, ref, 1.0 / ref, 1.0 / ref)
+        bound = 1e-8 * np.maximum(np.abs(s.commutators), np.outer(size, size))
+        ok &= all(dev <= bound[OBSERVABLES.index(a), OBSERVABLES.index(b)]
+                  for (a, b), dev in check.deviations.items())
     return CheckResult("commutators", "pass" if ok else "fail", f"max deviation {worst:.3e}")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +29,8 @@ import numpy as np
 # fields; measured at N = 512 and 1024), so this cap keeps a grid's peak
 # memory near a 2 GiB budget: 144 * 3840**2 bytes = 1.98 GiB
 MAX_POINTS = 3840
+
+_EXACT_TOL = 1e-12  # of the operands' coefficient scale, in OperatorExpr.equals and commutes_with
 
 
 class LocalizationWarning(UserWarning):
@@ -255,23 +258,14 @@ class OperatorExpr:
                 _acc(total, key, v)
         return {k: v for k, v in total.items() if v != 0}
 
-    def coefficient_scale(self) -> float:
-        return sum(abs(c) for c, _ in self.terms)
-
-    def is_zero(self, tol: float = 0.0, scale: float = 1.0) -> bool:
-        nf = self.normal_form()
-        return all(abs(v) <= tol * scale for v in nf.values())
-
-    def equals(self, other: "OperatorExpr", tol: float = 1e-12) -> bool:
-        scale = max(self.coefficient_scale(), other.coefficient_scale(), 1.0)
-        return (self - other).is_zero(tol=tol, scale=scale)
+    def equals(self, other: "OperatorExpr") -> bool:
+        return _negligible(self - other, self, other, max)
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
         return self @ other - other @ self
 
-    def commutes_with(self, other: "OperatorExpr", tol: float = 1e-12) -> bool:
-        scale = max(self.coefficient_scale() * other.coefficient_scale(), 1.0)
-        return self.commutator(other).is_zero(tol=tol, scale=scale)
+    def commutes_with(self, other: "OperatorExpr") -> bool:
+        return _negligible(self.commutator(other), self, other, operator.mul)
 
     def __repr__(self):
         body = " + ".join(
@@ -282,6 +276,13 @@ class OperatorExpr:
 
 def _acc(table: dict, key, value):
     table[key] = table.get(key, 0j) + value
+
+
+def _negligible(expr: OperatorExpr, a: OperatorExpr, b: OperatorExpr, combine) -> bool:
+    """Every normal-form coefficient of expr is at most _EXACT_TOL max(1, combine(|a|, |b|)),
+    where |.| is the sum of an operand's |coefficients|."""
+    bound = _EXACT_TOL * max(1.0, combine(*(sum(abs(c) for c, _ in op.terms) for op in (a, b))))
+    return all(abs(v) <= bound for v in expr.normal_form().values())
 
 
 # the periodic seam puts a commutator residual of at most about

@@ -36,6 +36,7 @@ PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
 _HESSIAN_TOL = 1e-10  # below it a curvature or flat-direction slope is 0 in classify_boundedness
+_CONTAINS_TOL = 1e-10  # of max(1, max|theta|), for the projection residual in contains
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,10 @@ class InverseFormBasis:
         recon = self.sample(self.coordinates(theta))
         return float(np.max(np.abs(theta - recon))) if self.basis else float(np.max(np.abs(theta)))
 
-    def contains(self, theta, tol: float = 1e-12) -> bool:
+    def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
         scale = max(1.0, float(np.max(np.abs(theta))))
-        return self.projection_residual(theta) <= tol * scale
+        return self.projection_residual(theta) <= _CONTAINS_TOL * scale
 
     def sample(self, coeffs) -> np.ndarray:
         out = np.zeros((NVARS, NVARS))
@@ -180,11 +181,14 @@ def classify_boundedness(hamiltonian: PolynomialObservable) -> str:
         raise ValueError("only observables of degree <= 2 are classified")
     hess = np.zeros((NVARS, NVARS))
     lin = np.zeros(NVARS)
-    for i in range(NVARS):
-        di = hamiltonian.partial(i)
-        lin[i] = float(di.coefficient((0, 0, 0, 0)))
-        for j in range(NVARS):
-            hess[i, j] = float(di.partial(j).coefficient((0, 0, 0, 0)))
+    for expo, coeff in hamiltonian.terms.items():  # the derivatives at 0, read off the terms
+        index = [i for i, e in enumerate(expo) for _ in range(e)]
+        if len(index) == 1:
+            lin[index[0]] = float(coeff)
+        elif index:  # x_i x_j puts its coefficient at (i, j) and (j, i), x_i^2 twice at (i, i)
+            i, j = index
+            hess[i, j] += float(coeff)
+            hess[j, i] += float(coeff)
     eigvals, eigvecs = np.linalg.eigh(hess)
     below = True
     above = True

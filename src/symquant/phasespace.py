@@ -328,12 +328,7 @@ class PolynomialObservable:
 
     def __mul__(self, other):
         if isinstance(other, PolynomialObservable):
-            out: dict[Exponents, object] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    expo = tuple(a + b for a, b in zip(e1, e2))
-                    out[expo] = out.get(expo, 0) + c1 * c2
-            return PolynomialObservable(out)
+            return PolynomialObservable(_contract((self.terms,), ((1,),), (other.terms,)))
         return PolynomialObservable({e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -354,16 +349,7 @@ class PolynomialObservable:
 
     __hash__ = None  # unhashable: equality is semantic, not structural
 
-    # -- calculus -----------------------------------------------------------
-
-    def partial(self, index: int) -> "PolynomialObservable":
-        """Partial derivative with respect to coordinate `index`."""
-        if not 0 <= index < NVARS:
-            raise ValueError(f"coordinate index out of range: {index}")
-        return PolynomialObservable(_raw_partial(self.terms, index))
-
-    def gradient(self) -> tuple["PolynomialObservable", ...]:
-        return tuple(self.partial(i) for i in range(NVARS))
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence):
         """Evaluate at a length-4 point; exactness follows the inputs."""

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: brackets and
 derivatives along a linear flow are expanded with sympy, an exact scalar's
 canonical form is sympy's cancel(expand(c)), the flow is integrated with
-leapfrog, the admissible-space dimension is counted by exact enumeration, and
+leapfrog, the admissible-space dimension is counted by exact enumeration, a
+product of polynomials is the schoolbook loop over term pairs, a quadratic's
+boundedness is decided exactly from its values at unit points, and
 Gaussian moments come from closed forms cross-checked by direct trapezoid
 quadrature with analytic derivatives.  The same closed forms give the evolved
 Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 import json
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import NamedTuple
 
 import numpy as np
@@ -165,6 +167,56 @@ def bruteforce_admissible_dimension(a_rows, grid=(-2, -1, 0, 1, 2)) -> int:
             reduced.append(row)
             rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# polynomial products and boundedness of quadratics (oracles for the exact layer)
+# ---------------------------------------------------------------------------
+
+def polynomial_product(f_terms, g_terms) -> dict:
+    """The terms of f * g by the schoolbook loop over term pairs, each summed
+    coefficient in sympy's canonical form and zeros dropped."""
+    out = {}
+    for e1, c1 in f_terms.items():
+        for e2, c2 in g_terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, 0) + c1 * c2
+    out = {expo: canonical_scalar(c) for expo, c in out.items()}
+    return {expo: c for expo, c in out.items() if c != 0}
+
+
+def _as_fraction(c) -> Fraction:
+    """An int, Fraction, float or sympy Rational as the exact Fraction it is."""
+    return Fraction(int(c.p), int(c.q)) if isinstance(c, sp.Basic) else Fraction(c)
+
+
+def boundedness_label(terms) -> str:
+    """The label of a polynomial of degree <= 2, decided in exact arithmetic.
+
+    The Hessian and the slope at 0 are built by hand from the polynomial's
+    values at 0, +/-e_i and e_i + e_j.  It is bounded below exactly when the
+    Hessian is positive semidefinite (no principal minor is negative) and the
+    slope lies in the Hessian's range (appending it keeps the rank).
+    """
+    def value(point):
+        return sum(_as_fraction(c) * math.prod(Fraction(v) ** e for v, e in zip(point, expo))
+                   for expo, c in terms.items())
+
+    unit = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    f0, up = value((0,) * 4), [value(u) for u in unit]
+    down = [value(tuple(-v for v in u)) for u in unit]
+    lin = sp.Matrix([(a - b) / 2 for a, b in zip(up, down)])
+    hess = sp.Matrix(4, 4, lambda i, j: up[i] + down[i] - 2 * f0 if i == j else
+                     value(tuple(a + b for a, b in zip(unit[i], unit[j]))) - up[i] - up[j] + f0)
+
+    def below(h, slope):
+        return (all(h.extract(list(idx), list(idx)).det() >= 0
+                    for r in range(1, 5) for idx in combinations(range(4), r))
+                and h.rank() == h.row_join(slope).rank())
+
+    return {(True, True): "bounded", (True, False): "bounded-below",
+            (False, True): "bounded-above", (False, False): "unbounded"}[
+        below(hess, lin), below(-hess, -lin)]
 
 
 # ---------------------------------------------------------------------------

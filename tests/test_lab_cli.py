@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -36,6 +37,7 @@ from symquant import (
     scenario_from_dict,
     standard_pairs,
 )
+import symquant
 from symquant import lab, quantum
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
@@ -478,6 +480,30 @@ def test_lab_imports_no_private_name_from_quantum_or_flow():
     assert private == []
 
 
+def test_public_api_takes_no_tol():
+    # a tolerance with one value in use is a module constant, so no public
+    # function, constructor or method takes a `tol` to set it
+    callables = []
+    for name in symquant.__all__:
+        obj = getattr(symquant, name)
+        if inspect.isclass(obj):
+            callables += [(f"{name}.{attr}", getattr(obj, attr)) for attr in dir(obj)
+                          if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))]
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            callables.append((name, obj))
+    knobs = []
+    for name, obj in callables:
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # an exception type and its builtin methods have no signature
+            continue
+        knobs += [name for param in params if param == "tol"]
+    walked = {name for name, _ in callables}
+    assert {"InverseFormBasis.contains", "OperatorExpr.equals", "OperatorExpr.commutes_with",
+            "scenario_from_dict", "GridSpec"} <= walked
+    assert knobs == []
+
+
 def test_readme_python_examples_run(capsys):
     # every python block of README.md runs as written, so an example cannot
     # call a name the library no longer has
@@ -667,6 +693,42 @@ def test_commutator_bound_is_relative_to_the_table():
     result = next(r for r in run_checks(scn).results if r.name == "commutators")
     assert result.status == "pass"
     assert float(result.detail.split()[-1]) > 1e-8
+
+
+def _scaled_commutators(m: float) -> lab.CheckResult:
+    # the grid and the packet in oscillator units, at omega = hbar = 1
+    ref = PhysParams(m, 1.0).sigma_ref
+    packet = {"center": [0.3 * ref, -0.2 * ref], "wavevector": [0.5 / ref, -0.4 / ref],
+              "sigma": 0.6 * ref}
+    scn = _small_scenario(m=m, omega=1.0, hbar=1.0, schemes=[0, 1, 2, 3], packet=packet,
+                          grid={"L": 8 * ref, "N": 64},
+                          checks={name: name == "commutators" for name in lab.CHECK_NAMES})
+    return next(r for r in run_checks(scn).results if r.name == "commutators")
+
+
+_MASS_DECADES = [10.0 ** e for e in range(-12, 13)]
+
+
+def test_commutator_bound_scales_with_each_pair():
+    # the roundoff on [d_x, d_y] and [x, y] scales as m omega / hbar and
+    # hbar / (m omega); against 1e-8 max(1, max|T|) the group failed at every
+    # m >= 1e7 (7.1e-6 at 1e7) and every m <= 1e-9 (7.1e-4 at 1e-9)
+    assert [_scaled_commutators(m).status for m in _MASS_DECADES] == ["pass"] * 25
+
+
+def test_commutator_bound_catches_a_sign_at_every_scale(monkeypatch):
+    # scheme 1 with its p_y row negated puts -i hbar where [x, p_y] = i hbar
+    def flipped(sid, params):
+        s = quantum.scheme(sid, params)
+        if sid != 1:
+            return s
+        rows = s.assignment.copy()
+        rows[OBSERVABLES.index("p_y")] *= -1
+        return replace(s, assignment=rows)
+
+    monkeypatch.setattr(lab, "scheme", flipped)
+    results = [_scaled_commutators(m) for m in _MASS_DECADES]
+    assert {(r.status, r.detail) for r in results} == {("fail", "max deviation 2.000e+00")}
 
 
 def test_coarse_grid_downgrades_to_warning():

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from symquant import (
     LinearVectorField,
+    PolynomialObservable,
     admissible_inverse_forms,
     classify_boundedness,
     complete_pair,
@@ -25,7 +27,8 @@ from symquant import (
     verify_pair,
 )
 from symquant import pairs, phasespace
-from oracles import bruteforce_admissible_dimension, poly_to_sympy, sympy_bracket
+from oracles import (boundedness_label, bruteforce_admissible_dimension, poly_to_sympy,
+                     polynomial_product, sympy_bracket)
 
 THO = oscillator_field(1, 1)
 FORMS = standard_forms(1, 1)
@@ -269,6 +272,50 @@ def test_boundedness_labels():
 def test_boundedness_rejects_cubics():
     with pytest.raises(ValueError):
         classify_boundedness(X * X * X)
+
+
+_M = sp.Symbol("m", positive=True)
+# each kind of coefficient, from an int k; thirds are not dyadic, so a Fraction
+# or sympy coefficient is rounded where classify_boundedness reads it
+_KINDS = {"int": int, "Fraction": lambda k: Fraction(k, 3), "float": lambda k: k / 2,
+          "sympy": lambda k: sp.Rational(k, 3), "symbol": lambda k: k * _M}
+_UNIT = st.tuples(*[st.integers(-1, 1)] * 4)
+
+
+@st.composite
+def _quadratics(draw, kinds=tuple(_KINDS)):
+    """(1/2) x^T S x + l.x + c with coefficients of one drawn kind.
+
+    S = 2 sum_k d_k v_k v_k^T over at most four directions v_k, with weights
+    d_k of one sign or of both, so S is often semidefinite with flat
+    directions; l is S u, in the range of S, plus half the time a w that
+    mostly leaves it.
+    """
+    make = _KINDS[draw(st.sampled_from(kinds))]
+    vecs = draw(st.lists(_UNIT, max_size=4))
+    signs = draw(st.sampled_from(((1,), (-1,), (1, -1))))
+    s = np.zeros((4, 4), dtype=int)
+    for v in vecs:
+        s += 2 * draw(st.sampled_from(signs)) * draw(st.integers(1, 2)) * np.outer(v, v)
+    lin = s @ draw(_UNIT) + np.array(draw(st.sampled_from([(0,) * 4, draw(_UNIT)])))
+    terms = {(0,) * 4: draw(st.integers(-2, 2))}
+    for i in range(4):
+        terms[tuple(int(k == i) for k in range(4))] = lin[i]
+        for j in range(i, 4):
+            terms[tuple(int(k == i) + int(k == j) for k in range(4))] = s[i, j] // (1 + (i == j))
+    return PolynomialObservable({e: make(int(k)) for e, k in terms.items() if k})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadratics(kinds=("int", "Fraction", "float", "sympy")))
+def test_boundedness_matches_the_exact_hessian_oracle(hamiltonian):
+    assert classify_boundedness(hamiltonian) == boundedness_label(hamiltonian.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quadratics(), _quadratics())
+def test_product_matches_the_term_loop_oracle(f, g):
+    assert (f * g).terms == polynomial_product(f.terms, g.terms)
 
 
 # ---------------------------------------------------------------------------
