@@ -49,7 +49,6 @@ from .operators import (
     GaussianPacket,
     GridSpec,
     LocalizationWarning,
-    OperatorExpr,
     Primitive,
     WaveFunction,
 )
@@ -65,7 +64,6 @@ from .quantum import (
     ground_packet,
     heisenberg_moments,
     kernel_overlap,
-    quantize_observable,
     scheme,
     two_time_commutator,
     uncertainty_bound,

@@ -1,26 +1,20 @@
-"""Grid wavefunctions, the four primitive grid actions, and symbolic operators.
+"""Grid wavefunctions and the four primitive grid actions.
 
 The primitives are multiply-by-x, multiply-by-y, d/dx and d/dy; each acts on
 a field on its own (`_apply_primitive`).  Derivatives are evaluated spectrally
 with the periodic FFT convention, which is accurate to roundoff for states that
-decay below ~1e-13 of their peak at the grid boundary.
-
-Operator expressions are linear combinations of ordered products of the
-primitives and the identity (the empty product), factors acting right to
-left.  They are symbolic: the Weyl-algebra normal form (all multiplications
-moved left of derivatives via d_x x = x d_x + 1) gives an exact calculus on
-them, and equality, zero tests and commutation checks never touch a grid.
+decay below ~1e-13 of their peak at the grid boundary.  A quadratic operator
+is a 4 x 4 matrix over the primitives (`quantum._generator_matrix`), so no
+operator type is needed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -29,8 +23,6 @@ import numpy as np
 # fields; measured at N = 512 and 1024), so this cap keeps a grid's peak
 # memory near a 2 GiB budget: 144 * 3840**2 bytes = 1.98 GiB
 MAX_POINTS = 3840
-
-_EXACT_TOL = 1e-12  # of the operands' coefficient scale, in OperatorExpr.equals and commutes_with
 
 
 class LocalizationWarning(UserWarning):
@@ -176,113 +168,6 @@ def _apply_primitive(p: Primitive, values: np.ndarray, grid: GridSpec) -> np.nda
     if p is Primitive.DX:
         return _spectral_derivative(values, grid, axis=0)
     return _spectral_derivative(values, grid, axis=1)
-
-
-class OperatorExpr:
-    """Complex linear combination of ordered products of primitives."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[complex, tuple[Primitive, ...]]] = ()):
-        merged: dict[tuple[Primitive, ...], complex] = {}
-        for coeff, prod in terms:
-            prod = tuple(prod)
-            merged[prod] = merged.get(prod, 0j) + complex(coeff)
-        object.__setattr__(self, "terms",
-                           tuple((c, p) for p, c in merged.items() if c != 0))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("OperatorExpr is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls) -> "OperatorExpr":
-        return cls([(1.0, ())])
-
-    @classmethod
-    def primitive(cls, p: Primitive) -> "OperatorExpr":
-        return cls([(1.0, (p,))])
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return OperatorExpr(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr([(-c, p) for c, p in self.terms])
-
-    def __mul__(self, scalar) -> "OperatorExpr":
-        if isinstance(scalar, OperatorExpr):
-            return NotImplemented
-        return OperatorExpr([(c * complex(scalar), p) for c, p in self.terms])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        """Operator composition: (A @ B) psi = A(B psi)."""
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return OperatorExpr([(c1 * c2, p1 + p2)
-                             for c1, p1 in self.terms for c2, p2 in other.terms])
-
-    # -- exact symbolic calculus ---------------------------------------------
-
-    def normal_form(self) -> dict[tuple[int, int, int, int], complex]:
-        """Coefficients on the normally ordered basis x^a y^b d_x^c d_y^d."""
-        total: dict[tuple[int, int, int, int], complex] = {}
-        for coeff, prod in self.terms:
-            mono = {(0, 0, 0, 0): coeff}
-            for p in prod:
-                nxt: dict[tuple[int, int, int, int], complex] = {}
-                for (a, b, c, d), v in mono.items():
-                    if p is Primitive.X:
-                        _acc(nxt, (a + 1, b, c, d), v)
-                        if c:
-                            _acc(nxt, (a, b, c - 1, d), v * c)
-                    elif p is Primitive.Y:
-                        _acc(nxt, (a, b + 1, c, d), v)
-                        if d:
-                            _acc(nxt, (a, b, c, d - 1), v * d)
-                    elif p is Primitive.DX:
-                        _acc(nxt, (a, b, c + 1, d), v)
-                    else:
-                        _acc(nxt, (a, b, c, d + 1), v)
-                mono = nxt
-            for key, v in mono.items():
-                _acc(total, key, v)
-        return {k: v for k, v in total.items() if v != 0}
-
-    def equals(self, other: "OperatorExpr") -> bool:
-        return _negligible(self - other, self, other, max)
-
-    def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
-        return self @ other - other @ self
-
-    def commutes_with(self, other: "OperatorExpr") -> bool:
-        return _negligible(self.commutator(other), self, other, operator.mul)
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({c:.6g})*" + ("*".join(p.value for p in prod) if prod else "1")
-            for c, prod in self.terms)
-        return f"OperatorExpr[{body or '0'}]"
-
-
-def _acc(table: dict, key, value):
-    table[key] = table.get(key, 0j) + value
-
-
-def _negligible(expr: OperatorExpr, a: OperatorExpr, b: OperatorExpr, combine) -> bool:
-    """Every normal-form coefficient of expr is at most _EXACT_TOL max(1, combine(|a|, |b|)),
-    where |.| is the sum of an operand's |coefficients|."""
-    bound = _EXACT_TOL * max(1.0, combine(*(sum(abs(c) for c, _ in op.terms) for op in (a, b))))
-    return all(abs(v) <= bound for v in expr.normal_form().values())
 
 
 # the periodic seam puts a commutator residual of at most about

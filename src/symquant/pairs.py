@@ -175,20 +175,27 @@ def verify_pair(pair: HamiltonianPair,
     return tuple(residuals)
 
 
+def _derivatives_at_zero(f: PolynomialObservable, number=float) -> tuple[np.ndarray, np.ndarray]:
+    """(Hessian, slope) of a degree <= 2 polynomial at 0, read off its terms as
+    arrays of `number` (float or complex); the constant term is not read."""
+    hess = np.zeros((NVARS, NVARS), dtype=number)
+    lin = np.zeros(NVARS, dtype=number)
+    for expo, coeff in f.terms.items():
+        index = [i for i, e in enumerate(expo) for _ in range(e)]
+        if len(index) == 1:
+            lin[index[0]] = number(coeff)
+        elif index:  # x_i x_j puts its coefficient at (i, j) and (j, i), x_i^2 twice at (i, i)
+            i, j = index
+            hess[i, j] += number(coeff)
+            hess[j, i] += number(coeff)
+    return hess, lin
+
+
 def classify_boundedness(hamiltonian: PolynomialObservable) -> str:
     """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2."""
     if hamiltonian.degree > 2:
         raise ValueError("only observables of degree <= 2 are classified")
-    hess = np.zeros((NVARS, NVARS))
-    lin = np.zeros(NVARS)
-    for expo, coeff in hamiltonian.terms.items():  # the derivatives at 0, read off the terms
-        index = [i for i, e in enumerate(expo) for _ in range(e)]
-        if len(index) == 1:
-            lin[index[0]] = float(coeff)
-        elif index:  # x_i x_j puts its coefficient at (i, j) and (j, i), x_i^2 twice at (i, i)
-            i, j = index
-            hess[i, j] += float(coeff)
-            hess[j, i] += float(coeff)
+    hess, lin = _derivatives_at_zero(hamiltonian)
     eigvals, eigvecs = np.linalg.eigh(hess)
     below = True
     above = True

@@ -20,7 +20,6 @@ arbiter):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -31,13 +30,12 @@ from .flow import flow_jacobian
 from .operators import (
     GaussianPacket,
     GridSpec,
-    OperatorExpr,
     Primitive,
     WaveFunction,
     _apply_primitive,
     check_localized,
 )
-from .pairs import PAIR_INDEX, bracket_matrices, standard_hamiltonians
+from .pairs import PAIR_INDEX, _derivatives_at_zero, bracket_matrices, standard_hamiltonians
 from .phasespace import COORD_NAMES, PhysParams, PolynomialObservable
 
 OBSERVABLES = COORD_NAMES
@@ -107,11 +105,34 @@ def _act(row: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _unit_scaled(psi: WaveFunction) -> tuple[WaveFunction, np.ndarray]:
+    """psi on its grid scaled by f = 2^-e to a half-width in [0.5, 1), with the field
+    divided by f so it stays normalized, and w = (f, f, 1/f, 1/f): the scaled P_a is
+    w_a P_a.
+
+    Scaling by a power of two is exact while no number is subnormal or overflows,
+    so grid work on the scaled field gives the same bits, and at the ends of the
+    float range (m omega / hbar = 1e+/-200) it gives the right ones: on the
+    field in absolute units its squares and sums under- or overflow.
+    """
+    half_width, e = math.frexp(psi.grid.half_width)
+    f, inverse = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    scaled = WaveFunction(GridSpec(half_width, psi.grid.points), psi.values * inverse)
+    return scaled, np.array([f, f, inverse, inverse])
+
+
 def _primitive_gram(psi: WaveFunction) -> np.ndarray:
-    """Gram matrix of psi, P_1 psi, ..., P_4 psi; it does not depend on the scheme."""
-    vectors = [psi.values] + [_apply_primitive(p, psi.values, psi.grid) for p in PRIMITIVES]
-    h = psi.grid.spacing
-    return np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h
+    """Gram matrix of psi, P_1 psi, ..., P_4 psi; it does not depend on the scheme.
+
+    It is formed on `_unit_scaled`'s field and unscaled exactly, by w_a w_b with w_0 = 1.
+    """
+    scaled, w = _unit_scaled(psi)
+    grid, values = scaled.grid, scaled.values
+    vectors = [values] + [_apply_primitive(p, values, grid) for p in PRIMITIVES]
+    h = grid.spacing
+    weights = np.concatenate(([1.0], w))
+    return np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h \
+        / weights[:, None] / weights[None, :]
 
 
 def _fundamental_moments(s: QuantizationScheme, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +192,15 @@ def commutator_table_check(schemes: Sequence[QuantizationScheme],
     one `CommutatorCheck` per scheme.
 
     With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
-    the six primitive commutators of psi (`_primitive_commutators`) serve every
+    the six primitive commutators of psi (`_primitive_commutators`, on
+    `_unit_scaled`'s field, each coefficient divided by w_a w_b) serve every
     scheme: each pair's residual sums the nonzero coefficients' fields and
     subtracts T_ij psi where T_ij is nonzero.  Localization is decided once:
     `localized` is False, with one `LocalizationWarning`, when psi's boundary
     magnitude reaches `check_localized`'s threshold.
     """
     localized = check_localized(psi, action="commutator table check")
+    psi, w = _unit_scaled(psi)
     fields = _primitive_commutators(psi)
     norm, h = psi.norm(), psi.grid.spacing
     checks = []
@@ -188,10 +211,14 @@ def commutator_table_check(schemes: Sequence[QuantizationScheme],
             for (a, b), field in fields.items():
                 coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
                 if coeff != 0:
-                    diff = diff + coeff * field
+                    diff = diff + coeff / w[a] / w[b] * field
             if s.commutators[i, j] != 0:
                 diff = diff - s.commutators[i, j] * psi.values
-            dev = float(np.sqrt(np.sum(np.abs(diff) ** 2) * h * h)) / norm
+            # the residual in units of a power of two near its largest entry, so its
+            # squares neither overflow nor vanish; the norm is unscaled exactly
+            mag = np.abs(diff)
+            unit = math.ldexp(1.0, math.frexp(mag.max())[1])
+            dev = float(np.sqrt(np.sum((mag / unit) ** 2) * h * h) * unit) / norm
             devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
         checks.append(CommutatorCheck(max_deviation=max(devs.values()),
                                       deviations=devs, localized=localized))
@@ -237,38 +264,6 @@ def kernel_overlap(s: QuantizationScheme, x: float, y: float,
     return complex(np.exp(1j * exponent / hb) / (2.0 * math.pi * hb))
 
 
-def _monomial_operator(s: QuantizationScheme, expo: tuple[int, int, int, int]) -> OperatorExpr:
-    """The monomial's fundamentals, each built from its assignment row, multiplied
-    in OBSERVABLES order; two that do not commute give the half-sum of both orders."""
-    factors = []
-    for row, e in zip(s.assignment, expo):
-        factors.extend([OperatorExpr((c, (p,)) for c, p in zip(row, PRIMITIVES))] * e)
-    if not factors:
-        return OperatorExpr.identity()
-    if len(factors) == 1:
-        return factors[0]
-    a, b = factors
-    if a is b or a.commutes_with(b):
-        return a @ b
-    return 0.5 * (a @ b + b @ a)
-
-
-def quantize_observable(s: QuantizationScheme,
-                        f: PolynomialObservable) -> OperatorExpr:
-    """Promote a degree <= 2 classical observable to an operator expression.
-
-    Fundamental assignments are substituted monomial by monomial; when the two
-    factors of a mixed quadratic monomial fail to commute under the scheme, the
-    symmetrized half-sum of both orderings is used.
-    """
-    if f.degree > 2:
-        raise ValueError("degree > 2 unsupported")
-    total = OperatorExpr()
-    for expo in sorted(f.terms):
-        total = total + complex(f.terms[expo]) * _monomial_operator(s, expo)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # unitary evolution: every quantized generator is metaplectic, so its
 # propagator is a product of phases diagonal on the grid or in its DFT
@@ -278,41 +273,38 @@ def _generator_polynomial(s: QuantizationScheme) -> PolynomialObservable:
     return standard_hamiltonians(s.params.m, s.params.omega)[s.id]
 
 
-# relative slack within which a normal form's coefficients fit a closed form
+# relative slack within which a generator matrix's entries fit a closed form
 _FIT = 1e-12
+# the entries of M that x d_y and y d_x occupy, (x, d_y) and (y, d_x), and their mirrors
+_ROTATION = ([0, 1, 2, 3], [3, 2, 1, 0])
 
 
-def _chirp_route(nf: Mapping, hbar: float, grid: GridSpec):
+def _chirp_route(gen: np.ndarray, hbar: float, grid: GridSpec):
     """(omega, step) for S = V(q) + K(d), V and K real quadratics whose blocks A B = omega^2 I.
 
-    V = q^T A q / 2 is S's pure-position part and K, its pure-derivative part
-    at d = i k, is hbar^2 k^T B k / 2.  `step(phi)` advances by omega t = phi
-    as C F C: C multiplies by exp(-i tan(phi/2) V/(hbar omega)) and F the DFT
-    by exp(-i sin(phi) K/(hbar omega)), the lower-upper-lower shear
-    factorization of the phase-space rotation (Koc, Ozaktas, Candan & Kutay,
-    IEEE Trans. Signal Process. 56, 2383, 2008).  None when nf has another
-    shape, an imaginary part (S is not Hermitian) or blocks whose product is
-    not a positive multiple of I.
+    V = q^T A q / 2 with A = M[:2, :2] is S's position part, and K, its
+    derivative part d^T M[2:, 2:] d / 2 at d = i k, is hbar^2 k^T B k / 2 with
+    B = -M[2:, 2:] / hbar^2.  `step(phi)` advances by omega t = phi as C F C:
+    C multiplies by exp(-i tan(phi/2) V/(hbar omega)) and F the DFT by
+    exp(-i sin(phi) K/(hbar omega)), the lower-upper-lower shear factorization
+    of the phase-space rotation (Koc, Ozaktas, Candan & Kutay, IEEE Trans.
+    Signal Process. 56, 2383, 2008).  None when M pairs a coordinate with a
+    derivative, has an imaginary part (S is not Hermitian) or has blocks whose
+    product is not a positive multiple of I.
     """
-    if any(c or d if a + b == 2 else a or b or c + d != 2 for a, b, c, d in nf) \
-            or any(abs(c.imag) > _FIT * abs(c) for c in nf.values()):
+    if gen[:2, 2:].any() or np.any(np.abs(gen.imag) > _FIT * np.abs(gen)):
         return None
-    coef = {key: c.real for key, c in nf.items()}
-    pos = np.array([[2 * coef.get((2, 0, 0, 0), 0.0), coef.get((1, 1, 0, 0), 0.0)],
-                    [coef.get((1, 1, 0, 0), 0.0), 2 * coef.get((0, 2, 0, 0), 0.0)]])
-    mom = np.array([[2 * coef.get((0, 0, 2, 0), 0.0), coef.get((0, 0, 1, 1), 0.0)],
-                    [coef.get((0, 0, 1, 1), 0.0), 2 * coef.get((0, 0, 0, 2), 0.0)]]) / -hbar / hbar
+    pos, mom = gen.real[:2, :2], gen.real[2:, 2:] / -hbar / hbar
     prod = pos @ mom
     omega2 = (prod[0, 0] + prod[1, 1]) / 2.0
     if not (omega2 > 0 and max(abs(prod[0, 1]), abs(prod[1, 0]), abs(prod[0, 0] - prod[1, 1]))
             <= _FIT * omega2):
         return None
     omega = math.sqrt(omega2)
-    xg, yg = grid.meshgrid()
-    kx, ky = np.meshgrid(1j * grid.wavenumbers(), 1j * grid.wavenumbers(), indexing="ij")
-    potential = sum(c * xg ** a * yg ** b for (a, b, _, _), c in coef.items() if a + b)
-    kinetic = sum((c * kx ** c_x * ky ** c_y).real
-                  for (a, b, c_x, c_y), c in coef.items() if not a + b)
+    q = np.array(grid.meshgrid())
+    k = np.array(np.meshgrid(grid.wavenumbers(), grid.wavenumbers(), indexing="ij"))
+    potential = np.einsum("i...,ij,j...->...", q, pos, q) / 2.0
+    kinetic = np.einsum("i...,ij,j...->...", k, gen.real[2:, 2:], k) / -2.0
 
     def step(phi):
         chirp = np.exp(-1j * math.tan(phi / 2.0) / (hbar * omega) * potential)
@@ -321,21 +313,21 @@ def _chirp_route(nf: Mapping, hbar: float, grid: GridSpec):
     return omega, step
 
 
-def _shear_route(nf: Mapping, hbar: float, grid: GridSpec):
-    """(omega, step) for S = c (x d_y - y d_x) with c imaginary: S turns the plane by omega t,
-    U(t) psi(q) = psi(R(omega t) q), for omega = Im c / hbar.
+def _shear_route(gen: np.ndarray, hbar: float, grid: GridSpec):
+    """(omega, step) for S = c (x d_y - y d_x) with c = M[0, 3] = -M[1, 2] imaginary:
+    S turns the plane by omega t, U(t) psi(q) = psi(R(omega t) q), for omega = Im c / hbar.
 
     `step(phi)` turns by phi with three 1-D FFT shears, x by -tan(phi/2), y
     by sin(phi), x by -tan(phi/2) (Unser, Thevenaz & Yaroslavsky, IEEE Trans.
     Image Process. 4, 1371, 1995); a shear of x by a moves each column y_j by
-    a y_j, a phase exp(i k a y_j) on its DFT.  None when nf has another shape
-    or a real part (S is not Hermitian).
+    a y_j, a phase exp(i k a y_j) on its DFT.  None when M has another entry,
+    a zero c or a real part (S is not Hermitian).
     """
-    if set(nf) != {(1, 0, 0, 1), (0, 1, 1, 0)}:
-        return None
-    c = (nf[1, 0, 0, 1] - nf[0, 1, 1, 0]) / 2.0
-    # the two terms may differ from c and -c by roundoff, the real parts included
-    if abs(nf[1, 0, 0, 1] - c) > _FIT * abs(c) or abs(c.real) > _FIT * abs(c):
+    off = gen.copy()
+    off[_ROTATION] = 0
+    c = (gen[0, 3] - gen[1, 2]) / 2.0
+    # the two entries may differ from c and -c by roundoff, the real parts included
+    if off.any() or c == 0 or abs(gen[0, 3] - c) > _FIT * abs(c) or abs(c.real) > _FIT * abs(c):
         return None
     k_q = np.outer(grid.wavenumbers(), grid.axis())  # k_i q_j, for the x shear; .T for the y shear
 
@@ -351,23 +343,38 @@ def _shear_route(nf: Mapping, hbar: float, grid: GridSpec):
     return c.imag / hbar, step
 
 
+def _generator_matrix(s: QuantizationScheme) -> np.ndarray:
+    """M = A^T (Hess H) A, the scheme's quantized generator S = (1/2) sum_ab M_ab P_a P_b,
+    Weyl-ordered, for its assignment A and its Hamiltonian H.
+
+    Every generator is quadratic, so its quantization is its symmetric matrix
+    over the primitives (the metaplectic picture; Littlejohn, Phys. Rep. 138,
+    193, 1986).  A generator with a term of another degree raises ValueError.
+    """
+    generator = _generator_polynomial(s)
+    if any(sum(expo) != 2 for expo in generator.terms):
+        raise ValueError(f"no closed-form propagator for the generator {generator}")
+    hess, _ = _derivatives_at_zero(generator, complex)
+    return s.assignment.T @ hess @ s.assignment
+
+
 def _propagator(s: QuantizationScheme, grid: GridSpec):
     """evolve(values, t): exp(-i S t / hbar) applied to a field or a stack of fields.
 
-    S, the scheme's quantized generator, is normal-ordered once, and its
-    normal form alone picks the route: `_chirp_route` (S0-S2) or
-    `_shear_route` (S3); any other normal form raises ValueError.  Every
-    route's S has period 2 pi/omega, so omega t is reduced to (-pi, pi] and
-    taken in the fewest equal steps of at most pi/4 (at most 4); t = 0 takes
-    none.  A normal form or an omega t that is not finite raises ValueError.
+    S's matrix M (`_generator_matrix`) alone picks the route: `_chirp_route`
+    (S0-S2) or `_shear_route` (S3); an M neither route fits raises
+    ValueError.  Every route's S has period 2 pi/omega, so omega t is
+    reduced to (-pi, pi] and taken in the fewest equal steps of at most pi/4
+    (at most 4); t = 0 takes none.  An M or an omega t that is not finite
+    raises ValueError.
     """
     hbar = s.params.hbar
-    nf = quantize_observable(s, _generator_polynomial(s)).normal_form()
-    if not all(cmath.isfinite(c) for c in nf.values()):
-        raise ValueError("the quantized generator's normal form is not finite")
-    route = _chirp_route(nf, hbar, grid) or _shear_route(nf, hbar, grid)
+    gen = _generator_matrix(s)
+    if not np.isfinite(gen).all():
+        raise ValueError("the quantized generator's matrix is not finite")
+    route = _chirp_route(gen, hbar, grid) or _shear_route(gen, hbar, grid)
     if route is None:
-        raise ValueError(f"no closed-form propagator for the normal form {nf}")
+        raise ValueError(f"no closed-form propagator for the generator matrix {gen.tolist()}")
     omega, step = route
 
     def evolve(values: np.ndarray, t: float) -> np.ndarray:

@@ -16,7 +16,9 @@ The operator oracles build their operators for themselves.  Each is a
 tuple of (coefficient, word) terms over the primitives: the fundamentals from
 `_oracle_assignment`, the Heisenberg observables from `_combination`, the four
 generators quantized by hand, and the commutator tables, Robertson bounds and
-uncertainty pairs from W0-W3 transcribed by hand (`brackets`).  `apply` acts
+uncertainty pairs from W0-W3 transcribed by hand (`brackets`).  `normal_form`
+normal-orders an operator by hand, one axis at a time by Leibniz's rule,
+which backs the library's 4 x 4 generator matrices.  `apply` acts
 on a grid field with coordinates and FFT wavenumbers it forms from the grid's
 half-width and point count.  On these rest the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying each
@@ -41,6 +43,7 @@ also checked on generated columnar reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import json
 from fractions import Fraction
@@ -91,14 +94,11 @@ def canonical_scalar(c):
 
 
 def poly_to_sympy(poly) -> sp.Expr:
-    """Convert a terms mapping {(a,b,c,d): coeff} into a sympy expression."""
-    total = sp.Integer(0)
-    for expo, coeff in poly.terms.items():
-        term = sp.sympify(coeff)
-        for s, e in zip(PHASE_SYMBOLS, expo):
-            term *= s ** e
-        total += term
-    return sp.expand(total)
+    """Convert a terms mapping {(a,b,c,d): coeff} into a sympy expression; the sum
+    is built once, not rebuilt term by term."""
+    terms = [sp.sympify(coeff) * sp.Mul(*(s ** e for s, e in zip(PHASE_SYMBOLS, expo)))
+             for expo, coeff in poly.terms.items()]
+    return sp.expand(sp.Add(*terms))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,41 @@ def generator(sid: int, params) -> tuple:
     }[sid]
 
 
+def _axis_times(monomials: dict, factor: tuple[int, int]) -> dict:
+    """The normally ordered product of {(a, c): n} (x^a d^c) with one factor x^a2 d^c2 on
+    its right: d^c x^a2 = sum_k C(c, k) a2!/(a2 - k)! x^(a2 - k) d^(c - k), Leibniz's rule."""
+    a2, c2 = factor
+    out = {}
+    for (a, c), n in monomials.items():
+        for k in range(min(c, a2) + 1):
+            key = (a + a2 - k, c + c2 - k)
+            out[key] = out.get(key, 0) + n * math.comb(c, k) * math.perm(a2, k)
+    return out
+
+
+def normal_form(op) -> dict:
+    """op's coefficients on the normally ordered basis x^a y^b d_x^c d_y^d, zeros dropped.
+
+    The two axes' primitives commute, so each word splits into its x and its
+    y factors, each kept in order; along one axis the factors multiply in
+    integers by `_axis_times`, and the word's coefficient multiplies the two
+    axes' counts.
+    """
+    total = {}
+    for coeff, word in op:
+        axes = []
+        for coordinate, derivative in zip(_COORDINATE, _DERIVATIVE):
+            monomials = {(0, 0): 1}
+            for p in word:
+                if p in (coordinate, derivative):
+                    monomials = _axis_times(monomials, (1, 0) if p is coordinate else (0, 1))
+            axes.append(monomials)
+        for (a, c), n_x in axes[0].items():
+            for (b, d), n_y in axes[1].items():
+                total[a, b, c, d] = total.get((a, b, c, d), 0) + coeff * (n_x * n_y)
+    return {key: c for key, c in total.items() if c != 0}
+
+
 def brackets(sid: int, params) -> dict:
     """The nonzero {F_i, F_j}, i before j in OBSERVABLES, of W0-W3 transcribed by hand.
 
@@ -517,10 +552,18 @@ def evolved_packet(sid: int, packet, t: float, params) -> tuple:
     return tuple(center), tuple(wavevector)
 
 
-def _dense_exponential(mat: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-i scale mat) of a Hermitian dense matrix, by its eigendecomposition."""
-    evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return (evecs * np.exp(-1j * scale * evals)) @ evecs.conj().T
+@functools.lru_cache(maxsize=2)
+def _dense_eigensystem(op, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of a Hermitian operator's dense matrix on a grid; the two
+    parts of one generator are decomposed once for all the times they are asked."""
+    mat = dense_matrix(op, grid)
+    return np.linalg.eigh((mat + mat.conj().T) / 2.0)
+
+
+def _dense_exponential(op, grid, scale: float, values: np.ndarray) -> np.ndarray:
+    """exp(-i scale op) values = V (exp(-i scale Lambda) (V^dagger values)) for op = V Lambda V^dagger."""
+    evals, evecs = _dense_eigensystem(op, grid)
+    return evecs @ (np.exp(-1j * scale * evals) * (evecs.conj().T @ values))
 
 
 def dense_shear_evolve(generator, psi, t: float, omega: float, hbar: float) -> np.ndarray:
@@ -528,8 +571,9 @@ def dense_shear_evolve(generator, psi, t: float, omega: float, hbar: float) -> n
 
     The operator S = V + K must split into a position part V (products of X
     and Y) and a derivative part K (products of DX and DY), each materialized
-    densely and exponentiated by its eigendecomposition.  omega t is reduced to (-pi, pi]
-    and taken in the fewest equal steps phi of at most pi / 4, each step
+    densely and exponentiated by its eigendecomposition, computed once per
+    part and grid.  omega t is reduced to (-pi, pi] and taken in the fewest
+    equal steps phi of at most pi / 4, each step
     exp(-i a V) exp(-i b K) exp(-i a V) with a = tan(phi/2) / (hbar omega) and
     b = sin(phi) / (hbar omega).  On any grid this is the grid's own shear
     product, whether or not the grid resolves psi.
@@ -543,13 +587,11 @@ def dense_shear_evolve(generator, psi, t: float, omega: float, hbar: float) -> n
     values = psi.values.ravel()
     if steps:
         phi = theta / steps
-        chirp = _dense_exponential(dense_matrix(potential, psi.grid),
-                                   math.tan(phi / 2.0) / (hbar * omega))
-        spectral = _dense_exponential(dense_matrix(kinetic, psi.grid),
-                                      math.sin(phi) / (hbar * omega))
-        step = chirp @ spectral @ chirp
+        a, b = math.tan(phi / 2.0) / (hbar * omega), math.sin(phi) / (hbar * omega)
         for _ in range(steps):
-            values = step @ values
+            values = _dense_exponential(potential, psi.grid, a, values)
+            values = _dense_exponential(kinetic, psi.grid, b, values)
+            values = _dense_exponential(potential, psi.grid, a, values)
     return values.reshape(psi.values.shape)
 
 

@@ -499,8 +499,7 @@ def test_public_api_takes_no_tol():
             continue
         knobs += [name for param in params if param == "tol"]
     walked = {name for name, _ in callables}
-    assert {"InverseFormBasis.contains", "OperatorExpr.equals", "OperatorExpr.commutes_with",
-            "scenario_from_dict", "GridSpec"} <= walked
+    assert {"InverseFormBasis.contains", "scenario_from_dict", "GridSpec"} <= walked
     assert knobs == []
 
 
@@ -729,6 +728,55 @@ def test_commutator_bound_catches_a_sign_at_every_scale(monkeypatch):
     monkeypatch.setattr(lab, "scheme", flipped)
     results = [_scaled_commutators(m) for m in _MASS_DECADES]
     assert {(r.status, r.detail) for r in results} == {("fail", "max deviation 2.000e+00")}
+
+
+def _oscillator_units_cli(m: float, argv: list[str], tmp_path, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a command on the scenario in oscillator units at
+    omega = hbar = 1: grid L = 8 sigma_ref, N = 64, packet centre (0.3, -0.2) sigma_ref,
+    wavevector (0.5, -0.4) / sigma_ref and sigma 0.6 sigma_ref."""
+    ref = PhysParams(m, 1.0).sigma_ref
+    raw = default_scenario().to_dict()
+    raw.update(m=m, grid={"L": 8 * ref, "N": 64},
+               packet={"center": [0.3 * ref, -0.2 * ref], "wavevector": [0.5 / ref, -0.4 / ref],
+                       "sigma": 0.6 * ref})
+    scn_path = tmp_path / f"scn-{m}.json"
+    scn_path.write_text(json.dumps(raw))
+    code = main([*argv, "--scenario", str(scn_path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-200, 1e200, 1e300])
+def test_run_in_oscillator_units_is_the_unit_mass_run_scaled(m, tmp_path, capsys):
+    # the grid work is done on a grid of half-width in [0.5, 1), so at
+    # m = 1e+/-200 and 1e+/-300 no square or sum of the field under- or
+    # overflows; each cell in oscillator units (sigma_ref for a coordinate,
+    # 1/sigma_ref for a momentum, their squares for a variance) is the m = 1
+    # cell within 4e-15 max(1, |cell|) (measured at most 4.4e-16)
+    argv = ["run", "--format", "csv", "--no-timestamp"]
+    code, out, err = _oscillator_units_cli(m, argv, tmp_path, capsys)
+    assert (code, err) == (0, "")
+    unit_code, unit_out, _ = _oscillator_units_cli(1.0, argv, tmp_path, capsys)
+    assert unit_code == 0
+    ref = PhysParams(m, 1.0).sigma_ref
+    lines, unit_lines = out.splitlines(), unit_out.splitlines()
+    assert len(lines) == len(unit_lines) == 1 + 4 * 4 * 3
+    for line, unit_line in zip(lines[1:], unit_lines[1:]):
+        cell, unit_cell = line.split(","), unit_line.split(",")
+        assert cell[:3] == unit_cell[:3]
+        size = ref if cell[1] in ("x", "y") else 1.0 / ref
+        for k, scale in ((3, size), (4, size), (5, size * size)):
+            expected = float(unit_cell[k])
+            assert abs(float(cell[k]) / scale - expected) <= 4e-15 * max(1.0, abs(expected)), line
+
+
+@pytest.mark.parametrize("m", [1e-200, 1e200])
+def test_check_in_oscillator_units_passes_at_extreme_masses(m, tmp_path, capsys):
+    # at the parent the commutator group overflowed squaring its residuals,
+    # with a RuntimeWarning, and the uncertainty group read overflowed moments
+    code, out, err = _oscillator_units_cli(m, ["check"], tmp_path, capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(":")[1].split()[0] for line in out.splitlines()] == ["pass"] * 6
 
 
 def test_coarse_grid_downgrades_to_warning():
@@ -1104,8 +1152,8 @@ def test_cli_run_accepts_a_small_mass(tmp_path, capsys):
 
 
 def test_cli_check_at_an_overflowing_hbar_is_a_config_error(tmp_path, capsys):
-    # hbar^2 overflows, where the unitary group's generator had no finite
-    # normal form; the domain gate rejects it before any group runs
+    # hbar^2 overflows, where the unitary group's generator has no finite
+    # matrix; the domain gate rejects it before any group runs
     raw = default_scenario().to_dict()
     raw["hbar"] = 1e300
     raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}

@@ -1,4 +1,4 @@
-"""Grid wavefunctions, spectral primitives, and the operator normal form."""
+"""Grid wavefunctions, spectral primitives, and the normal-ordering oracle."""
 
 import ast
 import math
@@ -11,20 +11,16 @@ from symquant import (
     GaussianPacket,
     GridSpec,
     LocalizationWarning,
-    OperatorExpr,
     PhysParams,
     Primitive,
     WaveFunction,
 )
 from symquant.operators import MAX_POINTS, _apply_primitive, check_localized
 import oracles
-from oracles import apply, dense_matrix
+from oracles import apply, dense_matrix, normal_form
 
 GRID = GridSpec(half_width=8.0, points=128)
-X_OP = OperatorExpr.primitive(Primitive.X)
-Y_OP = OperatorExpr.primitive(Primitive.Y)
-DX = OperatorExpr.primitive(Primitive.DX)
-DY = OperatorExpr.primitive(Primitive.DY)
+X, Y, DX, DY = Primitive.X, Primitive.Y, Primitive.DX, Primitive.DY
 
 
 def _l2(values, grid):
@@ -139,44 +135,48 @@ def test_application_is_linear():
 
 
 # ---------------------------------------------------------------------------
-# normal form and symbolic commutation
+# the normal-ordering oracle: words over the primitives, factors acting right
+# to left, on the basis x^a y^b d_x^c d_y^d
 # ---------------------------------------------------------------------------
 
+def _commutator(p, q):
+    return ((1.0, (p, q)), (-1.0, (q, p)))
+
+
 def test_normal_form_reorders_derivative_past_multiplication():
-    assert (DX @ X_OP).normal_form() == {(1, 0, 1, 0): 1.0, (0, 0, 0, 0): 1.0}
-    assert (X_OP @ DX).normal_form() == {(1, 0, 1, 0): 1.0}
+    assert normal_form(((1.0, (DX, X)),)) == {(1, 0, 1, 0): 1.0, (0, 0, 0, 0): 1.0}
+    assert normal_form(((1.0, (X, DX)),)) == {(1, 0, 1, 0): 1.0}
 
 
 def test_normal_form_handles_powers():
-    op = DX @ DX @ X_OP  # d^2/dx^2 (x .) = x d^2/dx^2 + 2 d/dx
-    assert op.normal_form() == {(1, 0, 2, 0): 1.0, (0, 0, 1, 0): 2.0}
+    # d^2/dx^2 (x .) = x d^2/dx^2 + 2 d/dx
+    assert normal_form(((1.0, (DX, DX, X)),)) == {(1, 0, 2, 0): 1.0, (0, 0, 1, 0): 2.0}
 
 
 def test_cross_axis_primitives_commute():
-    assert X_OP.commutes_with(DY)
-    assert Y_OP.commutes_with(DX)
-    assert DX.commutes_with(DY)
-    assert X_OP.commutes_with(Y_OP)
-    assert not X_OP.commutes_with(DX)
+    for p, q in ((X, DY), (Y, DX), (DX, DY), (X, Y)):
+        assert normal_form(_commutator(p, q)) == {}
+    assert normal_form(_commutator(X, DX)) == {(0, 0, 0, 0): -1.0}
 
 
 def test_operator_equality_modulo_ordering():
-    lhs = X_OP @ DX + OperatorExpr.identity()
-    rhs = DX @ X_OP
-    assert lhs.equals(rhs)
-    assert not lhs.equals(rhs + OperatorExpr.identity())
+    # x d_x + 1 and d_x x have one normal form; adding 1 again does not
+    lhs = ((1.0, (X, DX)), (1.0, ()))
+    assert normal_form(lhs) == normal_form(((1.0, (DX, X)),))
+    assert normal_form(lhs + ((1.0, ()),)) != normal_form(((1.0, (DX, X)),))
 
 
-def test_composition_is_associative_on_grids():
+def test_normal_form_acts_as_the_word_on_grids():
+    # each normally ordered monomial, applied on the grid, gives what the word
+    # gives, to roundoff
     psi = GaussianPacket(center=(0.2, -0.1), wavevector=(0.5, 0.3),
                          sigma=0.75).sample(GRID)
-    # (A @ B) psi = A (B psi): the terms act right to left, as the primitives nest
-    a, b, c = X_OP, DY, DX
-    lhs = apply(((a @ b) @ c).terms, psi.values, GRID)
-    rhs = apply((a @ (b @ c)).terms, psi.values, GRID)
-    nested = _act(Primitive.X, _act(Primitive.DY, _act(Primitive.DX, psi.values)))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-    assert np.max(np.abs(lhs - nested)) <= 1e-12
+    for word in ((DX, X, DY, Y), (DX, DX, X, X), (Y, DY, DX, X)):
+        ordered = tuple((c, (X,) * a + (Y,) * b + (DX,) * cx + (DY,) * cy)
+                        for (a, b, cx, cy), c in normal_form(((1.0, word),)).items())
+        direct = apply(((1.0, word),), psi.values, GRID)
+        assert np.max(np.abs(apply(ordered, psi.values, GRID) - direct)) \
+            <= 1e-9 * np.max(np.abs(direct)), word
 
 
 # ---------------------------------------------------------------------------

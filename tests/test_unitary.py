@@ -8,15 +8,12 @@ import pytest
 from symquant import (
     GaussianPacket,
     GridSpec,
-    OperatorExpr,
     PhysParams,
-    Primitive,
     PolynomialObservable,
     conjugation_deviations,
     conjugation_probe,
     ground_packet,
     heisenberg_moments,
-    quantize_observable,
     scheme,
     standard_hamiltonians,
     unitary_evolve,
@@ -210,18 +207,13 @@ def test_an_unrecognised_generator_escapes_the_check_as_a_library_error(monkeypa
         lab._check_unitary(lab.default_scenario())
 
 
-def _generator(s):
-    return quantize_observable(s, quantum._generator_polynomial(s))
-
-
 def test_generators_multiply_only_grid_commuting_primitives():
-    # the propagator reads S's normal form; that equals S's written products
-    # on the grid only if no product pairs a coordinate with the derivative
-    # along its axis
-    same_axis = ({Primitive.X, Primitive.DX}, {Primitive.Y, Primitive.DY})
+    # S = (1/2) sum_ab M_ab P_a P_b is Weyl-ordered; the routes read M's
+    # blocks as the written products, which holds on the grid only if M pairs
+    # no coordinate with the derivative along its own axis
     for sid in range(4):
-        for _, prod in _generator(scheme(sid, P)).terms:
-            assert not any(pair <= set(prod) for pair in same_axis), (sid, prod)
+        gen = quantum._generator_matrix(scheme(sid, P))
+        assert gen[0, 2] == gen[2, 0] == gen[1, 3] == gen[3, 1] == 0, sid
 
 
 def test_propagator_applies_no_operator_expression(monkeypatch):
@@ -260,26 +252,15 @@ def test_conjugation_check_builds_one_propagator_per_scheme(monkeypatch):
     assert result.detail == "max conjugation deviation 2.799e-11"
 
 
-def test_each_generator_is_quantized_and_normal_ordered_once(monkeypatch):
-    # the route is read off the one normal form _propagator computes
-    generators, orderings = [], []
-    quantize, normal_form = quantum.quantize_observable, OperatorExpr.normal_form
-
-    def recorded_quantize(s, f):
-        generators.append(quantize(s, f))
-        return generators[-1]
-
-    def recorded_normal_form(self):
-        if any(self is op for op in generators):
-            orderings.append(self)
-        return normal_form(self)
-
-    monkeypatch.setattr(quantum, "quantize_observable", recorded_quantize)
-    monkeypatch.setattr(OperatorExpr, "normal_form", recorded_normal_form)
+def test_each_generator_matrix_is_built_once(monkeypatch):
+    # the route is read off the one matrix _propagator builds per scheme
+    built = []
+    generator_matrix = quantum._generator_matrix
+    monkeypatch.setattr(quantum, "_generator_matrix",
+                        lambda s: built.append(s.id) or generator_matrix(s))
     result = lab._check_unitary(lab.default_scenario())
     assert result.detail == "max conjugation deviation 2.799e-11"
-    assert len(generators) == 4
-    assert len(orderings) == 4 and all(a is b for a, b in zip(orderings, generators))
+    assert built == [0, 1, 2, 3]
 
 
 def test_conjugation_check_evolves_forward_only(monkeypatch):
@@ -326,11 +307,16 @@ def test_explicit_matrix_exponential_oracle():
     # scaling and squaring with a plain Taylor kernel
     squarings = max(0, int(math.ceil(math.log2(max(1.0, np.linalg.norm(a, 1))))) + 4)
     scaled = a / (2 ** squarings)
-    term = np.eye(scaled.shape[0], dtype=complex)
-    expm = term.copy()
-    for k in range(1, 18):
-        term = term @ scaled / k
-        expm += term
+    # the degree-17 Taylor polynomial, evaluated as Paterson and Stockmeyer do:
+    # the powers 0-4 of the scaled matrix are formed once, and Horner's rule in
+    # the fourth power runs over blocks of four terms, 7 products in all
+    powers = [np.eye(scaled.shape[0], dtype=complex), scaled]
+    for _ in range(3):
+        powers.append(powers[-1] @ scaled)
+    expm = 0
+    for j in reversed(range(5)):
+        block = sum(powers[i] / math.factorial(4 * j + i) for i in range(4) if 4 * j + i <= 17)
+        expm = block + (expm @ powers[4] if j < 4 else 0)
     for _ in range(squarings):
         expm = expm @ expm
 
