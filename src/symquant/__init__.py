@@ -48,7 +48,6 @@ from .flow import (
 from .operators import (
     GaussianPacket,
     GridSpec,
-    LocalizationWarning,
     Primitive,
     WaveFunction,
 )
@@ -56,7 +55,6 @@ from .quantum import (
     CANONICAL_PAIRS,
     OBSERVABLES,
     PRIMITIVES,
-    CommutatorCheck,
     QuantizationScheme,
     commutator_table_check,
     conjugation_deviations,

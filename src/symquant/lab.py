@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .flow import (default_sample_times, flow_jacobian, PhaseState, verify_conserved,
                    verify_flow_symplectic)
-from .operators import _WARN_BOUNDARY, GaussianPacket, GridSpec
+from .operators import GaussianPacket, GridSpec
 from .pairs import oscillator_field, standard_pairs, verify_pair
 from .phasespace import PhysParams
 from .quantum import (
@@ -75,6 +75,11 @@ _ROBERTSON_SLACK = 1e-9
 # by about 5 b^2 at most, which this keeps at half the slack; the seam's
 # error, about +7 (sigma / h) b^2 in a momentum variance, only raises one
 _BOUNDARY_LIMIT = math.sqrt(_ROBERTSON_SLACK / 10.0)
+# the periodic seam puts a commutator residual of at most about
+# 2 (L / sigma) sqrt(sigma / (pi h)) b on a state of boundary magnitude b,
+# some 160 b at the grid cap; a decade inside the commutator check's 1e-8
+# bound that needs b <= 6e-12, and this is the decade below
+_WARN_BOUNDARY = 1e-12
 
 
 class ScenarioError(ValueError):
@@ -298,11 +303,12 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
 
 def _edges(packet: GaussianPacket, grid: GridSpec) -> tuple[float, float]:
     """(boundary, spectral) edges of a packet on a grid in closed form, without sampling:
-    `boundary_magnitude` of the sampled packet, the larger over the axes of
-    exp(-(d_b - d_p)(d_b + d_p) / (4 sigma^2)) with d_b, d_p the centre's distances to
-    the nearer end point and the nearest grid point (1 off the grid), and the spectrum
-    at pi/h over its peak, exp(-sigma^2 (pi/h - max_i |k_i|)^2), or 1.  Python floats
-    keep the ends of the float range free of warnings."""
+    the sampled packet's largest |psi| on the grid boundary over its largest |psi|,
+    the larger over the axes of exp(-(d_b - d_p)(d_b + d_p) / (4 sigma^2)) with
+    d_b, d_p the centre's distances to the nearer end point and the nearest grid point
+    (1 off the grid), and the spectrum at pi/h over its peak,
+    exp(-sigma^2 (pi/h - max_i |k_i|)^2), or 1.  Python floats keep the ends of the
+    float range free of warnings."""
     sigma, h, half_width, n = packet.sigma, grid.spacing, grid.half_width, grid.points
     boundary = 0.0
     for c in packet.center:  # the grid points are -L + h i, as `GridSpec.axis` forms them
@@ -474,17 +480,17 @@ def _check_commutators(config: Scenario) -> CheckResult:
     packet, grid = ground_packet(config.params), config.grid
     _require_domain(config.params, packet, grid, probe="commutators")
     schemes = [scheme(sid, config.params) for sid in config.schemes]
-    checks = commutator_table_check(schemes, packet.sample(grid))
-    worst = max([0.0] + [check.max_deviation for check in checks])
+    deviations = commutator_table_check(schemes, packet.sample(grid))
+    worst = max([0.0] + [dev for devs in deviations for dev in devs.values()])
     if max(_edges(packet, grid)) >= _WARN_BOUNDARY:
         return CheckResult("commutators", "warn", f"probe state not localized on this grid; "
                                                   f"max deviation {worst:.3e}")
     ref, ok = config.params.sigma_ref, True
-    for s, check in zip(schemes, checks):
+    for s, devs in zip(schemes, deviations):
         size = np.abs(s.assignment) @ (ref, ref, 1.0 / ref, 1.0 / ref)
         bound = 1e-8 * np.maximum(np.abs(s.commutators), np.outer(size, size))
         ok &= all(dev <= bound[OBSERVABLES.index(a), OBSERVABLES.index(b)]
-                  for (a, b), dev in check.deviations.items())
+                  for (a, b), dev in devs.items())
     return CheckResult("commutators", "pass" if ok else "fail", f"max deviation {worst:.3e}")
 
 

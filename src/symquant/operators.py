@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,10 +22,6 @@ import numpy as np
 # fields; measured at N = 512 and 1024), so this cap keeps a grid's peak
 # memory near a 2 GiB budget: 144 * 3840**2 bytes = 1.98 GiB
 MAX_POINTS = 3840
-
-
-class LocalizationWarning(UserWarning):
-    """A state is not negligible at the grid boundary; periodic artifacts may leak in."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,6 @@ class WaveFunction:
             raise ValueError(f"cannot normalize a field of norm {n}")
         return WaveFunction(self.grid, self.values / n)
 
-    def boundary_magnitude(self) -> float:
-        """The largest |psi| on the grid boundary over the largest |psi|, 0 for a
-        zero field: a packet's value does not depend on the unit of length."""
-        v = np.abs(self.values)
-        edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        return float(edge / v.max()) if edge else 0.0
-
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -168,22 +156,3 @@ def _apply_primitive(p: Primitive, values: np.ndarray, grid: GridSpec) -> np.nda
     if p is Primitive.DX:
         return _spectral_derivative(values, grid, axis=0)
     return _spectral_derivative(values, grid, axis=1)
-
-
-# the periodic seam puts a commutator residual of at most about
-# 2 (L / sigma) sqrt(sigma / (pi h)) b on a state of boundary magnitude b,
-# some 160 b at the grid cap; a decade inside the commutator check's 1e-8
-# bound that needs b <= 6e-12, and this is the decade below
-_WARN_BOUNDARY = 1e-12
-
-
-def check_localized(psi: WaveFunction, action: str = "operator evaluation") -> bool:
-    """Warn (and return False) when a state's boundary magnitude reaches _WARN_BOUNDARY."""
-    mag = psi.boundary_magnitude()
-    if mag >= _WARN_BOUNDARY:
-        warnings.warn(LocalizationWarning(
-            f"{action}: boundary magnitude {mag:.3e} reaches {_WARN_BOUNDARY:.0e} of the peak; "
-            "periodic-grid artifacts may contaminate results"))
-        return False
-    return True
-

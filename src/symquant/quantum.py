@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .operators import (
     Primitive,
     WaveFunction,
     _apply_primitive,
-    check_localized,
 )
 from .pairs import PAIR_INDEX, _derivatives_at_zero, bracket_matrices, standard_hamiltonians
 from .phasespace import COORD_NAMES, PhysParams, PolynomialObservable
@@ -160,15 +159,6 @@ def heisenberg_moments(schemes: Sequence[QuantizationScheme], psi: WaveFunction,
     return moments
 
 
-@dataclass(frozen=True)
-class CommutatorCheck:
-    """Measured deviations of [A, B] psi from the scheme's commutator table."""
-
-    max_deviation: float
-    deviations: Mapping[tuple[str, str], float]
-    localized: bool
-
-
 def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarray]:
     """K_ab = [P_a, P_b] psi for each pair a < b of PRIMITIVES, from 16 primitive actions.
 
@@ -187,23 +177,22 @@ def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarra
 
 
 def commutator_table_check(schemes: Sequence[QuantizationScheme],
-                           psi: WaveFunction) -> list[CommutatorCheck]:
-    """Compare [F_i, F_j] psi against the table T_ij psi for every fundamental pair,
-    one `CommutatorCheck` per scheme.
+                           psi: WaveFunction) -> list[dict[tuple[str, str], float]]:
+    """Relative L2 deviation of [F_i, F_j] psi from the table T_ij psi for every
+    fundamental pair (F_i, F_j), one {pair: deviation} dict per scheme.
 
     With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
     the six primitive commutators of psi (`_primitive_commutators`, on
     `_unit_scaled`'s field, each coefficient divided by w_a w_b) serve every
     scheme: each pair's residual sums the nonzero coefficients' fields and
-    subtracts T_ij psi where T_ij is nonzero.  Localization is decided once:
-    `localized` is False, with one `LocalizationWarning`, when psi's boundary
-    magnitude reaches `check_localized`'s threshold.
+    subtracts T_ij psi where T_ij is nonzero.  w_a w_b is a power of two, so one
+    division by it is exact wherever the quotient is a normal float; dividing by
+    w_a and then by w_b can leave the float range on the way (m = 1e+/-300).
     """
-    localized = check_localized(psi, action="commutator table check")
     psi, w = _unit_scaled(psi)
     fields = _primitive_commutators(psi)
     norm, h = psi.norm(), psi.grid.spacing
-    checks = []
+    deviations = []
     for s in schemes:
         rows, devs = s.assignment, {}
         for i, j in PAIR_INDEX:
@@ -211,7 +200,7 @@ def commutator_table_check(schemes: Sequence[QuantizationScheme],
             for (a, b), field in fields.items():
                 coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
                 if coeff != 0:
-                    diff = diff + coeff / w[a] / w[b] * field
+                    diff = diff + coeff / (w[a] * w[b]) * field
             if s.commutators[i, j] != 0:
                 diff = diff - s.commutators[i, j] * psi.values
             # the residual in units of a power of two near its largest entry, so its
@@ -220,9 +209,8 @@ def commutator_table_check(schemes: Sequence[QuantizationScheme],
             unit = math.ldexp(1.0, math.frexp(mag.max())[1])
             dev = float(np.sqrt(np.sum((mag / unit) ** 2) * h * h) * unit) / norm
             devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
-        checks.append(CommutatorCheck(max_deviation=max(devs.values()),
-                                      deviations=devs, localized=localized))
-    return checks
+        deviations.append(devs)
+    return deviations
 
 
 def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
@@ -236,10 +224,7 @@ def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
 
     With M_ij = <F_i psi|F_j psi>, it equals sin(omega (t'-t))/(m omega) times
     the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
-    A psi whose boundary magnitude reaches `check_localized`'s threshold
-    draws a `LocalizationWarning`.
     """
-    check_localized(psi, action="two-time commutator")
     _, second = _fundamental_moments(s, _primitive_gram(psi))
     a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
     return complex(a @ second @ b - b @ second @ a)

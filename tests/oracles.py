@@ -10,7 +10,9 @@ Gaussian moments come from closed forms cross-checked by direct trapezoid
 quadrature with analytic derivatives.  The same closed forms give the evolved
 Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
 and wavevector follow the classical flow, sampled here on its own, which
-backs the library's closed-form propagator.
+backs the library's closed-form propagator.  The sampled field's boundary
+magnitude backs the closed-form localization edge the lab decides by
+(`lab._edges`).
 
 The operator oracles build their operators for themselves.  Each is a
 tuple of (coefficient, word) terms over the primitives: the fundamentals from
@@ -603,6 +605,14 @@ def sampled_gaussian(center, wavevector, sigma: float, grid) -> np.ndarray:
                    + 1j * (wavevector[0] * x + wavevector[1] * y))
     h = 2.0 * grid.half_width / grid.points
     return field / math.sqrt(np.sum(np.abs(field) ** 2) * h * h)
+
+
+def boundary_magnitude(values: np.ndarray) -> float:
+    """The largest |psi| on the grid boundary over the largest |psi|, 0 for a zero
+    field: a packet's value does not depend on the unit of length."""
+    v = np.abs(values)
+    edge = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
+    return float(edge / v.max()) if edge else 0.0
 
 
 def forward_backward_conjugation(s, which, t, psi) -> float:

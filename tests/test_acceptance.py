@@ -116,12 +116,12 @@ def test_criterion_04_flow_symplecticity_and_conservation():
 
 def test_criterion_05_commutator_realization():
     psi = ground_packet(P).sample(GRID)
-    checks = commutator_table_check([scheme(sid, P) for sid in range(4)], psi)
-    worst = max(chk.max_deviation for chk in checks)
+    deviations = commutator_table_check([scheme(sid, P) for sid in range(4)], psi)
+    worst = max(dev for devs in deviations for dev in devs.values())
     # the oracle composes its own fundamentals both ways against its own tables;
     # the two differ by roundoff on terms of the size of hbar, as in the property test
     gap = max(abs(dev - commutator_deviations(sid, P, psi)[pair])
-              for sid, chk in enumerate(checks) for pair, dev in chk.deviations.items())
+              for sid, devs in enumerate(deviations) for pair, dev in devs.items())
 
     # sign flips and noncommuting coordinates, measured directly by the oracle
     def measured(sid, a, b):

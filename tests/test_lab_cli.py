@@ -23,7 +23,6 @@ from symquant import (
     GaussianPacket,
     GridSpec,
     HamiltonianPair,
-    LocalizationWarning,
     PhysParams,
     PolynomialObservable,
     Scenario,
@@ -42,6 +41,7 @@ from symquant import lab, quantum
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
 from symquant.quantum import CANONICAL_PAIRS, OBSERVABLES, SCHEME_IDS
+import corpus
 import oracles
 
 
@@ -462,11 +462,22 @@ def test_robertson_flags_match_the_oracle_between_the_slacks():
 
 
 def test_lab_decides_localization_before_sampling():
-    # each localization decision in the lab is `_edges`' closed form, made
-    # before a state is sampled; the sampled measure serves library warnings
-    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "boundary_magnitude"] == []
+    # each localization decision is `_edges`' closed form against a threshold
+    # of the lab, made before a state is sampled: no module of the library
+    # keeps a sampled boundary measure or a threshold of its own
+    thresholds = []
+    for path in sorted(Path(lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "boundary_magnitude"
+                or isinstance(node, ast.FunctionDef) and node.name == "boundary_magnitude"
+                ] == [], path.name
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                thresholds += [(path.name, target.id) for target in node.targets
+                               if isinstance(target, ast.Name) and "BOUNDARY" in target.id]
+    assert thresholds == [("lab.py", "_BOUNDARY_LIMIT"), ("lab.py", "_WARN_BOUNDARY")]
+    assert lab._WARN_BOUNDARY == 1e-12
 
 
 def test_lab_imports_no_private_name_from_quantum_or_flow():
@@ -739,7 +750,12 @@ def _oscillator_units_cli(m: float, argv: list[str], tmp_path, capsys) -> tuple[
     raw.update(m=m, grid={"L": 8 * ref, "N": 64},
                packet={"center": [0.3 * ref, -0.2 * ref], "wavevector": [0.5 / ref, -0.4 / ref],
                        "sigma": 0.6 * ref})
-    scn_path = tmp_path / f"scn-{m}.json"
+    return _cli_on(raw, argv, tmp_path, capsys)
+
+
+def _cli_on(raw: dict, argv: list[str], tmp_path, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a command on a scenario document."""
+    scn_path = tmp_path / "scn.json"
     scn_path.write_text(json.dumps(raw))
     code = main([*argv, "--scenario", str(scn_path)])
     captured = capsys.readouterr()
@@ -758,25 +774,59 @@ def test_run_in_oscillator_units_is_the_unit_mass_run_scaled(m, tmp_path, capsys
     assert (code, err) == (0, "")
     unit_code, unit_out, _ = _oscillator_units_cli(1.0, argv, tmp_path, capsys)
     assert unit_code == 0
+    assert len(out.splitlines()) == 1 + 4 * 4 * 3
+    _assert_unit_mass_cells_scaled(out, unit_out, m)
+
+
+def _assert_unit_mass_cells_scaled(out: str, unit_out: str, m: float) -> None:
+    """Each cell of a `run --format csv` output at mass m, omega = hbar = 1, in
+    oscillator units (sigma_ref for a coordinate, 1/sigma_ref for a momentum, their
+    squares for a variance) is the m = 1 cell within 4e-15 max(1, |cell|)."""
     ref = PhysParams(m, 1.0).sigma_ref
     lines, unit_lines = out.splitlines(), unit_out.splitlines()
-    assert len(lines) == len(unit_lines) == 1 + 4 * 4 * 3
+    assert len(lines) == len(unit_lines)
     for line, unit_line in zip(lines[1:], unit_lines[1:]):
         cell, unit_cell = line.split(","), unit_line.split(",")
         assert cell[:3] == unit_cell[:3]
         size = ref if cell[1] in ("x", "y") else 1.0 / ref
         for k, scale in ((3, size), (4, size), (5, size * size)):
             expected = float(unit_cell[k])
-            assert abs(float(cell[k]) / scale - expected) <= 4e-15 * max(1.0, abs(expected)), line
+            assert abs(float(cell[k]) / scale - expected) <= 4e-15 * max(1.0, abs(expected)), \
+                (m, line)
 
 
-@pytest.mark.parametrize("m", [1e-200, 1e200])
+@pytest.mark.parametrize("m", [1e-300, 1e-200, 1e200, 1e300])
 def test_check_in_oscillator_units_passes_at_extreme_masses(m, tmp_path, capsys):
-    # at the parent the commutator group overflowed squaring its residuals,
-    # with a RuntimeWarning, and the uncertainty group read overflowed moments
+    # the commutator group once overflowed squaring its residuals, with a
+    # RuntimeWarning, and the uncertainty group read overflowed moments; at
+    # 1e+/-300 it divided each coefficient by w_a and then by w_b, which
+    # overflowed to nan at 1e-300 and underflowed [x, y] to 0 at 1e300
     code, out, err = _oscillator_units_cli(m, ["check"], tmp_path, capsys)
     assert (code, err) == (0, "")
     assert [line.split(":")[1].split()[0] for line in out.splitlines()] == ["pass"] * 6
+
+
+# m omega / hbar every 20 decades across the float range, and 1e+/-205 and
+# 1e+/-215: `check` failed at every m <= 1e-205 and every m >= 1e215 while it
+# divided each commutator coefficient by w_a and then by w_b
+_SWEEP_DECADES = sorted({*range(-300, 301, 20), -215, -205, 205, 215})
+
+
+def test_oscillator_units_are_scale_invariant_across_the_float_range(tmp_path, capsys):
+    # the corpus' scenario in oscillator units at omega = hbar = 1: every `run`
+    # cell is the m = 1 cell scaled, and `check` passes with nothing on stderr
+    argv = ["run", "--format", "csv", "--no-timestamp"]
+    unit_code, unit_out, _ = _cli_on(corpus._oscillator_units(1.0, 1.0, 1.0), argv,
+                                     tmp_path, capsys)
+    assert unit_code == 0
+    for e in _SWEEP_DECADES:
+        m = float(f"1e{e}")
+        raw = corpus._oscillator_units(m, 1.0, 1.0)
+        code, out, err = _cli_on(raw, argv, tmp_path, capsys)
+        assert (code, err) == (0, ""), m
+        _assert_unit_mass_cells_scaled(out, unit_out, m)
+        code, out, err = _cli_on(raw, ["check"], tmp_path, capsys)
+        assert (code, err) == (0, ""), (m, out)
 
 
 def test_coarse_grid_downgrades_to_warning():
@@ -789,14 +839,29 @@ def test_coarse_grid_downgrades_to_warning():
                           checks={"pairs": True, "flow": True,
                                   "commutators": True, "uncertainties": True,
                                   "unitary": False})
-    with pytest.warns(LocalizationWarning):
-        summary = run_checks(scn)
+    summary = run_checks(scn)
     by_name = {r.name: r for r in summary.results}
     assert by_name["commutators"].status == "warn"
     assert float(by_name["commutators"].detail.split()[-1]) > 1e-8
     assert by_name["uncertainties"].status == "pass"
     assert by_name["uncertainties"].detail.endswith(", 4 delocalized probes skipped")
     assert summary.exit_code == 0
+
+
+def test_coarse_grid_warning_writes_nothing_to_stderr():
+    # the group's warn line is the one report of a probe the grid holds too
+    # loosely for the commutator bound; a Python warning on stderr repeated it
+    proc = subprocess.run([sys.executable, "-m", "symquant", "check",
+                           "--grid-l", "6.5", "--grid-n", "32"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "pairs: pass (max residual 0.000e+00)\n"
+        "flow: pass (max pullback deviation 2.220e-16, max conserved-quantity drift 4.441e-16)\n"
+        "commutators: warn (probe state not localized on this grid; max deviation 2.949e-08)\n"
+        "uncertainties: pass (ground saturation gap 1.665e-16, worst bound margin -1.665e-16, "
+        "8 delocalized probes skipped)\n"
+        "unitary: pass (max conjugation deviation 2.799e-11)\n"
+        "overall: pass\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1038,9 +1103,7 @@ def test_benchmark_inputs_lie_in_the_domain(workload, monkeypatch):
                           packet=GaussianPacket((center, -center), (k, -k), sigma),
                           times=tuple(times(omega)))
             lab._require_domain(scn.params, scn.packet, scn.grid, scn.times)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LocalizationWarning)
-            results = run_checks(scn).results
+        results = run_checks(scn).results
         assert not any("skipped" in r.detail for r in results)
         assert all(r.status == "pass" for r in results
                    if workload == "verify" or r.name != "commutators")
@@ -1055,8 +1118,8 @@ def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
     # and 1.  (At N = 16 the grid cannot both resolve and hold a centred packet.)
     for sigma in (0.5, 1.0, 40.0):
         packet, grid = GaussianPacket(sigma=sigma), GridSpec(8.0 * sigma, 32)
-        assert packet.sample(grid).boundary_magnitude() == pytest.approx(math.exp(-225.0 / 16.0),
-                                                                         rel=1e-12)
+        sampled = oracles.boundary_magnitude(packet.sample(grid).values)
+        assert sampled == pytest.approx(math.exp(-225.0 / 16.0), rel=1e-12)
         assert lab._edges(packet, grid)[0] == pytest.approx(math.exp(-225.0 / 16.0), rel=1e-12)
         raw = default_scenario().to_dict()
         raw["packet"] = {"center": [0.0, 0.0], "wavevector": [0.0, 0.0], "sigma": sigma}
@@ -1081,7 +1144,7 @@ def test_run_localization_gate_is_in_the_packet_units(tmp_path, capsys):
 def test_boundary_edge_is_the_sampled_boundary_magnitude(points, half_width, u, sigma):
     packet = GaussianPacket((u[0] * half_width, u[1] * half_width), (1.3, -0.4), sigma)
     grid = GridSpec(half_width, points)
-    sampled = packet.sample(grid).boundary_magnitude()
+    sampled = oracles.boundary_magnitude(packet.sample(grid).values)
     assert lab._edges(packet, grid)[0] == pytest.approx(sampled, rel=1e-12, abs=0.0)
 
 
@@ -1108,12 +1171,10 @@ def test_commutator_probe_is_localized_at_a_large_mass():
 
 
 def test_commutator_group_decides_its_probe_localization_once():
-    # one probe serves four schemes, so a delocalized one warns once
+    # one probe serves four schemes, so a delocalized one gives one warn verdict
     scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 6.5, "N": 32})
-    with pytest.warns(LocalizationWarning) as record:
-        result = lab._check_commutators(scn)
+    result = lab._check_commutators(scn)
     assert result.status == "warn"
-    assert len(record) == 1
 
 
 def test_cli_check_rejects_a_probe_wider_than_the_grid(tmp_path, capsys):

@@ -10,12 +10,11 @@ import pytest
 from symquant import (
     GaussianPacket,
     GridSpec,
-    LocalizationWarning,
     PhysParams,
     Primitive,
     WaveFunction,
 )
-from symquant.operators import MAX_POINTS, _apply_primitive, check_localized
+from symquant.operators import MAX_POINTS, _apply_primitive
 import oracles
 from oracles import apply, dense_matrix, normal_form
 
@@ -75,14 +74,6 @@ def test_normalize_rejects_zero_and_infinite_norms(half_width):
 def test_non_finite_inputs_are_rejected(make, field):
     with pytest.raises(ValueError, match=field):
         make()
-
-
-def test_localization_warning():
-    wide = GaussianPacket(sigma=4.0).sample(GRID)
-    with pytest.warns(LocalizationWarning):
-        assert not check_localized(wide)
-    narrow = GaussianPacket(sigma=0.7).sample(GRID)
-    assert check_localized(narrow)
 
 
 # ---------------------------------------------------------------------------

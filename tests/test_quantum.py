@@ -1,7 +1,6 @@
 """Scheme construction, commutator realization, Heisenberg evolution, moments."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,6 @@ from symquant import (
     CANONICAL_PAIRS,
     GaussianPacket,
     GridSpec,
-    LocalizationWarning,
     Primitive,
     PhysParams,
     commutator_table_check,
@@ -181,19 +179,17 @@ def test_commutator_tables_realized(params):
     grid = _grid_for(params)
     psi = ground_packet(params).sample(grid)
     schemes = [scheme(sid, params) for sid in range(4)]
-    checks = commutator_table_check(schemes, psi)
-    assert len(checks) == 4
-    for s, chk in zip(schemes, checks):
-        assert chk.localized
-        assert chk.max_deviation <= 1e-8
+    deviations = commutator_table_check(schemes, psi)
+    assert len(deviations) == 4
+    for s, devs in zip(schemes, deviations):
+        assert len(devs) == 6 and max(devs.values()) <= 1e-8
         # one scheme alone gets what it gets among four, bit for bit
-        assert commutator_table_check([s], psi) == [chk]
+        assert commutator_table_check([s], psi) == [devs]
 
 
 # the widest off-centre packets reach about 1e-10 of their peak at the grid
-# boundary, past check_localized's threshold; the comparisons are bit for bit
-# and do not depend on localization
-@pytest.mark.filterwarnings("ignore::symquant.LocalizationWarning")
+# boundary, past the commutator group's warning threshold; the comparisons are
+# bit for bit and do not depend on localization
 @settings(max_examples=40, deadline=None)
 @given(sid=st.sampled_from((0, 1, 2, 3)), log_mw=st.floats(-3.0, 3.0),
        log_hbar=st.floats(-2.0, 2.0), omega=st.floats(0.1, 10.0),
@@ -224,10 +220,10 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
     mw = params.m * params.omega
     bound = 16 * np.finfo(float).eps * params.hbar * max(1.0, mw, 1.0 / mw)
     expected = commutator_deviations(sid, params, psi)
-    got = commutator_table_check([s], psi)[0].deviations
+    got, = commutator_table_check([s], psi)
     assert got.keys() == expected.keys()
     every = commutator_table_check([scheme(k, params) for k in range(4)], psi)
-    assert every[sid].deviations == got
+    assert every[sid] == got
     for pair, dev in got.items():
         assert abs(dev - expected[pair]) <= bound, pair
     for r, which in enumerate(OBS):
@@ -252,23 +248,6 @@ def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
         scn = replace(default_scenario(), schemes=schemes)
         assert lab._check_commutators(scn).detail == "max deviation 6.889e-13"
         assert len(calls) == 16
-
-
-def test_commutator_check_warns_when_delocalized():
-    psi = GaussianPacket(sigma=4.0).sample(GRID)
-    with pytest.warns(LocalizationWarning):
-        chk, = commutator_table_check([scheme(0, P)], psi)
-    assert not chk.localized
-
-
-def test_a_delocalized_probe_warns_once_for_all_schemes():
-    # localization is a property of the state, decided once per call
-    psi = GaussianPacket(sigma=4.0).sample(GRID)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        checks = commutator_table_check([scheme(sid, P) for sid in range(4)], psi)
-    assert [w.category for w in caught] == [LocalizationWarning]
-    assert len(checks) == 4 and not any(chk.localized for chk in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +454,9 @@ def _random_field() -> WaveFunction:
     return WaveFunction(GridSpec(half_width=4.0, points=32), values).normalize()
 
 
-@pytest.mark.parametrize("field, localized", [(_small_gaussian, True), (_random_field, False)],
-                         ids=["gaussian", "random"])
+@pytest.mark.parametrize("field", [_small_gaussian, _random_field], ids=["gaussian", "random"])
 @pytest.mark.parametrize("sid", range(4))
-def test_moment_engine_matches_applied_operators(sid, field, localized):
+def test_moment_engine_matches_applied_operators(sid, field):
     # every error is relative to the size of the terms that cancel in it
     psi = field()
     s = scheme(sid, P2)
@@ -508,11 +486,7 @@ def test_moment_engine_matches_applied_operators(sid, field, localized):
             a = heisenberg_observable(sid, "x", t, P2)
             b = heisenberg_observable(sid, "x", t_prime, P2)
             scale = size(a) * size(b)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = two_time_commutator(s, t, t_prime, psi)
-            assert [w.category for w in caught] == (
-                [] if localized else [LocalizationWarning])
+            got = two_time_commutator(s, t, t_prime, psi)
             assert abs(got - applied_commutator(a, b, psi)) <= 1e-12 * scale
 
 
