@@ -335,15 +335,21 @@ def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
         ("m, omega, hbar", "hbar/(m omega)", hbar * inverse),
         ("m, omega, hbar", "hbar m omega", hbar * m * omega),
         ("omega, hbar", "hbar omega", hbar * omega))]
-    if packet is not None:  # the envelope's divisor, the squared norm and h^2
+    if packet is not None:  # the envelope's divisor, the squared norm, h^2 and (2L)^2
         sigma, h, half_width = packet.sigma, grid.spacing, grid.half_width
         key, who = (("packet.sigma", "packet") if probe is None
                     else ("m, omega, hbar", f"{probe} check's probe"))
         sampled, at = f"{key}: cannot sample the {who}", f" at sigma = {sigma!r}"
+        # (2L)^2 is normal exactly when the grid's frexp exponent e has |e| <= 511, so
+        # the power-of-two weights (2^-e)^2 and 2^2e of the unit-scaled grid are too
+        width = 2.0 * half_width
         floats += [(sampled, "4 sigma^2", 4.0 * sigma * sigma, at),
                    (sampled, "2 pi sigma^2", 2.0 * math.pi * sigma * sigma, at),
                    ("grid.L: cannot sample a packet on this grid", "h^2", h * h,
-                    f" at spacing {h!r}")]
+                    f" at spacing {h!r}"),
+                   ("grid.L: cannot act on this grid" if probe is None else
+                    f"m, omega, hbar: cannot act on the {who}'s grid", "(2L)^2", width * width,
+                    f" at half-width {half_width!r}")]
     for key, name, value, where in floats:
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise ScenarioError(f"{key}: {name} is past the float range{where}")

@@ -126,12 +126,17 @@ class GaussianPacket:
         ax = grid.axis()
         cx, cy = self.center
         kx, ky = self.wavevector
-        # each axis term is formed on the axis and broadcast over the grid;
-        # squares past the float range are far in the tail, where exp(-inf) = 0 is exact
+        # each axis term is formed on the axis and broadcast over the grid, and each
+        # N x N step writes into the field it reads; squares past the float range
+        # are far in the tail, where exp(-inf) = 0 is exact
         with np.errstate(over="ignore"):
-            envelope = np.exp(-(((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :]) / width)
-        phase = np.exp(1j * ((kx * ax)[:, None] + (ky * ax)[None, :]))
-        return WaveFunction(grid, envelope * phase).normalize()
+            envelope = ((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :]
+            np.negative(envelope, out=envelope)
+            np.divide(envelope, width, out=envelope)
+            np.exp(envelope, out=envelope)
+        phase = np.multiply(1j, (kx * ax)[:, None] + (ky * ax)[None, :])
+        np.exp(phase, out=phase)
+        return WaveFunction(grid, np.multiply(envelope, phase, out=phase)).normalize()
 
 
 class Primitive(enum.Enum):
@@ -142,10 +147,14 @@ class Primitive(enum.Enum):
 
 
 def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    """ifft(i k fft(values)) along `axis`, transformed, multiplied and transformed
+    back in one buffer."""
     k = grid.wavenumbers()
     shape = [1, 1]
     shape[axis] = grid.points
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    out = np.fft.fft(values, axis=axis)
+    np.multiply(1j * k.reshape(shape), out, out=out)
+    return np.fft.ifft(out, axis=axis, out=out)
 
 
 def _apply_primitive(p: Primitive, values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -29,7 +29,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, sqrt
+from math import frexp, inf, ldexp, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ Exponents = tuple[int, int, int, int]
 
 _PLAIN_SCALARS = (int, float, Fraction, complex)
 _ZERO_TOL = 1e-12  # of 1 + max|mat|, for a float matrix's entries in _all_zero
+_PF_TOL = 1e-12  # of ||D W D||_F^2 / 2, at or below which |Pf| is singular in _invert_matrix
 
 
 def _sympy_of(c):
@@ -159,17 +160,19 @@ def _all_zero(values, mat) -> bool:
     return all(_normalize_scalar(v) == 0 for v in values)
 
 
-def _invert_antisymmetric(mat) -> tuple[tuple, ...]:
-    """Inverse of a canonical exact antisymmetric 4x4 matrix W, in closed form:
-    with a, b, c, d, e, f its upper entries W01, W02, W03, W12, W13, W23, the
-    Pfaffian is Pf = af - be + cd, det W = Pf^2 (Cayley), and W^-1 is
-    [[0, -f, e, -d], [f, 0, -c, b], [-e, c, 0, -a], [d, -b, a, 0]] / Pf.  A
-    canonical Pf of 0 raises ValueError("degenerate").  A zero comes out as
-    Fraction(0), and so does every entry of an int or Fraction matrix."""
+def _pfaffian(mat):
+    """Pf = af - be + cd of an antisymmetric 4x4 matrix W, with a, b, c, d, e, f
+    its upper entries W01, W02, W03, W12, W13, W23; canonical when W is."""
     (_, a, b, c), (_, _, d, e), (_, _, _, f) = mat[:3]
-    pf = _normalize_scalar(sum(u * v for u, v in ((a, f), (-b, e), (c, d)) if u != 0 and v != 0))
-    if pf == 0:
-        raise ValueError("degenerate")
+    return _normalize_scalar(sum(u * v for u, v in ((a, f), (-b, e), (c, d)) if u != 0 and v != 0))
+
+
+def _adjugate_over(mat, pf) -> tuple[tuple, ...]:
+    """W^-1 of an antisymmetric 4x4 matrix W with Pfaffian pf != 0, in closed form:
+    det W = Pf^2 (Cayley), and W^-1 is [[0, -f, e, -d], [f, 0, -c, b],
+    [-e, c, 0, -a], [d, -b, a, 0]] / Pf for the entries a..f of `_pfaffian`.
+    A zero comes out as Fraction(0)."""
+    (_, a, b, c), (_, _, d, e), (_, _, _, f) = mat[:3]
     r, zero = _reciprocal(pf), Fraction(0)
 
     def scaled(v):  # v / Pf and -v / Pf; a sympy v is not multiplied by a unit Pf
@@ -183,26 +186,46 @@ def _invert_antisymmetric(mat) -> tuple[tuple, ...]:
     return ((zero, nf, e, nd), (f, zero, nc, b), (ne, c, zero, na), (d, nb, a, zero))
 
 
-def _invert_matrix(mat) -> tuple[tuple, ...]:
-    """Inverse of an antisymmetric 4x4 matrix, in closed form when it is exact;
-    raises ValueError("degenerate") when it is (numerically) singular.
+def _invert_antisymmetric(mat) -> tuple[tuple, ...]:
+    """Inverse of a canonical exact antisymmetric 4x4 matrix, the Pfaffian
+    adjugate of `_adjugate_over`; a canonical Pf of 0 raises
+    ValueError("degenerate").  Every entry of an int or Fraction matrix's
+    inverse is a Fraction."""
+    pf = _pfaffian(mat)
+    if pf == 0:
+        raise ValueError("degenerate")
+    return _adjugate_over(mat, pf)
 
-    Floats are tested after dividing each row by its largest absolute entry,
-    so rows of very different scale, such as 1/(m omega) against m omega, do
-    not read as singular.  The largest entry, unlike the Euclidean norm, is
-    not squared on the way, so it neither overflows nor underflows at
-    m omega = 1e+/-200.
+
+def _invert_matrix(mat) -> tuple[tuple, ...]:
+    """Inverse of an antisymmetric 4x4 matrix W in closed form; raises
+    ValueError("degenerate") when W is (numerically) singular.
+
+    An exact W goes to `_invert_antisymmetric`.  A float W is inverted as
+    D (D W D)^-1 D, by the Pfaffian adjugate of its balance D W D: D =
+    diag(2^-k_i), with k_i = floor(e_i / 2) for the `frexp` exponent e_i of
+    row i's largest |entry|, so every scaling is an exact `ldexp` and rows of
+    very different size, such as 1/(m omega) against m omega at m omega =
+    1e+/-200, meet at about 1.  A real antisymmetric 4x4 matrix has singular
+    values (l1, l1, l2, l2), |Pf| = l1 l2 and ||W||_F^2 = 2 (l1^2 + l2^2), so
+    the gate |Pf| <= _PF_TOL ||D W D||_F^2 / 2 is the test l2 <= _PF_TOL l1
+    on the balance, taken without LAPACK.  An inverse past the float range is
+    degenerate too.
     """
-    if _is_float_matrix(mat):
-        arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
-        scales = np.abs(arr).max(axis=1)
-        if not scales.all():
-            raise ValueError("degenerate")
-        svals = np.linalg.svd(arr / scales[:, None], compute_uv=False)
-        if svals[-1] <= 1e-12 * svals[0]:
-            raise ValueError("degenerate")
-        return _as_matrix(np.linalg.inv(arr))
-    return _invert_antisymmetric(mat)
+    if not _is_float_matrix(mat):
+        return _invert_antisymmetric(mat)
+    rows = [[float(v) for v in row] for row in mat]
+    k = [frexp(max(map(abs, row)))[1] // 2 for row in rows]
+    balanced = [[ldexp(v, -k[i] - k[j]) for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+    pf = _pfaffian(balanced)
+    if not abs(pf) > _PF_TOL * sum(v * v for row in balanced for v in row) / 2:
+        raise ValueError("degenerate")
+    try:
+        return tuple(tuple(ldexp(v, -k[i] - k[j]) for j, v in enumerate(row))
+                     for i, row in enumerate(_adjugate_over(balanced, pf)))
+    except OverflowError:
+        raise ValueError("degenerate") from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +262,11 @@ class PolynomialObservable:
     """Polynomial in (x, y, p_x, p_y) stored as exponent-tuple -> coefficient.
 
     Immutable by convention; all arithmetic returns new instances.  Zero
-    coefficients are never stored.
+    coefficients are never stored.  The raw gradient a bracket or vector field
+    contracts is computed on first use and kept (`_raw_gradient`).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_gradient")
 
     def __init__(self, terms: Mapping[Sequence[int], object] | None = None):
         clean: dict[Exponents, object] = {}
@@ -254,6 +278,7 @@ class PolynomialObservable:
             if coeff != 0:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_gradient", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("PolynomialObservable is immutable")
@@ -309,6 +334,7 @@ class PolynomialObservable:
                 out.pop(expo, None)
         merged = object.__new__(PolynomialObservable)
         object.__setattr__(merged, "terms", out)
+        object.__setattr__(merged, "_gradient", None)
         return merged
 
     def __add__(self, other):
@@ -500,7 +526,11 @@ def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
 
 
 def _raw_gradient(f: PolynomialObservable) -> tuple[dict, ...]:
-    return tuple(_raw_partial(f.terms, mu) for mu in range(NVARS))
+    """The four raw partials of f, computed once per polynomial and kept on it;
+    callers read the dicts and never write them."""
+    if f._gradient is None:
+        object.__setattr__(f, "_gradient", tuple(_raw_partial(f.terms, mu) for mu in range(NVARS)))
+    return f._gradient
 
 
 def _contract(left: Sequence[dict], matrix, right: Sequence[dict],

@@ -12,7 +12,9 @@ Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
 and wavevector follow the classical flow, sampled here on its own, which
 backs the library's closed-form propagator.  The sampled field's boundary
 magnitude backs the closed-form localization edge the lab decides by
-(`lab._edges`).
+(`lab._edges`).  A float bracket matrix's singular values and inverse come
+from LAPACK on its power-of-two balance, which backs the library's Pfaffian
+gate and adjugate.
 
 The operator oracles build their operators for themselves.  Each is a
 tuple of (coefficient, word) terms over the primitives: the fundamentals from
@@ -101,6 +103,30 @@ def poly_to_sympy(poly) -> sp.Expr:
     terms = [sp.sympify(coeff) * sp.Mul(*(s ** e for s, e in zip(PHASE_SYMBOLS, expo)))
              for expo, coeff in poly.terms.items()]
     return sp.expand(sp.Add(*terms))
+
+
+# ---------------------------------------------------------------------------
+# a float bracket matrix's verdict and inverse by LAPACK (oracle for the
+# library's balanced Pfaffian inverse)
+# ---------------------------------------------------------------------------
+
+def lapack_form_inverse(mat) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(W^-1 or None, d, r) for a float antisymmetric 4x4 matrix W, by np.linalg.
+
+    W is balanced as B = D W D, D = diag(d) with d_i = 2^-floor(e_i / 2) for
+    the exponent e_i of row i's largest |entry|.  r is B's smallest singular
+    value over its largest (0 for the zero matrix); W is singular when
+    r <= 1e-12, and otherwise W^-1 = D np.linalg.inv(B) D.
+    """
+    w = np.asarray(mat, dtype=float)
+    k = np.frexp(np.abs(w).max(axis=1))[1] // 2
+    balanced = np.ldexp(w, -(k[:, None] + k[None, :]))
+    svals = np.linalg.svd(balanced, compute_uv=False)
+    r = float(svals[-1] / svals[0]) if svals[0] else 0.0
+    d = np.ldexp(1.0, -k)
+    if r <= 1e-12:
+        return None, d, r
+    return np.ldexp(np.linalg.inv(balanced), -(k[:, None] + k[None, :])), d, r
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -37,7 +38,7 @@ from symquant import (
     standard_pairs,
 )
 import symquant
-from symquant import lab, quantum
+from symquant import lab, operators, phasespace, quantum
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
 from symquant.quantum import CANONICAL_PAIRS, OBSERVABLES, SCHEME_IDS
@@ -527,12 +528,43 @@ def test_readme_python_examples_run(capsys):
 
 def test_quantum_forms_no_grid_sized_matrix():
     # the propagator acts on fields with FFTs and phases, so an N x N or
-    # N^2 x N^2 matrix (np.eye, anything of np.linalg) stays in the test oracles
-    tree = ast.parse(Path(quantum.__file__).read_text(encoding="utf-8"))
-    names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-    names += [alias.name for node in ast.walk(tree)
-              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
-    assert [n for n in names if n == "np.eye" or "linalg" in n.split(".")] == []
+    # N^2 x N^2 matrix (np.eye, anything of np.linalg) stays in the test
+    # oracles; a float form is inverted by its Pfaffian, so of the library only
+    # pairs.py uses np.linalg, in code that neither `run` nor `check` reaches
+    for module in (quantum, phasespace, operators):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        names += [alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        assert [n for n in names if n == "np.eye" or "linalg" in n.split(".")] == [], module
+
+
+def test_run_and_check_make_no_lapack_call(monkeypatch):
+    # run certifies the four standard pairs, so it inverts W3's float form on
+    # every call; that inverse and every check group stay out of np.linalg
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+    run_scenario(default_scenario())
+    assert run_checks(default_scenario()).exit_code == 0
+
+
+def test_run_scenario_peaks_under_seven_fields():
+    # the sample builds its envelope and phase in place and each derivative
+    # transforms in one buffer: 6.56 N x N complex fields on the default
+    # scenario, where the temporaries took 7.56
+    run_scenario(default_scenario())  # imports and module-level caches
+    config = default_scenario()
+    tracemalloc.start()
+    try:
+        run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * config.grid.points ** 2 * 16
 
 
 def test_emit_report_failure_names_the_path(tmp_path):
@@ -827,6 +859,29 @@ def test_oscillator_units_are_scale_invariant_across_the_float_range(tmp_path, c
         _assert_unit_mass_cells_scaled(out, unit_out, m)
         code, out, err = _cli_on(raw, ["check"], tmp_path, capsys)
         assert (code, err) == (0, ""), (m, out)
+
+
+@pytest.mark.parametrize("m", [1e-306, 1e-307, 3e-308, 1e306, 1e307])
+def test_oscillator_units_past_the_sweep_pass_or_are_config_errors(m, tmp_path, capsys):
+    # at m <= 1e-306 the grid's half-width 8 sigma_ref reaches 2^512, so the
+    # unit-scaled grid's weight (2^-512)^2 was subnormal: `check` failed with
+    # RuntimeWarnings and `run` printed cells off the scaled m = 1 cells by up
+    # to 1.5e-2; the domain gate now rejects (2L)^2 past the float range
+    raw = corpus._oscillator_units(m, 1.0, 1.0)
+    argv = ["run", "--format", "csv", "--no-timestamp"]
+    unit_code, unit_out, _ = _cli_on(corpus._oscillator_units(1.0, 1.0, 1.0), argv,
+                                     tmp_path, capsys)
+    assert unit_code == 0
+    rejected = "config error: grid.L: cannot act on this grid: (2L)^2 is past the float range"
+    for command in (argv, ["check"]):
+        code, out, err = _cli_on(raw, command, tmp_path, capsys)
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1, (m, err)
+            assert err.startswith(rejected if m < 1e-305 else "config error: "), (m, err)
+            continue
+        assert (code, err) == (0, "") and m > 1e-305, (m, out, err)
+        if command == argv:
+            _assert_unit_mass_cells_scaled(out, unit_out, m)
 
 
 def test_coarse_grid_downgrades_to_warning():

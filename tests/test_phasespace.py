@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symquant import (
     LinearVectorField,
@@ -26,8 +26,8 @@ from symquant import (
 )
 from symquant import phasespace
 from symquant.phasespace import _normalize_scalar
-from oracles import (PHASE_SYMBOLS, canonical_scalar, poly_to_sympy, sympy_bracket,
-                     sympy_lie_derivative)
+from oracles import (PHASE_SYMBOLS, canonical_scalar, lapack_form_inverse, poly_to_sympy,
+                     sympy_bracket, sympy_lie_derivative)
 
 X, Y, PX, PY = coordinates()
 FORMS = standard_forms(1, 1)
@@ -179,6 +179,13 @@ def test_validate_zero_matrix_degenerate():
     assert validate_form([[0.0] * 4] * 4).reason == "degenerate"
 
 
+def test_validate_float_form_with_an_inverse_past_the_float_range_degenerate():
+    # 1/1e-310 is past the float range; LAPACK's inverse held nan and inf and
+    # the form was accepted
+    tiny = [[0, 1e-310, 0, 0], [-1e-310, 0, 0, 0], [0, 0, 0, 1.0], [0, 0, -1.0, 0]]
+    assert validate_form(tiny).reason == "degenerate"
+
+
 def test_validate_rank_two_antisymmetric_degenerate():
     candidate = [[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]]
     # determinant oracle: expand symbolically
@@ -284,6 +291,47 @@ def test_exact_inverse_matches_sympy(candidate):
             elif isinstance(v, sp.Basic):
                 canonical = canonical_scalar(v)
                 assert v == canonical and type(v) is type(canonical)
+
+
+# ---------------------------------------------------------------------------
+# the balanced Pfaffian inverse of a float form against LAPACK
+# ---------------------------------------------------------------------------
+
+# entries of size 1/4 to 4, or 0, and row scales 10^t: entries meet products
+# of scales from 1e-200 to 1e200, rows differing by 1e7 among them
+_float_entries = st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+_row_scales = st.lists(st.sampled_from([1.0, 10 ** 3.5, 10 ** -3.5, 1e100, 1e-100]),
+                       min_size=4, max_size=4)
+
+
+def _float_form(upper, scales) -> list:
+    """The antisymmetric matrix of six upper entries, entry (i, j) times d_i d_j."""
+    return _antisymmetric([v * scales[i] * scales[j] for v, (i, j) in
+                           zip(upper, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))])
+
+
+@given(upper=st.one_of(st.lists(_float_entries, min_size=6, max_size=6),
+                       st.builds(lambda u, v: [r[j] for i, r in enumerate(_rank_two(u, v))
+                                               for j in range(i + 1, 4)],
+                                 *[st.lists(_float_entries, min_size=4, max_size=4)] * 2)),
+       scales=_row_scales)
+@settings(max_examples=200, deadline=None)
+def test_float_inverse_matches_lapack(upper, scales):
+    # the Pfaffian gate |Pf| <= 1e-12 ||D W D||_F^2 / 2 is the singular-value
+    # test s_min <= 1e-12 s_max on the balance, so it decides as LAPACK does
+    # away from the threshold, and its adjugate is LAPACK's inverse within the
+    # roundoff of a matrix of condition 1/r
+    candidate = _float_form(upper, scales)
+    inverse, d, r = lapack_form_inverse(candidate)
+    assume(not 1e-13 <= r <= 1e-11)
+    report = validate_form(candidate)
+    if inverse is None:
+        assert report.reason == "degenerate"
+        return
+    assert report.ok
+    balanced = report.form.lower_array() / np.outer(d, d)
+    expected = inverse / np.outer(d, d)
+    assert np.max(np.abs(balanced - expected)) <= 1e-13 / r * np.max(np.abs(expected))
 
 
 def test_symplectic_form_constructor_enforces_invariants():
@@ -544,6 +592,28 @@ def test_symbolic_bracket_table_cancels_once_per_raw_exponent(cancel_calls):
     assert len(cancel_calls) == 0
     assert sum(len(b.terms) for row in table for b in row) == 16
     assert all(table[i][i].is_zero and table[0][i].is_zero for i in range(4))
+
+
+def test_bracket_table_differentiates_each_polynomial_once(monkeypatch):
+    # the benchmark's exact op brackets S0..S3 pairwise: 16 brackets of 4
+    # polynomials need 4 gradients of 4 partials each; rebuilding both
+    # arguments' gradients in every bracket took 128 partials
+    calls = []
+    partial = phasespace._raw_partial
+
+    def counting(terms, mu):
+        calls.append(mu)
+        return partial(terms, mu)
+
+    monkeypatch.setattr(phasespace, "_raw_partial", counting)
+    m, w = sp.symbols("m_grad omega_grad", positive=True)
+    hams = standard_hamiltonians(m, w)
+    form = standard_forms(m, w)[0]
+    table = [[poisson_bracket(hi, hj, form) for hj in hams] for hi in hams]
+    assert len(calls) == 16
+    assert [[poisson_bracket(hi, hj, form) for hj in hams] for hi in hams] == table
+    assert len(calls) == 16
+    assert repr(hams[3]) == f"PolynomialObservable({hams[3].terms!r})"
 
 
 def test_symbolic_pairs_cancel_once_per_entry_and_component(cancel_calls):
