@@ -262,11 +262,10 @@ class PolynomialObservable:
     """Polynomial in (x, y, p_x, p_y) stored as exponent-tuple -> coefficient.
 
     Immutable by convention; all arithmetic returns new instances.  Zero
-    coefficients are never stored.  The raw gradient a bracket or vector field
-    contracts is computed on first use and kept (`_raw_gradient`).
+    coefficients are never stored.
     """
 
-    __slots__ = ("terms", "_gradient")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Sequence[int], object] | None = None):
         clean: dict[Exponents, object] = {}
@@ -278,7 +277,6 @@ class PolynomialObservable:
             if coeff != 0:
                 clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_gradient", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("PolynomialObservable is immutable")
@@ -334,7 +332,6 @@ class PolynomialObservable:
                 out.pop(expo, None)
         merged = object.__new__(PolynomialObservable)
         object.__setattr__(merged, "terms", out)
-        object.__setattr__(merged, "_gradient", None)
         return merged
 
     def __add__(self, other):
@@ -526,11 +523,7 @@ def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
 
 
 def _raw_gradient(f: PolynomialObservable) -> tuple[dict, ...]:
-    """The four raw partials of f, computed once per polynomial and kept on it;
-    callers read the dicts and never write them."""
-    if f._gradient is None:
-        object.__setattr__(f, "_gradient", tuple(_raw_partial(f.terms, mu) for mu in range(NVARS)))
-    return f._gradient
+    return tuple(_raw_partial(f.terms, mu) for mu in range(NVARS))
 
 
 def _contract(left: Sequence[dict], matrix, right: Sequence[dict],

@@ -594,28 +594,6 @@ def test_symbolic_bracket_table_cancels_once_per_raw_exponent(cancel_calls):
     assert all(table[i][i].is_zero and table[0][i].is_zero for i in range(4))
 
 
-def test_bracket_table_differentiates_each_polynomial_once(monkeypatch):
-    # the benchmark's exact op brackets S0..S3 pairwise: 16 brackets of 4
-    # polynomials need 4 gradients of 4 partials each; rebuilding both
-    # arguments' gradients in every bracket took 128 partials
-    calls = []
-    partial = phasespace._raw_partial
-
-    def counting(terms, mu):
-        calls.append(mu)
-        return partial(terms, mu)
-
-    monkeypatch.setattr(phasespace, "_raw_partial", counting)
-    m, w = sp.symbols("m_grad omega_grad", positive=True)
-    hams = standard_hamiltonians(m, w)
-    form = standard_forms(m, w)[0]
-    table = [[poisson_bracket(hi, hj, form) for hj in hams] for hi in hams]
-    assert len(calls) == 16
-    assert [[poisson_bracket(hi, hj, form) for hj in hams] for hi in hams] == table
-    assert len(calls) == 16
-    assert repr(hams[3]) == f"PolynomialObservable({hams[3].terms!r})"
-
-
 def test_symbolic_pairs_cancel_once_per_entry_and_component(cancel_calls):
     m, w = sp.symbols("m_pairs omega_pairs", positive=True)
     pairs = standard_pairs(m, w)
