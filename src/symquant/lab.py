@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -403,11 +403,10 @@ def run_scenario(config: Scenario) -> Report:
     is a config error, and so are moments past the float range (m = 1e-300, in the domain).
     """
     _require_domain(config.params, config.packet, config.grid, config.times)
-    psi = config.packet.sample(config.grid)
     times = [float(t) for t in config.times]
     schemes = [scheme(sid, config.params) for sid in config.schemes]
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = heisenberg_moments(schemes, psi, config.times)
+        moments = heisenberg_moments(schemes, config.packet, config.grid, config.times)
     columns = []
     for s, (means, variances) in zip(schemes, moments):
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
@@ -520,14 +519,14 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     t_probe = 0.3 / params.omega
     schemes = [scheme(sid, params) for sid in config.schemes]
     _require_domain(params, probes[0], config.grid, probe="uncertainties")
-    # probes outer: each is sampled once, unless delocalized, and its primitive
-    # Gram matrix serves every scheme; one field is held at a time
+    # probes outer: the primitive Gram matrix of each probe, unless delocalized,
+    # serves every scheme; no probe is sampled on the grid
     for idx, packet in enumerate(probes):
         if max(_edges(packet, config.grid)) >= _BOUNDARY_LIMIT:
             delocalized += len(schemes)
             continue
-        psi = packet.sample(config.grid)
-        for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, (t_probe,))):
+        moments = heisenberg_moments(schemes, packet, config.grid, (t_probe,))
+        for s, (means, variances) in zip(schemes, moments):
             for _, bound, (product,), (holds,) in _scheme_columns(s, means, variances,
                                                                   [t_probe], ()).rows:
                 satisfied = satisfied and holds
@@ -613,8 +612,6 @@ _CELL_JSON = ('    {\n      "mean_im": %s,\n      "mean_re": %s,\n      "observa
 _ROW_JSON = ('    {\n      "bound": %s,\n      "pair": [\n        %s,\n        %s\n      ],\n'
              '      "product": %s,\n      "satisfied": %s,\n      "scheme": %s,\n'
              '      "time": %s\n    }')
-# a templated number that is nan or inf; a quoted string cannot end a line bare
-_NON_FINITE = re.compile(r": -?(?:nan|inf),?$", re.MULTILINE)
 
 
 def _json_block(value) -> str:
@@ -636,22 +633,26 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     pass through the standard library's pure-Python indenting encoder; only
     the small metadata and pair-residual blocks do.  Each column's times and
     each row's bound are formatted once.  Raises ValueError on nan or inf
-    instead of writing NaN or Infinity, which are not JSON.
+    instead of writing NaN or Infinity, which are not JSON: the columns'
+    numbers are checked as floats, and the blocks by json.dumps.
     """
     cells, rows = [], []
     for col in report.columns:
+        numbers = [col.times]
         times = [str(t) for t in col.times]
         for name, real, imag, var in col.cells:
+            numbers += (real, imag, var)
             name = _quote(name)
             cells += [_CELL_JSON % (i, r, name, col.scheme, t, v)
                       for t, r, i, v in zip(times, real, imag, var)]
         for (a, b), bound, products, satisfied in col.rows:
+            numbers += ((bound,), products)
             a, b, bound = _quote(a), _quote(b), str(bound)
             rows += [_ROW_JSON % (bound, a, b, p, "true" if ok else "false", col.scheme, t)
                      for t, p, ok in zip(times, products, satisfied)]
+        if not all(map(math.isfinite, chain.from_iterable(numbers))):
+            raise ValueError("report holds nan or inf, which JSON cannot represent")
     cells, rows = _json_list(cells), _json_list(rows)
-    if _NON_FINITE.search(cells) or _NON_FINITE.search(rows):
-        raise ValueError("report holds nan or inf, which JSON cannot represent")
     metadata = dict(report.metadata)
     if include_timestamp:
         metadata["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -18,9 +18,10 @@ from functools import cached_property
 import numpy as np
 
 
-# `run` and `check` peak at about 144 bytes per grid point (nine complex N x N
-# fields; measured at N = 512 and 1024), so this cap keeps a grid's peak
-# memory near a 2 GiB budget: 144 * 3840**2 bytes = 1.98 GiB
+# `check` peaks at about 144 bytes per grid point, nine complex N x N fields in
+# its commutator group (9.04 under tracemalloc at N = 512, 9.01 at N = 1024),
+# so this cap keeps a grid's peak memory under a 2 GiB budget:
+# 144 * 3840**2 bytes = 1.98 GiB.  `run` forms no N x N field at all.
 MAX_POINTS = 3840
 
 
@@ -113,30 +114,35 @@ class GaussianPacket:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, not {self.sigma!r}")
 
-    def sample(self, grid: GridSpec) -> WaveFunction:
-        """Sample on the grid and normalize by the Riemann-sum norm.
+    def factors(self, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The packet's two axis factors on the grid, unnormalized and of peak at most 1:
+        exp(-(x - c_x)^2 / (4 sigma^2) + i k_x x) as an N x 1 column and the y factor
+        as a 1 x N row.  Their product is the packet on the grid, and each primitive
+        acts on the factor of its own axis.
 
-        Raises ValueError when 4 sigma^2, the envelope's divisor, or the
-        sampled field's norm is zero or not finite.
+        Raises ValueError when 4 sigma^2, the envelope's divisor, is zero or not finite.
         """
         # a float product, not sigma ** 2, which raises OverflowError; both round alike
         width = 4.0 * self.sigma * self.sigma
         if not 0.0 < width < math.inf:
             raise ValueError(f"4 sigma^2 is past the float range at sigma = {self.sigma!r}")
         ax = grid.axis()
-        cx, cy = self.center
-        kx, ky = self.wavevector
-        # each axis term is formed on the axis and broadcast over the grid, and each
-        # N x N step writes into the field it reads; squares past the float range
-        # are far in the tail, where exp(-inf) = 0 is exact
-        with np.errstate(over="ignore"):
-            envelope = ((ax - cx) ** 2)[:, None] + ((ax - cy) ** 2)[None, :]
-            np.negative(envelope, out=envelope)
-            np.divide(envelope, width, out=envelope)
-            np.exp(envelope, out=envelope)
-        phase = np.multiply(1j, (kx * ax)[:, None] + (ky * ax)[None, :])
-        np.exp(phase, out=phase)
-        return WaveFunction(grid, np.multiply(envelope, phase, out=phase)).normalize()
+        factors = []
+        for c, k in zip(self.center, self.wavevector):
+            # squares past the float range are far in the tail, where exp(-inf) = 0 is exact
+            with np.errstate(over="ignore"):
+                envelope = np.exp(-((ax - c) ** 2) / width)
+            factors.append(envelope * np.exp(1j * (k * ax)))
+        return factors[0][:, None], factors[1][None, :]
+
+    def sample(self, grid: GridSpec) -> WaveFunction:
+        """The product of `factors`, normalized by its Riemann-sum norm.
+
+        Raises ValueError when 4 sigma^2, the envelope's divisor, or the
+        sampled field's norm is zero or not finite.
+        """
+        column, row = self.factors(grid)
+        return WaveFunction(grid, column * row).normalize()
 
 
 class Primitive(enum.Enum):

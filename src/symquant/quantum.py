@@ -120,18 +120,41 @@ def _unit_scaled(psi: WaveFunction) -> tuple[WaveFunction, np.ndarray]:
     return scaled, np.array([f, f, inverse, inverse])
 
 
-def _primitive_gram(psi: WaveFunction) -> np.ndarray:
-    """Gram matrix of psi, P_1 psi, ..., P_4 psi; it does not depend on the scheme.
+# the factor each of psi, P_1 psi, ..., P_4 psi takes on the x and on the y axis:
+# 0 the packet's factor, 1 q times it and 2 its derivative d/dq
+_X_FACTOR = [0, 1, 0, 2, 0]
+_Y_FACTOR = [0, 0, 1, 0, 2]
 
-    It is formed on `_unit_scaled`'s field and unscaled exactly, by w_a w_b with w_0 = 1.
+
+def _packet_gram(packet: GaussianPacket, grid: GridSpec) -> np.ndarray:
+    """Gram matrix of psi, P_1 psi, ..., P_4 psi for the normalized packet psi on the
+    grid; it does not depend on the scheme.
+
+    psi is the product f(x) g(y) of the packet's `factors`, and each P_a acts on one
+    of them, so each entry is a product G_ab = F[a', b'] H[a'', b''] of the factors'
+    own Gram matrices over (1, q, d/dq), each divided by its (0, 0) entry; a', a''
+    are P_a's entries of _X_FACTOR and _Y_FACTOR.  Each axis Gram is formed on the
+    axis scaled by f = 2^-e to a half-width in [0.5, 1), where q is f q and d/dq is
+    d/dq / f, and unscaled exactly by w_i w_j with w = (1, f, 1/f): on the axis in
+    absolute units a square or a sum under- or overflows at m omega / hbar = 1e+/-200.
+    Every sum is numpy's pairwise sum of N terms, so no BLAS call, and no thread
+    count, takes part.  Raises ValueError when a factor's norm is zero or not finite.
     """
-    scaled, w = _unit_scaled(psi)
-    grid, values = scaled.grid, scaled.values
-    vectors = [values] + [_apply_primitive(p, values, grid) for p in PRIMITIVES]
-    h = grid.spacing
-    weights = np.concatenate(([1.0], w))
-    return np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h \
-        / weights[:, None] / weights[None, :]
+    half_width, e = math.frexp(grid.half_width)
+    scaled = GridSpec(half_width, grid.points)
+    w = np.array([1.0, math.ldexp(1.0, -e), math.ldexp(1.0, e)])
+    axes = []
+    for factor, (q, d) in zip(packet.factors(grid),
+                              ((Primitive.X, Primitive.DX), (Primitive.Y, Primitive.DY))):
+        vectors = np.array([factor, _apply_primitive(q, factor, scaled),
+                            _apply_primitive(d, factor, scaled)]).reshape(3, -1)
+        gram = np.sum(vectors.conj()[:, None, :] * vectors[None, :, :], axis=-1)
+        norm = gram[0, 0].real
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a packet factor of norm {norm}")
+        axes.append(gram / norm / w[:, None] / w[None, :])
+    x, y = axes
+    return x[np.ix_(_X_FACTOR, _X_FACTOR)] * y[np.ix_(_Y_FACTOR, _Y_FACTOR)]
 
 
 def _fundamental_moments(s: QuantizationScheme, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,38 +165,64 @@ def _fundamental_moments(s: QuantizationScheme, gram: np.ndarray) -> tuple[np.nd
     return s.assignment @ gram[0, 1:], s.assignment.conj() @ gram[1:, 1:] @ s.assignment.T
 
 
-def heisenberg_moments(schemes: Sequence[QuantizationScheme], psi: WaveFunction,
-                       times: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4), per scheme.
-
-    One primitive Gram matrix of psi serves every scheme.
-    """
-    gram = _primitive_gram(psi)
-    moments = []
+def _gram_moments(schemes: Sequence[QuantizationScheme], gram: np.ndarray,
+                  times: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`heisenberg_moments` from a primitive Gram matrix; the J(t) stack is built
+    once per call for each PhysParams among the schemes."""
+    jacobians, moments = {}, []
     for s in schemes:
+        if s.params not in jacobians:
+            jacobians[s.params] = np.array([flow_jacobian(float(t), s.params)
+                                            for t in times]).reshape(-1, 4, 4)
+        jac = jacobians[s.params]
         mean0, second0 = _fundamental_moments(s, gram)
-        jac = np.array([flow_jacobian(float(t), s.params) for t in times]).reshape(-1, 4, 4)
         means = jac @ mean0
         moments.append((means, (np.einsum("tij,jk,tik->ti", jac, second0, jac)
                                 - means * means).real))
     return moments
 
 
+def heisenberg_moments(schemes: Sequence[QuantizationScheme], packet: GaussianPacket,
+                       grid: GridSpec,
+                       times: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Means J m and variances diag(J M J^T) - mean^2, each (len(times), 4), per scheme,
+    of the packet on the grid.
+
+    One primitive Gram matrix of the packet (`_packet_gram`) serves every scheme,
+    and no N x N field is formed.
+    """
+    return _gram_moments(schemes, _packet_gram(packet, grid), times)
+
+
 def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarray]:
     """K_ab = [P_a, P_b] psi for each pair a < b of PRIMITIVES, from 16 primitive actions.
 
-    Each K_ab is P_a (P_b psi) - P_b (P_a psi); P_a psi is dropped once the pairs
-    in row a are formed, the last that use it.
+    Each K_ab is P_a (P_b psi) - P_b (P_a psi), subtracted in place, and P_a psi
+    is dropped at its last use, as soon as P_b (P_a psi) is formed, so at most
+    eight N x N fields are held beside psi: the K_ab formed so far, the P_a psi
+    still to be used and the two actions of the pair in hand.
     """
     grid = psi.grid
     firsts = [_apply_primitive(p, psi.values, grid) for p in PRIMITIVES]
+    last = len(PRIMITIVES) - 1
     fields = {}
     for a, pa in enumerate(PRIMITIVES):
         for b in range(a + 1, len(PRIMITIVES)):
-            fields[a, b] = (_apply_primitive(pa, firsts[b], grid)
-                            - _apply_primitive(PRIMITIVES[b], firsts[a], grid))
-        firsts[a] = None
+            backward = _apply_primitive(PRIMITIVES[b], firsts[a], grid)
+            if b == last:
+                firsts[a] = None
+            fields[a, b] = np.subtract(_apply_primitive(pa, firsts[b], grid), backward,
+                                       out=backward)
     return fields
+
+
+def _residual_norm(values: np.ndarray, h: float) -> float:
+    """Riemann-sum L2 norm of a field, formed in units of a power of two near its
+    largest entry, so its squares neither overflow nor vanish, and unscaled exactly."""
+    mag = np.abs(values)
+    unit = math.ldexp(1.0, math.frexp(mag.max())[1])
+    np.square(np.divide(mag, unit, out=mag), out=mag)
+    return float(np.sqrt(np.sum(mag) * h * h) * unit)
 
 
 def commutator_table_check(schemes: Sequence[QuantizationScheme],
@@ -196,19 +245,15 @@ def commutator_table_check(schemes: Sequence[QuantizationScheme],
     for s in schemes:
         rows, devs = s.assignment, {}
         for i, j in PAIR_INDEX:
+            # summed in place: at most two fields beside psi and the six K_ab
             diff = np.zeros_like(psi.values)
             for (a, b), field in fields.items():
                 coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
                 if coeff != 0:
-                    diff = diff + coeff / (w[a] * w[b]) * field
+                    diff += coeff / (w[a] * w[b]) * field
             if s.commutators[i, j] != 0:
-                diff = diff - s.commutators[i, j] * psi.values
-            # the residual in units of a power of two near its largest entry, so its
-            # squares neither overflow nor vanish; the norm is unscaled exactly
-            mag = np.abs(diff)
-            unit = math.ldexp(1.0, math.frexp(mag.max())[1])
-            dev = float(np.sqrt(np.sum((mag / unit) ** 2) * h * h) * unit) / norm
-            devs[(OBSERVABLES[i], OBSERVABLES[j])] = dev
+                diff -= s.commutators[i, j] * psi.values
+            devs[(OBSERVABLES[i], OBSERVABLES[j])] = _residual_norm(diff, h) / norm
         deviations.append(devs)
     return deviations
 
@@ -218,16 +263,23 @@ def uncertainty_bound(s: QuantizationScheme, pair: tuple[str, str]) -> float:
     return abs(s.commutators[OBSERVABLES.index(pair[0]), OBSERVABLES.index(pair[1])]) / 2.0
 
 
+def _two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
+                         gram: np.ndarray) -> complex:
+    """`two_time_commutator` from a primitive Gram matrix."""
+    _, second = _fundamental_moments(s, gram)
+    a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
+    return complex(a @ second @ b - b @ second @ a)
+
+
 def two_time_commutator(s: QuantizationScheme, t: float, t_prime: float,
-                        psi: WaveFunction) -> complex:
-    """<psi| [x(t), x(t')] psi> = a M b - b M a for x(t) = a.F, x(t') = b.F.
+                        packet: GaussianPacket, grid: GridSpec) -> complex:
+    """<psi| [x(t), x(t')] psi> = a M b - b M a for x(t) = a.F, x(t') = b.F, with psi
+    the packet on the grid.
 
     With M_ij = <F_i psi|F_j psi>, it equals sin(omega (t'-t))/(m omega) times
     the scheme's [x_0, p_x0] table entry: zero for schemes 1 and 3, +/- i hbar otherwise.
     """
-    _, second = _fundamental_moments(s, _primitive_gram(psi))
-    a, b = (flow_jacobian(tau, s.params)[0] for tau in (t, t_prime))
-    return complex(a @ second @ b - b @ second @ a)
+    return _two_time_commutator(s, t, t_prime, _packet_gram(packet, grid))
 
 
 def kernel_overlap(s: QuantizationScheme, x: float, y: float,

@@ -26,7 +26,9 @@ which backs the library's 4 x 4 generator matrices.  `apply` acts
 on a grid field with coordinates and FFT wavenumbers it forms from the grid's
 half-width and point count.  On these rest the applied-operator moments,
 which back the library's Gram-matrix moment engine by applying each
-observable to the field (twice, for second moments); the commutator
+observable to the field (twice, for second moments); the Gram matrix of a
+field by Riemann sums over the whole field (`primitive_gram`), which backs the
+library's Gram matrix of a packet from its two axis factors; the commutator
 residuals, which back the six-primitive-commutator group by applying the
 fundamentals in both orders; the dense N^2 x N^2 materialization of an
 operator, whose matrix exponential backs the Heisenberg rotation on a small
@@ -57,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 import sympy as sp
 
-from symquant import OBSERVABLES, Primitive, WaveFunction, unitary_evolve
+from symquant import OBSERVABLES, GridSpec, Primitive, WaveFunction, unitary_evolve
 from symquant.lab import _ROBERTSON_SLACK
 
 PHASE_SYMBOLS = sp.symbols("x y p_x p_y")
@@ -502,6 +504,28 @@ def applied_commutator(op_a, op_b, psi) -> complex:
     v, grid = psi.values, psi.grid
     return _inner(v, apply(op_a, apply(op_b, v, grid), grid)
                   - apply(op_b, apply(op_a, v, grid), grid), grid)
+
+
+def primitive_gram(psi) -> np.ndarray:
+    """Gram matrix of psi, x psi, y psi, d/dx psi and d/dy psi on the grid field, each
+    entry a Riemann sum over the whole field.
+
+    The field is acted on from its grid scaled by f = 2^-e to a half-width in
+    [0.5, 1), divided by f so it stays normalized, and each entry is unscaled by
+    w_a w_b with w = (1, f, f, 1/f, 1/f): on the field in absolute units a square
+    or a sum under- or overflows at m omega / hbar = 1e+/-200.  Backs the
+    library's Gram matrix of a packet, formed from its two axis factors.
+    """
+    half_width, e = math.frexp(psi.grid.half_width)
+    f, inverse = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    grid = GridSpec(half_width, psi.grid.points)
+    values = psi.values * inverse
+    vectors = [values] + [apply(((1.0, (p,)),), values, grid) for p in
+                          (Primitive.X, Primitive.Y, Primitive.DX, Primitive.DY)]
+    h = 2.0 * half_width / grid.points
+    weights = np.array([1.0, f, f, inverse, inverse])
+    return np.array([[np.vdot(a, b) for b in vectors] for a in vectors]) * h * h \
+        / weights[:, None] / weights[None, :]
 
 
 def commutator_deviations(sid: int, params, psi) -> dict:

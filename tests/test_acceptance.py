@@ -136,21 +136,21 @@ def test_criterion_05_commutator_realization():
 
 
 def test_criterion_06_uncertainty_saturation_and_bounds():
-    psi = ground_packet(P).sample(GRID)
+    ground = ground_packet(P)
     hb, mw = P.hbar, P.m * P.omega
     saturation = {
         (0, ("x", "p_x")): hb / 2, (2, ("x", "p_x")): hb / 2,
         (1, ("x", "p_y")): hb / 2,
         (3, ("x", "y")): hb / (2 * mw), (3, ("p_x", "p_y")): hb * mw / 2,
     }
-    def product(s, pair, psi, t):
-        (_, variances), = heisenberg_moments([s], psi, (t,))
+    def product(s, pair, packet, t):
+        (_, variances), = heisenberg_moments([s], packet, GRID, (t,))
         return math.prod(math.sqrt(max(float(variances[0, OBSERVABLES.index(n)]), 0.0))
                          for n in pair)
 
     worst_gap = 0.0
     for (sid, pair), value in saturation.items():
-        got = product(scheme(sid, P), pair, psi, 0.0)
+        got = product(scheme(sid, P), pair, ground, 0.0)
         worst_gap = max(worst_gap, abs(got - value))
 
     rng = np.random.default_rng(77)
@@ -164,10 +164,9 @@ def test_criterion_06_uncertainty_saturation_and_bounds():
                 center=tuple(rng.uniform(-0.8, 0.8, size=2)),
                 wavevector=tuple(rng.uniform(-1.2, 1.2, size=2)),
                 sigma=float(rng.uniform(0.42, 0.85)))
-            psi_r = packet.sample(GRID)
             t = float(rng.uniform(0.0, 2 * math.pi))
             for pair in pairs[sid]:
-                margin = (product(s, pair, psi_r, t)
+                margin = (product(s, pair, packet, t)
                           - uncertainty_bound(s, pair))
                 worst_margin = min(worst_margin, margin)
     ok = worst_gap <= 1e-6 and worst_margin >= -1e-9
@@ -178,7 +177,6 @@ def test_criterion_06_uncertainty_saturation_and_bounds():
 
 def test_criterion_07_inequivalence_table():
     scn = default_scenario()
-    psi = scn.packet.sample(scn.grid)
     formulas = {
         0: lambda t: math.cos(t) + math.sin(t),
         1: math.cos,
@@ -188,7 +186,7 @@ def test_criterion_07_inequivalence_table():
     times = list(scn.times) + [0.9, 2.2]
     worst = 0.0
     for sid, formula in formulas.items():
-        (means, _), = heisenberg_moments([scheme(sid, P)], psi, times)
+        (means, _), = heisenberg_moments([scheme(sid, P)], scn.packet, scn.grid, times)
         for t, mean in zip(times, means[:, 0]):
             got = mean.real
             oracle = heisenberg_mean(sid, "x", t, scn.packet, P)
@@ -200,7 +198,7 @@ def test_criterion_07_inequivalence_table():
 
 
 def test_criterion_08_two_time_commutator():
-    psi = ground_packet(P).sample(GRID)
+    ground = ground_packet(P)
     hb_over_mw = P.hbar / (P.m * P.omega)
     rng = np.random.default_rng(31)
     worst_null = 0.0
@@ -210,12 +208,12 @@ def test_criterion_08_two_time_commutator():
         expected = 1j * hb_over_mw * math.sin(P.omega * (tp - t))
         worst_signal = max(
             worst_signal,
-            abs(two_time_commutator(scheme(0, P), t, tp, psi) - expected),
-            abs(two_time_commutator(scheme(2, P), t, tp, psi) + expected))
+            abs(two_time_commutator(scheme(0, P), t, tp, ground, GRID) - expected),
+            abs(two_time_commutator(scheme(2, P), t, tp, ground, GRID) + expected))
         worst_null = max(
             worst_null,
-            abs(two_time_commutator(scheme(1, P), t, tp, psi)),
-            abs(two_time_commutator(scheme(3, P), t, tp, psi)))
+            abs(two_time_commutator(scheme(1, P), t, tp, ground, GRID)),
+            abs(two_time_commutator(scheme(3, P), t, tp, ground, GRID)))
     ok = worst_null <= 1e-9 * hb_over_mw and worst_signal <= 1e-6
     _report(8, "two-time commutator", ok,
             f"schemes 1/3 null {worst_null:.2e}, schemes 0/2 error {worst_signal:.2e}")

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -419,8 +420,9 @@ def test_columnar_report_matches_the_per_cell_oracle(scn, overrides):
     moments = {}
     heisenberg_moments = lab.heisenberg_moments
 
-    def recording(schemes, psi, times):
-        for s, (means, variances) in zip(schemes, heisenberg_moments(schemes, psi, times)):
+    def recording(schemes, packet, grid, times):
+        computed = heisenberg_moments(schemes, packet, grid, times)
+        for s, (means, variances) in zip(schemes, computed):
             variances = variances.copy()
             for sid, k, i, value in overrides:
                 if sid == s.id and k < len(times):
@@ -552,19 +554,52 @@ def test_run_and_check_make_no_lapack_call(monkeypatch):
     assert run_checks(default_scenario()).exit_code == 0
 
 
-def test_run_scenario_peaks_under_seven_fields():
-    # the sample builds its envelope and phase in place and each derivative
-    # transforms in one buffer: 6.56 N x N complex fields on the default
-    # scenario, where the temporaries took 7.56
-    run_scenario(default_scenario())  # imports and module-level caches
-    config = default_scenario()
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
     tracemalloc.start()
     try:
-        run_scenario(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * config.grid.points ** 2 * 16
+
+
+def test_run_scenario_peaks_under_one_field():
+    # the moments come from the packet's two axis factors, so run forms no
+    # N x N field: 0.31 N x N complex fields on the default scenario, where
+    # sampling the packet and acting on it took 6.56
+    run_scenario(default_scenario())  # imports and module-level caches
+    config = default_scenario()
+    assert _traced_peak(lambda: run_scenario(config)) < config.grid.points ** 2 * 16
+
+
+def test_uncertainty_group_peaks_under_one_field():
+    # its nine probes' moments come from their factors too; it sampled each
+    config = default_scenario()
+    lab._check_uncertainties(config)
+    assert _traced_peak(lambda: lab._check_uncertainties(config)) < config.grid.points ** 2 * 16
+
+
+def test_run_checks_peaks_within_the_grid_budget():
+    # the commutator group holds the most: psi, its six primitive commutators
+    # and two fields in flight, 9.04 N x N complex fields at N = 512, where
+    # 10.51 were held before each commutator was subtracted in place; at the
+    # cap that is within the 2 GiB budget operators.MAX_POINTS is sized by
+    config = default_scenario().with_grid(points=512, half_width=16.0)
+    run_checks(config)  # imports and module-level caches
+    fields = _traced_peak(lambda: run_checks(config)) / (config.grid.points ** 2 * 16)
+    assert fields <= 9.1
+    assert fields * 16 * operators.MAX_POINTS ** 2 <= 2 * 2 ** 30
+
+
+def test_library_makes_no_blas_dot_product():
+    # a BLAS dot product above 10000 entries sums in an order set by the
+    # thread count, so every grid-sized sum is numpy's own pairwise sum
+    for path in sorted(Path(lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert names & {"np.vdot", "np.dot", "np.inner", "np.tensordot", "np.linalg.norm"} \
+            == set(), path.name
 
 
 def test_emit_report_failure_names_the_path(tmp_path):
@@ -705,14 +740,14 @@ def _large_mass_uncertainties(m):
 def test_uncertainty_check_scales_its_bounds_at_large_m():
     # packet and grid in oscillator units: the Robertson bounds of schemes 1-3
     # are of order m, and their roundoff is no violation; the printed gap and
-    # margin stay absolute.  At m = 1e7 the margin is 6.5 times the 1e-9
-    # slack; at m = 1e13 the ground gap is 4900 times the 1e-6 saturation bound.
+    # margin stay absolute.  At m = 1e7 the margin is 2.8 times the 1e-9
+    # slack; at m = 1e13 the ground gap is 1950 times the 1e-6 saturation bound.
     assert _large_mass_uncertainties(1e7) == lab.CheckResult(
         "uncertainties", "pass",
-        "ground saturation gap 4.657e-09, worst bound margin -6.519e-09")
+        "ground saturation gap 1.863e-09, worst bound margin -2.794e-09")
     result = _large_mass_uncertainties(1e13)
     assert result.status == "pass"
-    assert result.detail.startswith("ground saturation gap 4.883e-03, ")
+    assert result.detail.startswith("ground saturation gap 1.953e-03, ")
 
 
 def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
@@ -913,7 +948,7 @@ def test_coarse_grid_warning_writes_nothing_to_stderr():
         "pairs: pass (max residual 0.000e+00)\n"
         "flow: pass (max pullback deviation 2.220e-16, max conserved-quantity drift 4.441e-16)\n"
         "commutators: warn (probe state not localized on this grid; max deviation 2.949e-08)\n"
-        "uncertainties: pass (ground saturation gap 1.665e-16, worst bound margin -1.665e-16, "
+        "uncertainties: pass (ground saturation gap 1.110e-16, worst bound margin -5.551e-17, "
         "8 delocalized probes skipped)\n"
         "unitary: pass (max conjugation deviation 2.799e-11)\n"
         "overall: pass\n")
@@ -1107,7 +1142,7 @@ def test_run_rejects_a_packet_the_grid_does_not_resolve(half_width, center, key,
     scn = replace(default_scenario(), grid=GridSpec(half_width, 16),
                   packet=GaussianPacket(center=(center, 0.0), wavevector=(1.0, 0.0), sigma=1.0))
     (_, variances), = lab.heisenberg_moments([lab.scheme(0, scn.params)],
-                                             scn.packet.sample(scn.grid), (0.0,))
+                                             scn.packet, scn.grid, (0.0,))
     assert variances[0, 2] / 0.25 - 1.0 == pytest.approx(error, rel=0.05)
     for run in (run_scenario, run_checks):
         with pytest.raises(ScenarioError, match=f"^{re.escape(key)}: spacing "):
@@ -1490,14 +1525,15 @@ def test_module_invocation_subprocess(tmp_path):
 # ---------------------------------------------------------------------------
 
 # SHA-256 of stdout on the default scenario, recorded with numpy 2.4 and
-# sympy 1.14 on x86-64; a refactor that moves any printed digit changes these
+# sympy 1.14 on x86-64, the same with OPENBLAS_NUM_THREADS=1 and 2; a
+# refactor that moves any printed digit changes these
 GOLDEN_STDOUT_SHA256 = {
     ("pairs",): "ced8c33f88d66a8a968f0d4a17d57ae108051f9de60a5611ca69d501e9067445",
     ("run", "--no-timestamp"):
-        "734164fb87e0ebb84d1bbd53d4cbbdf090abad14f846ad38f3ad5ff955e7907f",
+        "f803f98eea5beb8e96ba4f3ec34ab0e0539eb23652ad3e41c931521f49e7eaf5",
     ("run", "--format", "csv", "--no-timestamp"):
-        "e0ce2af34f517cc2fe9b2af67543eb170527451786f756ebd4e09a33991ef03f",
-    ("check",): "17d282a0af9bb9c5a7aaa6cc71310ae48531273344350435f24e4c489b276c26",
+        "195503e221d692e7830f2cd8974af2769bbc2c74fbc0076691f452ae75d50c54",
+    ("check",): "5e94ec5ac23672c9d19380141f44c3b6636ce6fb9ca5c6551c43bb61d8745b09",
 }
 
 
@@ -1541,11 +1577,11 @@ def _benchmark_like_scenario(tmp_path):
 # the same on a scenario off the default parameters, shaped like the
 # benchmark's verify scenario
 BENCHMARK_LIKE_STDOUT_SHA256 = {
-    ("check",): "2669b0878d6a1f6cd08c09f30bc537cfb92a76b8a166e875287021e93bbea142",
+    ("check",): "ba7e7de8581ae96d916f809003e384b7c5c036032c2159d2963a1d77b831dad9",
     ("run", "--no-timestamp"):
-        "47f294b665302653fcb73ef351453bed1c57ce98f0644a7f5e625cdb957c2813",
+        "21c5208a9bef6d81dc2904c260824a779c3fc9804e9139586c27283fbcde2ec4",
     ("run", "--format", "csv", "--no-timestamp"):
-        "b443917353911ffcf5f19f582893589c3332f3bb9cb1ce3100c60a3ebe1cdc3b",
+        "9f6664d743134a7f846bf8782a533477d1b56b18b1bdb0b00007f5770f2fda18",
 }
 
 
@@ -1554,6 +1590,22 @@ def test_benchmark_like_scenario_stdout_is_byte_identical(argv, tmp_path, capsys
     assert main([*argv, "--scenario", str(_benchmark_like_scenario(tmp_path))]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_LIKE_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("scenario", ["default", "benchmark-like"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(scenario, tmp_path):
+    # OpenBLAS splits a long dot product across its threads, which moves its
+    # roundoff; `run` and `check` print the same bytes on one thread and on two
+    scn = [] if scenario == "default" else ["--scenario", str(_benchmark_like_scenario(tmp_path))]
+    for argv in (["run", "--no-timestamp"], ["check"]):
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "symquant", *argv, *scn],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), (argv, threads)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
 
 
 # runs the CLI as `python -m symquant` does, then fails if numpy.random was imported

@@ -43,7 +43,9 @@ from oracles import (
     heisenberg_uncertainty,
     l2_norm,
     normal_form,
+    primitive_gram,
     quadrature_mean,
+    sampled_gaussian,
 )
 
 P = PhysParams(1.0, 1.0, 1.0)
@@ -90,10 +92,15 @@ def _same_normal_form(op, other) -> bool:
                                              for k in want)
 
 
-def _product(s, pair, psi, t: float) -> float:
+def _spreads(variances, pair) -> float:
+    """Delta A Delta B from one time's row of variances."""
+    return math.prod(math.sqrt(max(float(variances[OBS.index(n)]), 0.0)) for n in pair)
+
+
+def _product(s, pair, packet, grid, t: float) -> float:
     """Delta A Delta B of the Heisenberg-evolved pair at t, read from `heisenberg_moments`."""
-    (_, variances), = heisenberg_moments([s], psi, (t,))
-    return math.prod(math.sqrt(max(float(variances[0, OBS.index(n)]), 0.0)) for n in pair)
+    (_, variances), = heisenberg_moments([s], packet, grid, (t,))
+    return _spreads(variances[0], pair)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
     for schemes in ((0,), (0, 1, 2, 3)):
         del calls[:]
         scn = replace(default_scenario(), schemes=schemes)
-        assert lab._check_commutators(scn).detail == "max deviation 6.889e-13"
+        assert lab._check_commutators(scn).detail == "max deviation 6.890e-13"
         assert len(calls) == 16
 
 
@@ -275,11 +282,10 @@ def test_quarter_period_swaps_position_and_momentum():
 
 def test_operator_equations_of_motion():
     # d<O(t)>/dt against the oscillator right-hand side evaluated on means
-    psi = PACKET.sample(GRID)
     delta = 1e-4
     t = 0.6
     for sid in range(4):
-        (means, _), = heisenberg_moments([scheme(sid, P)], psi, (t, t + delta, t - delta))
+        (means, _), = heisenberg_moments([scheme(sid, P)], PACKET, GRID, (t, t + delta, t - delta))
         mean = dict(zip(OBS, means[0].real))
         rhs = {"x": mean["p_x"] / P.m, "y": mean["p_y"] / P.m,
                "p_x": -P.m * P.omega ** 2 * mean["x"],
@@ -294,16 +300,15 @@ def test_operator_equations_of_motion():
 # ---------------------------------------------------------------------------
 
 def test_centered_real_packet_has_zero_means():
-    psi = ground_packet(P).sample(GRID)
     for sid in range(4):
-        (means, _), = heisenberg_moments([scheme(sid, P)], psi, (0.0, 0.9))
+        (means, _), = heisenberg_moments([scheme(sid, P)], ground_packet(P), GRID, (0.0, 0.9))
         assert np.abs(means[:, OBS.index("x")]).max() <= 1e-12
 
 
 def test_hermitian_expectations_are_real():
-    psi = _packet_for(P2).sample(_grid_for(P2))
     for sid in range(4):
-        (means, _), = heisenberg_moments([scheme(sid, P2)], psi, (0.55,))
+        (means, _), = heisenberg_moments([scheme(sid, P2)], _packet_for(P2), _grid_for(P2),
+                                         (0.55,))
         assert np.abs(means.imag).max() <= 1e-10
 
 
@@ -311,10 +316,9 @@ def test_hermitian_expectations_are_real():
 def test_means_match_gaussian_moment_oracle(params):
     grid = _grid_for(params)
     packet = _packet_for(params)
-    psi = packet.sample(grid)
     times = (0.0, 0.45 / params.omega, 2.1 / params.omega)
     for sid in range(4):
-        (means, _), = heisenberg_moments([scheme(sid, params)], psi, times)
+        (means, _), = heisenberg_moments([scheme(sid, params)], packet, grid, times)
         for i, which in enumerate(OBS):
             for k, t in enumerate(times):
                 got = complex(means[k, i])
@@ -334,9 +338,8 @@ def test_oracle_cross_checked_by_quadrature():
 def test_crossed_momentum_shows_up_in_the_mean():
     # same state, same observable, different theories
     packet = GaussianPacket(center=(0.4, -0.7), wavevector=(1.3, -0.6), sigma=0.7)
-    psi = packet.sample(GRID)
     t = 1.1
-    means = {sid: heisenberg_moments([scheme(sid, P)], psi, (t,))[0][0][0, 0].real
+    means = {sid: heisenberg_moments([scheme(sid, P)], packet, GRID, (t,))[0][0][0, 0].real
              for sid in range(4)}
     kx, ky = packet.wavevector
     assert means[0] - means[1] == pytest.approx((kx - ky) * math.sin(t), abs=1e-6)
@@ -348,9 +351,8 @@ def test_crossed_momentum_shows_up_in_the_mean():
 
 def test_all_schemes_agree_at_time_zero():
     packet = _packet_for(P)
-    psi = packet.sample(GRID)
     means = [m[0].real for m, _ in heisenberg_moments([scheme(sid, P) for sid in range(4)],
-                                                       psi, (0.0,))]
+                                                       packet, GRID, (0.0,))]
     for sid in range(4):
         assert means[sid][0] == pytest.approx(packet.center[0], abs=1e-9)
     for sid in (0, 1, 2):
@@ -367,7 +369,7 @@ def test_all_schemes_agree_at_time_zero():
 @pytest.mark.parametrize("params", [P, P2], ids=["unit", "generic"])
 def test_ground_width_saturates_every_bound(params):
     grid = _grid_for(params)
-    psi = ground_packet(params).sample(grid)
+    ground = ground_packet(params)
     hb, mw = params.hbar, params.m * params.omega
     expected = {
         (0, ("x", "p_x")): hb / 2, (0, ("y", "p_y")): hb / 2,
@@ -379,17 +381,16 @@ def test_ground_width_saturates_every_bound(params):
         s = scheme(sid, params)
         assert uncertainty_bound(s, pair) == pytest.approx(value, abs=1e-15)
         for t in (0.0, 0.9 / params.omega):
-            assert _product(s, pair, psi, t) == pytest.approx(value, abs=1e-6)
+            assert _product(s, pair, ground, grid, t) == pytest.approx(value, abs=1e-6)
 
 
 def test_double_width_packet_at_eighth_period():
     # sigma^2 = hbar/(m omega): the product grows to 5/8 hbar by t = pi/(4 omega)
     packet = GaussianPacket(center=(0.3, -0.2), wavevector=(0.5, 0.1), sigma=1.0)
-    psi = packet.sample(GRID)
     t = math.pi / 4
     oracle = heisenberg_uncertainty(0, ("x", "p_x"), t, packet, P)
     assert oracle == pytest.approx(5.0 / 8.0, abs=1e-12)
-    got = _product(scheme(0, P), ("x", "p_x"), psi, t)
+    got = _product(scheme(0, P), ("x", "p_x"), packet, GRID, t)
     assert got == pytest.approx(5.0 / 8.0, abs=1e-6)
 
 
@@ -404,10 +405,9 @@ def test_bounds_hold_for_random_packets():
                 center=tuple(rng.uniform(-0.8, 0.8, size=2)),
                 wavevector=tuple(rng.uniform(-1.2, 1.2, size=2)),
                 sigma=float(rng.uniform(0.42, 0.85)))
-            psi = packet.sample(GRID)
             t = float(rng.uniform(0, 2 * math.pi))
             for pair in pairs[sid]:
-                product = _product(s, pair, psi, t)
+                product = _product(s, pair, packet, GRID, t)
                 assert product >= uncertainty_bound(s, pair) - 1e-9
                 oracle = heisenberg_uncertainty(sid, pair, t, packet, P)
                 assert product == pytest.approx(oracle, abs=1e-8)
@@ -418,54 +418,58 @@ def test_bounds_hold_for_random_packets():
 # ---------------------------------------------------------------------------
 
 def test_two_time_commutator_values():
-    psi = ground_packet(P).sample(GRID)
+    state = (ground_packet(P), GRID)
     hb_over_mw = P.hbar / (P.m * P.omega)
     rng = np.random.default_rng(9)
     for _ in range(5):
         t, tp = rng.uniform(0, 6, size=2)
         expected = 1j * hb_over_mw * math.sin(P.omega * (tp - t))
-        assert abs(two_time_commutator(scheme(0, P), t, tp, psi) - expected) <= 1e-9
-        assert abs(two_time_commutator(scheme(2, P), t, tp, psi) + expected) <= 1e-9
-        assert abs(two_time_commutator(scheme(1, P), t, tp, psi)) <= 1e-9 * hb_over_mw
-        assert abs(two_time_commutator(scheme(3, P), t, tp, psi)) <= 1e-9 * hb_over_mw
+        assert abs(two_time_commutator(scheme(0, P), t, tp, *state) - expected) <= 1e-9
+        assert abs(two_time_commutator(scheme(2, P), t, tp, *state) + expected) <= 1e-9
+        assert abs(two_time_commutator(scheme(1, P), t, tp, *state)) <= 1e-9 * hb_over_mw
+        assert abs(two_time_commutator(scheme(3, P), t, tp, *state)) <= 1e-9 * hb_over_mw
 
 
 def test_two_time_commutator_quarter_period_and_equal_times():
-    psi = ground_packet(P).sample(GRID)
-    got = two_time_commutator(scheme(0, P), 0.4, 0.4 + math.pi / 2, psi)
+    state = (ground_packet(P), GRID)
+    got = two_time_commutator(scheme(0, P), 0.4, 0.4 + math.pi / 2, *state)
     assert got == pytest.approx(1j * P.hbar / (P.m * P.omega), abs=1e-9)
     for sid in range(4):
-        assert abs(two_time_commutator(scheme(sid, P), 1.3, 1.3, psi)) <= 1e-12
+        assert abs(two_time_commutator(scheme(sid, P), 1.3, 1.3, *state)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # moment engine against applied operators
 # ---------------------------------------------------------------------------
 
-def _small_gaussian() -> WaveFunction:
-    return _packet_for(P2).sample(GridSpec(half_width=10.0 * P2.sigma_ref, points=32))
+def _small_gaussian() -> tuple[WaveFunction, np.ndarray]:
+    """A packet's field, and the library's primitive Gram matrix of the packet."""
+    packet, grid = _packet_for(P2), GridSpec(half_width=10.0 * P2.sigma_ref, points=32)
+    return packet.sample(grid), quantum._packet_gram(packet, grid)
 
 
-def _random_field() -> WaveFunction:
+def _random_field() -> tuple[WaveFunction, np.ndarray]:
     # complex noise up to the grid edge: the Gram identity is algebraic,
-    # not a property of localized Gaussians
+    # not a property of localized Gaussians; no packet has this field, so its
+    # Gram matrix is the oracle's, formed on the field
     rng = np.random.default_rng(31)
     values = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-    return WaveFunction(GridSpec(half_width=4.0, points=32), values).normalize()
+    psi = WaveFunction(GridSpec(half_width=4.0, points=32), values).normalize()
+    return psi, primitive_gram(psi)
 
 
 @pytest.mark.parametrize("field", [_small_gaussian, _random_field], ids=["gaussian", "random"])
 @pytest.mark.parametrize("sid", range(4))
 def test_moment_engine_matches_applied_operators(sid, field):
     # every error is relative to the size of the terms that cancel in it
-    psi = field()
+    psi, gram = field()
     s = scheme(sid, P2)
     times = (0.0, 0.45 / P2.omega, 2.1 / P2.omega, -3.7 / P2.omega)
-    means, variances = heisenberg_moments([s], psi, times)[0]
+    means, variances = quantum._gram_moments([s], gram, times)[0]
     assert means.shape == variances.shape == (len(times), len(OBS))
     assert variances.dtype == np.float64
     # one scheme alone gets what it gets among four, bit for bit
-    batched = heisenberg_moments([scheme(k, P2) for k in range(4)], psi, times)[sid]
+    batched = quantum._gram_moments([scheme(k, P2) for k in range(4)], gram, times)[sid]
     assert [a.tobytes() for a in batched] == [means.tobytes(), variances.tobytes()]
     # the oracle's observables are its own rotation of its own fundamentals,
     # applied on its own grid
@@ -480,20 +484,71 @@ def test_moment_engine_matches_applied_operators(sid, field):
             assert abs(variances[k, i] - want) <= 1e-12 * scale ** 2
             spreads[which] = math.sqrt(want)
         for pair in brackets(sid, P2):
-            assert _product(s, pair, psi, t) == pytest.approx(
+            assert _spreads(variances[k], pair) == pytest.approx(
                 spreads[pair[0]] * spreads[pair[1]], rel=1e-12, abs=0)
         for t_prime in times:
             a = heisenberg_observable(sid, "x", t, P2)
             b = heisenberg_observable(sid, "x", t_prime, P2)
             scale = size(a) * size(b)
-            got = two_time_commutator(s, t, t_prime, psi)
+            got = quantum._two_time_commutator(s, t, t_prime, gram)
             assert abs(got - applied_commutator(a, b, psi)) <= 1e-12 * scale
 
 
+# m omega / hbar every 20 decades across the float range, and 1e+/-205 and 1e+/-215
+@pytest.mark.parametrize("decade", sorted({*range(-300, 301, 20), -215, -205, 205, 215}))
+def test_packet_gram_matches_the_field_gram(decade):
+    # the product of the factors' Gram matrices is the Gram matrix the oracle
+    # forms on the sampled field, each entry within 1e-13 of the geometric mean
+    # of its row's and its column's diagonal entries; so are the moments of
+    # every scheme, within 1e-13 of the second moment
+    params = PhysParams(m=float(f"1e{decade}"), omega=1.0, hbar=1.0)
+    ref = params.sigma_ref
+    packet = GaussianPacket(center=(0.3 * ref, -0.2 * ref), wavevector=(0.5 / ref, -0.4 / ref),
+                            sigma=0.6 * ref)
+    grid = GridSpec(half_width=8.0 * ref, points=64)
+    got, want = quantum._packet_gram(packet, grid), primitive_gram(packet.sample(grid))
+    assert np.isfinite(got).all() and np.isfinite(want).all()
+    diagonal = np.sqrt(np.abs(np.diag(want)))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.outer(diagonal, diagonal))
+    schemes = [scheme(sid, params) for sid in range(4)]
+    times = (0.0, 0.7, -2.3)
+    for (means, variances), (ref_means, ref_variances) in zip(
+            quantum._gram_moments(schemes, got, times), quantum._gram_moments(schemes, want, times)):
+        second = ref_variances + np.abs(ref_means) ** 2
+        assert np.all(np.abs(means - ref_means) <= 1e-13 * np.sqrt(second))
+        assert np.all(np.abs(variances - ref_variances) <= 1e-13 * second)
+
+
 def test_moments_of_no_times_are_empty():
-    (means, variances), = heisenberg_moments([scheme(0, P)], _small_gaussian(), ())
+    packet, grid = _packet_for(P2), GridSpec(half_width=10.0 * P2.sigma_ref, points=32)
+    (means, variances), = heisenberg_moments([scheme(0, P)], packet, grid, ())
     assert means.shape == variances.shape == (0, len(OBS))
-    assert heisenberg_moments([], _small_gaussian(), (0.0,)) == []
+    assert heisenberg_moments([], packet, grid, (0.0,)) == []
+
+
+def test_moments_build_one_jacobian_stack_per_call(monkeypatch):
+    # every scheme of one PhysParams reads one J(t) stack: 16 flow_jacobian
+    # calls for four schemes at 16 times, not 64
+    calls = []
+    jacobian = quantum.flow_jacobian
+    monkeypatch.setattr(quantum, "flow_jacobian",
+                        lambda t, params: calls.append(t) or jacobian(t, params))
+    times = [0.1 * k for k in range(16)]
+    heisenberg_moments([scheme(sid, P) for sid in range(4)], PACKET, GRID, times)
+    assert calls == times
+
+
+def test_packet_factors_are_the_sampled_packet():
+    # the packet's factors multiply to the field `sample` normalizes, and a
+    # factor that samples to norm 0 cannot be normalized
+    packet = GaussianPacket(center=(0.4, -0.7), wavevector=(1.3, -0.6), sigma=0.7)
+    column, row = packet.factors(GRID)
+    assert column.shape == (GRID.points, 1) and row.shape == (1, GRID.points)
+    field = sampled_gaussian(packet.center, packet.wavevector, packet.sigma, GRID)
+    assert np.max(np.abs(packet.sample(GRID).values - field)) <= 1e-13 * np.abs(field).max()
+    far = GaussianPacket(center=(1e3, 0.0))
+    with pytest.raises(ValueError, match="cannot normalize"):
+        heisenberg_moments([scheme(0, P)], far, GRID, (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +635,7 @@ def test_degree_three_unsupported(monkeypatch):
 
 def test_variance_of_fundamentals_matches_packet_moments():
     packet = _packet_for(P)
-    psi = packet.sample(GRID)
-    _, variances = heisenberg_moments([scheme(0, P)], psi, (0.0,))[0]
+    _, variances = heisenberg_moments([scheme(0, P)], packet, GRID, (0.0,))[0]
     assert variances[0, OBS.index("x")] == pytest.approx(
         packet.sigma ** 2, abs=1e-9)
     assert variances[0, OBS.index("p_x")] == pytest.approx(

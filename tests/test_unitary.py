@@ -320,7 +320,8 @@ def test_explicit_matrix_exponential_oracle():
     for _ in range(squarings):
         expm = expm @ expm
 
-    psi = ground_packet(P, center=(0.5, -0.3), wavevector=(0.4, 0.2)).sample(small)
+    packet = ground_packet(P, center=(0.5, -0.3), wavevector=(0.4, 0.2))
+    psi = packet.sample(small)
     forward = expm @ psi.values.ravel()
     acted = apply(fundamental(2, "x", P), forward.reshape(psi.values.shape), small).ravel()
     back = np.conj(expm.T) @ acted
@@ -330,5 +331,5 @@ def test_explicit_matrix_exponential_oracle():
     # the library's moment engine, which reads the rotation off flow_jacobian,
     # gives the mean <psi|U^dagger x U|psi> the dense exponential gives
     dense_mean = np.vdot(forward, acted) * small.spacing ** 2
-    (means, _), = heisenberg_moments([scheme(2, P)], psi, (t,))
+    (means, _), = heisenberg_moments([scheme(2, P)], packet, small, (t,))
     assert abs(dense_mean - means[0, 0]) <= 1e-5
