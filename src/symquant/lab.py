@@ -155,15 +155,18 @@ def _point2(raw: dict, key: str, path: str) -> tuple[float, float]:
                  for i, v in enumerate(value))  # type: ignore[return-value]
 
 
+def _reject_unknown(raw: dict, known: Sequence[str], path: str) -> None:
+    for key in raw:
+        if key not in known:
+            raise ScenarioError(f"{path}{key}: unknown key")
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Parse/validate a flat scenario document; errors name the offending key."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: must be a JSON object")
-    known = {"m", "omega", "hbar", "packet", "schemes", "observables",
-             "times", "grid", "checks"}
-    for key in raw:
-        if key not in known:
-            raise ScenarioError(f"{key}: unknown key")
+    _reject_unknown(raw, ("m", "omega", "hbar", "packet", "schemes", "observables",
+                          "times", "grid", "checks"), "")
 
     params = PhysParams(m=_number(raw, "m", "", positive=True),
                         omega=_number(raw, "omega", "", positive=True),
@@ -172,6 +175,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     packet_raw = raw.get("packet")
     if not isinstance(packet_raw, dict):
         raise ScenarioError("packet: must be an object")
+    _reject_unknown(packet_raw, ("center", "wavevector", "sigma"), "packet.")
     packet = GaussianPacket(
         center=_point2(packet_raw, "center", "packet."),
         wavevector=_point2(packet_raw, "wavevector", "packet."),
@@ -206,6 +210,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     grid_raw = raw.get("grid")
     if not isinstance(grid_raw, dict):
         raise ScenarioError("grid: must be an object")
+    _reject_unknown(grid_raw, ("L", "N"), "grid.")
     n_raw = grid_raw.get("N")
     if isinstance(n_raw, bool) or not isinstance(n_raw, int):
         raise ScenarioError("grid.N: must be an integer")
@@ -476,16 +481,17 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
 
 
 def _check_commutators(config: Scenario) -> CheckResult:
-    """Each scheme's commutator table on the ground packet; the six primitive
-    commutators of the probe are formed once and serve every scheme, and the
-    deviation of pair (i, j) is bounded by 1e-8 max(|T_ij|, s_i s_j), with T
-    the scheme's table and s = |A| (sigma_ref, sigma_ref, 1/sigma_ref, 1/sigma_ref)
-    the size of each fundamental of its assignment A in oscillator units.
-    The group warns when either edge of its probe reaches _WARN_BOUNDARY."""
+    """Each scheme's commutator table on the ground packet; the seam vectors of the
+    probe's two axis factors are formed once and serve every scheme, and no probe
+    is sampled on the grid.  The deviation of pair (i, j) is bounded by
+    1e-8 max(|T_ij|, s_i s_j), with T the scheme's table and
+    s = |A| (sigma_ref, sigma_ref, 1/sigma_ref, 1/sigma_ref) the size of each
+    fundamental of its assignment A in oscillator units.  The group warns when
+    either edge of its probe reaches _WARN_BOUNDARY."""
     packet, grid = ground_packet(config.params), config.grid
     _require_domain(config.params, packet, grid, probe="commutators")
     schemes = [scheme(sid, config.params) for sid in config.schemes]
-    deviations = commutator_table_check(schemes, packet.sample(grid))
+    deviations = commutator_table_check(schemes, packet, grid)
     worst = max([0.0] + [dev for devs in deviations for dev in devs.values()])
     if max(_edges(packet, grid)) >= _WARN_BOUNDARY:
         return CheckResult("commutators", "warn", f"probe state not localized on this grid; "

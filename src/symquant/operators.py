@@ -18,10 +18,12 @@ from functools import cached_property
 import numpy as np
 
 
-# `check` peaks at about 144 bytes per grid point, nine complex N x N fields in
-# its commutator group (9.04 under tracemalloc at N = 512, 9.01 at N = 1024),
-# so this cap keeps a grid's peak memory under a 2 GiB budget:
-# 144 * 3840**2 bytes = 1.98 GiB.  `run` forms no N x N field at all.
+# `run` and `check` form no complex N x N field on the scenario's grid; the
+# public `GaussianPacket.sample` and `unitary_evolve` do.  Under tracemalloc at
+# N = 512 and 1024, sampling peaks at 2.00 fields and evolving a sampled field
+# at 6.00 beside it, so a caller that samples and evolves peaks at about 112
+# bytes per grid point, and this cap keeps that under a 2 GiB budget:
+# 112 * 3840**2 bytes = 1.54 GiB.
 MAX_POINTS = 3840
 
 

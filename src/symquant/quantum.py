@@ -6,7 +6,10 @@ and its own representation of the fundamentals on L^2(R^2, dx dy): a constant
 Heisenberg rotation `flow_jacobian`, so every mean, variance, uncertainty
 product and two-time commutator follows from the primitives' Gram matrix on
 one prepared state.  The fundamentals act differently on that state, which is
-exactly why the schemes' predictions differ.
+exactly why the schemes' predictions differ.  The state is a Gaussian packet,
+the product of two 1-D axis factors, and each primitive acts on one factor,
+so the Gram matrix and the commutator check (`commutator_table_check`) are
+formed from the factors alone, and no N x N field is formed.
 
 Scheme assignments (signs transcribed verbatim; the commutator check is the
 arbiter):
@@ -104,26 +107,41 @@ def _act(row: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _unit_scaled(psi: WaveFunction) -> tuple[WaveFunction, np.ndarray]:
-    """psi on its grid scaled by f = 2^-e to a half-width in [0.5, 1), with the field
-    divided by f so it stays normalized, and w = (f, f, 1/f, 1/f): the scaled P_a is
-    w_a P_a.
-
-    Scaling by a power of two is exact while no number is subnormal or overflows,
-    so grid work on the scaled field gives the same bits, and at the ends of the
-    float range (m omega / hbar = 1e+/-200) it gives the right ones: on the
-    field in absolute units its squares and sums under- or overflow.
-    """
-    half_width, e = math.frexp(psi.grid.half_width)
-    f, inverse = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    scaled = WaveFunction(GridSpec(half_width, psi.grid.points), psi.values * inverse)
-    return scaled, np.array([f, f, inverse, inverse])
-
-
 # the factor each of psi, P_1 psi, ..., P_4 psi takes on the x and on the y axis:
 # 0 the packet's factor, 1 q times it and 2 its derivative d/dq
 _X_FACTOR = [0, 1, 0, 2, 0]
 _Y_FACTOR = [0, 0, 1, 0, 2]
+# the same for psi, s_x v and u s_y over (u, s), a factor and its seam vector
+_SEAM_X = [0, 1, 0]
+_SEAM_Y = [0, 0, 1]
+
+
+def _axis_actions(packet: GaussianPacket, grid: GridSpec):
+    """(scaled, axes): `scaled` is the grid scaled by f = 2^-e to a half-width in
+    [0.5, 1), where q is f q and d/dq is d/dq / f, and `axes` holds (q, d, [u, q u, d u])
+    for the x and then the y axis, with u the packet's factor on that axis and q, d its
+    primitives acting from `scaled`.
+
+    On the axis in absolute units a square or a sum under- or overflows at
+    m omega / hbar = 1e+/-200; scaling by a power of two is exact.
+    """
+    scaled = GridSpec(math.frexp(grid.half_width)[0], grid.points)
+    return scaled, [(q, d, [u, _apply_primitive(q, u, scaled), _apply_primitive(d, u, scaled)])
+                    for u, (q, d) in zip(packet.factors(grid), ((Primitive.X, Primitive.DX),
+                                                                (Primitive.Y, Primitive.DY)))]
+
+
+def _axis_gram(vectors: list[np.ndarray]) -> np.ndarray:
+    """Gram matrix of one axis's vectors, the first a packet factor, divided by its
+    (0, 0) entry.  Every sum is numpy's pairwise sum of N terms, so no BLAS call, and
+    no thread count, takes part.  Raises ValueError when the factor's norm is zero or
+    not finite."""
+    vectors = np.array(vectors).reshape(len(vectors), -1)
+    gram = np.sum(vectors.conj()[:, None, :] * vectors[None, :, :], axis=-1)
+    norm = gram[0, 0].real
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a packet factor of norm {norm}")
+    return gram / norm
 
 
 def _packet_gram(packet: GaussianPacket, grid: GridSpec) -> np.ndarray:
@@ -132,28 +150,14 @@ def _packet_gram(packet: GaussianPacket, grid: GridSpec) -> np.ndarray:
 
     psi is the product f(x) g(y) of the packet's `factors`, and each P_a acts on one
     of them, so each entry is a product G_ab = F[a', b'] H[a'', b''] of the factors'
-    own Gram matrices over (1, q, d/dq), each divided by its (0, 0) entry; a', a''
-    are P_a's entries of _X_FACTOR and _Y_FACTOR.  Each axis Gram is formed on the
-    axis scaled by f = 2^-e to a half-width in [0.5, 1), where q is f q and d/dq is
-    d/dq / f, and unscaled exactly by w_i w_j with w = (1, f, 1/f): on the axis in
-    absolute units a square or a sum under- or overflows at m omega / hbar = 1e+/-200.
-    Every sum is numpy's pairwise sum of N terms, so no BLAS call, and no thread
-    count, takes part.  Raises ValueError when a factor's norm is zero or not finite.
+    own Gram matrices over (1, q, d/dq) (`_axis_gram`); a', a'' are P_a's entries of
+    _X_FACTOR and _Y_FACTOR.  Each axis Gram is formed on `_axis_actions`' scaled
+    axis and unscaled exactly by w_i w_j with w = (1, f, 1/f).
     """
-    half_width, e = math.frexp(grid.half_width)
-    scaled = GridSpec(half_width, grid.points)
+    e = math.frexp(grid.half_width)[1]
     w = np.array([1.0, math.ldexp(1.0, -e), math.ldexp(1.0, e)])
-    axes = []
-    for factor, (q, d) in zip(packet.factors(grid),
-                              ((Primitive.X, Primitive.DX), (Primitive.Y, Primitive.DY))):
-        vectors = np.array([factor, _apply_primitive(q, factor, scaled),
-                            _apply_primitive(d, factor, scaled)]).reshape(3, -1)
-        gram = np.sum(vectors.conj()[:, None, :] * vectors[None, :, :], axis=-1)
-        norm = gram[0, 0].real
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"cannot normalize a packet factor of norm {norm}")
-        axes.append(gram / norm / w[:, None] / w[None, :])
-    x, y = axes
+    x, y = (_axis_gram(vectors) / w[:, None] / w[None, :]
+            for _, _, vectors in _axis_actions(packet, grid)[1])
     return x[np.ix_(_X_FACTOR, _X_FACTOR)] * y[np.ix_(_Y_FACTOR, _Y_FACTOR)]
 
 
@@ -194,66 +198,46 @@ def heisenberg_moments(schemes: Sequence[QuantizationScheme], packet: GaussianPa
     return _gram_moments(schemes, _packet_gram(packet, grid), times)
 
 
-def _primitive_commutators(psi: WaveFunction) -> dict[tuple[int, int], np.ndarray]:
-    """K_ab = [P_a, P_b] psi for each pair a < b of PRIMITIVES, from 16 primitive actions.
-
-    Each K_ab is P_a (P_b psi) - P_b (P_a psi), subtracted in place, and P_a psi
-    is dropped at its last use, as soon as P_b (P_a psi) is formed, so at most
-    eight N x N fields are held beside psi: the K_ab formed so far, the P_a psi
-    still to be used and the two actions of the pair in hand.
-    """
-    grid = psi.grid
-    firsts = [_apply_primitive(p, psi.values, grid) for p in PRIMITIVES]
-    last = len(PRIMITIVES) - 1
-    fields = {}
-    for a, pa in enumerate(PRIMITIVES):
-        for b in range(a + 1, len(PRIMITIVES)):
-            backward = _apply_primitive(PRIMITIVES[b], firsts[a], grid)
-            if b == last:
-                firsts[a] = None
-            fields[a, b] = np.subtract(_apply_primitive(pa, firsts[b], grid), backward,
-                                       out=backward)
-    return fields
+def _seam_vectors(packet: GaussianPacket, grid: GridSpec) -> list[list[np.ndarray]]:
+    """[u, k u + u] for the x and then the y axis, with u the packet's factor on that
+    axis and k = [q, d/dq] formed on `_axis_actions`' scaled axis: [f q, d/(f q)] is
+    [q, d/dq].  k u departs from -u only at the periodic seam."""
+    scaled, axes = _axis_actions(packet, grid)
+    return [[u, _apply_primitive(q, du, scaled) - _apply_primitive(d, qu, scaled) + u]
+            for q, d, (u, qu, du) in axes]
 
 
-def _residual_norm(values: np.ndarray, h: float) -> float:
-    """Riemann-sum L2 norm of a field, formed in units of a power of two near its
-    largest entry, so its squares neither overflow nor vanish, and unscaled exactly."""
-    mag = np.abs(values)
-    unit = math.ldexp(1.0, math.frexp(mag.max())[1])
-    np.square(np.divide(mag, unit, out=mag), out=mag)
-    return float(np.sqrt(np.sum(mag) * h * h) * unit)
-
-
-def commutator_table_check(schemes: Sequence[QuantizationScheme],
-                           psi: WaveFunction) -> list[dict[tuple[str, str], float]]:
+def commutator_table_check(schemes: Sequence[QuantizationScheme], packet: GaussianPacket,
+                           grid: GridSpec) -> list[dict[tuple[str, str], float]]:
     """Relative L2 deviation of [F_i, F_j] psi from the table T_ij psi for every
-    fundamental pair (F_i, F_j), one {pair: deviation} dict per scheme.
+    fundamental pair (F_i, F_j), one {pair: deviation} dict per scheme, with psi the
+    packet on the grid.
 
-    With F = A P, [F_i, F_j] = sum_{a<b} (A_ia A_jb - A_ib A_ja) [P_a, P_b], so
-    the six primitive commutators of psi (`_primitive_commutators`, on
-    `_unit_scaled`'s field, each coefficient divided by w_a w_b) serve every
-    scheme: each pair's residual sums the nonzero coefficients' fields and
-    subtracts T_ij psi where T_ij is nonzero.  w_a w_b is a power of two, so one
-    division by it is exact wherever the quotient is a normal float; dividing by
-    w_a and then by w_b can leave the float range on the way (m = 1e+/-300).
+    A primitive on x and one on y act on different axes of psi = u(x) v(y), so of
+    the primitive commutators only [x, d/dx] = k_x and [y, d/dy] = k_y are not
+    zero, with k = [q, d/dq] on that axis's factor.  With F = A P, the residual of
+    pair (i, j) is c_x k_x psi + c_y k_y psi - T_ij psi for c_x = A_i0 A_j2 -
+    A_i2 A_j0 and c_y = A_i1 A_j3 - A_i3 A_j1.  With each axis's seam vector
+    s = k u + u (`_seam_vectors`) the residual is (-c_x - c_y - T_ij) psi +
+    c_x s_x v + c_y u s_y, and its squared norm over |psi|^2 is c^H B c, with B
+    the product of the two axis Grams over (u, s) (`_axis_gram`).  The quadratic
+    form is built on s, not on k u, which would cancel O(1) terms to about
+    sqrt(eps).  c is divided by a power of two near its largest entry, so its
+    squares neither overflow nor vanish (m = 1e+/-300), and the norm is unscaled
+    exactly.  No N x N field is formed.
     """
-    psi, w = _unit_scaled(psi)
-    fields = _primitive_commutators(psi)
-    norm, h = psi.norm(), psi.grid.spacing
+    x, y = (_axis_gram(vectors) for vectors in _seam_vectors(packet, grid))
+    gram = x[np.ix_(_SEAM_X, _SEAM_X)] * y[np.ix_(_SEAM_Y, _SEAM_Y)]
     deviations = []
     for s in schemes:
-        rows, devs = s.assignment, {}
+        a, devs = s.assignment, {}
         for i, j in PAIR_INDEX:
-            # summed in place: at most two fields beside psi and the six K_ab
-            diff = np.zeros_like(psi.values)
-            for (a, b), field in fields.items():
-                coeff = rows[i, a] * rows[j, b] - rows[i, b] * rows[j, a]
-                if coeff != 0:
-                    diff += coeff / (w[a] * w[b]) * field
-            if s.commutators[i, j] != 0:
-                diff -= s.commutators[i, j] * psi.values
-            devs[(OBSERVABLES[i], OBSERVABLES[j])] = _residual_norm(diff, h) / norm
+            c_x = a[i, 0] * a[j, 2] - a[i, 2] * a[j, 0]
+            c_y = a[i, 1] * a[j, 3] - a[i, 3] * a[j, 1]
+            c = np.array([-c_x - c_y - s.commutators[i, j], c_x, c_y])
+            unit = math.ldexp(1.0, math.frexp(np.abs(c).max())[1])
+            c /= unit
+            devs[(OBSERVABLES[i], OBSERVABLES[j])] = math.sqrt((c.conj() @ gram @ c).real) * unit
         deviations.append(devs)
     return deviations
 

@@ -82,6 +82,8 @@ _HUGE = 10 ** 400  # a JSON integer past the float range
     (lambda d: d["grid"].update(N=17), "grid.N"),
     (lambda d: d["grid"].update(L=-2.0), "grid.L"),
     (lambda d: d.update(typo=True), "typo"),
+    (lambda d: d["packet"].update(sigam=3.0), "packet.sigam: unknown key"),
+    (lambda d: d["grid"].update(points=256), "grid.points: unknown key"),
     (lambda d: d["checks"].update(pairs="yes"), "checks.pairs"),
     (lambda d: d.update(m=_HUGE), "m: must be finite"),
     (lambda d: d.update(omega=_HUGE), "omega: must be finite"),
@@ -580,15 +582,37 @@ def test_uncertainty_group_peaks_under_one_field():
     assert _traced_peak(lambda: lab._check_uncertainties(config)) < config.grid.points ** 2 * 16
 
 
-def test_run_checks_peaks_within_the_grid_budget():
-    # the commutator group holds the most: psi, its six primitive commutators
-    # and two fields in flight, 9.04 N x N complex fields at N = 512, where
-    # 10.51 were held before each commutator was subtracted in place; at the
-    # cap that is within the 2 GiB budget operators.MAX_POINTS is sized by
+def test_commutator_group_peaks_under_one_field():
+    # its probe's seam vectors come from the probe's factors; it sampled the
+    # probe and held six primitive commutator fields
+    config = default_scenario()
+    lab._check_commutators(config)
+    assert _traced_peak(lambda: lab._check_commutators(config)) < config.grid.points ** 2 * 16
+
+
+def test_run_checks_peaks_under_one_field():
+    # no group forms an N x N field on the scenario's grid: 0.16 N x N complex
+    # fields at N = 512, where the commutator group's fields took 9.04
     config = default_scenario().with_grid(points=512, half_width=16.0)
     run_checks(config)  # imports and module-level caches
-    fields = _traced_peak(lambda: run_checks(config)) / (config.grid.points ** 2 * 16)
-    assert fields <= 9.1
+    assert _traced_peak(lambda: run_checks(config)) < config.grid.points ** 2 * 16
+
+
+def test_sampling_and_evolving_fit_the_grid_budget():
+    # operators.MAX_POINTS is sized by the field work of the public API on a
+    # caller's grid: a sampled packet and its evolution by each scheme, 7.00 N x N
+    # complex fields at N = 512
+    params = PhysParams(1.0, 1.0, 1.0)
+    grid, packet = GridSpec(half_width=16.0, points=512), quantum.ground_packet(params)
+
+    def sample_and_evolve():
+        psi = packet.sample(grid)
+        for sid in quantum.SCHEME_IDS:
+            quantum.unitary_evolve(quantum.scheme(sid, params), psi, 0.7)
+
+    sample_and_evolve()
+    fields = _traced_peak(sample_and_evolve) / (grid.points ** 2 * 16)
+    assert fields <= 7.1
     assert fields * 16 * operators.MAX_POINTS ** 2 <= 2 * 2 ** 30
 
 
@@ -1533,7 +1557,7 @@ GOLDEN_STDOUT_SHA256 = {
         "f803f98eea5beb8e96ba4f3ec34ab0e0539eb23652ad3e41c931521f49e7eaf5",
     ("run", "--format", "csv", "--no-timestamp"):
         "195503e221d692e7830f2cd8974af2769bbc2c74fbc0076691f452ae75d50c54",
-    ("check",): "5e94ec5ac23672c9d19380141f44c3b6636ce6fb9ca5c6551c43bb61d8745b09",
+    ("check",): "d4e033cfaf4bb810d0fcce83f31cf9fb094286a436dc3a10a4d0610884823ef9",
 }
 
 
@@ -1577,7 +1601,7 @@ def _benchmark_like_scenario(tmp_path):
 # the same on a scenario off the default parameters, shaped like the
 # benchmark's verify scenario
 BENCHMARK_LIKE_STDOUT_SHA256 = {
-    ("check",): "ba7e7de8581ae96d916f809003e384b7c5c036032c2159d2963a1d77b831dad9",
+    ("check",): "63a0446aaa09cb74aeb69a1ef7763e059ae37f68c987de7decf78b7c6ed81092",
     ("run", "--no-timestamp"):
         "21c5208a9bef6d81dc2904c260824a779c3fc9804e9139586c27283fbcde2ec4",
     ("run", "--format", "csv", "--no-timestamp"):

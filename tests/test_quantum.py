@@ -183,20 +183,19 @@ def test_canonical_pairs_are_the_nonzero_upper_table_entries(mw):
 
 @pytest.mark.parametrize("params", [P, P2], ids=["unit", "generic"])
 def test_commutator_tables_realized(params):
-    grid = _grid_for(params)
-    psi = ground_packet(params).sample(grid)
+    grid, packet = _grid_for(params), ground_packet(params)
     schemes = [scheme(sid, params) for sid in range(4)]
-    deviations = commutator_table_check(schemes, psi)
+    deviations = commutator_table_check(schemes, packet, grid)
     assert len(deviations) == 4
     for s, devs in zip(schemes, deviations):
         assert len(devs) == 6 and max(devs.values()) <= 1e-8
         # one scheme alone gets what it gets among four, bit for bit
-        assert commutator_table_check([s], psi) == [devs]
+        assert commutator_table_check([s], packet, grid) == [devs]
 
 
 # the widest off-centre packets reach about 1e-10 of their peak at the grid
-# boundary, past the commutator group's warning threshold; the comparisons are
-# bit for bit and do not depend on localization
+# boundary, past the commutator group's warning threshold; the comparisons do
+# not depend on localization
 @settings(max_examples=40, deadline=None)
 @given(sid=st.sampled_from((0, 1, 2, 3)), log_mw=st.floats(-3.0, 3.0),
        log_hbar=st.floats(-2.0, 2.0), omega=st.floats(0.1, 10.0),
@@ -206,33 +205,41 @@ def test_commutator_tables_realized(params):
 def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, omega, points,
                                                          offset, width, t):
     # the unitary group applies rows of A and J(t) A to the grid field, and
-    # the commutator group the primitive commutators; each must give bit for
-    # bit what the oracle's hand-built operators give on the oracle's own grid
+    # each must give bit for bit what the oracle's hand-built operators give on
+    # the oracle's own grid; the commutator group's seam vectors and deviations
+    # must match the oracle's commutators on the sampled field to roundoff
     params = PhysParams(m=10.0 ** log_mw / omega, omega=omega, hbar=10.0 ** log_hbar)
     ref = params.sigma_ref
     grid = GridSpec(half_width=8.0 * ref, points=points)
-    psi = GaussianPacket(center=(offset[0] * ref, offset[1] * ref),
-                         wavevector=(offset[2] / ref, offset[3] / ref),
-                         sigma=width * params.ground_sigma).sample(grid)
+    packet = GaussianPacket(center=(offset[0] * ref, offset[1] * ref),
+                            wavevector=(offset[2] / ref, offset[3] / ref),
+                            sigma=width * params.ground_sigma)
+    psi = packet.sample(grid)
     s = scheme(sid, params)
-    prims = quantum.PRIMITIVES
-    fields = quantum._primitive_commutators(psi)
-    assert sorted(fields) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    for (a, b), field in fields.items():
-        commutator = ((1.0, (prims[a], prims[b])), (-1.0, (prims[b], prims[a])))
-        assert np.array_equal(field, apply(commutator, psi.values, grid))
-    # the per-pair composition of the fundamentals rounds its products in
-    # another order; the gap is roundoff on terms of the size of the table
-    # entries, hbar, hbar m omega and hbar / (m omega)
-    mw = params.m * params.omega
-    bound = 16 * np.finfo(float).eps * params.hbar * max(1.0, mw, 1.0 / mw)
+    # x times a derivative, or the reverse, rounds to about eps L k_max of |psi|'s peak
+    k_max = np.abs(grid.wavenumbers()).max()
+    roundoff = EPS * grid.half_width * k_max * np.abs(psi.values).max()
+    (u, seam_x), (v, seam_y) = quantum._seam_vectors(packet, grid)
+    norm = np.linalg.norm(u) * np.linalg.norm(v) * grid.spacing
+    for seam, (q, d) in ((seam_x * v, (X, DX)), (u * seam_y, (Y, DY))):
+        # [q, d/dq] psi = -psi, but at the periodic seam
+        oracle = apply(((1.0, (q, d)), (-1.0, (d, q))), psi.values, grid) + psi.values
+        assert np.abs(seam / norm - oracle).max() <= 2 * roundoff
+    # the oracle composes the fundamentals on the field, where a commutator of
+    # two primitives on different axes is roundoff, not zero: each of its two
+    # actions scales roundoff by its primitive's largest size on the grid, L for
+    # a coordinate and k_max for a derivative, in units of the fundamental's size
+    # s, sigma_ref for a coordinate and 1/sigma_ref for a derivative
+    size = np.abs(s.assignment) @ (ref, ref, 1.0 / ref, 1.0 / ref)
+    scale = np.maximum(np.abs(s.commutators), np.outer(size, size))
+    cross = EPS * max(grid.half_width / ref, ref * k_max) ** 2
     expected = commutator_deviations(sid, params, psi)
-    got, = commutator_table_check([s], psi)
+    got, = commutator_table_check([s], packet, grid)
     assert got.keys() == expected.keys()
-    every = commutator_table_check([scheme(k, params) for k in range(4)], psi)
+    every = commutator_table_check([scheme(k, params) for k in range(4)], packet, grid)
     assert every[sid] == got
-    for pair, dev in got.items():
-        assert abs(dev - expected[pair]) <= bound, pair
+    for (a, b), dev in got.items():
+        assert abs(dev - expected[a, b]) <= cross * scale[OBS.index(a), OBS.index(b)], (a, b)
     for r, which in enumerate(OBS):
         for tau in (0.0, t):
             row = flow_jacobian(tau, params)[r] @ s.assignment
@@ -243,18 +250,20 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                               apply(fundamental(sid, which, params), psi.values, grid))
 
 
-def test_commutator_group_makes_sixteen_primitive_actions(monkeypatch):
-    # the six primitive commutators of the probe serve every scheme: 4 first
-    # actions and 12 second ones, whatever the number of schemes
+def test_commutator_group_makes_eight_primitive_actions(monkeypatch):
+    # the seam vectors of the probe's two axis factors serve every scheme: on
+    # each axis q u, d u, q (d u) and d (q u), whatever the number of schemes
     calls = []
     apply = quantum._apply_primitive
     monkeypatch.setattr(quantum, "_apply_primitive",
-                        lambda p, values, grid: calls.append(p) or apply(p, values, grid))
+                        lambda p, values, grid: calls.append((p, values.size))
+                        or apply(p, values, grid))
     for schemes in ((0,), (0, 1, 2, 3)):
         del calls[:]
         scn = replace(default_scenario(), schemes=schemes)
-        assert lab._check_commutators(scn).detail == "max deviation 6.890e-13"
-        assert len(calls) == 16
+        assert lab._check_commutators(scn).detail == "max deviation 6.896e-13"
+        assert sorted(p.name for p, _ in calls) == ["DX"] * 2 + ["DY"] * 2 + ["X"] * 2 + ["Y"] * 2
+        assert {size for _, size in calls} == {scn.grid.points}
 
 
 # ---------------------------------------------------------------------------
