@@ -128,7 +128,8 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
             print(f"  completes to H = {pair.hamiltonian}")
     print()
     print("standard pairs:")
-    for mu, (pair, worst) in enumerate(zip(pairs, _pair_residuals(scenario.params, pairs))):
+    for mu, (pair, worst) in enumerate(zip(pairs, _pair_residuals(
+            scenario.params, ((p.form.upper, p.hamiltonian) for p in pairs)))):
         label = classify_boundedness(pair.hamiltonian)
         contained = basis.contains(pair.form.lower_array())
         print(f"  scheme {mu}: H = {pair.hamiltonian}")

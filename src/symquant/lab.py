@@ -15,8 +15,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import chain
-from typing import Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from ._version import __version__
 from .flow import (default_sample_times, flow_jacobian, PhaseState, verify_conserved,
                    verify_flow_symplectic)
 from .operators import GaussianPacket, GridSpec
-from .pairs import oscillator_field, standard_pairs, verify_pair
+from .pairs import (_derivatives_at_zero, bracket_matrices, oscillator_field,
+                    standard_hamiltonians, standard_pairs)
 from .phasespace import PhysParams
 from .quantum import (
     CANONICAL_PAIRS,
@@ -80,6 +81,13 @@ _BOUNDARY_LIMIT = math.sqrt(_ROBERTSON_SLACK / 10.0)
 # some 160 b at the grid cap; a decade inside the commutator check's 1e-8
 # bound that needs b <= 6e-12, and this is the decade below
 _WARN_BOUNDARY = 1e-12
+
+
+# a `run` of every scheme and observable peaks at about 18.4 KiB of RSS per
+# time (ru_maxrss of the process: 34 MB at one time, 402 MB at 20,000), so
+# this cap keeps it under the 2 GiB budget of `operators.MAX_POINTS`:
+# 100,000 * 18.4 KiB = 1.75 GiB
+MAX_TIMES = 100_000
 
 
 class ScenarioError(ValueError):
@@ -205,6 +213,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     times_raw = raw.get("times")
     if not isinstance(times_raw, list) or not times_raw:
         raise ScenarioError("times: must be a nonempty list")
+    if len(times_raw) > MAX_TIMES:
+        raise ScenarioError(f"times: must hold at most {MAX_TIMES} times, "
+                            "a memory budget of about 2 GiB")
     times = tuple(_ensure_number(t, f"times[{i}]") for i, t in enumerate(times_raw))
 
     grid_raw = raw.get("grid")
@@ -296,14 +307,22 @@ class Report:
 
 
 def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
-    """The pair certificate: max |coefficient| of each pair's `verify_pair` residual.
+    """The pair certificate: max |W Hess(S) - A| over the entries, on 4 x 4 floats,
+    for each (bracket matrix W, Hamiltonian S) of `pairs`, with A the
+    oscillator field's matrix.
 
-    `pairs` are `standard_pairs(params.m, params.omega)`, which the caller
-    builds once and may use for more than the certificate.
+    Entry (mu, k) of W Hess(S) - A is the x^k coefficient of component mu of
+    `verify_pair`'s residual; each row of a standard W has one nonzero entry,
+    so on the standard pairs each entry is one product less one entry of A,
+    rounded as the polynomial contraction rounds it, and the certificate
+    equals the exact layer's max |coefficient| bit for bit.
     """
-    field = oscillator_field(params.m, params.omega)
-    return tuple(max(c.max_abs_coefficient() for c in verify_pair(pair, field))
-                 for pair in pairs)
+    field = oscillator_field(params.m, params.omega).as_float_array()
+    residuals = []
+    for w, h in pairs:
+        hess, _ = _derivatives_at_zero(h)
+        residuals.append(float(np.abs(np.array(w, dtype=float) @ hess - field).max()))
+    return tuple(residuals)
 
 
 def _edges(packet: GaussianPacket, grid: GridSpec) -> tuple[float, float]:
@@ -421,8 +440,10 @@ def run_scenario(config: Scenario) -> Report:
     del metadata["checks"]
     metadata["params"] = {key: metadata.pop(key) for key in ("m", "omega", "hbar")}
     metadata["version"] = __version__
-    pairs = standard_pairs(config.params.m, config.params.omega)
-    return Report(tuple(columns), _pair_residuals(config.params, pairs), metadata)
+    m, omega = config.params.m, config.params.omega
+    residuals = _pair_residuals(config.params, zip(bracket_matrices(m, omega),
+                                                   standard_hamiltonians(m, omega)))
+    return Report(tuple(columns), residuals, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +473,7 @@ class CheckSummary:
 def _check_pairs(config: Scenario, pairs) -> CheckResult:
     """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2)."""
     params = config.params
-    worst = max(_pair_residuals(params, pairs))
+    worst = max(_pair_residuals(params, ((p.form.upper, p.hamiltonian) for p in pairs)))
     tol = 1e-12 * max(1.0, params.m * params.omega ** 2)
     status = "pass" if worst <= tol else "fail"
     return CheckResult("pairs", status, f"max residual {worst:.3e}")
@@ -552,15 +573,20 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
 def _check_unitary(config: Scenario) -> CheckResult:
     """Both conjugation probes of each scheme from one closed-form propagator, on a
     grid of N = 48 that resolves the probe packet (at N = 32 the deviations are
-    the grid's discretization error); a deviation that is not a number fails."""
+    the grid's discretization error); a deviation that is not a number fails,
+    and so does a scheme whose generator no propagator route fits."""
     params = config.params
     probes = (("x", 0.6 / params.omega), ("p_x", 1.1 / params.omega))
     grid = GridSpec(half_width=8.0 * params.sigma_ref, points=48)
     packet = conjugation_probe(params)
     _require_domain(params, packet, grid, probe="unitary")
     psi = packet.sample(grid)
-    deviations = [0.0] + [dev for sid in config.schemes
-                          for dev in conjugation_deviations(scheme(sid, params), psi, probes)]
+    deviations = [0.0]
+    for sid in config.schemes:
+        try:
+            deviations += conjugation_deviations(scheme(sid, params), psi, probes)
+        except ValueError as exc:  # `_propagator` found no route for the generator
+            return CheckResult("unitary", "fail", f"scheme {sid}: {exc}")
     # a nan deviation is the worst one, so it fails the group instead of vanishing in max()
     worst = max(deviations, key=lambda dev: math.inf if math.isnan(dev) else dev)
     status = "pass" if worst <= 1e-5 else "fail"
@@ -611,8 +637,9 @@ def report_to_csv(report: Report) -> str:
 
 
 # one cell and one uncertainty row of the report, laid out as
-# json.dumps(indent=2, sort_keys=True) lays them out; %s writes an int as
-# int.__repr__ and a float as float.__repr__, exactly as json.dumps does
+# json.dumps(indent=2, sort_keys=True) lays them out; the numbers arrive as
+# `_texts` formats them, and %s writes the scheme as int.__repr__, exactly as
+# json.dumps does
 _CELL_JSON = ('    {\n      "mean_im": %s,\n      "mean_re": %s,\n      "observable": %s,\n'
               '      "scheme": %s,\n      "time": %s,\n      "variance": %s\n    }')
 _ROW_JSON = ('    {\n      "bound": %s,\n      "pair": [\n        %s,\n        %s\n      ],\n'
@@ -629,6 +656,27 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _texts(blocks: list[list]) -> Iterator[list[str]]:
+    """str of every number of `blocks`, block by block, with each distinct float
+    formatted once.
+
+    Floats are told apart by their bits, so 0.0 and -0.0 stay two numbers,
+    where a dict would take them for one key; blocks that hold anything but
+    floats (an int time) are formatted number by number.  Raises ValueError
+    on nan or inf, which are not JSON.
+    """
+    numbers = list(chain.from_iterable(blocks))
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("report holds nan or inf, which JSON cannot represent")
+    if {float}.issuperset(map(type, numbers)):
+        bits, inverse = np.unique(np.array(numbers).view(np.int64), return_inverse=True)
+        texts = np.array(list(map(str, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+    else:
+        texts = list(map(str, numbers))
+    ends = list(accumulate(map(len, blocks)))
+    return iter([texts[start:end] for start, end in zip([0, *ends], ends)])
+
+
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     """The bytes json.dumps(doc, indent=2, sort_keys=True) + "\n" writes for the
     report: one object per cell, uncertainty row and pair residual, and the
@@ -637,27 +685,34 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     Cells and uncertainty rows are read from the report's columns and written
     through one fixed template each, so neither they nor an intermediate dict
     pass through the standard library's pure-Python indenting encoder; only
-    the small metadata and pair-residual blocks do.  Each column's times and
-    each row's bound are formatted once.  Raises ValueError on nan or inf
-    instead of writing NaN or Infinity, which are not JSON: the columns'
-    numbers are checked as floats, and the blocks by json.dumps.
+    the small metadata and pair-residual blocks do.  The columns' numbers are
+    formatted first, by `_texts`, which formats each distinct float once:
+    about half of a report's numbers recur, since schemes 0 and 2 share their
+    y and p_y columns, variances repeat over a period and every column holds
+    the same times.  Raises ValueError on nan or inf instead of writing NaN
+    or Infinity, which are not JSON: the columns' numbers are checked as
+    floats, and the blocks by json.dumps.
     """
+    blocks = []
+    for col in report.columns:
+        blocks.append(col.times)
+        for _, real, imag, var in col.cells:
+            blocks += (imag, real, var)
+        for _, bound, products, _ in col.rows:
+            blocks += ([bound], products)
+    texts = _texts(blocks)
     cells, rows = [], []
     for col in report.columns:
-        numbers = [col.times]
-        times = [str(t) for t in col.times]
-        for name, real, imag, var in col.cells:
-            numbers += (real, imag, var)
-            name = _quote(name)
+        times = next(texts)
+        for name, *_ in col.cells:
+            imag, real, var, name = next(texts), next(texts), next(texts), _quote(name)
             cells += [_CELL_JSON % (i, r, name, col.scheme, t, v)
                       for t, r, i, v in zip(times, real, imag, var)]
-        for (a, b), bound, products, satisfied in col.rows:
-            numbers += ((bound,), products)
-            a, b, bound = _quote(a), _quote(b), str(bound)
+        for (a, b), *_, satisfied in col.rows:
+            (bound,), products, a, b = next(texts), next(texts), _quote(a), _quote(b)
             rows += [_ROW_JSON % (bound, a, b, p, "true" if ok else "false", col.scheme, t)
                      for t, p, ok in zip(times, products, satisfied)]
-        if not all(map(math.isfinite, chain.from_iterable(numbers))):
-            raise ValueError("report holds nan or inf, which JSON cannot represent")
+    del texts  # spent: the joins below are the writer's peak, which need not hold them
     cells, rows = _json_list(cells), _json_list(rows)
     metadata = dict(report.metadata)
     if include_timestamp:

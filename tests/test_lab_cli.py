@@ -38,6 +38,7 @@ from symquant import (
     scenario_from_dict,
     standard_pairs,
 )
+from symquant.pairs import bracket_matrices, oscillator_field, standard_hamiltonians, verify_pair
 import symquant
 from symquant import lab, operators, phasespace, quantum
 from symquant.cli import main
@@ -79,6 +80,7 @@ _HUGE = 10 ** 400  # a JSON integer past the float range
     (lambda d: d.update(schemes=[5]), "schemes[0]"),
     (lambda d: d.update(observables=["z"]), "observables[0]"),
     (lambda d: d.update(times=[]), "times"),
+    (lambda d: d.update(times=[0.0] * (lab.MAX_TIMES + 1)), "times: must hold at most"),
     (lambda d: d["grid"].update(N=17), "grid.N"),
     (lambda d: d["grid"].update(L=-2.0), "grid.L"),
     (lambda d: d.update(typo=True), "typo"),
@@ -732,6 +734,47 @@ def test_corrupted_form_fails_the_pair_check(monkeypatch):
     assert summary.exit_code == 1
 
 
+@st.composite
+def _certified_params(draw):
+    """m and omega at which every coefficient of the standard pairs and of the
+    oscillator field is a normal float: |log10 m|, |log10 (m omega)| and
+    |log10 (m omega^2)| at most 300, and |log10 omega| at most 150, since
+    omega^2 is formed on its own."""
+    a = draw(st.floats(-300.0, 300.0))
+    b = draw(st.floats(max(-150.0, -150.0 - a / 2.0), min(150.0, 150.0 - a / 2.0)))
+    return 10.0 ** a, 10.0 ** b
+
+
+@given(params=_certified_params())
+@settings(max_examples=200, deadline=None)
+@example(params=(1.0, 1.0))
+@example(params=(1e-300, 1e150))
+@example(params=(1e300, 1e-150))
+def test_float_pair_certificate_is_the_exact_layers_bit_for_bit(params):
+    # the exact layer stays the oracle: each entry of W Hess(S) - A is one
+    # coefficient of verify_pair's residual, rounded alike
+    m, omega = params
+    field = oscillator_field(m, omega)
+    exact = tuple(max(c.max_abs_coefficient() for c in verify_pair(pair, field))
+                  for pair in standard_pairs(m, omega))
+    raw = zip(bracket_matrices(m, omega), standard_hamiltonians(m, omega))
+    assert lab._pair_residuals(PhysParams(m, omega), raw) == exact
+
+
+def test_run_certifies_the_pairs_it_is_fed(monkeypatch):
+    # W0 fed with S1 generates another flow than the oscillator's: run's
+    # certificate for pair 0 reads 1/m, and the other pairs stay exact
+    def s1_for_s0(m, omega):
+        hamiltonians = standard_hamiltonians(m, omega)
+        return (hamiltonians[1], *hamiltonians[1:])
+
+    monkeypatch.setattr(lab, "standard_hamiltonians", s1_for_s0)
+    m = 0.8
+    report = run_scenario(_small_scenario(m=m))
+    assert report.pair_residuals[0] == 1.0 / m
+    assert max(report.pair_residuals[1:]) <= 1e-12
+
+
 def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
     # check builds its rows as run does; a Robertson flag turned False fails
     # the group and leaves the printed gap and margin as they were
@@ -779,6 +822,25 @@ def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
     monkeypatch.setattr(lab, "conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
     result = lab._check_unitary(default_scenario())
     assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
+
+
+def test_a_generator_without_a_propagator_route_fails_the_unitary_group(monkeypatch, capsys):
+    # scheme 0's x row off by 1e-6 quantizes S0 to a matrix that neither
+    # propagator route fits; check prints a fail, not a traceback
+    def perturbed(sid, params):
+        s = quantum.scheme(sid, params)
+        if sid != 0:
+            return s
+        rows = s.assignment.copy()
+        rows[0, 0] *= 1.0 + 1e-6
+        return replace(s, assignment=rows)
+
+    monkeypatch.setattr(lab, "scheme", perturbed)
+    assert main(["check"]) == 1
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if line.startswith("unitary: "))
+    assert line.startswith("unitary: fail (scheme 0: no closed-form propagator")
+    assert "overall: fail" in out
 
 
 def test_commutator_bound_is_relative_to_the_table():
@@ -1173,16 +1235,20 @@ def test_run_rejects_a_packet_the_grid_does_not_resolve(half_width, center, key,
             run(scn)
 
 
-def test_run_and_the_check_groups_catch_no_exception():
+def test_only_the_unitary_group_catches_an_exception():
     # validity is decided up front by the domain gate, in closed form; only
     # the non-finite-moments gate still reads computed values, so no group
-    # translates a library error into a verdict or a config error
+    # translates a library error into a config error, and only the unitary
+    # group turns one, a generator no propagator route fits, into a verdict
     tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and (node.name == "run_scenario" or node.name.startswith("_check_"))]
     assert len(functions) == 6
     assert [f.name for f in functions
-            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []
+            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == ["_check_unitary"]
+    unitary = next(f for f in functions if f.name == "_check_unitary")
+    handlers = [node for node in ast.walk(unitary) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["ValueError"]
 
 
 # the corners of the benchmark's parameter boxes (benchmarks/workloads.py):

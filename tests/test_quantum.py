@@ -27,7 +27,7 @@ from symquant import (
     coordinates,
     WaveFunction,
 )
-from symquant import lab, quantum
+from symquant import lab, pairs as pairs_module, quantum
 from symquant.flow import flow_jacobian
 from oracles import (
     applied_commutator,
@@ -144,16 +144,25 @@ def test_scheme_validates_and_inverts_no_form(form_work):
     assert form_work == {"invert_exact": 0, "form_init": 0}
 
 
-def test_run_scenario_builds_forms_only_for_its_pair_residuals(form_work):
+def test_run_scenario_builds_no_form_and_verifies_no_pair(form_work, monkeypatch):
+    # run certifies its pairs on the raw bracket matrices that scheme()
+    # quantizes, as 4 x 4 floats: it validates and inverts no form and
+    # contracts no polynomial residual
+    def refused(*args):
+        raise AssertionError("run_scenario called verify_pair")
+
+    monkeypatch.setattr(pairs_module, "verify_pair", refused)
+    report = run_scenario(default_scenario())
+    assert form_work == {"invert_exact": 0, "form_init": 0}
+    assert report.pair_residuals == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_standard_pairs_build_one_form_per_call(form_work):
     # one standard_pairs call builds one form, the float W3; the forms of
     # W0..W2 are module constants, shared by every call
     pairs = standard_pairs(1.0, 1.0)
-    expected = dict(form_work)
-    assert expected == {"invert_exact": 0, "form_init": 1}
+    assert form_work == {"invert_exact": 0, "form_init": 1}
     assert all(p.form is q.form for p, q in zip(pairs[:3], standard_pairs(2.0, 3.0)))
-    form_work.update(invert_exact=0, form_init=0)
-    run_scenario(default_scenario())
-    assert form_work == expected
 
 
 def test_specific_table_entries():

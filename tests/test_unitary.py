@@ -199,12 +199,14 @@ def test_an_unrecognised_normal_form_raises(terms, monkeypatch):
         unitary_evolve(scheme(0, P), psi, 0.3)
 
 
-def test_an_unrecognised_generator_escapes_the_check_as_a_library_error(monkeypatch):
-    # the domain gate admits every scenario the propagator serves, so the
-    # group does not translate the propagator's ValueError into a config error
+def test_an_unrecognised_generator_fails_the_unitary_group(monkeypatch):
+    # the domain gate admits every scenario the propagator serves, so a
+    # generator no route fits is a library defect: the group fails and names
+    # the scheme, and no config error is raised
     _with_generator(monkeypatch, {(1, 0, 1, 0): 1, (0, 0, 0, 0): 0.5j * P.hbar})
-    with pytest.raises(ValueError, match="^no closed-form propagator"):
-        lab._check_unitary(lab.default_scenario())
+    result = lab._check_unitary(lab.default_scenario())
+    assert result.status == "fail"
+    assert result.detail.startswith("scheme 0: no closed-form propagator for the generator ")
 
 
 def test_generators_multiply_only_grid_commuting_primitives():
