@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from itertools import accumulate, chain
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -312,16 +313,18 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
     oscillator field's matrix.
 
     Entry (mu, k) of W Hess(S) - A is the x^k coefficient of component mu of
-    `verify_pair`'s residual; each row of a standard W has one nonzero entry,
-    so on the standard pairs each entry is one product less one entry of A,
-    rounded as the polynomial contraction rounds it, and the certificate
-    equals the exact layer's max |coefficient| bit for bit.
+    `verify_pair`'s residual.  Each is summed left to right and less A's
+    entry last, as that polynomial contraction sums it, so the certificate
+    equals the exact layer's max |coefficient| bit for bit on float pairs.
+    The sums are Python's, not numpy's: a matmul would call BLAS, and even
+    an einsum maps kernels that `run` touches nowhere else.
     """
-    field = oscillator_field(params.m, params.omega).as_float_array()
+    field = oscillator_field(params.m, params.omega).as_float_array().tolist()
     residuals = []
     for w, h in pairs:
-        hess, _ = _derivatives_at_zero(h)
-        residuals.append(float(np.abs(np.array(w, dtype=float) @ hess - field).max()))
+        columns = list(zip(*_derivatives_at_zero(h)[0].tolist()))
+        residuals.append(max(abs(sum(map(mul, row, column)) - a)
+                             for row, a_row in zip(w, field) for column, a in zip(columns, a_row)))
     return tuple(residuals)
 
 
@@ -660,17 +663,22 @@ def _texts(blocks: list[list]) -> Iterator[list[str]]:
     """str of every number of `blocks`, block by block, with each distinct float
     formatted once.
 
-    Floats are told apart by their bits, so 0.0 and -0.0 stay two numbers,
-    where a dict would take them for one key; blocks that hold anything but
-    floats (an int time) are formatted number by number.  Raises ValueError
-    on nan or inf, which are not JSON.
+    A float is keyed by its 64 bits, so 0.0 and -0.0 stay two numbers, where
+    a dict keyed by the floats would take them for one; blocks that hold
+    anything but floats (an int time) are formatted number by number.  No
+    numpy sort is used: its first call adds about 0.5 MB to a process's
+    resident set.  Raises ValueError on nan or inf, which are not JSON.
     """
     numbers = list(chain.from_iterable(blocks))
     if not all(map(math.isfinite, numbers)):
         raise ValueError("report holds nan or inf, which JSON cannot represent")
     if {float}.issuperset(map(type, numbers)):
-        bits, inverse = np.unique(np.array(numbers).view(np.int64), return_inverse=True)
-        texts = np.array(list(map(str, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+        bits = np.array(numbers).view(np.int64).tolist()
+        text = {}
+        for key, number in zip(bits, numbers):
+            if key not in text:
+                text[key] = str(number)
+        texts = list(map(text.__getitem__, bits))
     else:
         texts = list(map(str, numbers))
     ends = list(accumulate(map(len, blocks)))
