@@ -84,10 +84,10 @@ _BOUNDARY_LIMIT = math.sqrt(_ROBERTSON_SLACK / 10.0)
 _WARN_BOUNDARY = 1e-12
 
 
-# a `run` of every scheme and observable peaks at about 18.4 KiB of RSS per
-# time (ru_maxrss of the process: 34 MB at one time, 402 MB at 20,000), so
+# a `run` of every scheme and observable peaks at about 16.3 KiB of RSS per
+# time (ru_maxrss of the process: 33 MB at one time, 358 MB at 20,000), so
 # this cap keeps it under the 2 GiB budget of `operators.MAX_POINTS`:
-# 100,000 * 18.4 KiB = 1.75 GiB
+# 100,000 * 16.3 KiB = 1.55 GiB
 MAX_TIMES = 100_000
 
 
