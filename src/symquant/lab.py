@@ -639,17 +639,6 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-# one cell and one uncertainty row of the report, laid out as
-# json.dumps(indent=2, sort_keys=True) lays them out; the numbers arrive as
-# `_texts` formats them, and %s writes the scheme as int.__repr__, exactly as
-# json.dumps does
-_CELL_JSON = ('    {\n      "mean_im": %s,\n      "mean_re": %s,\n      "observable": %s,\n'
-              '      "scheme": %s,\n      "time": %s,\n      "variance": %s\n    }')
-_ROW_JSON = ('    {\n      "bound": %s,\n      "pair": [\n        %s,\n        %s\n      ],\n'
-             '      "product": %s,\n      "satisfied": %s,\n      "scheme": %s,\n'
-             '      "time": %s\n    }')
-
-
 def _json_block(value) -> str:
     """json.dumps of a top-level member, indented to sit inside the report object."""
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
@@ -691,7 +680,7 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     metadata with a UTC timestamp unless it is suppressed.
 
     Cells and uncertainty rows are read from the report's columns and written
-    through one fixed template each, so neither they nor an intermediate dict
+    through one fixed f-string each, so neither they nor an intermediate dict
     pass through the standard library's pure-Python indenting encoder; only
     the small metadata and pair-residual blocks do.  The columns' numbers are
     formatted first, by `_texts`, which formats each distinct float once:
@@ -709,16 +698,24 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
         for _, bound, products, _ in col.rows:
             blocks += ([bound], products)
     texts = _texts(blocks)
+    # each cell and uncertainty row is one f-string, laid out as
+    # json.dumps(indent=2, sort_keys=True) lays it out; an f-string joins its
+    # pieces in about half the time a % template takes
     cells, rows = [], []
     for col in report.columns:
-        times = next(texts)
+        times, scheme = next(texts), str(col.scheme)
         for name, *_ in col.cells:
             imag, real, var, name = next(texts), next(texts), next(texts), _quote(name)
-            cells += [_CELL_JSON % (i, r, name, col.scheme, t, v)
+            cells += [f'    {{\n      "mean_im": {i},\n      "mean_re": {r},\n'
+                      f'      "observable": {name},\n      "scheme": {scheme},\n'
+                      f'      "time": {t},\n      "variance": {v}\n    }}'
                       for t, r, i, v in zip(times, real, imag, var)]
         for (a, b), *_, satisfied in col.rows:
             (bound,), products, a, b = next(texts), next(texts), _quote(a), _quote(b)
-            rows += [_ROW_JSON % (bound, a, b, p, "true" if ok else "false", col.scheme, t)
+            rows += [f'    {{\n      "bound": {bound},\n      "pair": [\n        {a},\n'
+                     f'        {b}\n      ],\n      "product": {p},\n'
+                     f'      "satisfied": {"true" if ok else "false"},\n'
+                     f'      "scheme": {scheme},\n      "time": {t}\n    }}'
                      for t, p, ok in zip(times, products, satisfied)]
     del texts  # spent: the joins below are the writer's peak, which need not hold them
     cells, rows = _json_list(cells), _json_list(rows)
