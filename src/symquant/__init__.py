@@ -69,7 +69,6 @@ from .quantum import (
 )
 from .lab import (
     CheckResult,
-    CheckSummary,
     Report,
     Scenario,
     ScenarioError,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,17 +86,16 @@ class ConservationCheck(NamedTuple):
 
 
 def verify_conserved(f: PolynomialObservable, state0: PhaseState,
-                     times: Sequence[float], params: PhysParams) -> ConservationCheck:
-    """True iff f's drift along the flow, max |f(x(t)) - f(x0)| over the sample
-    times, is at most 1e-10 max(1, sum_k |c_k| |x(t)|^e_k) over the sampled
-    states x(t), the size of the terms of f(x), which scales as m omega or 1/(m
-    omega).  f is evaluated once on the (4, T) array of states; like max() over
-    the differences, the drift passes over a nan."""
+                     jacobians: np.ndarray) -> ConservationCheck:
+    """True iff f's drift along the flow, max |f(J x0) - f(x0)| over the flow maps
+    J of a (T, 4, 4) stack, is at most 1e-10 max(1, sum_k |c_k| |x|^e_k) over the
+    states x = J x0, the size of the terms of f(x), which scales as m omega or
+    1/(m omega).  f is evaluated once on the (4, T) array of states; like max()
+    over the differences, the drift passes over a nan."""
+    if not len(jacobians):
+        raise ValueError("jacobians must be nonempty")
     x0 = state0.as_array()
-    states = [flow_jacobian(float(t), params) @ x0 for t in times]
-    if not states:
-        raise ValueError("times must be nonempty")
-    states = np.stack(states, axis=1)
+    states = (jacobians @ x0).T
     values = np.broadcast_to(np.asarray(f.evaluate(states), dtype=float), states.shape[1:])
     drift = max([0.0] + np.abs(values - float(f.evaluate(x0))).tolist())
     size = PolynomialObservable({e: abs(c) for e, c in f.terms.items()}).evaluate(np.abs(states))

@@ -361,7 +361,7 @@ def _require_domain(params: PhysParams, packet: GaussianPacket | None = None,
         ("hbar", "hbar^2", hbar * hbar), ("m, hbar", "hbar^2/(2m)", hbar * hbar / (2.0 * m)),
         ("m, omega, hbar", "hbar/(m omega)", hbar * inverse),
         ("m, omega, hbar", "hbar m omega", hbar * m * omega),
-        ("omega, hbar", "hbar omega", hbar * omega))]
+        ("omega, hbar", "hbar omega", hbar * omega), ("omega", "omega^2", omega * omega))]
     if packet is not None:  # the envelope's divisor, the squared norm, h^2 and (2L)^2
         sigma, h, half_width = packet.sigma, grid.spacing, grid.half_width
         key, who = (("packet.sigma", "packet") if probe is None
@@ -460,20 +460,7 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckSummary:
-    results: tuple[CheckResult, ...]
-
-    @property
-    def failed(self) -> bool:
-        return any(r.status == "fail" for r in self.results)
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.failed else 0
-
-
-def _check_pairs(config: Scenario, pairs) -> CheckResult:
+def _check_pairs(config: Scenario, schemes, pairs) -> CheckResult:
     """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2)."""
     params = config.params
     worst = max(_pair_residuals(params, ((p.form.upper, p.hamiltonian) for p in pairs)))
@@ -482,20 +469,23 @@ def _check_pairs(config: Scenario, pairs) -> CheckResult:
     return CheckResult("pairs", status, f"max residual {worst:.3e}")
 
 
-def _check_flow(config: Scenario, pairs) -> CheckResult:
+def _check_flow(config: Scenario, schemes, pairs) -> CheckResult:
     """Flow checks; each verdict is `flow`'s, relative to the size of what it compares.
 
-    The entries of W3 and of the flow map scale as m omega and 1/(m omega), so
+    One stack of flow maps serves each sample set: the 20 drawn pullback times
+    for every form, and `default_sample_times` for every Hamiltonian.  The
+    entries of W3 and of the flow map scale as m omega and 1/(m omega), so
     absolute bounds fail on roundoff at small m omega; the printed maxima stay
     absolute.
     """
     params = config.params
     times = [_uniform(0.0, 4.0 * math.pi / params.omega, u) for u in _UNIFORM_DRAWS[:20]]
     jacobians = np.array([flow_jacobian(t, params) for t in times])
-    state, sample_times = PhaseState(0.9, -0.4, 0.3, 1.1), default_sample_times(params)
+    samples = np.array([flow_jacobian(float(t), params) for t in default_sample_times(params)])
+    state = PhaseState(0.9, -0.4, 0.3, 1.1)
     pullbacks = [check for pair in pairs
                  for check in verify_flow_symplectic(pair.form, jacobians)]
-    drifts = [verify_conserved(pair.hamiltonian, state, sample_times, params) for pair in pairs]
+    drifts = [verify_conserved(pair.hamiltonian, state, samples) for pair in pairs]
     ok = all(check.ok for check in pullbacks + drifts)
     worst_pullback = max([0.0] + [check.max_deviation for check in pullbacks])
     worst_drift = max([0.0] + [check.max_drift for check in drifts])
@@ -504,7 +494,7 @@ def _check_flow(config: Scenario, pairs) -> CheckResult:
                        f"max conserved-quantity drift {worst_drift:.3e}")
 
 
-def _check_commutators(config: Scenario) -> CheckResult:
+def _check_commutators(config: Scenario, schemes, pairs) -> CheckResult:
     """Each scheme's commutator table on the ground packet; the seam vectors of the
     probe's two axis factors are formed once and serve every scheme, and no probe
     is sampled on the grid.  The deviation of pair (i, j) is bounded by
@@ -514,7 +504,6 @@ def _check_commutators(config: Scenario) -> CheckResult:
     either edge of its probe reaches _WARN_BOUNDARY."""
     packet, grid = ground_packet(config.params), config.grid
     _require_domain(config.params, packet, grid, probe="commutators")
-    schemes = [scheme(sid, config.params) for sid in config.schemes]
     deviations = commutator_table_check(schemes, packet, grid)
     worst = max([0.0] + [dev for devs in deviations for dev in devs.values()])
     if max(_edges(packet, grid)) >= _WARN_BOUNDARY:
@@ -529,7 +518,7 @@ def _check_commutators(config: Scenario) -> CheckResult:
     return CheckResult("commutators", "pass" if ok else "fail", f"max deviation {worst:.3e}")
 
 
-def _check_uncertainties(config: Scenario) -> CheckResult:
+def _check_uncertainties(config: Scenario, schemes, pairs) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
     saturates each bound to within 1e-6 max(1, bound) and must lie in the domain;
     a drawn probe with an edge at `_BOUNDARY_LIMIT` or above is skipped and counted."""
@@ -547,7 +536,6 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
             sigma=_uniform(0.6, 1.2, u[4]) * params.ground_sigma,
         ))
     t_probe = 0.3 / params.omega
-    schemes = [scheme(sid, params) for sid in config.schemes]
     _require_domain(params, probes[0], config.grid, probe="uncertainties")
     # probes outer: the primitive Gram matrix of each probe, unless delocalized,
     # serves every scheme; no probe is sampled on the grid
@@ -573,7 +561,7 @@ def _check_uncertainties(config: Scenario) -> CheckResult:
     return CheckResult("uncertainties", "pass" if ok else "fail", detail)
 
 
-def _check_unitary(config: Scenario) -> CheckResult:
+def _check_unitary(config: Scenario, schemes, pairs) -> CheckResult:
     """Both conjugation probes of each scheme from one closed-form propagator, on a
     grid of N = 48 that resolves the probe packet (at N = 32 the deviations are
     the grid's discretization error); a deviation that is not a number fails,
@@ -585,37 +573,33 @@ def _check_unitary(config: Scenario) -> CheckResult:
     _require_domain(params, packet, grid, probe="unitary")
     psi = packet.sample(grid)
     deviations = [0.0]
-    for sid in config.schemes:
+    for s in schemes:
         try:
-            deviations += conjugation_deviations(scheme(sid, params), psi, probes)
+            deviations += conjugation_deviations(s, psi, probes)
         except ValueError as exc:  # `_propagator` found no route for the generator
-            return CheckResult("unitary", "fail", f"scheme {sid}: {exc}")
+            return CheckResult("unitary", "fail", f"scheme {s.id}: {exc}")
     # a nan deviation is the worst one, so it fails the group instead of vanishing in max()
     worst = max(deviations, key=lambda dev: math.inf if math.isnan(dev) else dev)
     status = "pass" if worst <= 1e-5 else "fail"
     return CheckResult("unitary", status, f"max conjugation deviation {worst:.3e}")
 
 
-def run_checks(config: Scenario) -> CheckSummary:
-    """Run the enabled verification groups; exit code is nonzero iff one fails.
+def run_checks(config: Scenario) -> tuple[CheckResult, ...]:
+    """One result per group of CHECK_NAMES, in that order; a disabled group is skipped.
 
     A scenario outside `_require_domain` is a config error whichever groups
-    run, and the pairs and flow groups share one `standard_pairs` call.
+    run.  The scheme list and the standard pairs are built once, here, and
+    every group takes them as its arguments (config, schemes, pairs).
     """
     params = config.params
     _require_domain(params, config.packet, config.grid, config.times)
-    enabled = {name: config.checks.get(name, True) for name in CHECK_NAMES}
-    pairs = standard_pairs(params.m, params.omega) if enabled["flow"] or enabled["pairs"] else ()
-    runners = {
-        "pairs": lambda: _check_pairs(config, pairs),
-        "flow": lambda: _check_flow(config, pairs),
-        "commutators": lambda: _check_commutators(config),
-        "uncertainties": lambda: _check_uncertainties(config),
-        "unitary": lambda: _check_unitary(config),
-    }
-    return CheckSummary(results=tuple(
-        runners[name]() if enabled[name] else CheckResult(name, "skipped", "disabled in scenario")
-        for name in CHECK_NAMES))
+    schemes = [scheme(sid, params) for sid in config.schemes]
+    pairs = standard_pairs(params.m, params.omega)
+    groups = {"pairs": _check_pairs, "flow": _check_flow, "commutators": _check_commutators,
+              "uncertainties": _check_uncertainties, "unitary": _check_unitary}
+    return tuple(group(config, schemes, pairs) if config.checks.get(name, True)
+                 else CheckResult(name, "skipped", "disabled in scenario")
+                 for name, group in groups.items())
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .phasespace import (
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
-_HESSIAN_TOL = 1e-10  # below it a curvature or flat-direction slope is 0 in classify_boundedness
+_HESSIAN_TOL = 1e-10  # of max |entry| of Hess and slope: below it, 0 in classify_boundedness
 _CONTAINS_TOL = 1e-10  # of max(1, max|theta|), for the projection residual in contains
 
 
@@ -175,36 +175,38 @@ def verify_pair(pair: HamiltonianPair,
     return tuple(residuals)
 
 
-def _derivatives_at_zero(f: PolynomialObservable, number=float) -> tuple[np.ndarray, np.ndarray]:
+def _derivatives_at_zero(f: PolynomialObservable) -> tuple[np.ndarray, np.ndarray]:
     """(Hessian, slope) of a degree <= 2 polynomial at 0, read off its terms as
-    arrays of `number` (float or complex); the constant term is not read."""
-    hess = np.zeros((NVARS, NVARS), dtype=number)
-    lin = np.zeros(NVARS, dtype=number)
+    float arrays; the constant term is not read."""
+    hess = np.zeros((NVARS, NVARS))
+    lin = np.zeros(NVARS)
     for expo, coeff in f.terms.items():
         index = [i for i, e in enumerate(expo) for _ in range(e)]
         if len(index) == 1:
-            lin[index[0]] = number(coeff)
+            lin[index[0]] = float(coeff)
         elif index:  # x_i x_j puts its coefficient at (i, j) and (j, i), x_i^2 twice at (i, i)
             i, j = index
-            hess[i, j] += number(coeff)
-            hess[j, i] += number(coeff)
+            hess[i, j] += float(coeff)
+            hess[j, i] += float(coeff)
     return hess, lin
 
 
 def classify_boundedness(hamiltonian: PolynomialObservable) -> str:
-    """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2."""
+    """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2;
+    the zero test is relative (`_HESSIAN_TOL`), so c H gets H's label for every c > 0."""
     if hamiltonian.degree > 2:
         raise ValueError("only observables of degree <= 2 are classified")
     hess, lin = _derivatives_at_zero(hamiltonian)
+    tol = _HESSIAN_TOL * max(np.max(np.abs(hess)), np.max(np.abs(lin)))
     eigvals, eigvecs = np.linalg.eigh(hess)
     below = True
     above = True
     for lam, vec in zip(eigvals, eigvecs.T):
-        if lam > _HESSIAN_TOL:
+        if lam > tol:
             above = False
-        elif lam < -_HESSIAN_TOL:
+        elif lam < -tol:
             below = False
-        elif abs(vec @ lin) > _HESSIAN_TOL:
+        elif abs(vec @ lin) > tol:
             below = above = False
     if below and above:
         return "bounded"

@@ -370,12 +370,13 @@ def _generator_matrix(s: QuantizationScheme) -> np.ndarray:
 
     Every generator is quadratic, so its quantization is its symmetric matrix
     over the primitives (the metaplectic picture; Littlejohn, Phys. Rep. 138,
-    193, 1986).  A generator with a term of another degree raises ValueError.
+    193, 1986).  A generator with a term of another degree, or with a complex
+    coefficient (its symbol is not real, so S is not Hermitian), raises ValueError.
     """
     generator = _generator_polynomial(s)
-    if any(sum(expo) != 2 for expo in generator.terms):
+    if any(sum(expo) != 2 or isinstance(c, complex) for expo, c in generator.terms.items()):
         raise ValueError(f"no closed-form propagator for the generator {generator}")
-    hess, _ = _derivatives_at_zero(generator, complex)
+    hess, _ = _derivatives_at_zero(generator)
     return s.assignment.T @ hess @ s.assignment
 
 

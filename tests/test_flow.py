@@ -30,7 +30,7 @@ X, Y, PX, PY = coordinates()
 
 
 def _jacobians(times, params):
-    """The (T, 4, 4) stack of flow maps `verify_flow_symplectic` takes."""
+    """The (T, 4, 4) stack of flow maps `verify_flow_symplectic` and `verify_conserved` take."""
     return np.array([flow_jacobian(float(t), params) for t in times])
 
 
@@ -128,13 +128,13 @@ def test_conserved_verdict_is_relative_to_the_size_of_the_terms(m):
     params = PhysParams(m=m, omega=1.0, hbar=1.0)
     state = PhaseState(0.9, -0.4, 0.3, 1.1)
     times = default_sample_times(params)
-    checks = [verify_conserved(pair.hamiltonian, state, times, params)
+    checks = [verify_conserved(pair.hamiltonian, state, _jacobians(times, params))
               for pair in standard_pairs(params.m, params.omega)]
     assert all(check.ok for check in checks)
     assert max(check.max_drift for check in checks) > 1e-10
     # x^2 is no constant of motion at any m
-    assert not verify_conserved(PolynomialObservable({(2, 0, 0, 0): 1}), state, times,
-                                params).ok
+    assert not verify_conserved(PolynomialObservable({(2, 0, 0, 0): 1}), state,
+                                _jacobians(times, params)).ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,7 +167,7 @@ def test_stacked_flow_verdicts_equal_the_per_time_verdicts(log_mw, log_hbar, ome
         ref = float(f.evaluate(state0.as_array()))
         drifts = [abs(float(f.evaluate(exact_flow(state0, t, params).as_array())) - ref)
                   for t in times]
-        assert verify_conserved(f, state0, times, params).max_drift == max([0.0] + drifts)
+        assert verify_conserved(f, state0, jacobians).max_drift == max([0.0] + drifts)
 
 
 def test_scaling_map_is_not_symplectic():
@@ -196,17 +196,17 @@ def test_conserved_quantities_along_flow():
     state = PhaseState(*rng.uniform(-1, 1, size=4))
     times = default_sample_times(P2)
     assert len(times) == 100
-    hams = standard_hamiltonians(P2.m, P2.omega)
-    assert verify_conserved(hams[0], state, times, P2).max_drift <= 1e-10
-    assert verify_conserved(hams[3], state, times, P2).max_drift <= 1e-10
+    hams, jacobians = standard_hamiltonians(P2.m, P2.omega), _jacobians(times, P2)
+    assert verify_conserved(hams[0], state, jacobians).max_drift <= 1e-10
+    assert verify_conserved(hams[3], state, jacobians).max_drift <= 1e-10
 
 
 def test_coordinate_drifts():
-    check = verify_conserved(X, PhaseState(1.0, 0.0, 0.0, 0.0), [math.pi / 2], P)
+    check = verify_conserved(X, PhaseState(1.0, 0.0, 0.0, 0.0), _jacobians([math.pi / 2], P))
     assert check.max_drift == pytest.approx(1.0)
     assert not check.ok
 
 
 def test_times_must_be_nonempty():
-    with pytest.raises(ValueError, match="times must be nonempty"):
-        verify_conserved(X, PhaseState(0, 0, 0, 0), [], P)
+    with pytest.raises(ValueError, match="jacobians must be nonempty"):
+        verify_conserved(X, PhaseState(0, 0, 0, 0), np.empty((0, 4, 4)))

@@ -40,7 +40,7 @@ from symquant import (
 )
 from symquant.pairs import bracket_matrices, oscillator_field, standard_hamiltonians, verify_pair
 import symquant
-from symquant import lab, operators, phasespace, quantum
+from symquant import flow, lab, operators, phasespace, quantum
 from symquant.cli import main
 from symquant.lab import CSV_HEADER, emit_report
 from symquant.quantum import CANONICAL_PAIRS, OBSERVABLES, SCHEME_IDS
@@ -555,7 +555,7 @@ def test_run_and_check_make_no_lapack_call(monkeypatch):
         if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
             monkeypatch.setattr(np.linalg, name, refuse)
     run_scenario(default_scenario())
-    assert run_checks(default_scenario()).exit_code == 0
+    assert {r.status for r in run_checks(default_scenario())} == {"pass"}
 
 
 def _traced_peak(fn) -> int:
@@ -577,19 +577,21 @@ def test_run_scenario_peaks_under_one_field():
     assert _traced_peak(lambda: run_scenario(config)) < config.grid.points ** 2 * 16
 
 
-def test_uncertainty_group_peaks_under_one_field():
+def test_uncertainty_group_peaks_under_one_field(group_args):
     # its nine probes' moments come from their factors too; it sampled each
-    config = default_scenario()
-    lab._check_uncertainties(config)
-    assert _traced_peak(lambda: lab._check_uncertainties(config)) < config.grid.points ** 2 * 16
+    config, *shared = group_args(default_scenario())
+    lab._check_uncertainties(config, *shared)
+    assert _traced_peak(lambda: lab._check_uncertainties(config, *shared)) \
+        < config.grid.points ** 2 * 16
 
 
-def test_commutator_group_peaks_under_one_field():
+def test_commutator_group_peaks_under_one_field(group_args):
     # its probe's seam vectors come from the probe's factors; it sampled the
     # probe and held six primitive commutator fields
-    config = default_scenario()
-    lab._check_commutators(config)
-    assert _traced_peak(lambda: lab._check_commutators(config)) < config.grid.points ** 2 * 16
+    config, *shared = group_args(default_scenario())
+    lab._check_commutators(config, *shared)
+    assert _traced_peak(lambda: lab._check_commutators(config, *shared)) \
+        < config.grid.points ** 2 * 16
 
 
 def test_run_checks_peaks_under_one_field():
@@ -635,25 +637,41 @@ def test_emit_report_failure_names_the_path(tmp_path):
         emit_report(report, "json", str(bad))
 
 
+def test_emit_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format: 'xml'$"):
+        emit_report(run_scenario(_small_scenario()), "xml", "-")
+
+
+def test_max_times_holds_to_its_sizing():
+    # MAX_TIMES is sized on 16.3 KiB of RSS per time for a run of every scheme
+    # and observable; the traced peak of run plus its JSON writer is 13.7 KiB
+    # per time on the default scenario, at 500 times as at 2,000
+    config = replace(default_scenario(), times=tuple(0.01 * i for i in range(2000)))
+    report_to_json(run_scenario(config))  # imports and module-level caches
+    peak = _traced_peak(lambda: report_to_json(run_scenario(config)))
+    assert peak / len(config.times) <= 16.3 * 1024
+    assert lab.MAX_TIMES * 16.3 * 1024 <= 2 * 2 ** 30
+
+
 # ---------------------------------------------------------------------------
 # run_checks
 # ---------------------------------------------------------------------------
 
 def test_checks_pass_on_small_scenario():
-    summary = run_checks(_small_scenario())
-    by_name = {r.name: r for r in summary.results}
+    results = run_checks(_small_scenario())
+    by_name = {r.name: r for r in results}
     assert by_name["pairs"].status == "pass"
     assert by_name["flow"].status == "pass"
     assert by_name["commutators"].status == "pass"
     assert by_name["uncertainties"].status == "skipped"
     assert by_name["unitary"].status == "skipped"
-    assert summary.exit_code == 0
+    assert [r.name for r in results] == list(lab.CHECK_NAMES)
 
 
 def _flow_status(m: float) -> str:
     scn = _small_scenario(m=m, checks={"pairs": False, "flow": True, "commutators": False,
                                        "uncertainties": False, "unitary": False})
-    return next(r for r in run_checks(scn).results if r.name == "flow").status
+    return next(r for r in run_checks(scn) if r.name == "flow").status
 
 
 def test_flow_check_passes_at_small_m_omega():
@@ -662,19 +680,24 @@ def test_flow_check_passes_at_small_m_omega():
     assert _flow_status(1e-7) == "pass"
 
 
-def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch):
+def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch, group_args):
     # one (20, 4, 4) Jacobian stack serves all four forms, each read by one
-    # lower_array() call
-    stacks, lowered = [], []
-    verify, lower_array = lab.verify_flow_symplectic, SymplecticForm.lower_array
+    # lower_array() call, and one (100, 4, 4) stack all four Hamiltonians
+    stacks, samples, lowered = [], [], []
+    verify, conserved = lab.verify_flow_symplectic, lab.verify_conserved
+    lower_array = SymplecticForm.lower_array
     monkeypatch.setattr(lab, "verify_flow_symplectic",
                         lambda form, jacobians: stacks.append(jacobians) or verify(form, jacobians))
+    monkeypatch.setattr(lab, "verify_conserved", lambda f, state0, jacobians:
+                        samples.append(jacobians) or conserved(f, state0, jacobians))
     monkeypatch.setattr(SymplecticForm, "lower_array",
                         lambda self: lowered.append(self) or lower_array(self))
-    result = lab._check_flow(default_scenario(), standard_pairs(1.0, 1.0))
+    result = lab._check_flow(*group_args(default_scenario()))
     assert result.status == "pass"
     assert len(stacks) == 4 and all(stack is stacks[0] for stack in stacks)
     assert stacks[0].shape == (20, 4, 4) and len(lowered) == 4
+    assert len(samples) == 4 and all(stack is samples[0] for stack in samples)
+    assert samples[0].shape == (100, 4, 4)
 
 
 def _reversed_momentum_block(pairs):
@@ -707,15 +730,33 @@ def test_pair_check_builds_the_standard_pairs_once(form_work):
     # the pair check computes run's pair residuals from one standard_pairs
     # call, which builds one form, the float W3; W0..W2 are module constants
     scn = _small_scenario(checks={name: name == "pairs" for name in lab.CHECK_NAMES})
-    summary = run_checks(scn)
-    assert [r.status for r in summary.results] == ["pass"] + ["skipped"] * 4
+    assert [r.status for r in run_checks(scn)] == ["pass"] + ["skipped"] * 4
     assert form_work == {"invert_exact": 0, "form_init": 1}
 
 
 def test_check_builds_the_standard_pairs_once(form_work):
     # the pairs and flow groups of a whole check share one standard_pairs call
-    assert run_checks(default_scenario()).exit_code == 0
+    assert {r.status for r in run_checks(default_scenario())} == {"pass"}
     assert form_work == {"invert_exact": 0, "form_init": 1}
+
+
+def test_check_builds_each_shared_input_once(monkeypatch):
+    # run_checks builds the scheme list and the standard pairs once for every
+    # group (the three grid groups built a scheme list each: 12 scheme()
+    # calls), and the flow group one stack of maps per sample set (it built
+    # the 100 sample maps once per Hamiltonian: 420 flow_jacobian calls)
+    counts = {"scheme": 0, "flow_jacobian": 0, "standard_pairs": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: counts.update(
+            {name: counts[name] + 1}) or original(*args))
+
+    for module, name in ((lab, "scheme"), (lab, "standard_pairs"), (lab, "flow_jacobian"),
+                         (flow, "flow_jacobian")):
+        count(module, name)
+    assert {r.status for r in run_checks(default_scenario())} == {"pass"}
+    assert counts == {"scheme": 4, "flow_jacobian": 120, "standard_pairs": 1}
 
 
 def _w0_with_s1(m, omega):
@@ -727,11 +768,10 @@ def _w0_with_s1(m, omega):
 
 def test_corrupted_form_fails_the_pair_check(monkeypatch):
     monkeypatch.setattr(lab, "standard_pairs", _w0_with_s1)
-    summary = run_checks(_small_scenario())
-    pairs = next(r for r in summary.results if r.name == "pairs")
+    pairs, *others = run_checks(_small_scenario())
     assert pairs.status == "fail"
     assert pairs.detail == "max residual 1.000e+00"
-    assert summary.exit_code == 1
+    assert all(r.status != "fail" for r in others)
 
 
 @st.composite
@@ -779,7 +819,7 @@ def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
     # check builds its rows as run does; a Robertson flag turned False fails
     # the group and leaves the printed gap and margin as they were
     scn = _small_scenario(checks={name: name == "uncertainties" for name in lab.CHECK_NAMES})
-    passing = next(r for r in run_checks(scn).results if r.name == "uncertainties")
+    passing = next(r for r in run_checks(scn) if r.name == "uncertainties")
     columns = lab._scheme_columns
 
     def violated(*args):
@@ -788,7 +828,7 @@ def test_uncertainty_check_takes_its_verdict_from_the_report_flags(monkeypatch):
                                        for pair, bound, products, _ in col.rows))
 
     monkeypatch.setattr(lab, "_scheme_columns", violated)
-    failing = next(r for r in run_checks(scn).results if r.name == "uncertainties")
+    failing = next(r for r in run_checks(scn) if r.name == "uncertainties")
     assert (passing.status, failing.status) == ("pass", "fail")
     assert failing.detail == passing.detail
 
@@ -801,7 +841,7 @@ def _large_mass_uncertainties(m):
                    "sigma": 0.6 * ref},
         "grid": {"L": 8 * ref, "N": 128},
         "checks": {name: name == "uncertainties" for name in lab.CHECK_NAMES}})
-    return next(r for r in run_checks(scn).results if r.name == "uncertainties")
+    return next(r for r in run_checks(scn) if r.name == "uncertainties")
 
 
 def test_uncertainty_check_scales_its_bounds_at_large_m():
@@ -817,10 +857,10 @@ def test_uncertainty_check_scales_its_bounds_at_large_m():
     assert result.detail.startswith("ground saturation gap 1.953e-03, ")
 
 
-def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
+def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch, group_args):
     # max() drops a nan that is not its first argument; the group must not
     monkeypatch.setattr(lab, "conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
-    result = lab._check_unitary(default_scenario())
+    result = lab._check_unitary(*group_args(default_scenario()))
     assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
 
 
@@ -853,7 +893,7 @@ def test_commutator_bound_is_relative_to_the_table():
     scn = _small_scenario(**params, schemes=[0, 1, 2, 3], grid={"L": 8 * ref, "N": 64},
                           packet=packet,
                           checks={name: name == "commutators" for name in lab.CHECK_NAMES})
-    result = next(r for r in run_checks(scn).results if r.name == "commutators")
+    result = next(r for r in run_checks(scn) if r.name == "commutators")
     assert result.status == "pass"
     assert float(result.detail.split()[-1]) > 1e-8
 
@@ -866,7 +906,7 @@ def _scaled_commutators(m: float) -> lab.CheckResult:
     scn = _small_scenario(m=m, omega=1.0, hbar=1.0, schemes=[0, 1, 2, 3], packet=packet,
                           grid={"L": 8 * ref, "N": 64},
                           checks={name: name == "commutators" for name in lab.CHECK_NAMES})
-    return next(r for r in run_checks(scn).results if r.name == "commutators")
+    return next(r for r in run_checks(scn) if r.name == "commutators")
 
 
 _MASS_DECADES = [10.0 ** e for e in range(-12, 13)]
@@ -1015,13 +1055,12 @@ def test_coarse_grid_downgrades_to_warning():
                           checks={"pairs": True, "flow": True,
                                   "commutators": True, "uncertainties": True,
                                   "unitary": False})
-    summary = run_checks(scn)
-    by_name = {r.name: r for r in summary.results}
+    by_name = {r.name: r for r in run_checks(scn)}
     assert by_name["commutators"].status == "warn"
     assert float(by_name["commutators"].detail.split()[-1]) > 1e-8
     assert by_name["uncertainties"].status == "pass"
     assert by_name["uncertainties"].detail.endswith(", 4 delocalized probes skipped")
-    assert summary.exit_code == 0
+    assert all(r.status != "fail" for r in by_name.values())
 
 
 def test_coarse_grid_warning_writes_nothing_to_stderr():
@@ -1049,6 +1088,30 @@ def test_cli_init_roundtrips(tmp_path):
     assert main(["init", "--out", str(out)]) == 0
     with open(out, "r", encoding="utf-8") as handle:
         assert scenario_from_dict(json.load(handle)) == default_scenario()
+
+
+def test_cli_init_prints_the_default_scenario_to_stdout(capsys):
+    assert main(["init", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert scenario_from_dict(json.loads(captured.out)) == default_scenario()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_run_out_writes_the_bytes_run_prints(fmt, tmp_path, capsys):
+    path = tmp_path / f"report.{fmt}"
+    assert main(["run", "--format", fmt, "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["run", "--format", fmt, "--no-timestamp", "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+def test_cli_scenario_that_is_no_object_is_a_config_error(tmp_path, capsys):
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps([default_scenario().to_dict()]))
+    assert main(["run", "--scenario", str(scn_path)]) == 2
+    assert capsys.readouterr() == ("", "config error: scenario: must be a JSON object\n")
 
 
 def test_cli_run_is_deterministic(tmp_path, capsys):
@@ -1283,7 +1346,7 @@ def test_benchmark_inputs_lie_in_the_domain(workload, monkeypatch):
                           packet=GaussianPacket((center, -center), (k, -k), sigma),
                           times=tuple(times(omega)))
             lab._require_domain(scn.params, scn.packet, scn.grid, scn.times)
-        results = run_checks(scn).results
+        results = run_checks(scn)
         assert not any("skipped" in r.detail for r in results)
         assert all(r.status == "pass" for r in results
                    if workload == "verify" or r.name != "commutators")
@@ -1336,7 +1399,7 @@ def test_boundary_edge_reads_one_where_sampling_fails():
     assert lab._edges(packet, grid)[0] == 1.0
 
 
-def test_commutator_probe_is_localized_at_a_large_mass():
+def test_commutator_probe_is_localized_at_a_large_mass(group_args):
     # m = 1e3, omega = 2.3, hbar = 0.4 on an L = 8 sigma_ref grid is the
     # default scenario's geometry in oscillator units; the probe's boundary
     # |psi| was 1.461e-12 in absolute units, which warned
@@ -1346,14 +1409,14 @@ def test_commutator_probe_is_localized_at_a_large_mass():
                           checks={name: name == "commutators" for name in lab.CHECK_NAMES})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = lab._check_commutators(scn)
+        result = lab._check_commutators(*group_args(scn))
     assert result.status == "pass"
 
 
-def test_commutator_group_decides_its_probe_localization_once():
+def test_commutator_group_decides_its_probe_localization_once(group_args):
     # one probe serves four schemes, so a delocalized one gives one warn verdict
     scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 6.5, "N": 32})
-    result = lab._check_commutators(scn)
+    result = lab._check_commutators(*group_args(scn))
     assert result.status == "warn"
 
 
@@ -1420,6 +1483,35 @@ def test_cli_pairs_past_the_float_range_are_a_config_error(command, omega, tmp_p
     assert captured.err == "config error: m, omega: m omega^2 is past the float range\n"
 
 
+@pytest.mark.parametrize("m, omega", [(1e-300, 1e200), (1e300, 1e-200), (1e-160, 1e160),
+                                      (1e160, 1e-160)])
+@pytest.mark.parametrize("command", ["run", "check", "pairs"])
+def test_cli_omega_squared_past_the_float_range_is_a_config_error(command, m, omega, tmp_path,
+                                                                  capsys):
+    # the standard Hamiltonians and the oscillator field form omega^2 by itself:
+    # past the float range it ended each command in an OverflowError, and
+    # flushed to 0 it dropped S0's potential, so run exited 0 with a pair
+    # residual of 1e-100 and check failed its unitary group
+    raw = default_scenario().to_dict()
+    raw.update(m=m, omega=omega)
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main([command, "--scenario", str(scn_path)]) == 2
+    assert capsys.readouterr() == ("", "config error: omega: omega^2 is past the float range\n")
+
+
+def test_cli_pairs_labels_the_hamiltonians_at_a_large_mass(tmp_path, capsys):
+    # at m = 1e20, omega = 1e-20 (m omega = 1) each Hessian is of order 1e-20,
+    # below an absolute 1e-10, and all four Hamiltonians were labelled bounded
+    raw = default_scenario().to_dict()
+    raw.update(m=1e20, omega=1e-20)
+    scn_path = tmp_path / "scn.json"
+    scn_path.write_text(json.dumps(raw))
+    assert main(["pairs", "--scenario", str(scn_path)]) == 0
+    labels = re.findall(r"^    residual \S+, ([a-z-]+), ", capsys.readouterr().out, re.M)
+    assert labels == ["bounded-below", "unbounded", "unbounded", "unbounded"]
+
+
 @pytest.mark.parametrize("m, omega, name", [(1e-300, 1e-300, "m omega"),
                                              (1e-320, 1.0, "m omega"),
                                              (1e308, 1.0, "1/(m omega)")])
@@ -1441,8 +1533,8 @@ def test_cli_m_omega_past_the_float_range_is_a_config_error(command, m, omega, n
 
 @pytest.mark.parametrize("group", ["commutators", "uncertainties", "unitary"])
 def test_check_gates_m_omega_whichever_groups_run(group):
-    # without the pairs and flow groups no standard pair is built, and each
-    # grid group would divide by m omega = 0 on its own
+    # the gate runs before the scheme list and the standard pairs are built,
+    # and each grid group would divide by m omega = 0 on its own
     raw = default_scenario().to_dict()
     raw.update(m=1e-300, omega=1e-300, checks={name: name == group for name in lab.CHECK_NAMES})
     with pytest.raises(ScenarioError, match=r"^m, omega: m omega is past the float range$"):
@@ -1459,7 +1551,7 @@ def test_unitary_check_probe_is_in_oscillator_units(m):
         raw = default_scenario().to_dict()
         raw["m"] = m
         raw["checks"] = {name: name == "unitary" for name in lab.CHECK_NAMES}
-        return run_checks(scenario_from_dict(raw)).results[-1]
+        return run_checks(scenario_from_dict(raw))[-1]
 
     assert unitary(m) == unitary(1.0)
     assert unitary(m).status == "pass"
@@ -1561,7 +1653,7 @@ def test_float_scenarios_never_import_sympy():
               "from symquant import lab\n"
               "scenario = lab.default_scenario()\n"
               "lab.run_scenario(scenario)\n"
-              "assert lab.run_checks(scenario).exit_code == 0\n"
+              "assert {r.status for r in lab.run_checks(scenario)} == {'pass'}\n"
               "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

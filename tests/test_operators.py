@@ -10,6 +10,7 @@ import pytest
 from symquant import (
     GaussianPacket,
     GridSpec,
+    PhaseState,
     PhysParams,
     Primitive,
     WaveFunction,
@@ -70,10 +71,16 @@ def test_normalize_rejects_zero_and_infinite_norms(half_width):
     (lambda: GaussianPacket(center=(math.nan, 0.0)), "center"),
     (lambda: GaussianPacket(wavevector=(0.0, -math.inf)), "wavevector"),
     (lambda: GaussianPacket(sigma=math.inf), "sigma"),
+    (lambda: PhaseState(0.0, 0.0, math.nan, 0.0), "p_x"),
 ])
 def test_non_finite_inputs_are_rejected(make, field):
     with pytest.raises(ValueError, match=field):
         make()
+
+
+def test_a_field_of_another_shape_than_its_grid_is_rejected():
+    with pytest.raises(ValueError, match="^values shape does not match grid$"):
+        WaveFunction(GRID, np.zeros((GRID.points, GRID.points + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,15 @@ def test_boundedness_matches_the_exact_hessian_oracle(hamiltonian):
     assert classify_boundedness(hamiltonian) == boundedness_label(hamiltonian.terms)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_quadratics(kinds=("int", "float")), st.integers(-150, 150))
+def test_boundedness_is_invariant_under_positive_scaling(hamiltonian, k):
+    # c H is bounded exactly as H is for c > 0; against an absolute 1e-10 a
+    # curvature of 1e-20 read as flat, and one of 1e20 off by roundoff as curved
+    scaled = PolynomialObservable({e: c * 10.0 ** k for e, c in hamiltonian.terms.items()})
+    assert classify_boundedness(scaled) == boundedness_label(hamiltonian.terms)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_quadratics(), _quadratics())
 def test_product_matches_the_term_loop_oracle(f, g):
