@@ -322,7 +322,7 @@ def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
     field = oscillator_field(params.m, params.omega).as_float_array().tolist()
     residuals = []
     for w, h in pairs:
-        columns = list(zip(*_derivatives_at_zero(h)[0].tolist()))
+        columns = [tuple(map(float, column)) for column in zip(*_derivatives_at_zero(h)[0])]
         residuals.append(max(abs(sum(map(mul, row, column)) - a)
                              for row, a_row in zip(w, field) for column, a in zip(columns, a_row)))
     return tuple(residuals)
@@ -460,7 +460,7 @@ class CheckResult:
     detail: str
 
 
-def _check_pairs(config: Scenario, schemes, pairs) -> CheckResult:
+def _check_pairs(config: Scenario, pairs) -> CheckResult:
     """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2)."""
     params = config.params
     worst = max(_pair_residuals(params, ((p.form.upper, p.hamiltonian) for p in pairs)))
@@ -469,7 +469,7 @@ def _check_pairs(config: Scenario, schemes, pairs) -> CheckResult:
     return CheckResult("pairs", status, f"max residual {worst:.3e}")
 
 
-def _check_flow(config: Scenario, schemes, pairs) -> CheckResult:
+def _check_flow(config: Scenario, pairs) -> CheckResult:
     """Flow checks; each verdict is `flow`'s, relative to the size of what it compares.
 
     One stack of flow maps serves each sample set: the 20 drawn pullback times
@@ -494,7 +494,7 @@ def _check_flow(config: Scenario, schemes, pairs) -> CheckResult:
                        f"max conserved-quantity drift {worst_drift:.3e}")
 
 
-def _check_commutators(config: Scenario, schemes, pairs) -> CheckResult:
+def _check_commutators(config: Scenario, schemes) -> CheckResult:
     """Each scheme's commutator table on the ground packet; the seam vectors of the
     probe's two axis factors are formed once and serve every scheme, and no probe
     is sampled on the grid.  The deviation of pair (i, j) is bounded by
@@ -518,7 +518,7 @@ def _check_commutators(config: Scenario, schemes, pairs) -> CheckResult:
     return CheckResult("commutators", "pass" if ok else "fail", f"max deviation {worst:.3e}")
 
 
-def _check_uncertainties(config: Scenario, schemes, pairs) -> CheckResult:
+def _check_uncertainties(config: Scenario, schemes) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
     saturates each bound to within 1e-6 max(1, bound) and must lie in the domain;
     a drawn probe with an edge at `_BOUNDARY_LIMIT` or above is skipped and counted."""
@@ -561,7 +561,7 @@ def _check_uncertainties(config: Scenario, schemes, pairs) -> CheckResult:
     return CheckResult("uncertainties", "pass" if ok else "fail", detail)
 
 
-def _check_unitary(config: Scenario, schemes, pairs) -> CheckResult:
+def _check_unitary(config: Scenario, schemes) -> CheckResult:
     """Both conjugation probes of each scheme from one closed-form propagator, on a
     grid of N = 48 that resolves the probe packet (at N = 32 the deviations are
     the grid's discretization error); a deviation that is not a number fails,
@@ -589,17 +589,22 @@ def run_checks(config: Scenario) -> tuple[CheckResult, ...]:
 
     A scenario outside `_require_domain` is a config error whichever groups
     run.  The scheme list and the standard pairs are built once, here, and
-    every group takes them as its arguments (config, schemes, pairs).
+    each group is passed the one of them it reads.
     """
     params = config.params
     _require_domain(params, config.packet, config.grid, config.times)
     schemes = [scheme(sid, params) for sid in config.schemes]
     pairs = standard_pairs(params.m, params.omega)
-    groups = {"pairs": _check_pairs, "flow": _check_flow, "commutators": _check_commutators,
-              "uncertainties": _check_uncertainties, "unitary": _check_unitary}
-    return tuple(group(config, schemes, pairs) if config.checks.get(name, True)
+    runners = {
+        "pairs": lambda: _check_pairs(config, pairs),
+        "flow": lambda: _check_flow(config, pairs),
+        "commutators": lambda: _check_commutators(config, schemes),
+        "uncertainties": lambda: _check_uncertainties(config, schemes),
+        "unitary": lambda: _check_unitary(config, schemes),
+    }
+    return tuple(runners[name]() if config.checks.get(name, True)
                  else CheckResult(name, "skipped", "disabled in scenario")
-                 for name, group in groups.items())
+                 for name in CHECK_NAMES)
 
 
 # ---------------------------------------------------------------------------

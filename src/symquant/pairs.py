@@ -35,7 +35,6 @@ from .phasespace import (
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
-_HESSIAN_TOL = 1e-10  # of max |entry| of Hess and slope: below it, 0 in classify_boundedness
 _CONTAINS_TOL = 1e-10  # of max(1, max|theta|), for the projection residual in contains
 
 
@@ -175,46 +174,53 @@ def verify_pair(pair: HamiltonianPair,
     return tuple(residuals)
 
 
-def _derivatives_at_zero(f: PolynomialObservable) -> tuple[np.ndarray, np.ndarray]:
-    """(Hessian, slope) of a degree <= 2 polynomial at 0, read off its terms as
-    float arrays; the constant term is not read."""
-    hess = np.zeros((NVARS, NVARS))
-    lin = np.zeros(NVARS)
+def _derivatives_at_zero(f: PolynomialObservable) -> tuple[list, list]:
+    """(Hessian, slope) of a degree <= 2 polynomial at 0, as nested lists summed
+    from its coefficients as they are; the constant term is not read."""
+    hess = [[0] * NVARS for _ in range(NVARS)]
+    lin = [0] * NVARS
     for expo, coeff in f.terms.items():
         index = [i for i, e in enumerate(expo) for _ in range(e)]
         if len(index) == 1:
-            lin[index[0]] = float(coeff)
+            lin[index[0]] = coeff
         elif index:  # x_i x_j puts its coefficient at (i, j) and (j, i), x_i^2 twice at (i, i)
             i, j = index
-            hess[i, j] += float(coeff)
-            hess[j, i] += float(coeff)
+            hess[i][j] += coeff
+            hess[j][i] += coeff
     return hess, lin
 
 
+def _bounded_below(hess: list, lin: list) -> bool:
+    """Whether x.H x / 2 + l.x is bounded below, by completing squares exactly.
+
+    The largest diagonal entry, when positive, is a square completed away, which
+    leaves its Schur complement and slope on the other variables.  When it is
+    not, a negative diagonal entry or a cross term between two flat directions
+    is unbounded below, and what is left is linear: bounded only if zero.
+    """
+    while hess:
+        k = max(range(len(hess)), key=lambda i: hess[i][i])
+        pivot = hess[k][k]
+        if pivot <= 0:
+            return not any(map(any, hess)) and not any(lin)
+        col, keep = [row[k] for row in hess], [i for i in range(len(hess)) if i != k]
+        hess = [[hess[i][j] - col[i] * col[j] / pivot for j in keep] for i in keep]
+        lin = [lin[i] - col[i] * lin[k] / pivot for i in keep]
+    return True
+
+
 def classify_boundedness(hamiltonian: PolynomialObservable) -> str:
-    """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2;
-    the zero test is relative (`_HESSIAN_TOL`), so c H gets H's label for every c > 0."""
+    """'bounded-below', 'bounded-above', 'bounded', or 'unbounded' for degree <= 2,
+    decided on the exact values of the coefficients (a float is the Fraction it
+    is), so no scale of the terms is read as zero and c H gets H's label for
+    every c > 0."""
     if hamiltonian.degree > 2:
         raise ValueError("only observables of degree <= 2 are classified")
     hess, lin = _derivatives_at_zero(hamiltonian)
-    tol = _HESSIAN_TOL * max(np.max(np.abs(hess)), np.max(np.abs(lin)))
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    below = True
-    above = True
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam > tol:
-            above = False
-        elif lam < -tol:
-            below = False
-        elif abs(vec @ lin) > tol:
-            below = above = False
-    if below and above:
-        return "bounded"
-    if below:
-        return "bounded-below"
-    if above:
-        return "bounded-above"
-    return "unbounded"
+    below, above = (_bounded_below([[Fraction(sign * c) for c in row] for row in hess],
+                                   [Fraction(sign * c) for c in lin]) for sign in (1, -1))
+    return {(True, True): "bounded", (True, False): "bounded-below",
+            (False, True): "bounded-above", (False, False): "unbounded"}[below, above]
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def _generator_matrix(s: QuantizationScheme) -> np.ndarray:
     if any(sum(expo) != 2 or isinstance(c, complex) for expo, c in generator.terms.items()):
         raise ValueError(f"no closed-form propagator for the generator {generator}")
     hess, _ = _derivatives_at_zero(generator)
-    return s.assignment.T @ hess @ s.assignment
+    return s.assignment.T @ np.array(hess, dtype=float) @ s.assignment
 
 
 def _propagator(s: QuantizationScheme, grid: GridSpec):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from symquant import SymplecticForm, lab, phasespace
+from symquant import SymplecticForm, phasespace
 
 
 @pytest.fixture
@@ -26,14 +26,3 @@ def form_work(monkeypatch):
     monkeypatch.setattr(phasespace, "_invert_antisymmetric", counting_invert)
     monkeypatch.setattr(SymplecticForm, "_store", counting_store)
     return counts
-
-
-@pytest.fixture
-def group_args():
-    """group_args(config): the (config, schemes, pairs) `lab.run_checks` passes
-    each check group, built as it builds them, through `lab`'s own names."""
-    def build(config):
-        params = config.params
-        schemes = [lab.scheme(sid, params) for sid in config.schemes]
-        return config, schemes, lab.standard_pairs(params.m, params.omega)
-    return build

@@ -558,6 +558,11 @@ def test_run_and_check_make_no_lapack_call(monkeypatch):
     assert {r.status for r in run_checks(default_scenario())} == {"pass"}
 
 
+def _schemes(config) -> list:
+    """The scheme list a grid group of `check` is passed."""
+    return [quantum.scheme(sid, config.params) for sid in config.schemes]
+
+
 def _traced_peak(fn) -> int:
     """The tracemalloc peak, in bytes, of one call of fn."""
     tracemalloc.start()
@@ -577,20 +582,22 @@ def test_run_scenario_peaks_under_one_field():
     assert _traced_peak(lambda: run_scenario(config)) < config.grid.points ** 2 * 16
 
 
-def test_uncertainty_group_peaks_under_one_field(group_args):
+def test_uncertainty_group_peaks_under_one_field():
     # its nine probes' moments come from their factors too; it sampled each
-    config, *shared = group_args(default_scenario())
-    lab._check_uncertainties(config, *shared)
-    assert _traced_peak(lambda: lab._check_uncertainties(config, *shared)) \
+    config = default_scenario()
+    schemes = _schemes(config)
+    lab._check_uncertainties(config, schemes)
+    assert _traced_peak(lambda: lab._check_uncertainties(config, schemes)) \
         < config.grid.points ** 2 * 16
 
 
-def test_commutator_group_peaks_under_one_field(group_args):
+def test_commutator_group_peaks_under_one_field():
     # its probe's seam vectors come from the probe's factors; it sampled the
     # probe and held six primitive commutator fields
-    config, *shared = group_args(default_scenario())
-    lab._check_commutators(config, *shared)
-    assert _traced_peak(lambda: lab._check_commutators(config, *shared)) \
+    config = default_scenario()
+    schemes = _schemes(config)
+    lab._check_commutators(config, schemes)
+    assert _traced_peak(lambda: lab._check_commutators(config, schemes)) \
         < config.grid.points ** 2 * 16
 
 
@@ -680,7 +687,7 @@ def test_flow_check_passes_at_small_m_omega():
     assert _flow_status(1e-7) == "pass"
 
 
-def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch, group_args):
+def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch):
     # one (20, 4, 4) Jacobian stack serves all four forms, each read by one
     # lower_array() call, and one (100, 4, 4) stack all four Hamiltonians
     stacks, samples, lowered = [], [], []
@@ -692,7 +699,7 @@ def test_flow_group_checks_each_form_on_one_stack_of_twenty_maps(monkeypatch, gr
                         samples.append(jacobians) or conserved(f, state0, jacobians))
     monkeypatch.setattr(SymplecticForm, "lower_array",
                         lambda self: lowered.append(self) or lower_array(self))
-    result = lab._check_flow(*group_args(default_scenario()))
+    result = lab._check_flow(default_scenario(), standard_pairs(1.0, 1.0))
     assert result.status == "pass"
     assert len(stacks) == 4 and all(stack is stacks[0] for stack in stacks)
     assert stacks[0].shape == (20, 4, 4) and len(lowered) == 4
@@ -857,10 +864,10 @@ def test_uncertainty_check_scales_its_bounds_at_large_m():
     assert result.detail.startswith("ground saturation gap 1.953e-03, ")
 
 
-def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch, group_args):
+def test_a_nan_conjugation_deviation_fails_the_unitary_group(monkeypatch):
     # max() drops a nan that is not its first argument; the group must not
     monkeypatch.setattr(lab, "conjugation_deviations", lambda s, psi, probes: [1e-7, math.nan])
-    result = lab._check_unitary(*group_args(default_scenario()))
+    result = lab._check_unitary(default_scenario(), _schemes(default_scenario()))
     assert (result.status, result.detail) == ("fail", "max conjugation deviation nan")
 
 
@@ -1399,7 +1406,7 @@ def test_boundary_edge_reads_one_where_sampling_fails():
     assert lab._edges(packet, grid)[0] == 1.0
 
 
-def test_commutator_probe_is_localized_at_a_large_mass(group_args):
+def test_commutator_probe_is_localized_at_a_large_mass():
     # m = 1e3, omega = 2.3, hbar = 0.4 on an L = 8 sigma_ref grid is the
     # default scenario's geometry in oscillator units; the probe's boundary
     # |psi| was 1.461e-12 in absolute units, which warned
@@ -1409,14 +1416,14 @@ def test_commutator_probe_is_localized_at_a_large_mass(group_args):
                           checks={name: name == "commutators" for name in lab.CHECK_NAMES})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = lab._check_commutators(*group_args(scn))
+        result = lab._check_commutators(scn, _schemes(scn))
     assert result.status == "pass"
 
 
-def test_commutator_group_decides_its_probe_localization_once(group_args):
+def test_commutator_group_decides_its_probe_localization_once():
     # one probe serves four schemes, so a delocalized one gives one warn verdict
     scn = _small_scenario(schemes=[0, 1, 2, 3], grid={"L": 6.5, "N": 32})
-    result = lab._check_commutators(*group_args(scn))
+    result = lab._check_commutators(scn, _schemes(scn))
     assert result.status == "warn"
 
 

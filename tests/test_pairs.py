@@ -4,6 +4,7 @@ import hashlib
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_boundedness_rejects_cubics():
 
 _M = sp.Symbol("m", positive=True)
 # each kind of coefficient, from an int k; thirds are not dyadic, so a Fraction
-# or sympy coefficient is rounded where classify_boundedness reads it
+# or sympy coefficient that classify_boundedness read as a float would be rounded
 _KINDS = {"int": int, "Fraction": lambda k: Fraction(k, 3), "float": lambda k: k / 2,
           "sympy": lambda k: sp.Rational(k, 3), "symbol": lambda k: k * _M}
 _UNIT = st.tuples(*[st.integers(-1, 1)] * 4)
@@ -313,12 +314,33 @@ def test_boundedness_matches_the_exact_hessian_oracle(hamiltonian):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_quadratics(kinds=("int", "float")), st.integers(-150, 150))
+@given(_quadratics(kinds=("int", "float")), st.lists(st.integers(-150, 150), min_size=5, max_size=5))
 def test_boundedness_is_invariant_under_positive_scaling(hamiltonian, k):
-    # c H is bounded exactly as H is for c > 0; against an absolute 1e-10 a
-    # curvature of 1e-20 read as flat, and one of 1e20 off by roundoff as curved
-    scaled = PolynomialObservable({e: c * 10.0 ** k for e, c in hamiltonian.terms.items()})
+    # c H(D x) is bounded exactly as H is, for c = 10^k0 and D = diag(10^k1..10^k4),
+    # formed exactly; against a tolerance a curvature or slope far below the
+    # largest entry reads as 0
+    scaled = PolynomialObservable({e: Fraction(c) * Fraction(10) ** (k[0] + sum(map(mul, k[1:], e)))
+                                   for e, c in hamiltonian.terms.items()})
     assert classify_boundedness(scaled) == boundedness_label(hamiltonian.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quadratics(kinds=("int", "float")), st.lists(st.integers(-150, 150), min_size=15, max_size=15))
+def test_boundedness_of_separately_scaled_terms_matches_the_oracle(hamiltonian, k):
+    # each float term times its own 10^k: a polynomial whose entries span up to 1e300
+    scaled = PolynomialObservable({e: c * 10.0 ** k_e for (e, c), k_e in zip(hamiltonian.terms.items(), k)})
+    assert classify_boundedness(scaled) == boundedness_label(scaled.terms)
+
+
+@pytest.mark.parametrize("terms, label", [
+    ({(0, 0, 2, 0): 5e11, (0, 1, 0, 0): 1.0}, "unbounded"),  # light particle, linear potential
+    ({(0, 0, 2, 0): 5e11, (2, 0, 0, 0): -0.5}, "unbounded"),  # light inverted oscillator
+    ({(0, 0, 2, 0): 5e11, (2, 0, 0, 0): 0.5, (0, 1, 0, 0): 0.0}, "bounded-below"),
+    ({(0, 0, 2, 0): 1e-300, (1, 0, 1, 0): 1e-300, (2, 0, 0, 0): 1e300}, "bounded-below"),
+    ({(2, 0, 0, 0): -1e-300, (0, 0, 0, 2): -1e300, (0, 0, 0, 1): 1e300}, "bounded-above"),
+])
+def test_boundedness_reads_no_scale_as_zero(terms, label):
+    assert classify_boundedness(PolynomialObservable(terms)) == label
 
 
 @settings(max_examples=60, deadline=None)

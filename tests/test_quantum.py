@@ -259,7 +259,7 @@ def test_assignment_rows_act_as_the_operator_expressions(sid, log_mw, log_hbar, 
                               apply(fundamental(sid, which, params), psi.values, grid))
 
 
-def test_commutator_group_makes_eight_primitive_actions(monkeypatch, group_args):
+def test_commutator_group_makes_eight_primitive_actions(monkeypatch):
     # the seam vectors of the probe's two axis factors serve every scheme: on
     # each axis q u, d u, q (d u) and d (q u), whatever the number of schemes
     calls = []
@@ -270,7 +270,7 @@ def test_commutator_group_makes_eight_primitive_actions(monkeypatch, group_args)
     for schemes in ((0,), (0, 1, 2, 3)):
         del calls[:]
         scn = replace(default_scenario(), schemes=schemes)
-        assert lab._check_commutators(*group_args(scn)).detail == "max deviation 6.896e-13"
+        assert lab._check_commutators(scn, [scheme(sid, P) for sid in schemes]).detail == "max deviation 6.896e-13"
         assert sorted(p.name for p, _ in calls) == ["DX"] * 2 + ["DY"] * 2 + ["X"] * 2 + ["Y"] * 2
         assert {size for _, size in calls} == {scn.grid.points}
 

@@ -199,12 +199,12 @@ def test_an_unrecognised_normal_form_raises(terms, monkeypatch):
         unitary_evolve(scheme(0, P), psi, 0.3)
 
 
-def test_an_unrecognised_generator_fails_the_unitary_group(monkeypatch, group_args):
+def test_an_unrecognised_generator_fails_the_unitary_group(monkeypatch):
     # the domain gate admits every scenario the propagator serves, so a
     # generator no route fits is a library defect: the group fails and names
     # the scheme, and no config error is raised
     _with_generator(monkeypatch, {(1, 0, 1, 0): 1, (0, 0, 0, 0): 0.5j * P.hbar})
-    result = lab._check_unitary(*group_args(lab.default_scenario()))
+    result = lab._check_unitary(lab.default_scenario(), [scheme(sid, P) for sid in range(4)])
     assert result.status == "fail"
     assert result.detail.startswith("scheme 0: no closed-form propagator for the generator ")
 
@@ -243,32 +243,32 @@ def _recorded_propagators(monkeypatch):
     return built
 
 
-def test_conjugation_check_builds_one_propagator_per_scheme(monkeypatch, group_args):
+def test_conjugation_check_builds_one_propagator_per_scheme(monkeypatch):
     # a scheme's generator is compiled once for all of its conjugation probes
     built = _recorded_propagators(monkeypatch)
     assert _worst_gap(scheme(3, P), [("x", 0.6), ("p_x", 1.1)]) <= 1e-5
     assert [sid for sid, _ in built] == [3]
     del built[:]
-    result = lab._check_unitary(*group_args(lab.default_scenario()))
+    result = lab._check_unitary(lab.default_scenario(), [scheme(sid, P) for sid in range(4)])
     assert [sid for sid, _ in built] == [0, 1, 2, 3]
     assert result.detail == "max conjugation deviation 2.799e-11"
 
 
-def test_each_generator_matrix_is_built_once(monkeypatch, group_args):
+def test_each_generator_matrix_is_built_once(monkeypatch):
     # the route is read off the one matrix _propagator builds per scheme
     built = []
     generator_matrix = quantum._generator_matrix
     monkeypatch.setattr(quantum, "_generator_matrix",
                         lambda s: built.append(s.id) or generator_matrix(s))
-    result = lab._check_unitary(*group_args(lab.default_scenario()))
+    result = lab._check_unitary(lab.default_scenario(), [scheme(sid, P) for sid in range(4)])
     assert result.detail == "max conjugation deviation 2.799e-11"
     assert built == [0, 1, 2, 3]
 
 
-def test_conjugation_check_evolves_forward_only(monkeypatch, group_args):
+def test_conjugation_check_evolves_forward_only(monkeypatch):
     # each probe evolves the stack [psi, O(t) psi] forward to its own t
     built = _recorded_propagators(monkeypatch)
-    lab._check_unitary(*group_args(lab.default_scenario()))
+    lab._check_unitary(lab.default_scenario(), [scheme(sid, P) for sid in range(4)])
     assert [runs for _, runs in built] == [[((2, 48, 48), 0.6), ((2, 48, 48), 1.1)]] * 4
 
 
