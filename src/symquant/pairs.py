@@ -10,6 +10,7 @@ four standard oscillator pairs as ready-made instances.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,6 @@ from .phasespace import (
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
-_CONTAINS_TOL = 1e-10  # of max(1, max|theta|), for the projection residual in contains
 
 
 @dataclass(frozen=True)
@@ -48,43 +48,30 @@ class HamiltonianPair:
 
 @dataclass(frozen=True)
 class InverseFormBasis:
-    """Basis of the antisymmetric matrices theta with theta A + A^T theta = 0."""
+    """Basis of the antisymmetric matrices theta with theta A + A^T theta = 0,
+    for the field A it was solved for."""
 
     basis: tuple[np.ndarray, ...]
+    field: LinearVectorField = dataclasses.field(repr=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, theta) -> np.ndarray:
-        """Least-squares coordinates of an antisymmetric matrix in this basis."""
-        target = _pair_coordinates(np.asarray(theta, dtype=float))
-        if not self.basis:
-            return np.zeros(0)
-        mat = np.stack([_pair_coordinates(b) for b in self.basis], axis=1)
-        coeffs, *_ = np.linalg.lstsq(mat, target, rcond=None)
-        return coeffs
-
-    def projection_residual(self, theta) -> float:
-        """Max-abs entry of theta minus its projection onto the basis span."""
-        theta = np.asarray(theta, dtype=float)
-        recon = self.sample(self.coordinates(theta))
-        return float(np.max(np.abs(theta - recon))) if self.basis else float(np.max(np.abs(theta)))
-
     def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(theta))))
-        return self.projection_residual(theta) <= _CONTAINS_TOL * scale
+        """Whether theta passes `complete_pair`'s tests: antisymmetric 4x4 with
+        theta A symmetric, by the same zero test."""
+        try:
+            _symmetric_product(theta, self.field)
+        except ValueError:
+            return False
+        return True
 
     def sample(self, coeffs) -> np.ndarray:
         out = np.zeros((NVARS, NVARS))
         for c, b in zip(coeffs, self.basis):
             out += c * b
         return out
-
-
-def _pair_coordinates(theta: np.ndarray) -> np.ndarray:
-    return np.array([theta[i, j] for i, j in PAIR_INDEX])
 
 
 def _theta_from_coordinates(coeffs) -> np.ndarray:
@@ -114,7 +101,7 @@ def admissible_inverse_forms(field: LinearVectorField) -> InverseFormBasis:
     basis = tuple(_theta_from_coordinates(row) for row in null_rows)
     for theta in basis:
         theta.setflags(write=False)
-    return InverseFormBasis(basis=basis)
+    return InverseFormBasis(basis=basis, field=field)
 
 
 def hamiltonian_from_form(theta, field: LinearVectorField) -> PolynomialObservable:
@@ -138,9 +125,10 @@ def complete_pair(theta, field: LinearVectorField) -> HamiltonianPair:
                            hamiltonian=hamiltonian)
 
 
-def _hamiltonian_and_inverse(theta, field: LinearVectorField):
-    """The Hamiltonian of `hamiltonian_from_form`, theta in canonical form, and
-    theta^{-1}, inverting theta once."""
+def _symmetric_product(theta, field: LinearVectorField):
+    """theta in canonical form and the nested list theta A, once theta is
+    antisymmetric 4x4 and theta A symmetric; raises the ValueError of
+    `hamiltonian_from_form` for the test that fails."""
     theta = _as_matrix(theta)
     _check_shape_and_antisymmetry(theta)
     a = field.matrix
@@ -148,6 +136,13 @@ def _hamiltonian_and_inverse(theta, field: LinearVectorField):
           for j in range(NVARS)] for row in theta]
     if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s):
         raise ValueError("asymmetric product")
+    return theta, s
+
+
+def _hamiltonian_and_inverse(theta, field: LinearVectorField):
+    """The Hamiltonian of `hamiltonian_from_form`, theta in canonical form, and
+    theta^{-1}, inverting theta once."""
+    theta, s = _symmetric_product(theta, field)
     try:
         inverse = _invert_matrix(theta)
     except ValueError:

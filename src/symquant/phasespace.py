@@ -45,7 +45,7 @@ Exponents = tuple[int, int, int, int]
 # ---------------------------------------------------------------------------
 
 _PLAIN_SCALARS = (int, float, Fraction, complex)
-_ZERO_TOL = 1e-12  # of 1 + max|mat|, for a float matrix's entries in _all_zero
+_ZERO_TOL = 1e-12  # of max|mat|, for a float matrix's entries in _all_zero
 _PF_TOL = 1e-12  # of ||D W D||_F^2 / 2, at or below which |Pf| is singular in _invert_matrix
 
 
@@ -153,9 +153,10 @@ def _is_float_matrix(mat) -> bool:
 
 def _all_zero(values, mat) -> bool:
     """Each value read off `mat` is zero: literally 0 once canonical, or, when
-    `mat` is a float matrix, at most _ZERO_TOL (1 + max|mat|), a scale taken once."""
+    `mat` is a float matrix, at most _ZERO_TOL max|mat|, a scale taken once, so
+    the test reads the same at every overall scale of `mat`."""
     if _is_float_matrix(mat):
-        scale = _ZERO_TOL * (1.0 + max(abs(float(v)) for row in mat for v in row))
+        scale = _ZERO_TOL * max(abs(float(v)) for row in mat for v in row)
         return all(abs(float(v)) <= scale for v in values)
     return all(_normalize_scalar(v) == 0 for v in values)
 

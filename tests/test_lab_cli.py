@@ -941,6 +941,30 @@ def test_commutator_bound_catches_a_sign_at_every_scale(monkeypatch):
     assert {(r.status, r.detail) for r in results} == {("fail", "max deviation 2.000e+00")}
 
 
+@pytest.mark.parametrize("m", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("entry", [(0, 0), (2, 2)])
+def test_grid_groups_catch_a_mutated_assignment_at_a_stated_size(monkeypatch, m, entry):
+    # one entry of scheme 0's assignment times (1 + delta), in oscillator
+    # units: commutators fails at delta = 1e-6 and passes at 1e-8, its bound;
+    # uncertainties fails at 1e-4 and passes at 1e-6; unitary fails at 1e-12
+    def mutated(sid, params):
+        s = quantum.scheme(sid, params)
+        if sid != 0:
+            return s
+        rows = s.assignment.copy()
+        rows[entry] *= 1.0 + delta
+        return replace(s, assignment=rows)
+
+    monkeypatch.setattr(lab, "scheme", mutated)
+    scn = scenario_from_dict(corpus._oscillator_units(
+        m, 1.0, 1.0, checks=corpus._only("commutators", "uncertainties", "unitary")))
+    table = {}
+    for delta in (1e-4, 1e-6, 1e-8, 1e-12):  # read by `mutated` when run_checks calls it
+        table[delta] = [r.status for r in run_checks(scn)[2:]]  # the three grid groups
+    assert table == {1e-4: ["fail", "fail", "fail"], 1e-6: ["fail", "pass", "fail"],
+                     1e-8: ["pass", "pass", "fail"], 1e-12: ["pass", "pass", "fail"]}
+
+
 def _oscillator_units_cli(m: float, argv: list[str], tmp_path, capsys) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of a command on the scenario in oscillator units at
     omega = hbar = 1: grid L = 8 sigma_ref, N = 64, packet centre (0.3, -0.2) sigma_ref,

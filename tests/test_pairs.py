@@ -44,9 +44,7 @@ X, Y, PX, PY = coordinates()
 def test_admissible_space_contains_all_standard_inverse_forms():
     basis = admissible_inverse_forms(THO)
     for form in FORMS:
-        theta = form.lower_array()
-        assert basis.projection_residual(theta) <= 1e-12
-        assert basis.contains(theta)
+        assert basis.contains(form.lower_array())
 
 
 def test_admissible_space_of_zero_field_is_full():
@@ -81,6 +79,51 @@ def test_generic_field_has_smaller_admissible_space():
     assert basis.dimension == 2
 
 
+@pytest.mark.parametrize("theta", [np.eye(3), (1 + 1j) * FORMS[0].lower_array()],
+                         ids=["3x3", "complex"])
+def test_contains_rejects_what_complete_pair_rejects(theta):
+    # a matrix that is no real 4x4 form is outside the space, not an error
+    assert not admissible_inverse_forms(THO).contains(theta)
+
+
+@pytest.mark.parametrize("m, omega, entry", [(1e5, 1.0, (2, 3)), (1e8, 1.0, (0, 1)),
+                                             (1e20, 1e-20, (0, 1))])
+def test_a_raised_entry_of_the_rotational_form_is_not_admissible(m, omega, entry):
+    # W3^-1 with one entry and its mirror raised by half is antisymmetric, but
+    # theta A is asymmetric by half an entry of theta A; the least-squares
+    # projection accepted the first two, a zero test floored at 1 the third
+    field = oscillator_field(m, omega)
+    theta = standard_forms(m, omega)[3].lower_array()
+    theta[entry] *= 1.5
+    theta[entry[::-1]] *= 1.5
+    assert not admissible_inverse_forms(field).contains(theta)
+    with pytest.raises(ValueError, match="asymmetric product"):
+        hamiltonian_from_form(theta, field)
+
+
+_SWEEP = ([(10.0 ** k, 1.0) for k in range(-150, 151, 10)]
+          + [(1.0, 10.0 ** k) for k in range(-150, 151, 10)]
+          + [(10.0 ** k, 10.0 ** -k) for k in range(-150, 151, 10)])
+
+
+@pytest.mark.parametrize("m, omega", _SWEEP)
+def test_admissibility_holds_for_the_standard_forms_at_every_scale(m, omega):
+    # the zero test reads the same at every overall scale, so what is
+    # admissible stays so: each standard inverse form is in the space and
+    # completes, and each basis element completes unless it is degenerate
+    field = oscillator_field(m, omega)
+    basis = admissible_inverse_forms(field)
+    for form in standard_forms(m, omega):
+        assert basis.contains(form.lower_array())
+        complete_pair(form.lower_array(), field)
+    for theta in basis.basis:
+        assert basis.contains(theta)
+        try:
+            complete_pair(theta, field)
+        except ValueError as exc:
+            assert str(exc) == "degenerate form"
+
+
 # ---------------------------------------------------------------------------
 # hamiltonian_from_form / complete_pair
 # ---------------------------------------------------------------------------
@@ -111,11 +154,11 @@ def test_asymmetric_product_rejected():
         hamiltonian_from_form(theta, THO)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
 @pytest.mark.parametrize("rel, accepted", [(1e-14, True), (1e-9, False)])
 def test_float_zero_test_is_relative_to_the_matrix(scale, rel, accepted):
     # one rule decides a form's antisymmetry and the symmetry of theta A: a
-    # float entry is zero within 1e-12 (1 + max|matrix|)
+    # float entry is zero within 1e-12 max|matrix|, at every overall scale
     upper = scale * FORMS[0].upper_array()
     upper[0, 2] += rel * scale
     report = validate_form(upper)

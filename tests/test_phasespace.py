@@ -198,6 +198,13 @@ def test_validate_symmetric_matrix_rejected():
     assert validate_form(candidate).reason == "not antisymmetric"
 
 
+def test_validate_rejects_a_tiny_form_that_is_not_antisymmetric():
+    # W[1][0] = -W[0][1] / 2; a zero test floored at 1e-12 saw no asymmetry
+    # in entries of 1e-20 and accepted the form
+    candidate = [[0, 1e-20, 0, 0], [-0.5e-20, 0, 0, 0], [0, 0, 0, 1e-20], [0, 0, -1e-20, 0]]
+    assert validate_form(candidate).reason == "not antisymmetric"
+
+
 def test_validate_rejects_a_complex_form():
     # 1j and Float(0.5) I used to raise TypeError from float(), and the exact I
     # was accepted as a form
