@@ -11,6 +11,7 @@ four standard oscillator pairs as ready-made instances.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,19 +24,24 @@ from .phasespace import (
     SymplecticForm,
     _COORDINATE_GRADIENT,
     _ONE,
-    _all_zero,
+    _UPPER_WITH_DIAG,
+    _ZERO_TOL,
     _as_matrix,
     _check_shape_and_antisymmetry,
     _contract,
     _invert_matrix,
+    _is_float_matrix,
+    _normalize_scalar,
+    _polynomial,
     _raw_gradient,
     _reciprocal,
+    _row_sizes,
 )
 
 # index pairs (i < j) parametrizing antisymmetric 4x4 matrices
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
+_BALANCE_RADIX = 2.0 ** 8  # the step of _balancing's scale factors
 
 
 @dataclass(frozen=True)
@@ -82,23 +88,69 @@ def _theta_from_coordinates(coeffs) -> np.ndarray:
     return theta
 
 
+def _balancing(a: np.ndarray) -> np.ndarray:
+    """Powers of _BALANCE_RADIX d with D A D^-1 balanced, D = diag(d): the
+    radix-based iteration of Parlett and Reinsch (Numer. Math. 13, 1969).
+    Index i is rescaled when that lowers the sum of the off-diagonal 1-norms
+    of its row and column by 5%, so d is all ones when no row and column
+    differ by a factor of _BALANCE_RADIX or more.  No d leaves [2^-511, 2^511],
+    so D theta D stays in the float range."""
+    rows = np.abs(a).tolist()
+    d = [1.0] * len(rows)
+    step = 2 * math.log2(_BALANCE_RADIX)
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            c = sum(rows[k][i] * d[k] / d[i] for k in range(len(rows)) if k != i)
+            r = sum(v * d[i] / d[k] for k, v in enumerate(row) if k != i)
+            if c == 0 or r == 0:
+                continue
+            f = _BALANCE_RADIX ** round((math.log2(c) - math.log2(r)) / step)
+            if (f != 1 and c / f + r * f < 0.95 * (c + r)
+                    and 2.0 ** -511 <= d[i] * f <= 2.0 ** 511):
+                d[i] *= f
+                changed = True
+    return np.array(d)
+
+
+def _unbalanced(d: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """D theta D for a solution theta of the balanced field, D = diag(d), scaled
+    by a power of two to a largest |entry| in [1/2, 1).  An entry of theta
+    within _ZERO_TOL of its largest is roundoff of the balanced solve and is
+    made 0 first: D would carry it up to the size of theta's largest entries,
+    where it would be read as an entry."""
+    theta = np.where(np.abs(theta) > _ZERO_TOL * np.abs(theta).max(), theta, 0.0)
+    theta = d[:, None] * theta * d[None, :]
+    return np.ldexp(theta, -math.frexp(np.abs(theta).max())[1])
+
+
 def admissible_inverse_forms(field: LinearVectorField) -> InverseFormBasis:
     """Null space of theta -> theta A + A^T theta over antisymmetric theta.
 
     The constraint matrix is assembled entrywise on the upper triangle
     (including the diagonal), giving a 10x6 system whose null space is found by
-    SVD with the relative singular-value threshold _NULL_SV_RATIO.
+    SVD with the relative singular-value threshold _NULL_SV_RATIO.  The system
+    is solved for the balanced field D A D^-1 of `_balancing`, whose
+    solutions theta' give theta = D theta' D, so a field whose entries span
+    many decades (the oscillator far from m omega = 1) gets a basis that
+    passes `contains` entry by entry rather than one whose smallest entries
+    are lost to roundoff; at D = 1 the basis is the SVD's own.
     """
     a = field.as_float_array()
+    d = _balancing(a)
+    balanced = a * d[:, None] / d[None, :]
     system = np.zeros((len(_UPPER_WITH_DIAG), len(PAIR_INDEX)))
     for k, unit in enumerate(np.eye(len(PAIR_INDEX))):
         e = _theta_from_coordinates(unit)
-        c = e @ a + a.T @ e
+        c = e @ balanced + balanced.T @ e
         system[:, k] = [c[i, j] for i, j in _UPPER_WITH_DIAG]
     _, svals, vt = np.linalg.svd(system)
     cutoff = _NULL_SV_RATIO * (svals[0] if svals.size and svals[0] > 0 else 1.0)
     null_rows = [vt[k] for k in range(vt.shape[0]) if k >= svals.size or svals[k] <= cutoff]
     basis = tuple(_theta_from_coordinates(row) for row in null_rows)
+    if (d != 1).any():
+        basis = tuple(_unbalanced(d, theta) for theta in basis)
     for theta in basis:
         theta.setflags(write=False)
     return InverseFormBasis(basis=basis, field=field)
@@ -134,9 +186,30 @@ def _symmetric_product(theta, field: LinearVectorField):
     a = field.matrix
     s = [[sum(t * a[k][j] for k, t in enumerate(row) if t != 0 and a[k][j] != 0)
           for j in range(NVARS)] for row in theta]
-    if not _all_zero((s[i][j] - s[j][i] for i, j in PAIR_INDEX), s):
+    if not _is_symmetric_product(theta, a, s):
         raise ValueError("asymmetric product")
     return theta, s
+
+
+def _is_symmetric_product(theta, a, s) -> bool:
+    """Each difference s[i][j] - s[j][i] of s = theta A is zero.  An exact
+    difference is zero when it is literally 0 once canonical.  In float, each
+    nonzero theta[i][k] is known to _ZERO_TOL of the larger of the largest
+    |entry| of row i and of row k, and an exact zero of theta is exact; a
+    difference is zero within what moving every entry of theta by that much
+    can move s[i][j] and s[j][i].  So the verdict is the same at every overall
+    scale of theta and of A, roundoff in a row of theta counts at that row's
+    size, and an asymmetry that only a zero entry of theta could close is seen
+    however small beside the rest of theta A."""
+    diffs = ((i, j, s[i][j] - s[j][i]) for i, j in PAIR_INDEX)
+    if not _is_float_matrix(s):
+        return all(_normalize_scalar(v) == 0 for _, _, v in diffs)
+    size = _row_sizes(theta)
+    slack = [[_ZERO_TOL * max(size[i], size[k]) if t != 0 else 0.0 for k, t in enumerate(row)]
+             for i, row in enumerate(theta)]
+    reach = [[sum(u * abs(float(a[k][j])) for k, u in enumerate(row)) for j in range(NVARS)]
+             for row in slack]
+    return all(abs(float(v)) <= reach[i][j] + reach[j][i] for i, j, v in diffs)
 
 
 def _hamiltonian_and_inverse(theta, field: LinearVectorField):
@@ -165,7 +238,7 @@ def verify_pair(pair: HamiltonianPair,
     for upper_row, field_row in zip(pair.form.upper, field.matrix):
         raw = _contract((_ONE,), (upper_row,), grad)
         _contract(({(0,) * NVARS: -1},), (field_row,), _COORDINATE_GRADIENT, raw)
-        residuals.append(PolynomialObservable(raw))
+        residuals.append(_polynomial(raw))
     return tuple(residuals)
 
 

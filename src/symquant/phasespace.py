@@ -38,6 +38,8 @@ NVARS = 4
 COORD_NAMES = ("x", "y", "p_x", "p_y")
 
 Exponents = tuple[int, int, int, int]
+# the index pairs (i, j) with i <= j: the entries that fix a symmetric or antisymmetric matrix
+_UPPER_WITH_DIAG = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,7 @@ Exponents = tuple[int, int, int, int]
 # ---------------------------------------------------------------------------
 
 _PLAIN_SCALARS = (int, float, Fraction, complex)
-_ZERO_TOL = 1e-12  # of max|mat|, for a float matrix's entries in _all_zero
+_ZERO_TOL = 1e-12  # of an entry's size, for a float zero in _is_antisymmetric and pairs
 _PF_TOL = 1e-12  # of ||D W D||_F^2 / 2, at or below which |Pf| is singular in _invert_matrix
 
 
@@ -146,19 +148,37 @@ def _is_complex(c) -> bool:
 def _is_float_matrix(mat) -> bool:
     """mat is zero-tested and inverted in floating point: it holds a float and
     no free symbol.  A symbolic entry, even a Float multiple of a symbol, has
-    no float value, so its matrix stays on the exact path."""
-    return (any(not _is_exact(v) for row in mat for v in row)
-            and not any(_sympy_of(v) is not None and v.free_symbols for row in mat for v in row))
+    no float value, so its matrix stays on the exact path.  The entry types
+    are read first: a matrix of ints and Fractions is exact and one of plain
+    numbers with any other is float, so only a matrix with a sympy entry is
+    walked for symbols and Floats."""
+    entries = [v for row in mat for v in row]
+    if all(type(v) is int or type(v) is Fraction for v in entries):
+        return False
+    symbolic = [v for v in entries if _sympy_of(v) is not None]
+    if not symbolic:
+        return True
+    return (not any(v.free_symbols for v in symbolic)
+            and not all(map(_is_exact, entries)))
 
 
-def _all_zero(values, mat) -> bool:
-    """Each value read off `mat` is zero: literally 0 once canonical, or, when
-    `mat` is a float matrix, at most _ZERO_TOL max|mat|, a scale taken once, so
-    the test reads the same at every overall scale of `mat`."""
-    if _is_float_matrix(mat):
-        scale = _ZERO_TOL * max(abs(float(v)) for row in mat for v in row)
-        return all(abs(float(v)) <= scale for v in values)
-    return all(_normalize_scalar(v) == 0 for v in values)
+def _row_sizes(mat) -> list[float]:
+    """The largest |entry| of each row of a float matrix."""
+    return [max(abs(float(v)) for v in row) for row in mat]
+
+
+def _is_antisymmetric(mat) -> bool:
+    """Each sum mat[i][j] + mat[j][i] with i <= j is zero.  An exact sum is
+    zero when it is literally 0 once canonical.  In a float matrix each sum is
+    read at its own size: it is zero within _ZERO_TOL of the smaller of the
+    largest |entry| of row i and of row j, the rows the two mirrored entries
+    share.  So the verdict is the same at every overall scale of `mat`, and an
+    asymmetry in a block of small entries is seen beside a block of large ones."""
+    sums = ((i, j, mat[i][j] + mat[j][i]) for i, j in _UPPER_WITH_DIAG)
+    if not _is_float_matrix(mat):
+        return all(_normalize_scalar(v) == 0 for _, _, v in sums)
+    size = _row_sizes(mat)
+    return all(abs(float(v)) <= _ZERO_TOL * min(size[i], size[j]) for i, j, v in sums)
 
 
 def _pfaffian(mat):
@@ -266,7 +286,7 @@ class PolynomialObservable:
     coefficients are never stored.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_gradient")
 
     def __init__(self, terms: Mapping[Sequence[int], object] | None = None):
         clean: dict[Exponents, object] = {}
@@ -277,7 +297,20 @@ class PolynomialObservable:
             coeff = _normalize_scalar(coeff)
             if coeff != 0:
                 clean[expo] = coeff
-        object.__setattr__(self, "terms", clean)
+        self._store(clean)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "PolynomialObservable":
+        """The polynomial holding `terms` as it is: exponent tuples this module
+        built and canonical nonzero coefficients, so neither is checked again."""
+        poly = object.__new__(cls)
+        poly._store(terms)
+        return poly
+
+    def _store(self, terms: dict) -> None:
+        object.__setattr__(self, "terms", terms)
+        # the raw gradient, formed on first use by `_raw_gradient`
+        object.__setattr__(self, "_gradient", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("PolynomialObservable is immutable")
@@ -331,9 +364,7 @@ class PolynomialObservable:
                 out[expo] = c
             else:
                 out.pop(expo, None)
-        merged = object.__new__(PolynomialObservable)
-        object.__setattr__(merged, "terms", out)
-        return merged
+        return PolynomialObservable._of(out)
 
     def __add__(self, other):
         return self._merged(other, operator.add)
@@ -352,7 +383,7 @@ class PolynomialObservable:
 
     def __mul__(self, other):
         if isinstance(other, PolynomialObservable):
-            return PolynomialObservable(_contract((self.terms,), ((1,),), (other.terms,)))
+            return _polynomial(_contract((self.terms,), ((1,),), (other.terms,)))
         return PolynomialObservable({e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -431,7 +462,7 @@ def coordinates() -> tuple[PolynomialObservable, ...]:
 def _check_shape_and_antisymmetry(mat) -> None:
     if len(mat) != NVARS:
         raise ValueError("form must be 4x4")
-    if not _all_zero((mat[i][j] + mat[j][i] for i in range(NVARS) for j in range(i, NVARS)), mat):
+    if not _is_antisymmetric(mat):
         raise ValueError("not antisymmetric")
 
 
@@ -507,14 +538,57 @@ _COORDINATE_GRADIENT = tuple({tuple(int(i == nu) for i in range(NVARS)): 1}
                              for nu in range(NVARS))
 
 
+def _is_negative(c) -> bool:
+    """c is a negative int, Fraction or sympy Rational, or a sympy Mul whose
+    leading factor is a negative Rational; never true of a float."""
+    if type(c) is int or type(c) is Fraction:
+        return c < 0
+    if _sympy_of(c) is None:
+        return False
+    if c.is_Mul:
+        c = c.args[0]
+    return c.is_Rational and c.p < 0
+
+
 def _times(c, d):
     """c * d; a factor that is the int 1 or -1 costs no multiplication, which
-    on sympy values is a full Mul where a negation is not."""
+    on sympy values is a full Mul where a negation is not.  When a factor is
+    a sympy value, the sign of each exact operand is factored out (see
+    `_is_negative`) and the product of the two magnitudes negated, so c d and
+    -c d are one product, which sympy's cache builds once."""
     if type(d) is int and (d == 1 or d == -1):
         return c if d == 1 else -c
     if type(c) is int and (c == 1 or c == -1):
         return d if c == 1 else -d
-    return c * d
+    if _sympy_of(c) is None and _sympy_of(d) is None:
+        return c * d
+    negative = False
+    if _is_negative(c):
+        c, negative = -c, True
+    if _is_negative(d):
+        d, negative = -d, not negative
+    return -(c * d) if negative else c * d
+
+
+def _plus(a, b):
+    """a + b; two sympy terms r a' and s a' with Rationals r, s and the same
+    monomial part a' (a symbol, a power of one, or a product) sum to
+    (r + s) a', built as sympy's Add would build it but without the Add, and
+    to the int 0 when they cancel."""
+    sp = _sympy_of(a)
+    if sp is None or _sympy_of(b) is None:
+        return a + b
+    r, part = a.as_coeff_Mul()
+    s, other = b.as_coeff_Mul()
+    if not (r.is_Rational and s.is_Rational and part == other
+            and (part.is_Mul or part.is_Symbol or (part.is_Pow and part.base.is_Symbol))):
+        return a + b
+    coeff = r + s
+    if coeff == 0:
+        return 0
+    if coeff == 1:
+        return part
+    return sp.Mul._from_args((coeff, *part.args) if part.is_Mul else (coeff, part))
 
 
 def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
@@ -524,13 +598,19 @@ def _raw_partial(terms: Mapping[Exponents, object], mu: int) -> dict:
 
 
 def _raw_gradient(f: PolynomialObservable) -> tuple[dict, ...]:
-    return tuple(_raw_partial(f.terms, mu) for mu in range(NVARS))
+    """The four raw partials of f, formed once and kept on f; read, never mutated."""
+    grad = f._gradient
+    if grad is None:
+        grad = tuple(_raw_partial(f.terms, mu) for mu in range(NVARS))
+        object.__setattr__(f, "_gradient", grad)
+    return grad
 
 
 def _contract(left: Sequence[dict], matrix, right: Sequence[dict],
               out: dict | None = None) -> dict:
     """Raw sum_mu,nu left[mu] * matrix[mu][nu] * right[nu], accumulated into
-    `out`; the first product at an exponent is stored, not added to 0."""
+    `out`; the first product at an exponent is stored, not added to 0, and
+    later ones are added by `_plus`."""
     out = {} if out is None else out
     for lterms, row in zip(left, matrix):
         for w, rterms in zip(row, right):
@@ -541,14 +621,21 @@ def _contract(left: Sequence[dict], matrix, right: Sequence[dict],
                 for e2, c2 in rterms.items():
                     expo = tuple(a + b for a, b in zip(e1, e2))
                     term, prev = _times(c1w, c2), out.get(expo)
-                    out[expo] = term if prev is None else prev + term
+                    out[expo] = term if prev is None else _plus(prev, term)
     return out
+
+
+def _polynomial(raw: dict) -> PolynomialObservable:
+    """The polynomial of a raw sum from `_contract`: each coefficient is
+    canonicalized once and zeros dropped; the exponent tuples are taken as built."""
+    canonical = zip(raw, map(_normalize_scalar, raw.values()))
+    return PolynomialObservable._of({expo: c for expo, c in canonical if c != 0})
 
 
 def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
                     form: SymplecticForm) -> PolynomialObservable:
     """{f, g} = sum_mu,nu  df/dx^mu * upper[mu][nu] * dg/dx^nu, exactly."""
-    return PolynomialObservable(_contract(_raw_gradient(f), form.upper, _raw_gradient(g)))
+    return _polynomial(_contract(_raw_gradient(f), form.upper, _raw_gradient(g)))
 
 
 @dataclass(frozen=True)
@@ -587,7 +674,7 @@ def hamiltonian_vector_field(form: SymplecticForm,
                              hamiltonian: PolynomialObservable) -> tuple[PolynomialObservable, ...]:
     """Component mu of the induced dynamics: sum_nu upper[mu][nu] * dH/dx^nu."""
     grad = _raw_gradient(hamiltonian)
-    return tuple(PolynomialObservable(_contract((_ONE,), (row,), grad)) for row in form.upper)
+    return tuple(_polynomial(_contract((_ONE,), (row,), grad)) for row in form.upper)
 
 
 def is_constant_of_motion(f: PolynomialObservable, field: LinearVectorField) -> bool:
@@ -596,4 +683,4 @@ def is_constant_of_motion(f: PolynomialObservable, field: LinearVectorField) -> 
     Needs only the equations of motion; no bracket or Hamiltonian choice enters.
     """
     grad = _raw_gradient(f)
-    return PolynomialObservable(_contract(grad, field.matrix, _COORDINATE_GRADIENT)).is_zero
+    return _polynomial(_contract(grad, field.matrix, _COORDINATE_GRADIENT)).is_zero

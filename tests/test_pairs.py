@@ -101,6 +101,33 @@ def test_a_raised_entry_of_the_rotational_form_is_not_admissible(m, omega, entry
         hamiltonian_from_form(theta, field)
 
 
+def test_a_small_entry_of_theta_a_beside_large_ones_is_not_admissible():
+    # W0^-1 at m = 1e-100 with its (2, 3) entry set to 0.5 and its mirror to
+    # -0.5: theta A is asymmetric by 5e-101 at (1, 2), half its entries there,
+    # but under 1e-12 of its 1e100 entries; the one scale per matrix accepted it
+    # and returned an H without that term
+    field = oscillator_field(1e-100, 1.0)
+    theta = standard_forms(1e-100, 1.0)[0].lower_array()
+    theta[2, 3], theta[3, 2] = 0.5, -0.5
+    assert not admissible_inverse_forms(field).contains(theta)
+    with pytest.raises(ValueError, match="asymmetric product"):
+        hamiltonian_from_form(theta, field)
+
+
+def test_standard_forms_and_inverses_are_accepted_at_every_decade():
+    # each entry is tested at its own size, so no standard form or inverse
+    # reads as asymmetric where its blocks are 1e300 apart
+    for k in range(-300, 301):
+        m = 10.0 ** k
+        field = oscillator_field(m, 1.0)
+        basis = admissible_inverse_forms(field)
+        for mu, form in enumerate(standard_forms(m, 1.0)):
+            assert validate_form(form.upper).ok, (k, mu)
+            assert validate_form(form.lower).ok, (k, mu)
+            assert basis.contains(form.lower), (k, mu)
+            complete_pair(form.lower, field)
+
+
 _SWEEP = ([(10.0 ** k, 1.0) for k in range(-150, 151, 10)]
           + [(1.0, 10.0 ** k) for k in range(-150, 151, 10)]
           + [(10.0 ** k, 10.0 ** -k) for k in range(-150, 151, 10)])
@@ -434,3 +461,41 @@ def test_exact_layer_outputs_are_pinned():
                for mw in ((1, 1), (2, 3), (Fraction(3, 5), Fraction(2, 7)), (m, w))]
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == "57d019c594705c68d60714d645a9b9b6f6fad9600a553a5e274cab1a27031971"
+
+
+@pytest.fixture
+def sympy_constructions(monkeypatch):
+    """The number of sympy Mul and Add objects built, that is of their flatten
+    calls, since the fixture was set up; a product or sum found in sympy's
+    cache is not built again and is not counted."""
+    count = [0]
+    for cls in (sp.Mul, sp.Add):
+        def counting(cls, seq, flatten=cls.flatten.__func__):
+            count[0] += 1
+            return flatten(cls, seq)
+        monkeypatch.setattr(cls, "flatten", classmethod(counting))
+    return count
+
+
+def _symbolic_op(m, omega):
+    """The symbolic half of one `exact` benchmark op: the pair residuals and
+    the bracket table of S0..S3 under W0."""
+    field = oscillator_field(m, omega)
+    standard = standard_pairs(m, omega)
+    hams = [p.hamiltonian for p in standard]
+    return ([verify_pair(p, field) for p in standard],
+            [[phasespace.poisson_bracket(hi, hj, standard[0].form) for hj in hams] for hi in hams])
+
+
+def test_the_exact_layer_builds_each_symbolic_product_once(sympy_constructions):
+    # counted on symbols no other call has seen, after one warm-up call, so
+    # every product and sum the calls form is built here; 60 and 76 when each
+    # product of a sign was formed anew, each cancelling or doubling sum built
+    # as an Add and each gradient formed per bracket
+    _exact_layer_outputs(*sp.symbols("m_warm omega_warm", positive=True))
+    before = sympy_constructions[0]
+    _symbolic_op(*sp.symbols("m_count omega_count", positive=True))
+    assert sympy_constructions[0] - before <= 23
+    before = sympy_constructions[0]
+    _exact_layer_outputs(*sp.symbols("m_all omega_all", positive=True))
+    assert sympy_constructions[0] - before <= 39

@@ -27,7 +27,7 @@ from symquant import (
 from symquant import phasespace
 from symquant.phasespace import _normalize_scalar
 from oracles import (PHASE_SYMBOLS, canonical_scalar, lapack_form_inverse, poly_to_sympy,
-                     sympy_bracket, sympy_lie_derivative)
+                     polynomial_product, sympy_bracket, sympy_lie_derivative)
 
 X, Y, PX, PY = coordinates()
 FORMS = standard_forms(1, 1)
@@ -202,6 +202,14 @@ def test_validate_rejects_a_tiny_form_that_is_not_antisymmetric():
     # W[1][0] = -W[0][1] / 2; a zero test floored at 1e-12 saw no asymmetry
     # in entries of 1e-20 and accepted the form
     candidate = [[0, 1e-20, 0, 0], [-0.5e-20, 0, 0, 0], [0, 0, 0, 1e-20], [0, 0, -1e-20, 0]]
+    assert validate_form(candidate).reason == "not antisymmetric"
+
+
+def test_validate_rejects_a_small_block_that_is_not_antisymmetric_beside_a_large_one():
+    # W3 at m omega = 1e10 with W[1][0] = -W[0][1] / 2: the asymmetry, 5e-11,
+    # is half of its entries, but under 1e-12 of the 1e10 block beside them
+    candidate = [list(row) for row in bracket_matrices(1e10, 1.0)[3]]
+    candidate[1][0] = -0.5 * candidate[0][1]
     assert validate_form(candidate).reason == "not antisymmetric"
 
 
@@ -651,3 +659,66 @@ def test_sums_cancel_once_per_touched_exponent(canonicalizations, cancel_calls):
     oracle = sum(poly_to_sympy(p) for p in polys)
     assert sp.cancel(poly_to_sympy(total) - oracle) == 0
     assert sp.cancel(poly_to_sympy(difference) - oracle + poly_to_sympy(polys[-1])) == 0
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts that form each symbolic product once
+# ---------------------------------------------------------------------------
+
+_M_ONCE, _W_ONCE = sp.symbols("m_once omega_once", positive=True)
+# signed canonical monomials in symbols no other test uses, as sympy's
+# evaluation writes them, ints, Fractions, and one sum, which takes the
+# fallback of `_times` and `_plus`
+_signed_monomials = st.builds(
+    lambda n, d, i, j: sp.Rational(n, d) * _M_ONCE ** i * _W_ONCE ** j,
+    st.integers(-4, 4).filter(bool), st.integers(1, 4), st.integers(-2, 2), st.integers(-2, 2))
+_exact_operands = st.one_of(
+    _signed_monomials,
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.just(_M_ONCE + 2 * _W_ONCE),
+)
+_once_polys = st.dictionaries(st.sampled_from(_EXPONENTS), _exact_operands, max_size=4).map(
+    PolynomialObservable)
+_ONCE_FORMS = standard_forms(_M_ONCE, _W_ONCE)
+
+
+@given(c=_exact_operands, d=_exact_operands)
+@settings(max_examples=150, deadline=None)
+def test_sign_factored_product_is_the_product(c, d):
+    ours, oracle = _normalize_scalar(phasespace._times(c, d)), canonical_scalar(c * d)
+    assert type(ours) is type(oracle)
+    assert sp.srepr(ours) == sp.srepr(oracle)
+    # and it is built as sympy builds c * d, so no output's printed form moves
+    assert sp.srepr(phasespace._times(c, d)) == sp.srepr(c * d)
+
+
+@given(f=_once_polys, g=_once_polys, form=st.sampled_from(_ONCE_FORMS))
+@settings(max_examples=40, deadline=None)
+def test_bracket_with_structural_sums_matches_sympy(f, g, form):
+    ours = poisson_bracket(f, g, form)
+    _assert_canonical(ours)
+    oracle = sympy_bracket(poly_to_sympy(f), poly_to_sympy(g), _sympy_rows(form.upper))
+    assert sp.expand(poly_to_sympy(ours) - oracle) == 0
+
+
+@given(f=_once_polys, g=_once_polys)
+@settings(max_examples=40, deadline=None)
+def test_product_with_structural_sums_matches_the_term_loop_oracle(f, g):
+    product = f * g
+    _assert_canonical(product)
+    assert product.terms == polynomial_product(f.terms, g.terms)
+
+
+@given(f=_once_polys)
+@settings(max_examples=30, deadline=None)
+def test_gradient_is_kept_on_its_polynomial(f):
+    before, copy = repr(f), PolynomialObservable(f.terms)
+    gradient = phasespace._raw_gradient(f)
+    assert phasespace._raw_gradient(f) is gradient
+    assert repr(f) == before == f"PolynomialObservable({f.terms!r})"
+    assert f == copy and copy == f
+    for name in ("terms", "_gradient", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert phasespace._raw_gradient(f) is gradient
