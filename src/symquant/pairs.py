@@ -35,7 +35,6 @@ from .phasespace import (
     _polynomial,
     _raw_gradient,
     _reciprocal,
-    _row_sizes,
 )
 
 # index pairs (i < j) parametrizing antisymmetric 4x4 matrices
@@ -193,20 +192,31 @@ def _symmetric_product(theta, field: LinearVectorField):
 
 def _is_symmetric_product(theta, a, s) -> bool:
     """Each difference s[i][j] - s[j][i] of s = theta A is zero.  An exact
-    difference is zero when it is literally 0 once canonical.  In float, each
-    nonzero theta[i][k] is known to _ZERO_TOL of the larger of the largest
-    |entry| of row i and of row k, and an exact zero of theta is exact; a
-    difference is zero within what moving every entry of theta by that much
-    can move s[i][j] and s[j][i].  So the verdict is the same at every overall
-    scale of theta and of A, roundoff in a row of theta counts at that row's
-    size, and an asymmetry that only a zero entry of theta could close is seen
-    however small beside the rest of theta A."""
+    difference is zero when it is literally 0 once canonical.  In float, a
+    nonzero theta[i][k] is known to _ZERO_TOL of the larger of its own size
+    and the smaller of the sizes rows i and k have apart from it (a row whose
+    other entries are all within _ZERO_TOL of it sets none), and an exact
+    zero of theta is exact.  A difference is zero within what moving every
+    entry of theta by that much can move s[i][j] and s[j][i].  So the verdict
+    is the same at every overall scale of theta and of A, roundoff alone in a
+    row is absorbed, and a small entry is read at the size of the small row
+    it joins however large the rest of theta A is."""
     diffs = ((i, j, s[i][j] - s[j][i]) for i, j in PAIR_INDEX)
     if not _is_float_matrix(s):
         return all(_normalize_scalar(v) == 0 for _, _, v in diffs)
-    size = _row_sizes(theta)
-    slack = [[_ZERO_TOL * max(size[i], size[k]) if t != 0 else 0.0 for k, t in enumerate(row)]
-             for i, row in enumerate(theta)]
+    rows = [[abs(float(t)) for t in row] for row in theta]
+
+    def other(i, k):  # the largest |entry| of row i but theta[i][k]
+        return max(v for j, v in enumerate(rows[i]) if j != k)
+
+    def known_to(i, k):
+        if not rows[i][k]:
+            return 0.0
+        shared = min((v for v in (other(i, k), other(k, i)) if v > _ZERO_TOL * rows[i][k]),
+                     default=0.0)
+        return _ZERO_TOL * max(rows[i][k], shared)
+
+    slack = [[known_to(i, k) for k in range(NVARS)] for i in range(NVARS)]
     reach = [[sum(u * abs(float(a[k][j])) for k, u in enumerate(row)) for j in range(NVARS)]
              for row in slack]
     return all(abs(float(v)) <= reach[i][j] + reach[j][i] for i, j, v in diffs)

@@ -17,6 +17,16 @@ A contraction (a bracket, a Hamiltonian vector field, a derivative along a
 linear flow, a pair residual) sums the products of raw partial-derivative
 terms into one {exponent: coefficient} dict and builds one polynomial from
 it, so each output exponent is canonicalized once and no intermediate is.
+Each symbolic product and sum in it is formed once: a polynomial keeps its
+raw gradient in a second slot, `_times` factors the sign out of exact
+operands so c d and -c d are one product in sympy's cache, and `_plus` adds
+two terms with the same monomial part on their Rational coefficients, with
+no Add.  On fresh symbols the residuals and bracket table of one `exact`
+benchmark op build 23 sympy Mul and Add objects, where they built 60.
+Floats are never sign-factored and keep their order of operations.  The
+output is built by `PolynomialObservable._of`, which trusts the exponent
+tuples this module made.  `_is_float_matrix` reads entry types before it
+walks any sympy value.
 
 sympy is never imported here: no sympy value can exist before its caller has
 imported sympy, so `_sympy_of` reads the module from ``sys.modules`` and float
@@ -162,11 +172,6 @@ def _is_float_matrix(mat) -> bool:
             and not all(map(_is_exact, entries)))
 
 
-def _row_sizes(mat) -> list[float]:
-    """The largest |entry| of each row of a float matrix."""
-    return [max(abs(float(v)) for v in row) for row in mat]
-
-
 def _is_antisymmetric(mat) -> bool:
     """Each sum mat[i][j] + mat[j][i] with i <= j is zero.  An exact sum is
     zero when it is literally 0 once canonical.  In a float matrix each sum is
@@ -177,7 +182,7 @@ def _is_antisymmetric(mat) -> bool:
     sums = ((i, j, mat[i][j] + mat[j][i]) for i, j in _UPPER_WITH_DIAG)
     if not _is_float_matrix(mat):
         return all(_normalize_scalar(v) == 0 for _, _, v in sums)
-    size = _row_sizes(mat)
+    size = [max(abs(float(v)) for v in row) for row in mat]
     return all(abs(float(v)) <= _ZERO_TOL * min(size[i], size[j]) for i, j, v in sums)
 
 
