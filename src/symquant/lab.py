@@ -68,9 +68,9 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
-# an uncertainty product this far below its Robertson bound, relative to
-# max(1, bound), still satisfies it; the bounds of schemes 1-3 scale as
-# hbar m omega and hbar / (m omega)
+# an uncertainty product this far below its Robertson bound, relative to the
+# bound, still satisfies it; no bound is 0, since CANONICAL_PAIRS holds only
+# the pairs whose bracket is nonzero
 _ROBERTSON_SLACK = 1e-9
 # a packet whose boundary magnitude or spectral edge b (`_edges`) reaches this
 # is delocalized: the tails the grid cuts off pull a product below its bound
@@ -307,25 +307,28 @@ class Report:
     metadata: dict
 
 
-def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
-    """The pair certificate: max |W Hess(S) - A| over the entries, on 4 x 4 floats,
-    for each (bracket matrix W, Hamiltonian S) of `pairs`, with A the
-    oscillator field's matrix.
+def _pair_entries(params: PhysParams, pairs):
+    """Per (bracket matrix W, Hamiltonian S) of `pairs`, each entry (i, j) of
+    W Hess(S) - A on 4 x 4 floats, with A the oscillator field's matrix, as
+    (|entry|, row i of W, column j of Hess(S), A_ij).
 
     Entry (mu, k) of W Hess(S) - A is the x^k coefficient of component mu of
     `verify_pair`'s residual.  Each is summed left to right and less A's
-    entry last, as that polynomial contraction sums it, so the certificate
-    equals the exact layer's max |coefficient| bit for bit on float pairs.
-    The sums are Python's, not numpy's: a matmul would call BLAS, and even
-    an einsum maps kernels that `run` touches nowhere else.
+    entry last, as that polynomial contraction sums it, so the largest
+    |entry| equals the exact layer's max |coefficient| bit for bit on float
+    pairs.  The sums are Python's, not numpy's: a matmul would call BLAS, and
+    even an einsum maps kernels that `run` touches nowhere else.
     """
     field = oscillator_field(params.m, params.omega).as_float_array().tolist()
-    residuals = []
     for w, h in pairs:
         columns = [tuple(map(float, column)) for column in zip(*_derivatives_at_zero(h)[0])]
-        residuals.append(max(abs(sum(map(mul, row, column)) - a)
-                             for row, a_row in zip(w, field) for column, a in zip(columns, a_row)))
-    return tuple(residuals)
+        yield [(abs(sum(map(mul, row, column)) - a), row, column, a)
+               for row, a_row in zip(w, field) for column, a in zip(columns, a_row)]
+
+
+def _pair_residuals(params: PhysParams, pairs) -> tuple[float, ...]:
+    """The pair certificate, max |W Hess(S) - A|, for each pair of `_pair_entries`."""
+    return tuple(max(entry[0] for entry in entries) for entries in _pair_entries(params, pairs))
 
 
 def _edges(packet: GaussianPacket, grid: GridSpec) -> tuple[float, float]:
@@ -405,7 +408,7 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
 
     The moments become Python floats once; each spread is sqrt(max(v, 0.0)),
     which keeps a variance of -0.0 as -0.0, and a product satisfies its
-    Robertson bound when it is at most _ROBERTSON_SLACK max(1, bound) below it.
+    Robertson bound when it is at most _ROBERTSON_SLACK bound below it.
     """
     mean_re, mean_im, var = means.real.T.tolist(), means.imag.T.tolist(), variances.T.tolist()
     spread = [[math.sqrt(max(v, 0.0)) for v in column] for column in var]
@@ -414,7 +417,7 @@ def _scheme_columns(s: QuantizationScheme, means: np.ndarray, variances: np.ndar
         a, b = (spread[OBSERVABLES.index(name)] for name in pair)
         products = [x * y for x, y in zip(a, b)]
         bound = float(uncertainty_bound(s, pair))
-        limit = bound - _ROBERTSON_SLACK * max(1.0, bound)
+        limit = bound - _ROBERTSON_SLACK * bound
         rows.append((pair, bound, products, [p >= limit for p in products]))
     indices = [OBSERVABLES.index(name) for name in observables]
     return _SchemeColumns(
@@ -461,12 +464,16 @@ class CheckResult:
 
 
 def _check_pairs(config: Scenario, pairs) -> CheckResult:
-    """The largest of the pair residuals `run` reports, against 1e-12 max(1, m omega^2)."""
-    params = config.params
-    worst = max(_pair_residuals(params, ((p.form.upper, p.hamiltonian) for p in pairs)))
-    tol = 1e-12 * max(1.0, params.m * params.omega ** 2)
-    status = "pass" if worst <= tol else "fail"
-    return CheckResult("pairs", status, f"max residual {worst:.3e}")
+    """The largest of the pair residuals `run` reports; entry (i, j) of each
+    passes within 1e-12 (sum_k |W_ik| |Hess(S)_kj| + |A_ij|), the sum of the
+    terms that formed it, which bounds its rounding error (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, 3.1) in every choice of units."""
+    entries = [entry for residual in _pair_entries(
+        config.params, ((p.form.upper, p.hamiltonian) for p in pairs)) for entry in residual]
+    ok = all(r <= 1e-12 * (sum(abs(x * y) for x, y in zip(row, column)) + abs(a))
+             for r, row, column, a in entries)
+    worst = max(entry[0] for entry in entries)
+    return CheckResult("pairs", "pass" if ok else "fail", f"max residual {worst:.3e}")
 
 
 def _check_flow(config: Scenario, pairs) -> CheckResult:
@@ -520,7 +527,7 @@ def _check_commutators(config: Scenario, schemes) -> CheckResult:
 
 def _check_uncertainties(config: Scenario, schemes) -> CheckResult:
     """Robertson bounds on nine probe packets; the first, the ground packet,
-    saturates each bound to within 1e-6 max(1, bound) and must lie in the domain;
+    saturates each bound to within 1e-6 of it and must lie in the domain;
     a drawn probe with an edge at `_BOUNDARY_LIMIT` or above is skipped and counted."""
     params = config.params
     worst_saturation, worst_margin = 0.0, math.inf
@@ -552,7 +559,7 @@ def _check_uncertainties(config: Scenario, schemes) -> CheckResult:
                 if idx == 0:
                     gap = abs(product - bound)
                     worst_saturation = max(worst_saturation, gap)
-                    saturated = saturated and gap <= 1e-6 * max(1.0, bound)
+                    saturated = saturated and gap <= 1e-6 * bound
     ok = satisfied and saturated
     detail = (f"ground saturation gap {worst_saturation:.3e}, "
               f"worst bound margin {worst_margin:+.3e}")

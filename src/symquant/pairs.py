@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .phasespace import (
     _check_shape_and_antisymmetry,
     _contract,
     _invert_matrix,
+    _is_exact,
     _is_float_matrix,
     _normalize_scalar,
     _polynomial,
@@ -39,8 +41,6 @@ from .phasespace import (
 
 # index pairs (i < j) parametrizing antisymmetric 4x4 matrices
 PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_NULL_SV_RATIO = 1e-10  # of the largest singular value, in admissible_inverse_forms
-_BALANCE_RADIX = 2.0 ** 8  # the step of _balancing's scale factors
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class HamiltonianPair:
 @dataclass(frozen=True)
 class InverseFormBasis:
     """Basis of the antisymmetric matrices theta with theta A + A^T theta = 0,
-    for the field A it was solved for."""
+    for the field A it was solved for: each element the exact solution of
+    `admissible_inverse_forms`, scaled by a power of two and rounded once."""
 
     basis: tuple[np.ndarray, ...]
     field: LinearVectorField = dataclasses.field(repr=False)
@@ -79,79 +80,67 @@ class InverseFormBasis:
         return out
 
 
-def _theta_from_coordinates(coeffs) -> np.ndarray:
+def _null_space(rows: list[list[int]]) -> list[list[int]]:
+    """One null vector per free column of a square integer matrix, by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    each step divides exactly by the previous pivot, and each pivot row ends
+    with the last pivot d at its own pivot column and 0 at the others.  The
+    vector of free column f is d at f and minus each pivot row's entry f at
+    that row's pivot column, divided by its gcd, with entry f positive."""
+    width, prev, pivots = len(rows), 1, []
+    for col in range(width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top, p = rows[r], rows[r][col]
+        rows = [row if i == r else [(p * v - row[col] * w) // prev for v, w in zip(row, top)]
+                for i, row in enumerate(rows)]
+        prev = p
+        pivots.append(col)
+    vectors = []
+    for f in (c for c in range(width) if c not in pivots):
+        vector = [0] * width
+        vector[f] = prev
+        for row, col in zip(rows, pivots):
+            vector[col] = -row[f]
+        unit = math.gcd(*vector) * (1 if prev > 0 else -1)
+        vectors.append([v // unit for v in vector])
+    return vectors
+
+
+def _float_element(vector: list[int]) -> np.ndarray:
+    """The read-only antisymmetric theta with coordinates `vector` on
+    PAIR_INDEX, scaled by the power of two that puts its largest |entry| in
+    [1/2, 1), each entry rounded once; by the one that centres the exponents
+    of its nonzero entries where that would round one to 0 or a subnormal
+    (the oscillator's 1 and (m omega)^2 at m = 1e300)."""
+    sizes = [abs(v).bit_length() for v in vector if v]
+    coords = [v / (1 << max(sizes)) for v in vector]
+    if any(v and abs(c) < sys.float_info.min for v, c in zip(vector, coords)):
+        coords = [v / (1 << (max(sizes) + min(sizes)) // 2) for v in vector]
     theta = np.zeros((NVARS, NVARS))
-    for c, (i, j) in zip(coeffs, PAIR_INDEX):
-        theta[i, j] = c
-        theta[j, i] = -c
+    for c, (i, j) in zip(coords, PAIR_INDEX):
+        theta[i, j], theta[j, i] = c, -c
+    theta.setflags(write=False)
     return theta
 
 
-def _balancing(a: np.ndarray) -> np.ndarray:
-    """Powers of _BALANCE_RADIX d with D A D^-1 balanced, D = diag(d): the
-    radix-based iteration of Parlett and Reinsch (Numer. Math. 13, 1969).
-    Index i is rescaled when that lowers the sum of the off-diagonal 1-norms
-    of its row and column by 5%, so d is all ones when no row and column
-    differ by a factor of _BALANCE_RADIX or more.  No d leaves [2^-511, 2^511],
-    so D theta D stays in the float range."""
-    rows = np.abs(a).tolist()
-    d = [1.0] * len(rows)
-    step = 2 * math.log2(_BALANCE_RADIX)
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(rows):
-            c = sum(rows[k][i] * d[k] / d[i] for k in range(len(rows)) if k != i)
-            r = sum(v * d[i] / d[k] for k, v in enumerate(row) if k != i)
-            if c == 0 or r == 0:
-                continue
-            f = _BALANCE_RADIX ** round((math.log2(c) - math.log2(r)) / step)
-            if (f != 1 and c / f + r * f < 0.95 * (c + r)
-                    and 2.0 ** -511 <= d[i] * f <= 2.0 ** 511):
-                d[i] *= f
-                changed = True
-    return np.array(d)
-
-
-def _unbalanced(d: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """D theta D for a solution theta of the balanced field, D = diag(d), scaled
-    by a power of two to a largest |entry| in [1/2, 1).  An entry of theta
-    within _ZERO_TOL of its largest is roundoff of the balanced solve and is
-    made 0 first: D would carry it up to the size of theta's largest entries,
-    where it would be read as an entry."""
-    theta = np.where(np.abs(theta) > _ZERO_TOL * np.abs(theta).max(), theta, 0.0)
-    theta = d[:, None] * theta * d[None, :]
-    return np.ldexp(theta, -math.frexp(np.abs(theta).max())[1])
-
-
 def admissible_inverse_forms(field: LinearVectorField) -> InverseFormBasis:
-    """Null space of theta -> theta A + A^T theta over antisymmetric theta.
-
-    The constraint matrix is assembled entrywise on the upper triangle
-    (including the diagonal), giving a 10x6 system whose null space is found by
-    SVD with the relative singular-value threshold _NULL_SV_RATIO.  The system
-    is solved for the balanced field D A D^-1 of `_balancing`, whose
-    solutions theta' give theta = D theta' D, so a field whose entries span
-    many decades (the oscillator far from m omega = 1) gets a basis that
-    passes `contains` entry by entry rather than one whose smallest entries
-    are lost to roundoff; at D = 1 the basis is the SVD's own.
-    """
-    a = field.as_float_array()
-    d = _balancing(a)
-    balanced = a * d[:, None] / d[None, :]
-    system = np.zeros((len(_UPPER_WITH_DIAG), len(PAIR_INDEX)))
-    for k, unit in enumerate(np.eye(len(PAIR_INDEX))):
-        e = _theta_from_coordinates(unit)
-        c = e @ balanced + balanced.T @ e
-        system[:, k] = [c[i, j] for i, j in _UPPER_WITH_DIAG]
-    _, svals, vt = np.linalg.svd(system)
-    cutoff = _NULL_SV_RATIO * (svals[0] if svals.size and svals[0] > 0 else 1.0)
-    null_rows = [vt[k] for k in range(vt.shape[0]) if k >= svals.size or svals[k] <= cutoff]
-    basis = tuple(_theta_from_coordinates(row) for row in null_rows)
-    if (d != 1).any():
-        basis = tuple(_unbalanced(d, theta) for theta in basis)
-    for theta in basis:
-        theta.setflags(write=False)
+    """Null space of theta -> theta A + A^T theta over antisymmetric theta,
+    solved exactly in the integers: A's entries are read as Fractions (a
+    float, sympy's too, is the rational its double is) with their
+    denominators cleared.  Column E_pq - E_qp of the system holds entries
+    i < j of theta A + A^T theta, delta_ip A_qj - delta_iq A_pj +
+    A_pi delta_qj - A_qi delta_pj; the matrix is antisymmetric, so the rest
+    is implied.  `_float_element` rounds each null vector of `_null_space`."""
+    a = [[Fraction(v) if _is_exact(v) else Fraction(float(v)) for v in row] for row in field.matrix]
+    scale = math.lcm(*(v.denominator for row in a for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in a]
+    system = [[(i == p) * a[q][j] - (i == q) * a[p][j] + (j == q) * a[p][i] - (j == p) * a[q][i]
+               for p, q in PAIR_INDEX] for i, j in PAIR_INDEX]
+    basis = tuple(map(_float_element, _null_space(system)))
     return InverseFormBasis(basis=basis, field=field)
 
 

@@ -3,18 +3,18 @@
 Everything here deliberately avoids the library's own code paths: brackets and
 derivatives along a linear flow are expanded with sympy, an exact scalar's
 canonical form is sympy's cancel(expand(c)), the flow is integrated with
-leapfrog, the admissible-space dimension is counted by exact enumeration, a
-product of polynomials is the schoolbook loop over term pairs, a quadratic's
-boundedness is decided exactly from its values at unit points, and
-Gaussian moments come from closed forms cross-checked by direct trapezoid
-quadrature with analytic derivatives.  The same closed forms give the evolved
-Gaussian: a quadratic generator sends a Gaussian to a Gaussian whose centre
-and wavevector follow the classical flow, sampled here on its own, which
-backs the library's closed-form propagator.  The sampled field's boundary
-magnitude backs the closed-form localization edge the lab decides by
-(`lab._edges`).  A float bracket matrix's singular values and inverse come
-from LAPACK on its power-of-two balance, which backs the library's Pfaffian
-gate and adjugate.
+leapfrog, the admissible-space dimension is counted by exact enumeration and
+its basis solved by sympy from dense products, a product of polynomials is the
+schoolbook loop over term pairs, a quadratic's boundedness is decided exactly
+from its values at unit points, and Gaussian moments come from closed forms
+cross-checked by direct trapezoid quadrature with analytic derivatives.  The
+same closed forms give the evolved Gaussian: a quadratic generator sends a
+Gaussian to a Gaussian whose centre and wavevector follow the classical flow,
+sampled here on its own, which backs the library's closed-form propagator.
+The sampled field's boundary magnitude backs the closed-form localization edge
+the lab decides by (`lab._edges`).  A float bracket matrix's singular values
+and inverse come from LAPACK on its power-of-two balance, which backs the
+library's Pfaffian gate and adjugate.
 
 The operator oracles build their operators for themselves.  Each is a
 tuple of (coefficient, word) terms over the primitives: the fundamentals from
@@ -197,6 +197,26 @@ def bruteforce_admissible_dimension(a_rows, grid=(-2, -1, 0, 1, 2)) -> int:
             reduced.append(row)
             rank += 1
     return rank
+
+
+def exact_admissible_basis(a_rows) -> list[list[Fraction]]:
+    """The reduced-row-echelon basis of the antisymmetric theta with
+    theta A + A^T theta = 0, as coordinates on (0, 1), (0, 2), ..., (2, 3).
+
+    Each entry of A is read as the rational it is (a sympy Float as the
+    double it holds), each column of the constraint is theta A + A^T theta
+    formed as a dense sympy product for a unit theta, and the null space is
+    sympy's: one vector per free coordinate, which is 1 there.
+    """
+    a = sp.Matrix([[sp.Rational(v) for v in row] for row in a_rows])
+    columns = []
+    for p, q in _PAIRS:
+        theta = sp.zeros(4)
+        theta[p, q], theta[q, p] = 1, -1
+        c = theta * a + a.T * theta
+        columns.append([c[i, j] for i in range(4) for j in range(4)])
+    return [[Fraction(int(v.p), int(v.q)) for v in vec]
+            for vec in sp.Matrix(columns).T.nullspace()]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +732,7 @@ def report_rows(schemes, observables, times, params, moments):
     a spread is sqrt(max(float(variance), 0.0)), which keeps a variance of
     -0.0 as -0.0.  The pairs and bounds are `brackets`' and `robertson_bound`'s,
     and a product satisfies its bound when it is at most
-    _ROBERTSON_SLACK max(1, bound) below it.
+    _ROBERTSON_SLACK bound below it.
     """
     cells, rows = [], []
     for sid in schemes:
@@ -725,7 +745,7 @@ def report_rows(schemes, observables, times, params, moments):
                                   mean_im=mean.imag, variance=float(variances[k, i])))
         for pair in brackets(sid, params):
             bound = robertson_bound(sid, pair, params)
-            limit = bound - _ROBERTSON_SLACK * max(1.0, bound)
+            limit = bound - _ROBERTSON_SLACK * bound
             for k, t in enumerate(times):
                 product = math.prod(math.sqrt(max(float(variances[k, OBSERVABLES.index(n)]), 0.0))
                                     for n in pair)

@@ -535,14 +535,16 @@ def test_readme_python_examples_run(capsys):
 def test_quantum_forms_no_grid_sized_matrix():
     # the propagator acts on fields with FFTs and phases, so an N x N or
     # N^2 x N^2 matrix (np.eye, anything of np.linalg) stays in the test
-    # oracles; a float form is inverted by its Pfaffian, so of the library only
-    # pairs.py uses np.linalg, in code that neither `run` nor `check` reaches
-    for module in (quantum, phasespace, operators):
-        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    # oracles; a float form is inverted by its Pfaffian and the admissible
+    # space is solved in exact integers, so no module of the library calls LAPACK
+    modules = sorted(Path(symquant.__file__).parent.glob("*.py"))
+    assert {path.stem for path in modules} >= {"pairs", "phasespace", "quantum", "operators"}
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         names += [alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
-        assert [n for n in names if n == "np.eye" or "linalg" in n.split(".")] == [], module
+        assert [n for n in names if n == "np.eye" or "linalg" in n.split(".")] == [], path.name
 
 
 def test_run_and_check_make_no_lapack_call(monkeypatch):
@@ -773,6 +775,15 @@ def _w0_with_s1(m, omega):
     return (HamiltonianPair(pairs[0].form, pairs[1].hamiltonian), *pairs[1:])
 
 
+def test_pair_check_passes_one_rounding_of_an_entry_of_size_one_over_m():
+    # at m = 1e-8, omega = 3 scheme 3's product (1/(m omega)) omega rounds
+    # one ulp off 1/m = 1e8; against 1e-12 max(1, m omega^2) the group failed
+    # with residual 1.490e-08, against the size of each entry's terms it passes
+    results = run_checks(scenario_from_dict(corpus._oscillator_units(1e-8, 3.0, 1.0)))
+    assert [(r.name, r.status) for r in results] == [(name, "pass") for name in lab.CHECK_NAMES]
+    assert results[0].detail == "max residual 1.490e-08"
+
+
 def test_corrupted_form_fails_the_pair_check(monkeypatch):
     monkeypatch.setattr(lab, "standard_pairs", _w0_with_s1)
     pairs, *others = run_checks(_small_scenario())
@@ -941,12 +952,17 @@ def test_commutator_bound_catches_a_sign_at_every_scale(monkeypatch):
     assert {(r.status, r.detail) for r in results} == {("fail", "max deviation 2.000e+00")}
 
 
-@pytest.mark.parametrize("m", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("m, hbar", [(1e-12, 1.0), (1.0, 1.0), (1e12, 1.0),
+                                     (1.0, 1e-12), (1.0, 1e12)],
+                         ids=["1e-12", "1.0", "1000000000000.0", "hbar-1e-12", "hbar-1e+12"])
 @pytest.mark.parametrize("entry", [(0, 0), (2, 2)])
-def test_grid_groups_catch_a_mutated_assignment_at_a_stated_size(monkeypatch, m, entry):
+def test_grid_groups_catch_a_mutated_assignment_at_a_stated_size(monkeypatch, m, hbar, entry):
     # one entry of scheme 0's assignment times (1 + delta), in oscillator
-    # units: commutators fails at delta = 1e-6 and passes at 1e-8, its bound;
-    # uncertainties fails at 1e-4 and passes at 1e-6; unitary fails at 1e-12
+    # units: commutators fails at delta = 5e-7 and passes at 1e-8, its bound;
+    # uncertainties fails at 2e-6 and passes at 5e-7, since the ground gap is
+    # delta times the bound and the group allows 1e-6 of it; unitary fails at
+    # 1e-12.  Against 1e-6 max(1, bound), uncertainties passed delta = 0.1 at
+    # hbar = 1e-12, and this table's 1e-4 there
     def mutated(sid, params):
         s = quantum.scheme(sid, params)
         if sid != 0:
@@ -957,12 +973,57 @@ def test_grid_groups_catch_a_mutated_assignment_at_a_stated_size(monkeypatch, m,
 
     monkeypatch.setattr(lab, "scheme", mutated)
     scn = scenario_from_dict(corpus._oscillator_units(
-        m, 1.0, 1.0, checks=corpus._only("commutators", "uncertainties", "unitary")))
+        m, 1.0, hbar, checks=corpus._only("commutators", "uncertainties", "unitary")))
     table = {}
-    for delta in (1e-4, 1e-6, 1e-8, 1e-12):  # read by `mutated` when run_checks calls it
+    for delta in (1e-4, 2e-6, 5e-7, 1e-8, 1e-12):  # read by `mutated` when run_checks calls it
         table[delta] = [r.status for r in run_checks(scn)[2:]]  # the three grid groups
-    assert table == {1e-4: ["fail", "fail", "fail"], 1e-6: ["fail", "pass", "fail"],
-                     1e-8: ["pass", "pass", "fail"], 1e-12: ["pass", "pass", "fail"]}
+    assert table == {1e-4: ["fail", "fail", "fail"], 2e-6: ["fail", "fail", "fail"],
+                     5e-7: ["fail", "pass", "fail"], 1e-8: ["pass", "pass", "fail"],
+                     1e-12: ["pass", "pass", "fail"]}
+
+
+def _in_units(raw: dict, mass: int, length: int, time: int) -> dict:
+    """The scenario document `raw` in a unit of mass 2^-mass, of length
+    2^-length and of time 2^-time of its own: the same physics, each value
+    mapped exactly by a power of two."""
+    scale_m, scale_l, scale_t = 2.0 ** mass, 2.0 ** length, 2.0 ** time
+    packet = raw["packet"]
+    return {**raw, "m": raw["m"] * scale_m, "omega": raw["omega"] / scale_t,
+            "hbar": raw["hbar"] * scale_m * scale_l * scale_l / scale_t,
+            "packet": {"center": [c * scale_l for c in packet["center"]],
+                       "wavevector": [k / scale_l for k in packet["wavevector"]],
+                       "sigma": packet["sigma"] * scale_l},
+            "grid": {"L": raw["grid"]["L"] * scale_l, "N": raw["grid"]["N"]},
+            "times": [t * scale_t for t in raw["times"]]}
+
+
+def _verdicts(raw: dict) -> tuple[list, list]:
+    """(status of each check group, every `satisfied` flag of `run`) of a document."""
+    scn = scenario_from_dict(raw)
+    flags = [row[3] for col in run_scenario(scn).columns for row in col.rows]
+    return [(r.name, r.status) for r in run_checks(scn)], flags
+
+
+_UNIT_BASES = [corpus._oscillator_units(1.3, 1.5, 0.7), corpus._oscillator_units(1e-8, 3.0, 1.0),
+               corpus._oscillator_units(2.0, 0.5, 1e3), corpus._oscillator_units(1.7, 0.6, 1.2)]
+_BASE_VERDICTS = {}
+
+
+@given(base=st.sampled_from(range(len(_UNIT_BASES))),
+       powers=st.tuples(*[st.integers(-40, 40)] * 3))
+@settings(max_examples=30, deadline=None)
+@example(base=1, powers=(14, 0, 0))
+@example(base=3, powers=(-40, 0, 0))
+def test_every_verdict_is_the_same_in_every_choice_of_units(base, powers):
+    # a metamorphic relation (Chen et al., ACM Computing Surveys 51(1), 2018):
+    # a change of units maps a scenario to the same physics, so each check
+    # group keeps its status and each Robertson flag its value; the bases have
+    # omega != 1, where (1/(m omega)) omega need not round to 1/m, and both
+    # examples moved the pairs verdict against 1e-12 max(1, m omega^2)
+    raw = _UNIT_BASES[base]
+    if base not in _BASE_VERDICTS:
+        _BASE_VERDICTS[base] = _verdicts(raw)
+    assert _verdicts(_in_units(raw, *powers)) == _BASE_VERDICTS[base]
 
 
 def _oscillator_units_cli(m: float, argv: list[str], tmp_path, capsys) -> tuple[int, str, str]:
@@ -1741,7 +1802,7 @@ def test_module_invocation_subprocess(tmp_path):
 # sympy 1.14 on x86-64, the same with OPENBLAS_NUM_THREADS=1 and 2; a
 # refactor that moves any printed digit changes these
 GOLDEN_STDOUT_SHA256 = {
-    ("pairs",): "ced8c33f88d66a8a968f0d4a17d57ae108051f9de60a5611ca69d501e9067445",
+    ("pairs",): "71452173e3fef0609d59fe2bbbe3091092591edc720e389d3e972282af7337a6",
     ("run", "--no-timestamp"):
         "f803f98eea5beb8e96ba4f3ec34ab0e0539eb23652ad3e41c931521f49e7eaf5",
     ("run", "--format", "csv", "--no-timestamp"):

@@ -1,6 +1,7 @@
 """Admissible-form enumeration, Hamiltonian reconstruction, pair verification."""
 
 import hashlib
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,8 +29,8 @@ from symquant import (
     verify_pair,
 )
 from symquant import pairs, phasespace
-from oracles import (boundedness_label, bruteforce_admissible_dimension, poly_to_sympy,
-                     polynomial_product, sympy_bracket)
+from oracles import (boundedness_label, bruteforce_admissible_dimension, exact_admissible_basis,
+                     poly_to_sympy, polynomial_product, sympy_bracket)
 
 THO = oscillator_field(1, 1)
 FORMS = standard_forms(1, 1)
@@ -41,6 +42,25 @@ X, Y, PX, PY = coordinates()
 # admissible_inverse_forms
 # ---------------------------------------------------------------------------
 
+def _assert_rounds_the_exact_basis(field):
+    # each element is a multiple of sympy's reduced-row-echelon solution,
+    # rounded once per entry: an exact zero is 0, no other entry is 0,
+    # subnormal or inf, and each ratio of entries is the exact one to within
+    # two roundings
+    basis = admissible_inverse_forms(field)
+    exact = exact_admissible_basis(field.matrix)
+    assert basis.dimension == len(exact)
+    for theta, vector in zip(basis.basis, exact):
+        coords = [float(theta[i, j]) for i, j in pairs.PAIR_INDEX]
+        assert [c == 0 for c in coords] == [v == 0 for v in vector]
+        assert all(c == 0 or sys.float_info.min <= abs(c) < math.inf for c in coords)
+        k = max(range(len(vector)), key=lambda i: abs(vector[i]))
+        for c, v in zip(coords, vector):
+            if v:
+                assert abs(Fraction(c) / Fraction(coords[k]) * vector[k] / v - 1) <= 2.0 ** -51
+        assert basis.contains(theta)
+
+
 def test_admissible_space_contains_all_standard_inverse_forms():
     basis = admissible_inverse_forms(THO)
     for form in FORMS:
@@ -48,14 +68,16 @@ def test_admissible_space_contains_all_standard_inverse_forms():
 
 
 def test_admissible_space_of_zero_field_is_full():
-    basis = admissible_inverse_forms(LinearVectorField([[0] * 4] * 4))
-    assert basis.dimension == 6
+    field = LinearVectorField([[0] * 4] * 4)
+    assert admissible_inverse_forms(field).dimension == 6
+    _assert_rounds_the_exact_basis(field)
 
 
 def test_admissible_dimension_matches_bruteforce_oracle():
     oracle = bruteforce_admissible_dimension(
         [[int(v) for v in row] for row in THO.matrix])
     assert admissible_inverse_forms(THO).dimension == oracle
+    _assert_rounds_the_exact_basis(THO)
 
 
 def test_basis_elements_satisfy_constraint():
@@ -75,8 +97,22 @@ def test_generic_field_has_smaller_admissible_space():
     # anisotropic oscillator: frequencies 1 and 2 decouple the cross pairs
     field = LinearVectorField([[0, 0, 1, 0], [0, 0, 0, 1],
                                [-1, 0, 0, 0], [0, -4, 0, 0]])
-    basis = admissible_inverse_forms(field)
-    assert basis.dimension == 2
+    assert admissible_inverse_forms(field).dimension == 2
+    _assert_rounds_the_exact_basis(field)
+
+
+@pytest.mark.parametrize("field, dimension", [
+    (oscillator_field(Fraction(3, 5), Fraction(2, 7)), 4), (oscillator_field(1.3, 1.5), 4),
+    (oscillator_field(sp.Float(1.5), 1), 4),
+    *[(LinearVectorField([[1, c, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 0)
+      for c in (1, 1e6, 1e10, 1e300)]],
+    ids=["rational", "float", "sympy-float", *[f"coupled-{c:g}" for c in (1, 1e6, 1e10, 1e300)]])
+def test_admissible_space_is_solved_exactly(field, dimension):
+    # A = I + c E_01 admits no theta at any c != 0, since a diagonal
+    # similarity maps c to 1; an SVD with a cutoff at 1e-10 of the largest
+    # singular value found 2 null directions at c = 1e6 and 1e10 and 4 at 1e300
+    assert admissible_inverse_forms(field).dimension == dimension
+    _assert_rounds_the_exact_basis(field)
 
 
 @pytest.mark.parametrize("theta", [np.eye(3), (1 + 1j) * FORMS[0].lower_array()],
@@ -121,6 +157,7 @@ def test_standard_forms_and_inverses_are_accepted_at_every_decade():
         m = 10.0 ** k
         field = oscillator_field(m, 1.0)
         basis = admissible_inverse_forms(field)
+        _assert_rounds_the_exact_basis(field)
         for mu, form in enumerate(standard_forms(m, 1.0)):
             assert validate_form(form.upper).ok, (k, mu)
             assert validate_form(form.lower).ok, (k, mu)
@@ -140,6 +177,7 @@ def test_admissibility_holds_for_the_standard_forms_at_every_scale(m, omega):
     # completes, and each basis element completes unless it is degenerate
     field = oscillator_field(m, omega)
     basis = admissible_inverse_forms(field)
+    _assert_rounds_the_exact_basis(field)
     for form in standard_forms(m, omega):
         assert basis.contains(form.lower_array())
         complete_pair(form.lower_array(), field)
@@ -460,7 +498,7 @@ def test_exact_layer_outputs_are_pinned():
     outputs = [_exact_layer_outputs(*mw)
                for mw in ((1, 1), (2, 3), (Fraction(3, 5), Fraction(2, 7)), (m, w))]
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
-    assert digest == "57d019c594705c68d60714d645a9b9b6f6fad9600a553a5e274cab1a27031971"
+    assert digest == "d9fa82bda53aaf7a8d35db9798b9a2583af45b8498ed1d23b5977497267f5068"
 
 
 @pytest.fixture
